@@ -10,11 +10,11 @@ as d/dx_n; type B h_{-n} as (n/2)*x_n and h_n as d/dx_n, n odd.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, lcm, prod
 from typing import Dict, List, NamedTuple, Tuple
 
 from .fock import FockVector
-from .poly import Rat
 
 Monomial = Tuple[Tuple[int, int], ...]  # ((variable index, exponent), ...) ascending
 
@@ -40,10 +40,6 @@ def mon_weight(mon: Monomial) -> int:
 def energy2_boson_A(s: BosonStateA) -> int:
     """Doubled energy: 2*monomial weight plus the lattice term charge^2."""
     return 2 * mon_weight(s.mon) + s.charge * s.charge
-
-
-def degree_boson_B(s: BosonStateB) -> int:
-    return mon_weight(s.mon)
 
 
 def mon_get(mon: Monomial, v: int) -> int:
@@ -107,7 +103,7 @@ def heis_apply_B(n: int, v: FockVector) -> FockVector:
     return out
 
 
-# -- exponential enumeration helpers -----------------------------------------
+# -- vertex operators ---------------------------------------------------------
 
 
 def _weighted_compositions(weight: int, parts: List[int]):
@@ -128,31 +124,89 @@ def _weighted_compositions(weight: int, parts: List[int]):
                 yield tail
 
 
-def _lowerings(mon: Monomial):
-    """All ways to apply derivative multisets l <= mon, with falling factorials."""
-    items = list(mon)
+@lru_cache(maxsize=None)
+def _creation_table(weight: int, odd: bool) -> Tuple[Tuple[Monomial, int, int], ...]:
+    """The z^weight part of exp(sum_n x_n z^n), n odd when ``odd``.
 
-    def rec(k):
-        if k == len(items):
-            yield {}, Rat(1)
-            return
-        v, e = items[k]
-        for rest, ff in rec(k + 1):
-            fall = 1
-            for l in range(e + 1):
-                if l:
-                    fall *= e - l + 1
-                if l:
-                    d = dict(rest)
-                    d[v] = l
-                    yield d, ff * fall
-                else:
-                    yield rest, ff
-
-    return rec(0)
+    One row (monomial, parity of its number of parts, weight!/prod mult!)
+    per partition of ``weight``: the row stands for monomial / prod mult!
+    over the common denominator weight!.  The table does not depend on
+    the state the exponential acts on.
+    """
+    parts = list(range(1, weight + 1, 2 if odd else 1))
+    top = factorial(weight)
+    return tuple((tuple(sorted(comp.items())), sum(comp.values()) & 1,
+                  top // prod(map(factorial, comp.values())))
+                 for comp in _weighted_compositions(weight, parts))
 
 
-# -- vertex operators ---------------------------------------------------------
+def _lowering_table(mon: Monomial, scale: int):
+    """exp(-sum_n (scale/n) d/dx_n z^-n) on ``mon``, up to the sign.
+
+    One row (z-exponent, lowered monomial, weight, parity of the number of
+    derivatives) per choice of l_n <= e_n; the coefficient of the row is
+    weight / prod_n n^e_n, weight = prod_n C(e_n, l_n) scale^l_n n^(e_n - l_n).
+    """
+    rows = [(0, (), 1, 0)]
+    for n, e in reversed(mon):
+        rows = [(zl - n * l, ((n, e - l),) + low if l < e else low,
+                 w * comb(e, l) * scale ** l * n ** (e - l), odd ^ (l & 1))
+                for zl, low, w, odd in rows for l in range(e + 1)]
+    return rows
+
+
+def _mon_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a or not b:
+        return a or b
+    d = dict(a)
+    for v, e in b:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def _vertex(terms, make, odd: bool, scale: int, low_sign: int, part_sign: int,
+            ze_sign: int, cutoff: int, wmax: int | None) -> Dict[int, FockVector]:
+    """Sum over ``terms`` (shift, new label, monomial, coefficient) of
+    z^shift * exp(sum x_n z^n) exp(-sum (scale/n) d/dx_n z^-n) applied to
+    the monomial, n odd when ``odd``, per z-exponent in [-D, D].
+
+    A term carries the sign low_sign^(derivatives) * part_sign^(created
+    parts) * ze_sign^(z-exponent); output monomials have weight <= wmax.
+    Coefficients are summed as integers over one common denominator.
+    """
+    den, jmax = 1, 0  # jmax bounds the created weight
+    for shift, _, mon, c in terms:
+        den = lcm(den, c.denominator * prod(n ** e for n, e in mon))
+        j = cutoff - shift + mon_weight(mon)
+        jmax = max(jmax, j if wmax is None else min(j, wmax))
+    over = [factorial(jmax) // factorial(j) for j in range(jmax + 1)]
+    out: Dict[int, dict] = {}
+    for shift, label, mon, c in terms:
+        w0 = mon_weight(mon)
+        g0 = c.numerator * (den // (c.denominator * prod(n ** e for n, e in mon)))
+        for zl, mon1, weight, low_odd in _lowering_table(mon, scale):
+            z1 = shift + zl
+            top = cutoff - z1 if wmax is None else min(cutoff - z1, wmax - w0 - zl)
+            g = g0 * weight * (low_sign if low_odd else 1)
+            for j in range(max(0, -cutoff - z1), top + 1):
+                ze = z1 + j
+                f = -g * over[j] if ze & 1 and ze_sign < 0 else g * over[j]
+                flip = f * part_sign
+                bucket = out.setdefault(ze, {})
+                for mon2, parts_odd, r in _creation_table(j, odd):
+                    state = make(label, _mon_mul(mon1, mon2))
+                    v = bucket.get(state, 0) + (flip if parts_odd else f) * r
+                    if v:
+                        bucket[state] = v
+                    else:
+                        del bucket[state]
+    den *= over[0]
+    result: Dict[int, FockVector] = {}
+    for ze, bucket in out.items():
+        if bucket:
+            result[ze] = fv = FockVector()
+            fv.terms = {s: Fraction(n, den) for s, n in bucket.items()}
+    return result
 
 
 def vertex_A(sign: int, v: FockVector, cutoff: int, wmax: int | None = None) -> Dict[int, FockVector]:
@@ -167,34 +221,8 @@ def vertex_A(sign: int, v: FockVector, cutoff: int, wmax: int | None = None) -> 
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out: Dict[int, FockVector] = {}
-    for s, c in v.items():
-        base = sign * s.charge
-        q2 = s.charge + sign
-        w0 = mon_weight(s.mon)
-        for low, fall in _lowerings(s.mon):
-            zl = -sum(n * l for n, l in low.items())
-            if base + zl > cutoff:
-                continue
-            w1 = w0 + zl
-            coeff_l = Rat(fall)
-            mon1 = s.mon
-            for n, l in low.items():
-                coeff_l *= Fraction((-sign) ** l, n ** l * factorial(l))
-                mon1 = mon_set(mon1, n, mon_get(mon1, n) - l)
-            top = cutoff - base - zl
-            if wmax is not None:
-                top = min(top, wmax - w1)
-            for j in range(max(0, -cutoff - base - zl), top + 1):
-                for raise_ in _weighted_compositions(j, list(range(1, j + 1))):
-                    coeff = c * coeff_l
-                    mon2 = mon1
-                    for n, mult in raise_.items():
-                        coeff *= Fraction(sign ** mult, factorial(mult))
-                        mon2 = mon_set(mon2, n, mon_get(mon2, n) + mult)
-                    ze = base + zl + j
-                    out.setdefault(ze, FockVector()).add_term(BosonStateA(q2, mon2), coeff)
-    return {k: fv for k, fv in out.items() if not fv.is_zero()}
+    terms = [(sign * s.charge, s.charge + sign, s.mon, c) for s, c in v.items()]
+    return _vertex(terms, BosonStateA, False, 1, -sign, sign, 1, cutoff, wmax)
 
 
 def vertex_B(arg_sign: int, v: FockVector, cutoff: int, wmax: int | None = None) -> Dict[int, FockVector]:
@@ -207,33 +235,5 @@ def vertex_B(arg_sign: int, v: FockVector, cutoff: int, wmax: int | None = None)
     """
     if arg_sign not in (1, -1):
         raise ValueError("arg_sign must be +1 or -1")
-    out: Dict[int, FockVector] = {}
-    for s, c in v.items():
-        p2 = 1 - s.parity
-        w0 = mon_weight(s.mon)
-        for low, fall in _lowerings(s.mon):
-            zl = -sum(n * l for n, l in low.items())
-            if zl > cutoff:
-                continue
-            w1 = w0 + zl
-            coeff_l = Rat(fall)
-            mon1 = s.mon
-            for n, l in low.items():
-                coeff_l *= Fraction((-2) ** l, n ** l * factorial(l))
-                mon1 = mon_set(mon1, n, mon_get(mon1, n) - l)
-            top = cutoff - zl
-            if wmax is not None:
-                top = min(top, wmax - w1)
-            for j in range(max(0, -cutoff - zl), top + 1):
-                odd_parts = list(range(1, j + 1, 2))
-                for raise_ in _weighted_compositions(j, odd_parts):
-                    coeff = c * coeff_l
-                    mon2 = mon1
-                    for n, mult in raise_.items():
-                        coeff *= Fraction(1, factorial(mult))
-                        mon2 = mon_set(mon2, n, mon_get(mon2, n) + mult)
-                    ze = zl + j
-                    if arg_sign < 0 and ze % 2:
-                        coeff = -coeff
-                    out.setdefault(ze, FockVector()).add_term(BosonStateB(p2, mon2), coeff)
-    return {k: fv for k, fv in out.items() if not fv.is_zero()}
+    terms = [(0, 1 - s.parity, s.mon, c) for s, c in v.items()]
+    return _vertex(terms, BosonStateB, True, 2, -1, 1, arg_sign, cutoff, wmax)

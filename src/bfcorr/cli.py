@@ -3,8 +3,9 @@ vacuum expectation values and characters, and expose the region-expansion
 calculator.  All numeric output is exact rational text.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
-error.  The default cutoff can be overridden with the BFCORR_CUTOFF
-environment variable.
+error, including a cutoff or size no check can use.  The default cutoff
+can be overridden with the BFCORR_CUTOFF environment variable (an integer
+>= 1).
 """
 
 from __future__ import annotations
@@ -53,16 +54,36 @@ _TARGET_MAP = {
 }
 
 
+# targets whose checks take a size (--n); the others would ignore it
+_SIZED_TARGETS = ("cauchy", "schur-pfaffian", "vev-match", "det-formula", "pf-formula", "product-formula")
+
+
 def _default_cutoff() -> int:
     env = os.environ.get("BFCORR_CUTOFF")
-    if env:
-        try:
-            v = int(env)
-            if v >= 1:
-                return v
-        except ValueError:
-            pass
-    return DEFAULT_CUTOFF
+    if not env:
+        return DEFAULT_CUTOFF
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"BFCORR_CUTOFF must be an integer >= 1, got {env!r}")
+    return value
+
+
+def _validate(args) -> None:
+    """Resolve and check the sizes of a command: the one place they are
+    validated, so that no check runs (and passes) at a size it cannot use."""
+    if args.cutoff is None:
+        args.cutoff = _default_cutoff()
+    if args.cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {args.cutoff}")
+    n = getattr(args, "n", None)
+    if n is not None:
+        if n < 1:
+            raise ValueError(f"--n must be >= 1, got {n}")
+        if args.target not in _SIZED_TARGETS + ("all",):
+            raise ValueError(f"{args.target} takes no --n")
 
 
 def _default_params(name: str, n: Optional[int], cutoff: int, seed: int, quick: bool) -> Dict:
@@ -102,7 +123,7 @@ def _emit_report(report: IdentityReport, fmt: str, timing: bool, out) -> None:
 
 
 def _run_verify(args) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
+    cutoff = args.cutoff
     names: List[str] = []
     if args.target == "all":
         for target, per_model in _TARGET_MAP.items():
@@ -134,7 +155,7 @@ def _run_verify(args) -> int:
 
 
 def _run_vev(args) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
+    cutoff = args.cutoff
     side = "fermion" if args.side == "fermion" else "boson"
     t0 = time.perf_counter()
     if args.model == "A":
@@ -185,7 +206,7 @@ def _run_character(args) -> int:
 
 
 def _run_expand(args) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
+    cutoff = args.cutoff
     ordering = [v.strip() for v in args.order.split(",") if v.strip()]
     try:
         f = parse_rational(args.expr, ordering)
@@ -253,6 +274,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _validate(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,8 @@ import hashlib
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B, BosonStateA, BosonStateB, mon_weight, vertex_A, vertex_B
@@ -67,43 +69,60 @@ class VevSpec:
         return cls("B", side, tuple((sym, f"z{i + 1}") for i in range(points)), cutoff)
 
 
-def _series_from_prefixes(entries, vacuum, ordering, cutoff) -> LaurentSeries:
-    terms = {}
-    for prefix, smap in entries.items():
-        c = smap.get(vacuum)
-        if c:
-            terms[tuple(reversed(prefix))] = c
+def _sweep(word, vacuum, cutoff: int, action_at) -> LaurentSeries:
+    """<0| word |0>: apply the fields right to left to the vacuum and read
+    off the vacuum coefficient of every exponent prefix.
+
+    ``action_at(pos)`` is the action of the field at ``pos``; see
+    ``_propagate``.
+    """
+    ordering = tuple(v for _, v in word)
+    if len(set(ordering)) != len(ordering):
+        raise ValueError("variables must be distinct")
+    entries, den = {(): {vacuum: 1}}, 1
+    for pos in range(len(word) - 1, -1, -1):
+        entries, den = _propagate(entries, den, action_at(pos), pos, cutoff)
+    terms = {tuple(reversed(prefix)): Fraction(smap[vacuum], den)
+             for prefix, smap in entries.items() if vacuum in smap}
     return LaurentSeries(ordering, cutoff, terms)
 
 
-def _propagate(entries, action, pos, cutoff):
-    """One right-to-left word step on prefix -> {state: coeff} tables.
+def _propagate(entries, den, action, pos, cutoff):
+    """One right-to-left word step on prefix -> {state: numerator} tables,
+    every numerator over the common denominator ``den``.
 
-    ``action(state)`` lists (exponent, new state, coefficient); exponents
+    ``action(state)`` gives (d, rows): rows of (exponent, new state,
+    integer numerator over d); it runs once per distinct state.  Exponents
     that cannot complete to a box monomial with ``pos`` fields remaining
-    are dropped.
+    are dropped.  Returns the new tables and their denominator.
     """
+    acts = {}
+    for smap in entries.values():
+        for s in smap:
+            if s not in acts:
+                acts[s] = action(s)
+    step = lcm(*(d for d, _ in acts.values()))
     new: Dict[Tuple[int, ...], Dict] = {}
     slack = (pos + 1) * cutoff
     for prefix, smap in entries.items():
         partial = sum(prefix)
         lo, hi = -slack - partial, slack - partial
         for s, c in smap.items():
-            for ze, s2, c2 in action(s):
+            d_s, rows = acts[s]
+            f = c * (step // d_s)
+            for ze, s2, n2 in rows:
                 if ze < lo or ze > hi:
                     continue
                 key = prefix + (ze,)
                 d = new.get(key)
                 if d is None:
-                    d = {}
-                    new[key] = d
-                v = d.get(s2)
-                v = c * c2 if v is None else v + c * c2
+                    d = new[key] = {}
+                v = d.get(s2, 0) + f * n2
                 if v:
                     d[s2] = v
-                elif s2 in d:
+                else:
                     del d[s2]
-    return {k: d for k, d in new.items() if d}
+    return {k: d for k, d in new.items() if d}, den * step
 
 
 def _fermion_actions_A(sym: str, psis_left: int, phis_left: int, cutoff: int):
@@ -172,44 +191,36 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
     """<0| word |0> as a Laurent series in the word-order expansion region."""
     if spec.side != "fermion":
         raise ValueError("spec.side must be 'fermion'")
-    D = spec.cutoff
-    word = list(spec.word)
-    ordering = tuple(v for _, v in word)
-    if len(set(ordering)) != len(ordering):
-        raise ValueError("variables must be distinct")
-    vacuum = VACUUM_A if spec.model == "A" else VACUUM_B
-    entries = {(): {vacuum: Rat(1)}}
-    for pos in range(len(word) - 1, -1, -1):
-        sym, _ = word[pos]
+    D, word = spec.cutoff, spec.word
+
+    def action_at(pos):
         if spec.model == "A":
             phis_left = sum(1 for t, _ in word[:pos] if t == "phi")
-            base = _fermion_actions_A(sym, pos - phis_left, phis_left, D)
+            base = _fermion_actions_A(word[pos][0], pos - phis_left, phis_left, D)
         else:
             base = _fermion_action_B(pos, D)
-        cache: Dict = {}
+        return lambda s: (1, base(s))
 
-        def action(s, base=base, cache=cache):
-            got = cache.get(s)
-            if got is None:
-                got = base(s)
-                cache[s] = got
-            return got
-
-        entries = _propagate(entries, action, pos, D)
-    return _series_from_prefixes(entries, vacuum, ordering, D)
+    return _sweep(word, VACUUM_A if spec.model == "A" else VACUUM_B, D, action_at)
 
 
 def vev_boson(spec: VevSpec) -> LaurentSeries:
-    """Composite vertex-operator VEV, truncated term by term."""
+    """Composite vertex-operator VEV, truncated term by term.
+
+    A spec is computed once per process (see ``_boson_series``); each call
+    returns a fresh series.
+    """
     if spec.side != "boson":
         raise ValueError("spec.side must be 'boson'")
-    D = spec.cutoff
-    word = list(spec.word)
-    ordering = tuple(v for _, v in word)
-    if len(set(ordering)) != len(ordering):
-        raise ValueError("variables must be distinct")
-    vacuum = BOSON_VACUUM_A if spec.model == "A" else BOSON_VACUUM_B
-    entries = {(): {vacuum: Rat(1)}}
+    series = _boson_series(spec)
+    return LaurentSeries(series.ordering, series.cutoff, series.terms)
+
+
+@lru_cache(maxsize=8)
+def _boson_series(spec: VevSpec) -> LaurentSeries:
+    """The VEV behind ``vev_boson``; the last few specs stay cached, since
+    checks such as product-formula and vev-match ask for the same one."""
+    D, word = spec.cutoff, spec.word
     vertex = vertex_A if spec.model == "A" else vertex_B
     # net weight one operator can absorb: its exponent is >= -D and the
     # charge factor shifts it by at most the running charge
@@ -219,22 +230,20 @@ def vev_boson(spec: VevSpec) -> LaurentSeries:
         charges.append(abs(q))
         q += 1 if sym == "+" else -1
     absorbs = [D + c for c in charges]  # indexed right to left
-    for pos in range(len(word) - 1, -1, -1):
-        sym, _ = word[pos]
-        sign = 1 if sym == "+" else -1
+
+    def action_at(pos):
+        sign = 1 if word[pos][0] == "+" else -1
         wmax = sum(absorbs[len(word) - pos:]) if spec.model == "A" else pos * D
-        cache: Dict = {}
 
-        def action(s, sign=sign, wmax=wmax, cache=cache):
-            got = cache.get(s)
-            if got is None:
-                res = vertex(sign, FockVector.basis(s), D, wmax)
-                got = [(ze, s2, c2) for ze, out in res.items() for s2, c2 in out.items()]
-                cache[s] = got
-            return got
+        def action(s):
+            rows = [(ze, s2, c2) for ze, out in vertex(sign, FockVector.basis(s), D, wmax).items()
+                    for s2, c2 in out.items()]
+            d = lcm(*(c2.denominator for _, _, c2 in rows))
+            return d, [(ze, s2, c2.numerator * (d // c2.denominator)) for ze, s2, c2 in rows]
 
-        entries = _propagate(entries, action, pos, D)
-    return _series_from_prefixes(entries, vacuum, ordering, D)
+        return action
+
+    return _sweep(word, BOSON_VACUUM_A if spec.model == "A" else BOSON_VACUUM_B, D, action_at)
 
 
 def vev(spec: VevSpec) -> LaurentSeries:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List
 
 
 @lru_cache(maxsize=None)
@@ -29,10 +28,3 @@ def odd_partition_count(n: int) -> int:
         return 0
     return _partition_table(n, True)[n]
 
-
-def partition_counts_up_to(n: int) -> List[int]:
-    return list(_partition_table(n, False))
-
-
-def odd_partition_counts_up_to(n: int) -> List[int]:
-    return list(_partition_table(n, True))

@@ -11,12 +11,15 @@ from bfcorr.boson import (
     BosonStateB,
     boson_state_text,
     energy2_boson_A,
+    _creation_table,
     heis_apply_A,
     heis_apply_B,
+    mon_weight,
     vertex_A,
     vertex_B,
 )
 from bfcorr.fock import FockVector
+from bfcorr.partitions import odd_partition_count, partition_count
 
 ONE_A = FockVector.basis(BOSON_VACUUM_A)
 ONE_B = FockVector.basis(BOSON_VACUUM_B)
@@ -178,3 +181,92 @@ def test_vertex_annihilation_part():
 def test_boson_state_text():
     assert boson_state_text(BosonStateA(2, ((1, 3), (5, 1)))) == "e^2a * x1^3 x5^1"
     assert boson_state_text(BosonStateB(1, ())) == "e^1a"
+
+
+# -- vertex operators against exponentials built from Heisenberg modes -------
+
+
+def _exp_graded(step, graded, cap=None):
+    """exp(X) on a z-graded vector, as sum_k X^k / k!.
+
+    ``step(vec, room)`` lists (z-shift, vector) pairs whose sum is X on
+    vec, leaving out shifts above ``room``: z-exponents above ``cap`` are
+    dropped (X raises them, so nothing dropped can come back).
+    """
+    total = {}
+    term, k = graded, 0
+    while term:
+        for ze, vec in term.items():
+            for s, c in vec.items():
+                total.setdefault(ze, FockVector()).add_term(s, c)
+        k += 1
+        nxt = {}
+        for ze, vec in term.items():
+            for dz, w in step(vec, None if cap is None else cap - ze):
+                for s, c in w.items():
+                    nxt.setdefault(ze + dz, FockVector()).add_term(s, c / k)
+        term = {ze: v for ze, v in nxt.items() if not v.is_zero()}
+    return total
+
+
+def _oracle(heis, modes, lower, raise_, start, cap):
+    """exp(creation) exp(annihilation) on ``start`` up to z^cap.
+
+    The annihilation exponential is exp(sum_n lower(n) h_n z^-n) and the
+    creation one exp(sum_n raise_(n) h_{-n} z^n), n in ``modes``.
+    """
+    low = _exp_graded(lambda v, _: [(-n, heis(n, v).scale(lower(n))) for n in modes], start)
+    return _exp_graded(lambda v, room: [(n, heis(-n, v).scale(raise_(n))) for n in modes if n <= room],
+                       low, cap)
+
+
+def _truncated(graded, cutoff, wmax, zsign=1):
+    """The z-exponents in [-cutoff, cutoff] and monomial weights <= wmax,
+    with z replaced by zsign*z: what vertex_* returns."""
+    out = {}
+    for ze, vec in graded.items():
+        vec = FockVector({s: c * zsign ** (ze % 2) for s, c in vec.items()
+                          if wmax is None or mon_weight(s.mon) <= wmax})
+        if -cutoff <= ze <= cutoff and not vec.is_zero():
+            out[ze] = vec
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_vertex_A_matches_heisenberg_exponentials(sign):
+    for charge in (-1, 0, 1):
+        for mon in _monomials(5):
+            start = {sign * charge: FockVector.basis(BosonStateA(charge + sign, mon))}
+            full = _oracle(heis_apply_A, range(1, 13), lambda n: Fraction(-sign, n),
+                           lambda n: Fraction(sign, n), start, 5)
+            v = FockVector.basis(BosonStateA(charge, mon))
+            for cutoff in range(1, 6):
+                for wmax in (None, 3):
+                    want = _truncated(full, cutoff, wmax)
+                    assert vertex_A(sign, v, cutoff, wmax) == want, (charge, mon, cutoff, wmax)
+
+
+@pytest.mark.parametrize("arg_sign", [1, -1])
+def test_vertex_B_matches_heisenberg_exponentials(arg_sign):
+    for parity in (0, 1):
+        for mon in _monomials(5, odd=True):
+            start = {0: FockVector.basis(BosonStateB(1 - parity, mon))}
+            full = _oracle(heis_apply_B, range(1, 13, 2), lambda n: Fraction(-2, n),
+                           lambda n: Fraction(2, n), start, 5)
+            v = FockVector.basis(BosonStateB(parity, mon))
+            for cutoff in range(1, 6):
+                for wmax in (None, 3):
+                    want = _truncated(full, cutoff, wmax, arg_sign)
+                    assert vertex_B(arg_sign, v, cutoff, wmax) == want, (parity, mon, cutoff, wmax)
+
+
+def test_creation_tables_have_one_row_per_partition():
+    for j in range(21):
+        assert len(_creation_table(j, False)) == partition_count(j)
+        assert len(_creation_table(j, True)) == odd_partition_count(j)
+        for odd in (False, True):
+            mons = [row[0] for row in _creation_table(j, odd)]
+            assert len(set(mons)) == len(mons)
+            assert all(mon_weight(m) == j for m in mons)
+            if odd:
+                assert all(n % 2 for m in mons for n, _ in m)

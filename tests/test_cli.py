@@ -114,6 +114,56 @@ def test_environment_cutoff_override(monkeypatch):
     assert json.loads(out)["params"]["cutoff"] == 4
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_nonpositive_cutoff_is_rejected(cutoff, capsys):
+    code, out = run_cli("verify", "det-formula", "--model", "A", "--cutoff", cutoff)
+    assert code == 2
+    assert out == ""
+    assert "cutoff must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "2.5"])
+def test_invalid_environment_cutoff_is_rejected(value, monkeypatch, capsys):
+    monkeypatch.setenv("BFCORR_CUTOFF", value)
+    code, out = run_cli("vev", "--model", "A", "--side", "fermion", "--points", "1")
+    assert code == 2
+    assert out == ""
+    assert "BFCORR_CUTOFF" in capsys.readouterr().err
+
+
+def test_explicit_cutoff_wins_over_environment(monkeypatch):
+    monkeypatch.setenv("BFCORR_CUTOFF", "abc")
+    code, out = run_cli("verify", "cauchy", "--n", "1", "--cutoff", "3")
+    assert code == 0
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "character", "hopf", "ope-residues",
+                                    "supercommutativity"])
+def test_n_is_rejected_where_no_check_takes_it(target, capsys):
+    code, out = run_cli("verify", target, "--n", "3", "--quick")
+    assert code == 2
+    assert out == ""
+    assert f"{target} takes no --n" in capsys.readouterr().err
+
+
+def test_verify_all_applies_n_only_to_sized_checks():
+    code, out = run_cli("verify", "all", "--n", "2", "--quick", "--cutoff", "3",
+                        "--format", "json", "--no-timing")
+    assert code == 0
+    params = {r["check"]: r["params"] for r in map(json.loads, out.strip().splitlines())}
+    assert len(params) == 16
+    assert params["det-formula-A"]["n"] == 2
+    assert params["vev-match-B"]["n"] == 4  # B sizes count points: 2n
+    # the JSON "n" of these checks is their own --quick size (mmax, dmax), not --n
+    assert params["heisenberg-from-fermions-A"]["n"] == 3
+    assert params["character-B"]["n"] == 12
+
+
+def test_n_must_be_positive():
+    code, _ = run_cli("verify", "cauchy", "--n", "0")
+    assert code == 2
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bfcorr.cli", "verify", "cauchy", "--n", "1"],

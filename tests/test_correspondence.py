@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import bfcorr.correspondence as correspondence
 from bfcorr.correspondence import (
     VevSpec,
     analytic_continuation_check,
@@ -11,6 +12,7 @@ from bfcorr.correspondence import (
     closed_form,
     det_series,
     pf_series,
+    vev,
     vev_boson,
     vev_fermion,
 )
@@ -99,6 +101,37 @@ def test_product_formula_B_2n4_small_cutoff():
     s = vev_boson(VevSpec.standard_B("boson", 4, 5))
     assert s == expand(closed_form("B", "product", 2), ("z1", "z2", "z3", "z4"), 5)
     assert s == pf_series(4, 5)
+
+
+@pytest.mark.parametrize("side", ["fermion", "boson"])
+@pytest.mark.parametrize("model,size,cutoff", [("A", 1, 5), ("A", 2, 5), ("B", 2, 6), ("B", 4, 6)])
+def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
+    # the pruning bounds (wmax in vertex_*, the slack in _propagate) must
+    # only drop terms outside the box: a smaller cutoff is a restriction
+    spec = VevSpec.standard_A if model == "A" else VevSpec.standard_B
+    full = vev(spec(side, size, cutoff))
+    assert not full.is_zero()
+    for d in range(cutoff):
+        assert full.restrict(d) == vev(spec(side, size, d)), d
+
+
+def test_boson_vev_is_computed_once_per_spec(monkeypatch):
+    calls = []
+
+    def counted(sign, v, cutoff, wmax=None):
+        calls.append(sign)
+        return vertex_A(sign, v, cutoff, wmax)
+
+    vertex_A = correspondence.vertex_A
+    monkeypatch.setattr(correspondence, "vertex_A", counted)
+    spec = VevSpec("A", "boson", (("+", "a"), ("-", "b")), 3)
+    first = vev_boson(spec)
+    assert calls
+    made = len(calls)
+    first.terms.clear()  # callers own what they get back
+    again = vev_boson(spec)
+    assert len(calls) == made
+    assert again == expand(rf("(1) / ((a-b)^1)", ("a", "b")), ("a", "b"), 3)
 
 
 def test_analytic_continuation_examples():
