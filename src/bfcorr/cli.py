@@ -84,6 +84,15 @@ def _validate(args) -> None:
             raise ValueError(f"--n must be >= 1, got {n}")
         if args.target not in _SIZED_TARGETS + ("all",):
             raise ValueError(f"{args.target} takes no --n")
+    points = getattr(args, "points", None)
+    if points is not None:
+        if points < 1:
+            raise ValueError(f"--points must be >= 1, got {points}")
+        if args.model == "B" and points % 2:
+            raise ValueError(f"--points must be even for --model B, got {points}")
+    top = getattr(args, "max", None)
+    if top is not None and top < 0:
+        raise ValueError(f"--max must be >= 0, got {top}")
 
 
 def _default_params(name: str, n: Optional[int], cutoff: int, seed: int, quick: bool) -> Dict:

@@ -2,56 +2,64 @@
 generator actions D = d/dz and T_{-1}: z -> -z, quadratic normal ordered
 products, and the Heisenberg fields built from fermions.
 
-A Field exposes its operators by z-power (``coeff``) and by mode label
-(``mode``), where the label-to-power map is fixed by the convention:
-PositivePower a(z) = sum a_n z^n, StandardVA a(z) = sum a_(n) z^{-n-1}.
-Quadratic normal ordering is defined by vacuum subtraction
-:a_j b_k: = a_j b_k - <0|a_j b_k|0>, which for free fields agrees with
-the annihilation-right convention and keeps every mode a finite sum on
-graded vectors.
+A Field is given by its rows.  The row of z^k at a basis state s,
+``field.row(k, s)``, lists (state, numerator) pairs: integer numerators
+over the field's one common denominator ``field.den``, so the z^k
+coefficient sends s to sum (numerator/den) * state.  The rows of the
+free fermions are fock's basis-state Clifford actions; D, T and scalar
+multiples transform rows; a quadratic normal ordered product builds and
+caches its rows from the Clifford actions of its factors, so no
+``Fraction`` is made while rows are built or composed.
+
+``coeff(k)`` is the linear extension of the rows of z^k to FockVectors,
+and ``mode(n)`` the same for a mode label, whose z-power is fixed by the
+convention: PositivePower a(z) = sum a_n z^n, StandardVA
+a(z) = sum a_(n) z^{-n-1}.  Quadratic normal ordering is defined by
+vacuum subtraction :a_j b_k: = a_j b_k - <0|a_j b_k|0>, which for free
+fields agrees with the annihilation-right convention and keeps every
+mode a finite sum on graded vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fock import (
-    FermionStateA,
-    FermionStateB,
     FockVector,
-    apply_mode_A,
-    apply_mode_B,
+    _apply_phi_A,
+    _apply_phi_B,
+    _apply_psi_A,
     states_A,
     states_B,
 )
+
+# Not called here: rows come from the basis-state actions above.  The
+# benchmark's tracer tests (perfbench/test_perfbench.py) still look the
+# FockVector-level actions up in this module.
+from .fock import apply_mode_A, apply_mode_B  # noqa: F401
 from .poly import Rat
 
 Operator = Callable[[FockVector], FockVector]
+Row = Sequence[Tuple[object, int]]
 
 POSITIVE = "positive"   # a(z) = sum_n a_n z^n
 STANDARD = "standard"   # a(z) = sum_n a_(n) z^{-n-1}
 
+# basis-state action (index, state) -> [(state, sign)] of each Clifford family
+_ACTIONS = {"phiA": _apply_phi_A, "psiA": _apply_psi_A, "phiB": _apply_phi_B}
+
 
 class CliffordAtom:
-    """Unary Clifford content of a field: coeff(k) = scalar(k) * X_{k+shift}."""
+    """Unary Clifford content of a field: coeff(k) = scalar(k)/den * X_{k+shift},
+    with an integer scalar(k) over the field's common denominator den."""
 
     __slots__ = ("family", "shift", "scalar")
 
-    def __init__(self, family: str, shift: int = 0, scalar: Callable[[int], Rat] | None = None):
+    def __init__(self, family: str, shift: int = 0, scalar: Callable[[int], int] | None = None):
         self.family = family  # 'phiA' | 'psiA' | 'phiB'
         self.shift = shift
-        self.scalar = scalar or (lambda k: Rat(1))
-
-
-def _apply_underlying(family: str, idx: int, v: FockVector) -> FockVector:
-    if family == "phiA":
-        return apply_mode_A("phi", idx, v)
-    if family == "psiA":
-        return apply_mode_A("psi", idx, v)
-    if family == "phiB":
-        return apply_mode_B(idx, v)
-    raise ValueError(f"unknown family {family}")
+        self.scalar = scalar or (lambda k: 1)
 
 
 class Field:
@@ -63,7 +71,8 @@ class Field:
         space: str,
         parity: int,
         convention: str,
-        coeff_fn: Callable[[int], Operator],
+        row: Callable[[int, object], Row],
+        den: int = 1,
         atom: Optional[CliffordAtom] = None,
         mode_zpow: Optional[Callable[[int], int]] = None,
     ):
@@ -71,13 +80,25 @@ class Field:
         self.space = space
         self.parity = parity
         self.convention = convention
-        self._coeff_fn = coeff_fn
+        self.row = row
+        self.den = den
         self.atom = atom
         self._mode_zpow = mode_zpow
 
     def coeff(self, k: int) -> Operator:
         """Operator coefficient of z^k (convention independent)."""
-        return self._coeff_fn(k)
+        row, den = self.row, self.den
+
+        def op(v: FockVector) -> FockVector:
+            acc: Dict = {}
+            for s, c in v.items():
+                for t, x in row(k, s):
+                    acc[t] = acc.get(t, 0) + c * x
+            out = FockVector()
+            out.terms = {t: x / den for t, x in acc.items() if x}
+            return out
+
+        return op
 
     def mode_zpow(self, n: int) -> int:
         if self._mode_zpow is not None:
@@ -92,35 +113,31 @@ class Field:
         if convention not in (POSITIVE, STANDARD):
             raise ValueError("unknown convention")
         return Field(self.name, self.space, self.parity, convention,
-                     self._coeff_fn, self.atom)
+                     self.row, self.den, self.atom)
 
     def scaled(self, c) -> "Field":
         c = Rat(c)
-        fn = self._coeff_fn
-        atom = None
+        p, q = c.numerator, c.denominator
+        row, atom = self.row, None
+        if p != 1:
+            row = lambda k, s, row=row: [(t, p * x) for t, x in row(k, s)]
         if self.atom is not None:
             a = self.atom
-            atom = CliffordAtom(a.family, a.shift, lambda k, a=a: c * a.scalar(k))
+            atom = CliffordAtom(a.family, a.shift, lambda k, a=a: p * a.scalar(k))
         return Field(self.name, self.space, self.parity, self.convention,
-                     lambda k: (lambda v, k=k: fn(k)(v).scale(c)), atom, self._mode_zpow)
+                     row, self.den * q, atom, self._mode_zpow)
 
 
 def phi_A() -> Field:
-    return Field("phi", "A", 1, POSITIVE,
-                 lambda k: (lambda v, k=k: apply_mode_A("phi", k, v)),
-                 CliffordAtom("phiA"))
+    return Field("phi", "A", 1, POSITIVE, _apply_phi_A, atom=CliffordAtom("phiA"))
 
 
 def psi_A() -> Field:
-    return Field("psi", "A", 1, POSITIVE,
-                 lambda k: (lambda v, k=k: apply_mode_A("psi", k, v)),
-                 CliffordAtom("psiA"))
+    return Field("psi", "A", 1, POSITIVE, _apply_psi_A, atom=CliffordAtom("psiA"))
 
 
 def phi_B() -> Field:
-    return Field("phi", "B", 1, POSITIVE,
-                 lambda k: (lambda v, k=k: apply_mode_B(k, v)),
-                 CliffordAtom("phiB"))
+    return Field("phi", "B", 1, POSITIVE, _apply_phi_B, atom=CliffordAtom("phiB"))
 
 
 # -- Hopf algebra action ------------------------------------------------------
@@ -165,25 +182,26 @@ class HopfAction:
 
 
 def _apply_D(a: Field) -> Field:
-    fn = a._coeff_fn
+    row = a.row
     atom = None
     if a.atom is not None:
         at = a.atom
         atom = CliffordAtom(at.family, at.shift + 1,
                             lambda k, at=at: (k + 1) * at.scalar(k + 1))
     return Field(f"D({a.name})", a.space, a.parity, a.convention,
-                 lambda k: (lambda v, k=k: fn(k + 1)(v).scale(k + 1)), atom)
+                 lambda k, s: [(t, (k + 1) * x) for t, x in row(k + 1, s)], a.den, atom)
 
 
 def _apply_T(a: Field) -> Field:
-    fn = a._coeff_fn
+    row = a.row
     atom = None
     if a.atom is not None:
         at = a.atom
         atom = CliffordAtom(at.family, at.shift,
-                            lambda k, at=at: ((-1) ** k) * at.scalar(k))
+                            lambda k, at=at: -at.scalar(k) if k % 2 else at.scalar(k))
     return Field(f"T({a.name})", a.space, a.parity, a.convention,
-                 lambda k: (lambda v, k=k: fn(k)(v).scale((-1) ** k)), atom)
+                 lambda k, s: [(t, -x) for t, x in row(k, s)] if k % 2 else row(k, s),
+                 a.den, atom)
 
 
 def act_hopf(h, a: Field) -> Field:
@@ -203,17 +221,17 @@ def act_hopf(h, a: Field) -> Field:
 # -- quadratic normal ordering ------------------------------------------------
 
 
-def _vev_pair(families: Tuple[str, str], alpha: int, beta: int) -> Rat:
+def _vev_pair(families: Tuple[str, str], alpha: int, beta: int) -> int:
     """<0| X_alpha Y_beta |0> for the underlying Clifford modes."""
     fa, fb = families
     if (fa, fb) in (("phiA", "psiA"), ("psiA", "phiA")):
-        return Rat(1) if (beta >= 0 and alpha + beta == -1) else Rat(0)
+        return 1 if (beta >= 0 and alpha + beta == -1) else 0
     if (fa, fb) == ("phiB", "phiB"):
         if alpha == -beta and beta > 0:
-            return Rat(2 * (-1) ** beta)
+            return 2 * (-1) ** beta
         if alpha == beta == 0:
-            return Rat(1)
-        return Rat(0)
+            return 1
+        return 0
     raise ValueError(f"unsupported quadratic pair {families}")
 
 
@@ -248,36 +266,30 @@ def normal_ordered_quadratic(a: Field, b: Field) -> Field:
     if families not in (("phiA", "psiA"), ("psiA", "phiA"), ("phiB", "phiB")):
         raise ValueError(f"unsupported quadratic pair {families}")
     at_a, at_b = a.atom, b.atom
+    act_a, act_b = _ACTIONS[at_a.family], _ACTIONS[at_b.family]
     cache: Dict = {}
 
-    def apply_coeff(K: int, v: FockVector) -> FockVector:
-        total = FockVector()
-        ksum = K + at_a.shift + at_b.shift
-        for s, c in v.items():
-            key = (K, s)
-            got = cache.get(key)
-            if got is None:
-                got = FockVector()
-                unit = FockVector.basis(s)
-                for beta in _candidates(families, ksum, s):
-                    alpha = ksum - beta
-                    scal = at_a.scalar(alpha - at_a.shift) * at_b.scalar(beta - at_b.shift)
-                    if not scal:
-                        continue
-                    w = _apply_underlying(at_b.family, beta, unit)
-                    if not w.is_zero():
-                        w = _apply_underlying(at_a.family, alpha, w)
-                    pair = _vev_pair(families, alpha, beta)
-                    if pair:
-                        w = w - unit.scale(pair)
-                    if not w.is_zero():
-                        got = got + w.scale(scal)
-                cache[key] = got
-            total = total + got.scale(c)
-        return total
+    def row(K: int, s) -> Row:
+        got = cache.get((K, s))
+        if got is None:
+            acc: Dict = {}
+            ksum = K + at_a.shift + at_b.shift
+            for beta in _candidates(families, ksum, s):
+                alpha = ksum - beta
+                scal = at_a.scalar(alpha - at_a.shift) * at_b.scalar(beta - at_b.shift)
+                if not scal:
+                    continue
+                for t, x in act_b(beta, s):
+                    for u, y in act_a(alpha, t):
+                        acc[u] = acc.get(u, 0) + scal * x * y
+                pair = _vev_pair(families, alpha, beta)
+                if pair:
+                    acc[s] = acc.get(s, 0) - scal * pair
+            got = cache[(K, s)] = [(u, x) for u, x in acc.items() if x]
+        return got
 
     return Field(f":{a.name}{b.name}:", a.space, (a.parity + b.parity) % 2,
-                 STANDARD, lambda K: (lambda v, K=K: apply_coeff(K, v)))
+                 STANDARD, row, a.den * b.den)
 
 
 def heisenberg_field_A() -> Field:
@@ -289,7 +301,7 @@ def twisted_heisenberg_field_B() -> Field:
     """h(z) = (1/4):phi(z)phi(-z): on F_B, odd modes h_m at z^{-m}."""
     phi = phi_B()
     h = normal_ordered_quadratic(phi, act_hopf("T", phi)).scaled(Fraction(1, 4))
-    return Field("h_B", h.space, 0, STANDARD, h._coeff_fn, None,
+    return Field("h_B", h.space, 0, STANDARD, h.row, h.den, None,
                  mode_zpow=lambda m: -m)
 
 
@@ -297,18 +309,34 @@ def mode_commutator(a: Field, b: Field, m: int, n: int, grade_bound: int,
                     expected: Rat = Rat(0)) -> List[Tuple[object, FockVector]]:
     """Residual of (a_m b_n -/+ b_n a_m) - expected*Id on the graded subspace.
 
-    Uses the anticommutator for odd*odd and the commutator otherwise;
-    returns the nonzero residuals (empty list = identity holds).
+    Uses the anticommutator for odd*odd and the commutator otherwise.  Both
+    products are composed from rows, whose integer numerators over
+    den = a.den * b.den are compared with expected * den.  Returns the
+    nonzero residuals in basis order, as FockVectors with Fraction
+    coefficients (empty list = identity holds).
     """
     if a.space != b.space:
         raise ValueError("fields act on different spaces")
     sign = 1 if (a.parity and b.parity) else -1
-    am, bn = a.mode(m), b.mode(n)
+    arow, brow = a.row, b.row
+    ka, kb = a.mode_zpow(m), b.mode_zpow(n)
+    den = a.den * b.den
+    diagonal = Rat(expected) * den
+    if diagonal.denominator == 1:
+        diagonal = diagonal.numerator
     basis = states_A(grade_bound) if a.space == "A" else states_B(grade_bound)
     bad = []
     for s in basis:
-        v = FockVector.basis(s)
-        r = am(bn(v)) + bn(am(v)).scale(sign) - v.scale(expected)
-        if not r.is_zero():
+        acc: Dict = {s: -diagonal}
+        for t, x in brow(kb, s):
+            for u, y in arow(ka, t):
+                acc[u] = acc.get(u, 0) + x * y
+        for t, x in arow(ka, s):
+            x *= sign
+            for u, y in brow(kb, t):
+                acc[u] = acc.get(u, 0) + x * y
+        if any(acc.values()):
+            r = FockVector()
+            r.terms = {u: Rat(x) / den for u, x in acc.items() if x}
             bad.append((s, r))
     return bad

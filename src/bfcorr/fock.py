@@ -117,9 +117,6 @@ class FockVector:
         return "FockVector(" + " + ".join(bits) + ")"
 
 
-ZERO = FockVector()
-
-
 def state_text(s) -> str:
     """Debug form, e.g. ``phi[4,1] psi[2] |0>`` or ``phi[3,0] |0>``."""
     if isinstance(s, FermionStateA):
@@ -186,8 +183,8 @@ def _apply_phi_B(m: int, s: FermionStateB) -> List[Tuple[FermionStateB, int]]:
             if m == 0:
                 out.append((FermionStateB(idx[:i] + idx[i + 1:]), sign))
             return out  # phi_m^2 = delta_{m,0}
-        if n == -m:
-            out.append((FermionStateB(idx[:i] + idx[i + 1:]), sign * 2 * (-1) ** m))
+        if n == -m:  # (-1) ** n, not ** m: n >= 0 keeps the sign an int
+            out.append((FermionStateB(idx[:i] + idx[i + 1:]), sign * 2 * (-1) ** n))
         sign = -sign
     if m >= 0:
         out.append((FermionStateB(idx + (m,)), sign))

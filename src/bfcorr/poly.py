@@ -70,14 +70,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        z = (0,) * len(self.alphabet)
-        return all(e == z for e in self.terms)
-
-    def constant_value(self) -> Rat:
-        z = (0,) * len(self.alphabet)
-        return self.terms.get(z, Rat(0))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -150,13 +142,6 @@ class MultiPoly:
     def max_exponent(self, i: int) -> int:
         """Largest exponent of variable i (0 for the zero polynomial)."""
         return max((e[i] for e in self.terms), default=0)
-
-    def total_degrees(self) -> Tuple[int, int]:
-        """(min, max) total degree over all terms; (0, 0) if zero."""
-        if not self.terms:
-            return (0, 0)
-        degs = [sum(e) for e in self.terms]
-        return (min(degs), max(degs))
 
     def diff(self, i: int) -> "MultiPoly":
         out: dict = {}

@@ -178,3 +178,31 @@ def test_parallel_ordering_is_by_name():
     _, serial = run_cli(*args)
     _, parallel = run_cli(*args, "--parallel")
     assert serial == parallel
+
+
+@pytest.mark.parametrize("model,points,message", [
+    ("A", "-2", "--points must be >= 1"),
+    ("A", "0", "--points must be >= 1"),
+    ("B", "-1", "--points must be >= 1"),
+    ("B", "3", "--points must be even for --model B"),
+])
+def test_invalid_vev_points_are_rejected(model, points, message, capsys):
+    code, out = run_cli("vev", "--model", model, "--side", "boson",
+                        "--points", points, "--cutoff", "3")
+    assert code == 2
+    assert out == ""
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_negative_character_max_is_rejected(model, capsys):
+    code, out = run_cli("character", "--model", model, "--max", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--max must be >= 0" in capsys.readouterr().err
+
+
+def test_character_max_zero_is_accepted():
+    code, out = run_cli("character", "--model", "A", "--max", "0")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["0", "1", "1"]

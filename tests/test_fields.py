@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from bfcorr import correspondence
 from bfcorr.fields import (
     HopfAction,
     act_hopf,
@@ -19,6 +22,8 @@ from bfcorr.fock import (
     VACUUM_A,
     VACUUM_B,
     FockVector,
+    apply_mode_A,
+    apply_mode_B,
     states_A,
     states_B,
     vacuum_component,
@@ -155,3 +160,131 @@ def test_heisenberg_mode_grading():
     from bfcorr.fock import energy2_A
 
     assert all(energy2_A(s) == 2 for s in out.terms)
+
+
+# -- rows against definitions built on FockVectors ----------------------------
+
+GRADE = 6
+WINDOW = 6
+
+
+def _phi_a(i, v):
+    return apply_mode_A("phi", i, v)
+
+
+def _psi_a(i, v):
+    return apply_mode_A("psi", i, v)
+
+
+def _quadratic_oracle(x, y, scalar, K, v, vacuum):
+    """sum_{alpha+beta=K} scalar(beta) * (X_alpha Y_beta - <X_alpha Y_beta>) v
+    over a beta range wide enough for states of grade <= GRADE."""
+    reach = GRADE + abs(K) + 2
+    total = FockVector()
+    for beta in range(-reach, reach + 1):
+        alpha = K - beta
+        pair = vacuum_component(x(alpha, y(beta, vacuum)))
+        term = x(alpha, y(beta, v)) - v.scale(pair)
+        total = total + term.scale(scalar(beta))
+    return total
+
+
+QUADRATICS = [
+    ("h_A", heisenberg_field_A, _phi_a, _psi_a, lambda beta: 1, VAC_A),
+    (":psi phi:", lambda: normal_ordered_quadratic(psi_A(), phi_A()), _psi_a, _phi_a,
+     lambda beta: 1, VAC_A),
+    # h_B = (1/4) :phi(z) phi(-z):, so phi_beta carries (-1)^beta
+    ("h_B", twisted_heisenberg_field_B, apply_mode_B, apply_mode_B,
+     lambda beta: Fraction(-1 if beta % 2 else 1, 4), VAC_B),
+]
+
+
+@pytest.mark.parametrize("name,build,x,y,scalar,vacuum", QUADRATICS, ids=[q[0] for q in QUADRATICS])
+def test_quadratic_rows_match_the_definition(name, build, x, y, scalar, vacuum):
+    field = build()
+    basis = states_A(GRADE) if field.space == "A" else states_B(GRADE)
+    for K in range(-WINDOW, WINDOW + 1):
+        for s in basis:
+            v = FockVector.basis(s)
+            assert all(type(c) is int for _, c in field.row(K, s))
+            assert field.coeff(K)(v) == _quadratic_oracle(x, y, scalar, K, v, vacuum), (K, s)
+
+
+def _hopf_oracle(word, apply, k, v):
+    """The z^k coefficient of D, T and DT applied to a free fermion X."""
+    sign_t = -1 if k % 2 else 1
+    if word == "D":
+        return apply(k + 1, v).scale(k + 1)
+    if word == "T":
+        return apply(k, v).scale(sign_t)
+    # DT = -T D
+    return apply(k + 1, v).scale(-sign_t * (k + 1))
+
+
+@pytest.mark.parametrize("word", ["D", "T", "DT"])
+@pytest.mark.parametrize("base,apply", [(phi_A, _phi_a), (psi_A, _psi_a), (phi_B, apply_mode_B)])
+def test_hopf_rows_match_their_closed_forms(word, base, apply):
+    field = act_hopf(word, base())
+    basis = states_A(4) if field.space == "A" else states_B(4)
+    for k in range(-4, 5):
+        for s in basis:
+            v = FockVector.basis(s, Fraction(3, 2))
+            assert field.coeff(k)(v) == _hopf_oracle(word, apply, k, v), (k, s)
+
+
+def test_derivative_of_a_quadratic_shifts_and_scales_its_rows():
+    h = heisenberg_field_A()
+    dh = act_hopf("D", h)
+    for k in range(-4, 5):
+        for s in states_A(4):
+            v = FockVector.basis(s)
+            want = _quadratic_oracle(_phi_a, _psi_a, lambda beta: 1, k + 1, v, VAC_A)
+            assert dh.coeff(k)(v) == want.scale(k + 1)
+
+
+# -- mode_commutator failures and Clifford brackets ---------------------------
+
+
+def test_mode_commutator_residuals_are_pinned():
+    # [h_1, h_-1] = 1 on F_A and 1/2 on F_B, so expected=0 leaves that
+    # multiple of the identity on every basis state, in basis order
+    cases = ((heisenberg_field_A(), states_A(6), Fraction(1), "FockVector(1*|0>)"),
+             (twisted_heisenberg_field_B(), states_B(6), Fraction(1, 2), "FockVector(1/2*|0>)"))
+    for field, basis, value, vacuum_text in cases:
+        got = mode_commutator(field, field, 1, -1, 6, Fraction(0))
+        assert [s for s, _ in got] == basis
+        for s, residual in got:
+            assert residual == FockVector.basis(s, value)
+            assert all(type(c) is Fraction for c in residual.terms.values())
+        assert repr(got[0][1]) == vacuum_text
+
+
+def test_heisenberg_failure_witness_text(monkeypatch):
+    # doubling h quadruples its bracket, so the first pair in loop order fails
+    monkeypatch.setattr(correspondence, "heisenberg_field_A",
+                        lambda: heisenberg_field_A().scaled(2))
+    rep = correspondence.check_identity("heisenberg-from-fermions-A", {"mmax": 1, "grade": 4})
+    assert rep.status == "fail"
+    assert rep.witnesses["first_difference"] == (
+        "(m,n)=(-1,1) on FermionStateA(phis=(), psis=()): residual FockVector(-3*|0>)")
+
+
+def _clifford_bracket(pair, m, n):
+    if pair in (("phi", "psi"), ("psi", "phi")):
+        return int(m + n == -1)
+    if pair == ("phiB", "phiB"):
+        return 2 * (-1 if m % 2 else 1) if m == -n else 0
+    return 0  # phi with phi, psi with psi on F_A
+
+
+_FREE = {"phi": phi_A, "psi": psi_A, "phiB": phi_B}
+
+
+@seed(20240811)
+@settings(max_examples=80, deadline=None)
+@given(pair=st.sampled_from([("phi", "psi"), ("psi", "phi"), ("phi", "phi"),
+                             ("psi", "psi"), ("phiB", "phiB")]),
+       m=st.integers(-6, 6), n=st.integers(-6, 6))
+def test_clifford_anticommutators_property(pair, m, n):
+    a, b = _FREE[pair[0]](), _FREE[pair[1]]()
+    assert mode_commutator(a, b, m, n, 6, Fraction(_clifford_bracket(pair, m, n))) == []
