@@ -6,10 +6,10 @@ The fermionic engines apply mode sums right to left with symbolic
 variable powers, pruning states that can no longer return to the vacuum
 inside the cutoff box; the bosonic engines compose truncated vertex
 operators.  Closed forms are exact rational functions; series forms of
-the determinant and Pfaffian are assembled from entrywise expansions
-(region expansion is a ring homomorphism, and each permutation or
-matching touches disjoint variable pairs, so entry truncation at the box
-bound is exact).
+the determinant and Pfaffian run the shared expansions of ``matrices`` on
+integer entrywise expansions (region expansion is a ring homomorphism,
+and each term of the expansion touches disjoint variable pairs, so entry
+truncation at the box bound is exact).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B, BosonStateA, BosonStateB, mon_weight, vertex_A, vertex_B
@@ -37,11 +38,11 @@ from .fock import (
     states_B,
     vacuum_component,
 )
-from .matrices import determinant, pfaffian
+from .matrices import det_expansion, determinant, pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
 from .poly import MultiPoly, Rat
 from .ratfun import RationalFn, diff_factor, residue_at, rf_equal, sum_factor
-from .series import LaurentSeries, expand, raw_mul
+from .series import LaurentSeries, expand
 from .textio import format_rational, format_series
 
 
@@ -316,38 +317,47 @@ def closed_form(model: str, kind: str, n: int) -> RationalFn:
     raise ValueError(f"unknown model {model!r}")
 
 
+def _int_terms(series: LaurentSeries) -> Dict[Tuple[int, ...], int]:
+    """A series' terms as integers; raises on a coefficient that is not one."""
+    out = {}
+    for e, c in series.terms.items():
+        if c.denominator != 1:
+            raise ValueError(f"entry coefficient {c} is not an integer")
+        out[e] = c.numerator
+    return out
+
+
+def _series_mac(acc: Dict, sign: int, a: Dict, b: Dict) -> Dict:
+    """acc += sign * a * b on integer exponent dicts, in place."""
+    get = acc.get
+    for e1, c1 in a.items():
+        c1 *= sign
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            v = get(e, 0) + c1 * c2
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+    return acc
+
+
+def _expansion_series(ordering, cutoff: int, expansion, m, sign: int = 1) -> LaurentSeries:
+    total = expansion(m, {(0,) * len(ordering): 1}, dict, _series_mac)
+    return LaurentSeries(ordering, cutoff, {e: Fraction(sign * c) for e, c in total.items()})
+
+
 def det_series(n: int, cutoff: int) -> LaurentSeries:
     """Expansion of (-1)^{n(n-1)/2} det(1/(z_i - w_j)) on the cutoff box."""
     alpha = _alphabet_A(n)
-    ordering = alpha
-    entries = {}
+    m = []
     for i in range(n):
+        row = []
         for j in range(n):
             atom, s = diff_factor(i, n + j)
-            rf = RationalFn(MultiPoly.const(alpha, s), {atom: 1})
-            entries[(i, j)] = expand(rf, ordering, cutoff).terms
-
-    from itertools import permutations
-
-    total: Dict = {}
-    for perm in permutations(range(n)):
-        inv = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    inv += 1
-        prod = {(0,) * len(ordering): Rat(1)}
-        for i in range(n):
-            prod = raw_mul(prod, entries[(i, perm[i])])
-        sgn = (-1) ** inv
-        for e, c in prod.items():
-            v = total.get(e, Rat(0)) + sgn * c
-            if v:
-                total[e] = v
-            else:
-                total.pop(e, None)
-    sign = (-1) ** (n * (n - 1) // 2)
-    return LaurentSeries(ordering, cutoff, {e: sign * c for e, c in total.items()})
+            row.append(_int_terms(expand(RationalFn(MultiPoly.const(alpha, s), {atom: 1}), alpha, cutoff)))
+        m.append(row)
+    return _expansion_series(alpha, cutoff, det_expansion, m, (-1) ** (n * (n - 1) // 2))
 
 
 def pf_series(points: int, cutoff: int) -> LaurentSeries:
@@ -355,30 +365,12 @@ def pf_series(points: int, cutoff: int) -> LaurentSeries:
     if points % 2:
         raise ValueError("points must be even")
     alpha = _alphabet_B(points)
-    entries = {}
+    m = [[None] * points for _ in range(points)]  # the expansion reads i < j only
     for i in range(points):
         for j in range(i + 1, points):
             rf = RationalFn(MultiPoly.linear(alpha, i, j, -1), {sum_factor(i, j): 1})
-            entries[(i, j)] = expand(rf, alpha, cutoff).terms
-
-    def pf(rows: Tuple[int, ...]) -> Dict:
-        if not rows:
-            return {(0,) * points: Rat(1)}
-        first, rest = rows[0], rows[1:]
-        total: Dict = {}
-        for pos, r in enumerate(rest):
-            sub = tuple(x for x in rest if x != r)
-            prod = raw_mul(entries[(first, r)], pf(sub))
-            sgn = (-1) ** pos
-            for e, c in prod.items():
-                v = total.get(e, Rat(0)) + sgn * c
-                if v:
-                    total[e] = v
-                else:
-                    total.pop(e, None)
-        return total
-
-    return LaurentSeries(alpha, cutoff, pf(tuple(range(points))))
+            m[i][j] = _int_terms(expand(rf, alpha, cutoff))
+    return _expansion_series(alpha, cutoff, pf_expansion, m)
 
 
 def analytic_continuation_check(series: LaurentSeries, candidate: RationalFn) -> bool:
@@ -437,10 +429,22 @@ def _monomial_text(ordering, e) -> str:
 
 
 def _compare_series(report: IdentityReport, pairs: List[Tuple[str, str, LaurentSeries, LaurentSeries]]):
+    """Compare each pair in turn; an unequal or an empty pair fails the report.
+
+    Equal series are formatted once and share their witness text.
+    """
     for label_l, label_r, lhs, rhs in pairs:
-        report.witnesses[label_l] = _series_witness(lhs)
-        report.witnesses[label_r] = _series_witness(rhs)
-        if lhs != rhs:
+        equal = lhs == rhs
+        report.witnesses[label_l] = text = _series_witness(lhs)
+        report.witnesses[label_r] = text if equal else _series_witness(rhs)
+        if equal and not lhs.terms:
+            report.status = "fail"
+            report.witnesses["first_difference"] = (
+                f"{label_l} vs {label_r}: no terms compared "
+                f"(both series are 0 at cutoff {lhs.cutoff})"
+            )
+            return
+        if not equal:
             e = lhs.first_difference(rhs)
             report.status = "fail"
             report.witnesses["first_difference"] = (

@@ -1,41 +1,81 @@
-"""Exact determinants and Pfaffians of rational-function matrices.
+"""Exact determinants and Pfaffians.
 
-Matrices stay tiny at desk scale (<= 8x8), so both routines favour
-exactness over asymptotics.  To keep intermediate swell down, the
-determinant clears each row's factored denominator first and runs a
-polynomial cofactor expansion; the Pfaffian uses the recursive
-first-row expansion, accumulating over a common factored denominator
-and reducing once at the end.
+Both concepts have one expansion each, generic over the ring of the
+entries: ``det_expansion`` expands along the rows by cofactors with one
+memoized minor per (row, remaining columns), and ``pf_expansion`` expands
+along the first row with one memoized sub-Pfaffian per remaining index
+tuple.  The ring enters only through a multiply-accumulate, so the same
+expansions serve rational-function matrices here and integer Laurent
+series in ``correspondence``.
+
+Matrices stay tiny at desk scale (<= 8x8), so exactness wins over
+asymptotics.  To keep intermediate swell down, ``determinant`` clears
+each row's factored denominator first and expands polynomials;
+``pfaffian`` accumulates over a common factored denominator and reduces
+once at the end.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
-from .poly import MultiPoly, Rat
+from .poly import MultiPoly
 from .ratfun import RationalFn, factor_poly
 
 
-def _poly_det(m: List[List[MultiPoly]], alphabet) -> MultiPoly:
-    n = len(m)
+def det_expansion(m: Sequence[Sequence], one, zero: Callable, mac: Callable):
+    """det(m) by cofactors along the rows; falsy entries count as zero.
+
+    ``mac(acc, sign, a, b)`` returns acc + sign*a*b and may update ``acc``
+    in place; ``zero()`` makes a fresh accumulator and ``one`` is the
+    empty minor.  Cached minors are only ever read.
+    """
     cache: Dict = {}
 
-    def minor(row: int, cols: frozenset) -> MultiPoly:
+    def minor(row: int, cols: tuple):
         if not cols:
-            return MultiPoly.const(alphabet, 1)
+            return one
         key = (row, cols)
-        if key in cache:
-            return cache[key]
-        total = MultiPoly.zero(alphabet)
-        for pos, c in enumerate(sorted(cols)):
-            if m[row][c].is_zero():
-                continue
-            term = m[row][c] * minor(row + 1, cols - {c})
-            total = total + (term if pos % 2 == 0 else -term)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
+        total = zero()
+        for pos, c in enumerate(cols):
+            a = m[row][c]
+            if a:
+                total = mac(total, -1 if pos % 2 else 1, a, minor(row + 1, cols[:pos] + cols[pos + 1:]))
         cache[key] = total
         return total
 
-    return minor(0, frozenset(range(n)))
+    return minor(0, tuple(range(len(m))))
+
+
+def pf_expansion(m: Sequence[Sequence], one, zero: Callable, mac: Callable):
+    """Pf(m) = sum_j (-1)^(j-1) m_1j Pf(m without rows/columns 1, j), with
+    the same conventions as ``det_expansion``."""
+    cache: Dict = {}
+
+    def pf(rows: tuple):
+        if not rows:
+            return one
+        hit = cache.get(rows)
+        if hit is not None:
+            return hit
+        first, rest = rows[0], rows[1:]
+        total = zero()
+        for pos, r in enumerate(rest):
+            a = m[first][r]
+            if a:
+                total = mac(total, -1 if pos % 2 else 1, a, pf(rest[:pos] + rest[pos + 1:]))
+        cache[rows] = total
+        return total
+
+    return pf(tuple(range(len(m))))
+
+
+def _poly_mac(acc: MultiPoly, sign: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    term = a * b
+    return acc + (term if sign > 0 else -term)
 
 
 def determinant(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
@@ -54,18 +94,12 @@ def determinant(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
         for entry in row:
             for atom, e in entry.den.items():
                 row_den[atom] = max(row_den.get(atom, 0), e)
-        new_row = []
-        for entry in row:
-            p = entry.num
-            for atom, e in row_den.items():
-                k = e - entry.den.get(atom, 0)
-                if k:
-                    p = p * factor_poly(alphabet, atom) ** k
-            new_row.append(p)
-        cleared.append(new_row)
+        cleared.append([_raw_scale_to(entry.num, entry.den, row_den, alphabet) for entry in row])
         for atom, e in row_den.items():
             full_den[atom] = full_den.get(atom, 0) + e
-    return RationalFn(_poly_det(cleared, alphabet), full_den)
+    num = det_expansion(cleared, MultiPoly.const(alphabet, 1),
+                        lambda: MultiPoly.zero(alphabet), _poly_mac)
+    return RationalFn(num, full_den)
 
 
 def _raw_scale_to(num: MultiPoly, den: Dict, target: Dict, alphabet) -> MultiPoly:
@@ -77,7 +111,7 @@ def _raw_scale_to(num: MultiPoly, den: Dict, target: Dict, alphabet) -> MultiPol
 
 
 def pfaffian(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
-    """Pf via the first-row expansion Pf(M) = sum_j (-1)^j M_1j Pf(M_1j)."""
+    """Exact Pfaffian of an antisymmetric matrix of even size."""
     n = len(m)
     for row in m:
         if len(row) != n:
@@ -92,29 +126,20 @@ def pfaffian(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
             if not (m[i][j] == -m[j][i]):
                 raise ValueError(f"matrix is not antisymmetric at ({i}, {j})")
 
-    def pf(rows: Tuple[int, ...]) -> Tuple[MultiPoly, Dict]:
+    def mac(acc, sign, a: RationalFn, b):
         # unreduced (numerator, factored denominator) accumulation
-        if not rows:
-            return MultiPoly.const(alphabet, 1), {}
-        first, rest = rows[0], rows[1:]
-        total_num = MultiPoly.zero(alphabet)
-        total_den: Dict = {}
-        for pos, r in enumerate(rest):
-            entry = m[first][r]
-            if entry.is_zero():
-                continue
-            sub_num, sub_den = pf(tuple(x for x in rest if x != r))
-            num = entry.num * sub_num
-            den = dict(entry.den)
-            for atom, e in sub_den.items():
-                den[atom] = den.get(atom, 0) + e
-            merged = {a: max(total_den.get(a, 0), den.get(a, 0))
-                      for a in set(total_den) | set(den)}
-            total_num = _raw_scale_to(total_num, total_den, merged, alphabet)
-            num = _raw_scale_to(num, den, merged, alphabet)
-            total_num = total_num + (num if pos % 2 == 0 else -num)
-            total_den = merged
-        return total_num, total_den
+        total_num, total_den = acc
+        sub_num, sub_den = b
+        num = a.num * sub_num
+        den = dict(a.den)
+        for atom, e in sub_den.items():
+            den[atom] = den.get(atom, 0) + e
+        merged = {x: max(total_den.get(x, 0), den.get(x, 0)) for x in set(total_den) | set(den)}
+        total_num = _raw_scale_to(total_num, total_den, merged, alphabet)
+        num = _raw_scale_to(num, den, merged, alphabet)
+        return total_num + (num if sign > 0 else -num), merged
 
-    num, den = pf(tuple(range(n)))
+    entries = [[None if x.is_zero() else x for x in row] for row in m]
+    num, den = pf_expansion(entries, (MultiPoly.const(alphabet, 1), {}),
+                            lambda: (MultiPoly.zero(alphabet), {}), mac)
     return RationalFn(num, den)

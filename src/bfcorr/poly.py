@@ -10,6 +10,7 @@ no floating point enters the system anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Tuple
 
 Rat = Fraction
@@ -28,8 +29,9 @@ class MultiPoly:
         if terms:
             n = len(self.alphabet)
             for e, c in terms.items():
-                c = Rat(c)
-                if c == 0:
+                if type(c) is not Rat:
+                    c = Rat(c)
+                if not c:
                     continue
                 if len(e) != n:
                     raise ValueError(f"exponent {e} does not match alphabet of size {n}")
@@ -93,11 +95,12 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Rat(0)) + c
+            s = out.get(e)
+            s = c if s is None else s + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
         return MultiPoly(self.alphabet, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -108,15 +111,21 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
+        t1, t2 = self.terms, other.terms
+        if all(c.denominator == 1 for c in t1.values()) and all(c.denominator == 1 for c in t2.values()):
+            # integer coefficients: multiply numerators, one Fraction per output term
+            t1 = {e: c.numerator for e, c in t1.items()}
+            t2 = {e: c.numerator for e, c in t2.items()}
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Rat(0)) + c1 * c2
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     out[e] = s
                 else:
-                    out.pop(e, None)
+                    del out[e]
         return MultiPoly(self.alphabet, out)
 
     def scale(self, c) -> "MultiPoly":
@@ -216,11 +225,12 @@ class MultiPoly:
         def added(a, b):
             out = dict(a)
             for e, c in b.items():
-                v = out.get(e, Rat(0)) + c
+                v = out.get(e)
+                v = c if v is None else v + c
                 if v:
                     out[e] = v
                 else:
-                    out.pop(e, None)
+                    del out[e]
             return out
 
         quot: dict = {}

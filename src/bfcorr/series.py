@@ -14,19 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Dict, Tuple
 
 from .poly import Rat
 from .ratfun import RationalFn
 
 Expo = Tuple[int, ...]
-
-
-def _in_box(e: Expo, cutoff: int) -> bool:
-    if any(x < -cutoff for x in e):
-        return False
-    t = sum(e)
-    return -cutoff <= t <= cutoff
 
 
 class LaurentSeries:
@@ -36,12 +30,14 @@ class LaurentSeries:
 
     def __init__(self, ordering, cutoff: int, terms: Dict[Expo, Rat] | None = None):
         self.ordering = tuple(ordering)
-        self.cutoff = int(cutoff)
+        self.cutoff = cutoff = int(cutoff)
         clean = {}
         if terms:
+            # the cutoff box: every exponent >= -cutoff, total degree in [-cutoff, cutoff]
             for e, c in terms.items():
-                c = Rat(c)
-                if c and _in_box(e, self.cutoff):
+                if type(c) is not Rat:
+                    c = Rat(c)
+                if c and min(e, default=0) >= -cutoff and -cutoff <= sum(e) <= cutoff:
                     clean[tuple(e)] = c
         self.terms = clean
 
@@ -67,11 +63,12 @@ class LaurentSeries:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Rat(0)) + c
+            s = out.get(e)
+            s = c if s is None else s + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
         return LaurentSeries(self.ordering, self.cutoff, out)
 
     def __neg__(self):
@@ -123,8 +120,9 @@ def raw_mul(t1: Dict[Expo, Rat], t2: Dict[Expo, Rat]) -> Dict[Expo, Rat]:
     out: Dict[Expo, Rat] = {}
     for e1, c1 in t1.items():
         for e2, c2 in t2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, Rat(0)) + c1 * c2
+            e = tuple(map(add, e1, e2))
+            s = out.get(e)
+            s = c1 * c2 if s is None else s + c1 * c2
             if s:
                 out[e] = s
             else:
@@ -183,7 +181,8 @@ def expand(f: RationalFn, ordering, cutoff: int) -> LaurentSeries:
         total = sum(e) - sum(fac[3] for fac in factors)
         if -cutoff <= total <= cutoff:
             key = tuple(e)
-            base[key] = base.get(key, Rat(0)) + c
+            s = base.get(key)
+            base[key] = c if s is None else s + c
     base = {e: c for e, c in base.items() if c}
 
     if not base or not factors:
@@ -228,11 +227,12 @@ def expand(f: RationalFn, ordering, cutoff: int) -> LaurentSeries:
                 if not ok:
                     continue
                 key = tuple(ve)
-                s = out.get(key, Rat(0)) + c * coeff * sign
+                s = out.get(key)
+                s = c * coeff * sign if s is None else s + c * coeff * sign
                 if s:
                     out[key] = s
                 else:
-                    out.pop(key, None)
+                    del out[key]
         current = out
 
     return LaurentSeries(ordering, cutoff, current)

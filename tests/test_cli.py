@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON schema, deterministic reports."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -206,3 +207,25 @@ def test_character_max_zero_is_accepted():
     code, out = run_cli("character", "--model", "A", "--max", "0")
     assert code == 0
     assert out.splitlines()[1].split() == ["0", "1", "1"]
+
+
+# sha256 of the JSON stdout, recorded before det_series/pf_series moved onto
+# the shared expansions of bfcorr.matrices; sizes beyond the benchmark's
+@pytest.mark.parametrize("argv,digest", [
+    (("verify", "pf-formula", "--model", "B", "--n", "5", "--cutoff", "2"),
+     "b8c1411c922c901c1f4301393a5d4b9a506a50838fa25cf502860d428af4a827"),
+    (("verify", "det-formula", "--model", "A", "--n", "5", "--cutoff", "5"),
+     "0b9ef3d0b1db3aabe322ab00a67c675caa8af61c5b169da74977bfc0643b7b63"),
+], ids=["pf-formula-n5-cutoff2", "det-formula-n5-cutoff5"])
+def test_det_and_pf_reports_are_byte_identical(argv, digest):
+    code, out = run_cli(*argv, "--format", "json", "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_empty_comparison_fails():
+    # det(1/(z_i - w_j)) has total degree -5, outside the cutoff-3 box
+    code, out = run_cli("verify", "det-formula", "--model", "A", "--n", "5", "--cutoff", "3")
+    assert code == 1
+    assert "[FAIL] det-formula-A" in out
+    assert "no terms compared" in out

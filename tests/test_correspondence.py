@@ -1,6 +1,7 @@
 """VEV engines against closed forms, analytic continuation, named checks."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -16,8 +17,9 @@ from bfcorr.correspondence import (
     vev_boson,
     vev_fermion,
 )
-from bfcorr.ratfun import rf_equal
-from bfcorr.series import expand
+from bfcorr.poly import MultiPoly
+from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
+from bfcorr.series import LaurentSeries, expand, raw_mul
 from conftest import rf
 
 
@@ -66,15 +68,92 @@ def test_closed_form_pf_equals_product_2n4():
 
 
 def test_det_series_grounds_to_generic_expand():
-    n = 2
-    alpha = ("z1", "z2", "w1", "w2")
-    assert det_series(n, 6) == expand(closed_form("A", "determinant", n), alpha, 6)
+    for n, cutoff in [(2, 6), (3, 4)]:
+        alpha = correspondence._alphabet_A(n)
+        assert det_series(n, cutoff) == expand(closed_form("A", "determinant", n), alpha, cutoff)
 
 
 def test_pf_series_grounds_to_generic_expand():
     assert pf_series(2, 6) == expand(closed_form("B", "pfaffian", 1), ("z1", "z2"), 6)
     assert pf_series(4, 5) == expand(closed_form("B", "pfaffian", 2),
                                      ("z1", "z2", "z3", "z4"), 5)
+    assert pf_series(6, 3) == expand(closed_form("B", "pfaffian", 3), correspondence._alphabet_B(6), 3)
+
+
+def _accumulate(total, sign, terms):
+    for e, c in terms.items():
+        total[e] = total.get(e, 0) + sign * c
+
+
+def _det_series_oracle(n, cutoff):
+    """The signed permutation sum of raw_mul products of expanded entries."""
+    alpha = correspondence._alphabet_A(n)
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            atom, s = diff_factor(i, n + j)
+            entries[i, j] = expand(RationalFn(MultiPoly.const(alpha, s), {atom: 1}), alpha, cutoff).terms
+    total = {}
+    for perm in permutations(range(n)):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        prod = {(0,) * (2 * n): Fraction(1)}
+        for i in range(n):
+            prod = raw_mul(prod, entries[i, perm[i]])
+        _accumulate(total, (-1) ** (inv + n * (n - 1) // 2), prod)
+    return LaurentSeries(alpha, cutoff, total)
+
+
+def _matchings(points):
+    """Signed perfect matchings of 0..points-1."""
+    def rec(rest):
+        if not rest:
+            yield 1, []
+            return
+        first = rest[0]
+        for pos, r in enumerate(rest[1:]):
+            for sign, pairs in rec(tuple(x for x in rest[1:] if x != r)):
+                yield (-1) ** pos * sign, [(first, r)] + pairs
+    return list(rec(tuple(range(points))))
+
+
+def _pf_series_oracle(points, cutoff):
+    """The signed perfect-matching sum of raw_mul products of expanded entries."""
+    alpha = correspondence._alphabet_B(points)
+    entries = {}
+    for i in range(points):
+        for j in range(i + 1, points):
+            f = RationalFn(MultiPoly.linear(alpha, i, j, -1), {sum_factor(i, j): 1})
+            entries[i, j] = expand(f, alpha, cutoff).terms
+    total = {}
+    for sign, pairs in _matchings(points):
+        prod = {(0,) * points: Fraction(1)}
+        for pair in pairs:
+            prod = raw_mul(prod, entries[pair])
+        _accumulate(total, sign, prod)
+    return LaurentSeries(alpha, cutoff, total)
+
+
+def test_matchings_are_counted_and_signed():
+    assert [len(_matchings(p)) for p in (2, 4, 6, 8)] == [1, 3, 15, 105]
+    assert _matchings(4) == [(1, [(0, 1), (2, 3)]), (-1, [(0, 2), (1, 3)]), (1, [(0, 3), (1, 2)])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_det_series_matches_permutation_sum(n, cutoff):
+    assert det_series(n, cutoff) == _det_series_oracle(n, cutoff)
+
+
+@pytest.mark.parametrize("points", [2, 4, 6, 8])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_pf_series_matches_matching_sum(points, cutoff):
+    assert pf_series(points, cutoff) == _pf_series_oracle(points, cutoff)
+
+
+def test_series_entries_must_have_integer_coefficients():
+    assert correspondence._int_terms(LaurentSeries(("z",), 2, {(1,): Fraction(-3)})) == {(1,): -3}
+    with pytest.raises(ValueError, match="not an integer"):
+        correspondence._int_terms(LaurentSeries(("z",), 2, {(1,): Fraction(1, 2)}))
 
 
 def test_fermion_vev_equals_det_series_n2():
@@ -176,6 +255,44 @@ def test_report_json_shape():
     assert set(d["params"]) == {"model", "n", "cutoff", "seed"}
     assert d["params"]["seed"] == 7
     assert d["status"] == "pass"
+
+
+def test_compare_series_formats_equal_series_once():
+    from bfcorr.correspondence import IdentityReport, _compare_series
+
+    a = det_series(2, 4)
+    rep = IdentityReport("demo", {}, "pass")
+    _compare_series(rep, [("lhs", "rhs", a, det_series(2, 4))])
+    assert rep.status == "pass"
+    assert list(rep.witnesses) == ["lhs", "rhs"]
+    assert rep.witnesses["lhs"] is rep.witnesses["rhs"]
+    assert rep.witnesses["lhs"] == str(a)
+
+
+def test_compare_series_reports_both_sides_of_a_difference():
+    from bfcorr.correspondence import IdentityReport, _compare_series
+
+    a = det_series(2, 4)
+    b = a.scale(2)
+    rep = IdentityReport("demo", {}, "pass")
+    _compare_series(rep, [("lhs", "rhs", a, b)])
+    assert rep.status == "fail"
+    assert list(rep.witnesses) == ["lhs", "rhs", "first_difference"]
+    assert rep.witnesses["lhs"] == str(a) != rep.witnesses["rhs"] == str(b)
+    assert rep.witnesses["first_difference"].startswith("lhs vs rhs at ")
+
+
+def test_compare_series_fails_when_nothing_is_compared():
+    from bfcorr.correspondence import IdentityReport, _compare_series
+
+    # total degree -3 lies outside the cutoff-2 box, so both sides are 0
+    a, b = det_series(3, 2), vev_fermion(VevSpec.standard_A("fermion", 3, 2))
+    assert a.is_zero() and b.is_zero()
+    rep = IdentityReport("demo", {}, "pass")
+    _compare_series(rep, [("lhs", "rhs", a, b)])
+    assert rep.status == "fail"
+    assert rep.witnesses["lhs"] == rep.witnesses["rhs"] == "0"
+    assert "no terms compared" in rep.witnesses["first_difference"]
 
 
 def test_failing_check_reports_first_difference():

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from bfcorr.matrices import determinant, pfaffian
+from bfcorr.matrices import det_expansion, determinant, pf_expansion, pfaffian
 from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, diff_factor, rf_equal
 from conftest import random_ratfun, rf
@@ -59,6 +59,48 @@ def test_det_against_permutation_sum(rng):
         n = rng.randint(1, 3)
         m = [[random_ratfun(rng, max_den=1) for _ in range(n)] for _ in range(n)]
         assert rf_equal(determinant(m), det_permutation_sum(m))
+
+
+def _int_mac(acc, sign, a, b):
+    return acc + sign * a * b
+
+
+def _int_det(m):
+    return det_expansion(m, 1, int, _int_mac)
+
+
+def _int_pf(m):
+    return pf_expansion(m, 1, int, _int_mac)
+
+
+def test_det_expansion_over_integers_matches_permutation_sum():
+    rng = random.Random(4242)
+    for n in range(1, 7):
+        for _ in range(10):
+            m = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(n)] for _ in range(n)]
+            total = 0
+            for perm in permutations(range(n)):
+                inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+                prod = (-1) ** inv
+                for i in range(n):
+                    prod *= m[i][perm[i]]
+                total += prod
+            assert _int_det(m) == total
+
+
+def test_pf_expansion_over_integers_squares_to_det():
+    rng = random.Random(4243)
+    for n in (2, 4, 6, 8):
+        for _ in range(10):
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    m[i][j] = rng.choice([0, 1, -1, 2, -3])
+                    m[j][i] = -m[i][j]
+            assert _int_pf(m) ** 2 == _int_det(m)
+    # the standard symplectic form has Pf = 1
+    j4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    assert _int_pf(j4) == 1
 
 
 def test_pfaffian_2x2():

@@ -7,7 +7,7 @@ import pytest
 
 from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, diff_factor, sum_factor, var_factor
-from bfcorr.series import expand
+from bfcorr.series import LaurentSeries, expand
 from bfcorr.textio import (
     format_poly,
     format_rational,
@@ -62,6 +62,16 @@ def test_series_round_trip(rng):
         f = random_ratfun(rng, alphabet=AL)
         s = expand(f, AL, 5)
         assert parse_series(format_series(s), AL, 5) == s
+
+
+def test_series_format_mixes_integer_and_fraction_coefficients():
+    s = LaurentSeries(("z", "w"), 4, {
+        (2, 0): Fraction(-1), (1, 1): Fraction(1), (1, 0): Fraction(2),
+        (0, 2): Fraction(-1, 2), (0, 1): Fraction(3, 4), (0, 0): Fraction(-3),
+        (-1, 1): Fraction(5, 2), (0, -1): Fraction(-1),
+    })
+    assert format_series(s) == (
+        "-z^2 + z*w + 2*z - 1/2*w^2 + 3/4*w - 3 - w^-1 + 5/2*z^-1*w")
 
 
 def test_zero_prints_as_zero():
