@@ -2,6 +2,12 @@
 vacuum expectation values and characters, and expose the region-expansion
 calculator.  All numeric output is exact rational text.
 
+``verify`` runs the checks of ``correspondence.CHECKS``: its targets, each
+check's model and its default sizes (full and ``--quick``) come from that
+table.  ``--n`` sets the size of the checks that have one (pairs for type
+A, half the points for type B); ``--quick`` runs the table's smaller sizes
+and caps the cutoff at ``QUICK_CUTOFF``.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
 error, including a cutoff or size no check can use.  The default cutoff
 can be overridden with the BFCORR_CUTOFF environment variable (an integer
@@ -15,11 +21,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
 
 from .correspondence import (
-    CHECK_NAMES,
+    CHECKS,
+    DEFAULT_CUTOFF,
+    QUICK_CUTOFF,
     IdentityReport,
     VevSpec,
     check_identity,
@@ -30,32 +36,7 @@ from .partitions import odd_partition_count, partition_count
 from .series import expand
 from .textio import format_series, parse_rational
 
-DEFAULT_CUTOFF = 10
-
-VERIFY_TARGETS = (
-    "cauchy", "schur-pfaffian", "vev-match", "det-formula", "pf-formula",
-    "product-formula", "supercommutativity", "heisenberg", "character",
-    "ope-residues", "hopf", "all",
-)
-
-# target -> check names per model
-_TARGET_MAP = {
-    "cauchy": {"A": "cauchy"},
-    "schur-pfaffian": {"B": "schur-pfaffian"},
-    "vev-match": {"A": "vev-match-A", "B": "vev-match-B"},
-    "det-formula": {"A": "det-formula-A"},
-    "pf-formula": {"B": "pf-formula-B"},
-    "product-formula": {"A": "product-formula-A", "B": "product-formula-B"},
-    "supercommutativity": {"A": "supercommutativity-A", "B": "supercommutativity-B"},
-    "heisenberg": {"A": "heisenberg-from-fermions-A", "B": "twisted-heisenberg-from-fermions-B"},
-    "character": {"A": "character-A", "B": "character-B"},
-    "ope-residues": {"AB": "ope-residues"},
-    "hopf": {"AB": "hopf-relations"},
-}
-
-
-# targets whose checks take a size (--n); the others would ignore it
-_SIZED_TARGETS = ("cauchy", "schur-pfaffian", "vev-match", "det-formula", "pf-formula", "product-formula")
+VERIFY_TARGETS = tuple(dict.fromkeys(check.target for check in CHECKS)) + ("all",)
 
 
 def _default_cutoff() -> int:
@@ -82,7 +63,7 @@ def _validate(args) -> None:
     if n is not None:
         if n < 1:
             raise ValueError(f"--n must be >= 1, got {n}")
-        if args.target not in _SIZED_TARGETS + ("all",):
+        if args.target != "all" and not any("n" in c.sizes for c in CHECKS if c.target == args.target):
             raise ValueError(f"{args.target} takes no --n")
     points = getattr(args, "points", None)
     if points is not None:
@@ -93,28 +74,6 @@ def _validate(args) -> None:
     top = getattr(args, "max", None)
     if top is not None and top < 0:
         raise ValueError(f"--max must be >= 0, got {top}")
-
-
-def _default_params(name: str, n: Optional[int], cutoff: int, seed: int, quick: bool) -> Dict:
-    params: Dict = {"cutoff": min(cutoff, 6) if quick else cutoff, "seed": seed}
-    if name in ("cauchy",):
-        params["n"] = n if n is not None else (2 if quick else 3)
-    elif name in ("schur-pfaffian", "vev-match-B", "pf-formula-B", "product-formula-B"):
-        points = 2 * n if n is not None else (2 if quick else 4)
-        params["n"] = points
-    elif name in ("det-formula-A", "product-formula-A", "vev-match-A"):
-        params["n"] = n if n is not None else 2
-    elif name == "heisenberg-from-fermions-A":
-        params["mmax"], params["grade"] = (3, 8) if quick else (5, 12)
-    elif name == "twisted-heisenberg-from-fermions-B":
-        params["mmax"], params["grade"] = (5, 8) if quick else (7, 10)
-    elif name == "character-A":
-        params["dmax"] = 8 if quick else 12
-    elif name == "character-B":
-        params["dmax"] = 12 if quick else 20
-    elif name in ("ope-residues", "hopf-relations"):
-        params["grade"] = 6 if quick else 8
-    return params
 
 
 def _emit_report(report: IdentityReport, fmt: str, timing: bool, out) -> None:
@@ -132,32 +91,19 @@ def _emit_report(report: IdentityReport, fmt: str, timing: bool, out) -> None:
 
 
 def _run_verify(args) -> int:
-    cutoff = args.cutoff
-    names: List[str] = []
-    if args.target == "all":
-        for target, per_model in _TARGET_MAP.items():
-            names.extend(per_model.values())
-    else:
-        per_model = _TARGET_MAP[args.target]
-        if "AB" in per_model:
-            names.append(per_model["AB"])
-        elif args.model == "both":
-            names.extend(per_model.values())
-        else:
-            name = per_model.get(args.model)
-            if name is None:
-                print(f"error: {args.target} has no model {args.model} variant", file=sys.stderr)
-                return 2
-            names.append(name)
-    names = sorted(set(names))
-    jobs = [(name, _default_params(name, args.n, cutoff, args.seed, args.quick)) for name in names]
-
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(lambda j: check_identity(j[0], j[1]), jobs))
-    else:
-        reports = [check_identity(name, params) for name, params in jobs]
-    reports.sort(key=lambda r: r.name)
+    checks = [c for c in CHECKS if args.target in ("all", c.target)]
+    if args.target != "all" and args.model != "both":
+        checks = [c for c in checks if c.model in (args.model, "AB")]
+        if not checks:
+            print(f"error: {args.target} has no model {args.model} variant", file=sys.stderr)
+            return 2
+    cutoff = min(args.cutoff, QUICK_CUTOFF) if args.quick else args.cutoff
+    reports = []
+    for check in sorted(checks, key=lambda c: c.name):
+        params = {**(check.quick if args.quick else check.sizes), "cutoff": cutoff, "seed": args.seed}
+        if args.n is not None and "n" in params:
+            params["n"] = 2 * args.n if check.model == "B" else args.n
+        reports.append(check_identity(check.name, params))
     for report in reports:
         _emit_report(report, args.format, not args.no_timing, sys.stdout)
     return 0 if all(r.passed for r in reports) else 1
@@ -241,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cutoff", type=int, default=None, help="series cutoff D (default 10 or $BFCORR_CUTOFF)")
+        p.add_argument("--cutoff", type=int, default=None, help=f"series cutoff D (default {DEFAULT_CUTOFF} or $BFCORR_CUTOFF)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0, help="recorded in reports for reproducibility")
         p.add_argument("--no-timing", action="store_true", help="report elapsed_ms as 0 for byte-stable output")
@@ -250,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("target", choices=VERIFY_TARGETS)
     v.add_argument("--model", choices=("A", "B", "both"), default="both")
     v.add_argument("--n", type=int, default=None, help="size: pairs for model A, half the points for model B")
-    v.add_argument("--quick", action="store_true", help="smaller default sizes")
-    v.add_argument("--parallel", action="store_true", help="dispatch checks to a thread pool")
+    v.add_argument("--quick", action="store_true",
+                   help=f"smaller default sizes, cutoff at most {QUICK_CUTOFF}")
     common(v)
     v.set_defaults(func=_run_verify)
 

@@ -21,10 +21,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B, BosonStateA, BosonStateB, mon_weight, vertex_A, vertex_B
-from .fields import act_hopf, heisenberg_field_A, mode_commutator, phi_A, phi_B, psi_A, twisted_heisenberg_field_B
+from .fields import (
+    act_hopf,
+    graded_basis,
+    heisenberg_field_A,
+    mode_commutator,
+    phi_A,
+    phi_B,
+    psi_A,
+    twisted_heisenberg_field_B,
+)
 from .fock import (
     VACUUM_A,
     VACUUM_B,
@@ -35,7 +44,6 @@ from .fock import (
     apply_mode_B,
     character_A,
     character_B,
-    states_B,
     vacuum_component,
 )
 from .matrices import det_expansion, determinant, pf_expansion, pfaffian
@@ -408,6 +416,11 @@ class IdentityReport:
         }
 
 
+def _fail(report: IdentityReport, why: str) -> None:
+    report.status = "fail"
+    report.witnesses["first_difference"] = why
+
+
 def _clip(text: str, limit: int = 4000) -> str:
     if len(text) <= limit:
         return text
@@ -431,135 +444,83 @@ def _monomial_text(ordering, e) -> str:
 def _compare_series(report: IdentityReport, pairs: List[Tuple[str, str, LaurentSeries, LaurentSeries]]):
     """Compare each pair in turn; an unequal or an empty pair fails the report.
 
-    Equal series are formatted once and share their witness text.
+    Each series is formatted at most once per call, and equal series share
+    their witness text.
     """
+    texts: Dict[int, str] = {}  # id(series) -> witness text
+
+    def text_of(s: LaurentSeries) -> str:
+        text = texts.get(id(s))
+        if text is None:
+            text = texts[id(s)] = _series_witness(s)
+        return text
+
     for label_l, label_r, lhs, rhs in pairs:
         equal = lhs == rhs
-        report.witnesses[label_l] = text = _series_witness(lhs)
-        report.witnesses[label_r] = text if equal else _series_witness(rhs)
+        report.witnesses[label_l] = text_of(lhs)
+        if equal:
+            texts[id(rhs)] = texts[id(lhs)]
+        report.witnesses[label_r] = text_of(rhs)
         if equal and not lhs.terms:
-            report.status = "fail"
-            report.witnesses["first_difference"] = (
-                f"{label_l} vs {label_r}: no terms compared "
-                f"(both series are 0 at cutoff {lhs.cutoff})"
-            )
-            return
+            return _fail(report, f"{label_l} vs {label_r}: no terms compared "
+                                 f"(both series are 0 at cutoff {lhs.cutoff})")
         if not equal:
             e = lhs.first_difference(rhs)
-            report.status = "fail"
-            report.witnesses["first_difference"] = (
-                f"{label_l} vs {label_r} at {_monomial_text(lhs.ordering, e)}: "
-                f"{lhs.terms.get(e, Rat(0))} vs {rhs.terms.get(e, Rat(0))}"
-            )
-            return
+            return _fail(report, f"{label_l} vs {label_r} at {_monomial_text(lhs.ordering, e)}: "
+                                 f"{lhs.terms.get(e, Rat(0))} vs {rhs.terms.get(e, Rat(0))}")
 
 
-def check_identity(name: str, params: Optional[Dict] = None, cutoff: Optional[int] = None) -> IdentityReport:
-    """Run one named check and report pass/fail with witnesses."""
-    params = dict(params or {})
-    if cutoff is not None:
-        params.setdefault("cutoff", cutoff)
-    handler = _CHECKS.get(name)
-    if handler is None:
-        raise ValueError(f"unknown check name {name!r}")
-    t0 = time.perf_counter()
-    report = handler(params)
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return report
+def _standard(model: str, side: str, n: int, cutoff: int) -> VevSpec:
+    """The standard word of a check: n pairs (type A) or n points (type B)."""
+    if model == "A":
+        return VevSpec.standard_A(side, n, cutoff)
+    return VevSpec.standard_B(side, n, cutoff)
 
 
-def _check_cauchy(params) -> IdentityReport:
-    n = params.get("n", 3)
-    rep = IdentityReport("cauchy", {"model": "A", "n": n, **params}, "pass")
-    det_form = closed_form("A", "determinant", n)
-    prod_form = closed_form("A", "product", n)
-    rep.witnesses["determinant_form"] = _rational_witness(det_form)
-    rep.witnesses["product_form"] = _rational_witness(prod_form)
+# Pair builders of the series checks: (model, n, cutoff) -> the labelled
+# series pairs to compare.  They call the engines by module-level name, so
+# a caller that swaps those names sees every call.
+
+
+def _mode_pairs(model, n, D):
+    lhs = vev_fermion(_standard(model, "fermion", n, D))
+    if model == "A":
+        return [("mode_series", "determinant_series", lhs, det_series(n, D))]
+    return [("mode_series", "pfaffian_series", lhs, pf_series(n, D))]
+
+
+def _product_pairs(model, n, D):
+    lhs = vev_boson(_standard(model, "boson", n, D))
+    if model == "A":
+        rhs = expand(closed_form("A", "product", n), _alphabet_A(n), D)
+    else:
+        rhs = expand(closed_form("B", "product", n // 2), _alphabet_B(n), D)
+    return [("vertex_series", "product_series", lhs, rhs)]
+
+
+def _vev_match_pairs(model, n, D):
+    fer = vev_fermion(_standard(model, "fermion", n, D))
+    pairs = [("fermion_series", "boson_series", fer, vev_boson(_standard(model, "boson", n, D)))]
+    if model == "B":
+        pairs.append(("fermion_series", "pfaffian_series", fer, pf_series(n, D)))
+    return pairs
+
+
+def _series_check(pairs):
+    """Runner of a series check: compare the pairs ``pairs`` builds."""
+    return lambda model, rep, p: _compare_series(rep, pairs(model, p["n"], p["cutoff"]))
+
+
+def _run_closed_forms(model, rep, p) -> None:
+    """Cauchy (type A, n pairs) or Schur-Pfaffian (type B, n points)."""
+    kind, n = ("determinant", p["n"]) if model == "A" else ("pfaffian", p["n"] // 2)
+    form = closed_form(model, kind, n)
+    product = closed_form(model, "product", n)
+    rep.witnesses[f"{kind}_form"] = _rational_witness(form)
+    rep.witnesses["product_form"] = _rational_witness(product)
     rep.witnesses["comparison"] = "cross-multiplied polynomial equality"
-    if not rf_equal(det_form, prod_form):
-        rep.status = "fail"
-        rep.witnesses["first_difference"] = "closed forms differ as rational functions"
-    return rep
-
-
-def _check_schur(params) -> IdentityReport:
-    points = params.get("n", 4)
-    if points % 2:
-        raise ValueError("type B checks need an even number of points")
-    rep = IdentityReport("schur-pfaffian", {"model": "B", "n": points, **params}, "pass")
-    pf_form = closed_form("B", "pfaffian", points // 2)
-    prod_form = closed_form("B", "product", points // 2)
-    rep.witnesses["pfaffian_form"] = _rational_witness(pf_form)
-    rep.witnesses["product_form"] = _rational_witness(prod_form)
-    rep.witnesses["comparison"] = "cross-multiplied polynomial equality"
-    if not rf_equal(pf_form, prod_form):
-        rep.status = "fail"
-        rep.witnesses["first_difference"] = "closed forms differ as rational functions"
-    return rep
-
-
-def _check_det_formula(params) -> IdentityReport:
-    n = params.get("n", 2)
-    D = params.get("cutoff", 8)
-    rep = IdentityReport("det-formula-A", {"model": "A", "n": n, "cutoff": D, **params}, "pass")
-    lhs = vev_fermion(VevSpec.standard_A("fermion", n, D))
-    rhs = det_series(n, D)
-    _compare_series(rep, [("mode_series", "determinant_series", lhs, rhs)])
-    return rep
-
-
-def _check_product_formula_A(params) -> IdentityReport:
-    n = params.get("n", 2)
-    D = params.get("cutoff", 8)
-    rep = IdentityReport("product-formula-A", {"model": "A", "n": n, "cutoff": D, **params}, "pass")
-    lhs = vev_boson(VevSpec.standard_A("boson", n, D))
-    rhs = expand(closed_form("A", "product", n), _alphabet_A(n), D)
-    _compare_series(rep, [("vertex_series", "product_series", lhs, rhs)])
-    return rep
-
-
-def _check_pf_formula(params) -> IdentityReport:
-    points = params.get("n", 4)
-    D = params.get("cutoff", 8)
-    rep = IdentityReport("pf-formula-B", {"model": "B", "n": points, "cutoff": D, **params}, "pass")
-    lhs = vev_fermion(VevSpec.standard_B("fermion", points, D))
-    rhs = pf_series(points, D)
-    _compare_series(rep, [("mode_series", "pfaffian_series", lhs, rhs)])
-    return rep
-
-
-def _check_product_formula_B(params) -> IdentityReport:
-    points = params.get("n", 2)
-    D = params.get("cutoff", 8)
-    rep = IdentityReport("product-formula-B", {"model": "B", "n": points, "cutoff": D, **params}, "pass")
-    lhs = vev_boson(VevSpec.standard_B("boson", points, D))
-    rhs = expand(closed_form("B", "product", points // 2), _alphabet_B(points), D)
-    _compare_series(rep, [("vertex_series", "product_series", lhs, rhs)])
-    return rep
-
-
-def _check_vev_match_A(params) -> IdentityReport:
-    n = params.get("n", 2)
-    D = params.get("cutoff", 8)
-    rep = IdentityReport("vev-match-A", {"model": "A", "n": n, "cutoff": D, **params}, "pass")
-    fer = vev_fermion(VevSpec.standard_A("fermion", n, D))
-    bos = vev_boson(VevSpec.standard_A("boson", n, D))
-    _compare_series(rep, [("fermion_series", "boson_series", fer, bos)])
-    return rep
-
-
-def _check_vev_match_B(params) -> IdentityReport:
-    points = params.get("n", 4)
-    D = params.get("cutoff", 8)
-    rep = IdentityReport("vev-match-B", {"model": "B", "n": points, "cutoff": D, **params}, "pass")
-    fer = vev_fermion(VevSpec.standard_B("fermion", points, D))
-    bos = vev_boson(VevSpec.standard_B("boson", points, D))
-    pfs = pf_series(points, D)
-    _compare_series(rep, [
-        ("fermion_series", "boson_series", fer, bos),
-        ("fermion_series", "pfaffian_series", fer, pfs),
-    ])
-    return rep
+    if not rf_equal(form, product):
+        _fail(rep, "closed forms differ as rational functions")
 
 
 def _two_point_forms(model: str):
@@ -586,75 +547,51 @@ def _swap_two_vars(f: RationalFn) -> RationalFn:
     return RationalFn(num.scale(sign), den)
 
 
-def _check_supercommutativity(model: str, params) -> IdentityReport:
-    D = params.get("cutoff", 8)
-    rep = IdentityReport(f"supercommutativity-{model}", {"model": model, "cutoff": D, **params}, "pass")
+def _run_supercommutativity(model, rep, p) -> None:
+    D = p["cutoff"]
     F = _two_point_forms(model)
-    if model == "A":
-        word_zw = (("phi", "z"), ("psi", "w"))
-        word_wz = (("psi", "w"), ("phi", "z"))
-    else:
-        word_zw = (("phi", "z"), ("phi", "w"))
-        word_wz = (("phi", "w"), ("phi", "z"))
-    s_zw = vev_fermion(VevSpec(model, "fermion", word_zw, D))
-    s_wz = vev_fermion(VevSpec(model, "fermion", word_wz, D))
+    first, second = ("phi", "psi") if model == "A" else ("phi", "phi")
+    s_zw = vev_fermion(VevSpec(model, "fermion", ((first, "z"), (second, "w")), D))
+    s_wz = vev_fermion(VevSpec(model, "fermion", ((second, "w"), (first, "z")), D))
     # both fields are odd: the flip map contributes (-1)^{1*1}, so the two
     # orderings must expand one function F with F(z,w) = -F(w,z)
-    swapped = _swap_two_vars(F)
     rep.witnesses["candidate"] = _rational_witness(F)
     rep.witnesses["series_z_w"] = _series_witness(s_zw)
     rep.witnesses["series_w_z"] = _series_witness(s_wz)
-    if not rf_equal(swapped, -F):
-        rep.status = "fail"
-        rep.witnesses["first_difference"] = "candidate is not swap-antisymmetric"
-        return rep
-    if not analytic_continuation_check(s_zw, F):
-        rep.status = "fail"
-        rep.witnesses["first_difference"] = "|z|>>|w| series is not the expansion of F"
-        return rep
-    if not analytic_continuation_check(s_wz, -F):
-        rep.status = "fail"
-        rep.witnesses["first_difference"] = "|w|>>|z| series is not the expansion of -F"
-    return rep
+    if not rf_equal(_swap_two_vars(F), -F):
+        _fail(rep, "candidate is not swap-antisymmetric")
+    elif not analytic_continuation_check(s_zw, F):
+        _fail(rep, "|z|>>|w| series is not the expansion of F")
+    elif not analytic_continuation_check(s_wz, -F):
+        _fail(rep, "|w|>>|z| series is not the expansion of -F")
 
 
-def _check_heisenberg_A(params) -> IdentityReport:
-    mmax = params.get("mmax", 5)
-    grade = params.get("grade", 12)
-    rep = IdentityReport("heisenberg-from-fermions-A",
-                         {"model": "A", "n": mmax, "grade": grade, **params}, "pass")
+def _run_heisenberg_A(model, rep, p) -> None:
+    mmax, grade = p["mmax"], p["grade"]
+    rep.params.setdefault("n", mmax)  # JSON reports carry mmax as n
     h = heisenberg_field_A()
-    failures = []
+    rep.witnesses["relation"] = "[h_m, h_n] = m delta_{m+n,0} on energy2 <= %d" % grade
     for m in range(-mmax, mmax + 1):
         for n in range(-mmax, mmax + 1):
-            expected = Rat(m) if m + n == 0 else Rat(0)
-            bad = mode_commutator(h, h, m, n, grade, expected)
+            bad = mode_commutator(h, h, m, n, grade, Rat(m) if m + n == 0 else Rat(0))
             if bad:
-                failures.append((m, n, bad[0]))
-    rep.witnesses["relation"] = "[h_m, h_n] = m delta_{m+n,0} on energy2 <= %d" % grade
-    if failures:
-        m, n, (state, residual) = failures[0]
-        rep.status = "fail"
-        rep.witnesses["first_difference"] = f"(m,n)=({m},{n}) on {state}: residual {residual!r}"
-    return rep
+                state, residual = bad[0]
+                return _fail(rep, f"(m,n)=({m},{n}) on {state}: residual {residual!r}")
 
 
-def _check_heisenberg_B(params) -> IdentityReport:
-    mmax = params.get("mmax", 7)
-    grade = params.get("grade", 10)
-    rep = IdentityReport("twisted-heisenberg-from-fermions-B",
-                         {"model": "B", "n": mmax, "grade": grade, **params}, "pass")
+def _run_heisenberg_B(model, rep, p) -> None:
+    mmax, grade = p["mmax"], p["grade"]
+    rep.params.setdefault("n", mmax)  # JSON reports carry mmax as n
     h = twisted_heisenberg_field_B()
     failures = []
     for m in range(-mmax, mmax + 1, 2):
         for n in range(-mmax, mmax + 1, 2):
-            expected = Fraction(m, 2) if m + n == 0 else Rat(0)
-            bad = mode_commutator(h, h, m, n, grade, expected)
+            bad = mode_commutator(h, h, m, n, grade, Fraction(m, 2) if m + n == 0 else Rat(0))
             if bad:
                 failures.append(f"(m,n)=({m},{n}) on {bad[0][0]}")
     for m in range(-mmax + 1, mmax, 2):  # even mode labels vanish identically
         op = h.mode(m)
-        for s in states_B(grade):
+        for s in graded_basis("B", grade):
             if not op(FockVector.basis(s)).is_zero():
                 failures.append(f"h_{m} != 0 on {s}")
                 break
@@ -662,49 +599,30 @@ def _check_heisenberg_B(params) -> IdentityReport:
         "[h_m, h_n] = (m/2) delta_{m+n,0} for odd m, n and h_even = 0 on degree <= %d" % grade
     )
     if failures:
-        rep.status = "fail"
-        rep.witnesses["first_difference"] = str(failures[0])
-    return rep
+        _fail(rep, failures[0])
 
 
-def _check_character_A(params) -> IdentityReport:
-    dmax = params.get("dmax", 12)
-    charge = params.get("charge", 0)
-    rep = IdentityReport("character-A", {"model": "A", "n": dmax, "charge": charge, **params}, "pass")
-    table = dict(character_A(charge, charge * charge + 2 * dmax))
-    expected = {charge * charge + 2 * d: partition_count(d) for d in range(dmax + 1)}
+def _run_character(model, rep, p) -> None:
+    dmax = p["dmax"]
+    rep.params.setdefault("n", dmax)  # JSON reports carry dmax as n
+    if model == "A":
+        q2 = p["charge"] ** 2
+        top, label, oracle = q2 + 2 * dmax, "energy2", "partitions"
+        table = dict(character_A(p["charge"], top))
+        expected = {q2 + 2 * d: partition_count(d) for d in range(dmax + 1)}
+    else:
+        top, label, oracle = dmax, "degree", "2*odd partitions"
+        table = dict(character_B(dmax))
+        expected = {d: 2 * odd_partition_count(d) for d in range(dmax + 1)}
     rep.witnesses["dimensions"] = str(sorted(table.items()))
     rep.witnesses["oracle"] = str(sorted(expected.items()))
-    for e2 in range(charge * charge + 2 * dmax + 1):
-        if table.get(e2, 0) != expected.get(e2, 0):
-            rep.status = "fail"
-            rep.witnesses["first_difference"] = (
-                f"energy2={e2}: dim {table.get(e2, 0)} vs partitions {expected.get(e2, 0)}"
-            )
-            break
-    return rep
+    for g in range(top + 1):
+        if table.get(g, 0) != expected.get(g, 0):
+            return _fail(rep, f"{label}={g}: dim {table.get(g, 0)} vs {oracle} {expected.get(g, 0)}")
 
 
-def _check_character_B(params) -> IdentityReport:
-    dmax = params.get("dmax", 20)
-    rep = IdentityReport("character-B", {"model": "B", "n": dmax, **params}, "pass")
-    table = dict(character_B(dmax))
-    expected = {d: 2 * odd_partition_count(d) for d in range(dmax + 1)}
-    rep.witnesses["dimensions"] = str(sorted(table.items()))
-    rep.witnesses["oracle"] = str(sorted(expected.items()))
-    for d in range(dmax + 1):
-        if table.get(d, 0) != expected[d]:
-            rep.status = "fail"
-            rep.witnesses["first_difference"] = (
-                f"degree={d}: dim {table.get(d, 0)} vs 2*odd partitions {expected[d]}"
-            )
-            break
-    return rep
-
-
-def _check_ope_residues(params) -> IdentityReport:
-    grade = params.get("grade", 8)
-    rep = IdentityReport("ope-residues", {"grade": grade, **params}, "pass")
+def _run_ope_residues(model, rep, p) -> None:
+    grade = p["grade"]
     problems = []
 
     fa = _two_point_forms("A")  # 1/(z-w)
@@ -728,7 +646,7 @@ def _check_ope_residues(params) -> IdentityReport:
     # mode level: the z^{-1} coefficient of the (anti)commutator series is the
     # residue of the rational two-point operator, localized at its only pole
     window = grade + 2
-    for s in states_B(grade):
+    for s in graded_basis("B", grade):
         v = FockVector.basis(s)
         for k in range(-window, window + 1):
             got = apply_mode_B(-1, apply_mode_B(k, v)) + apply_mode_B(k, apply_mode_B(-1, v))
@@ -736,9 +654,7 @@ def _check_ope_residues(params) -> IdentityReport:
             if got != want:
                 problems.append(f"type B mode residue fails at k={k} on {s}")
                 break
-    from .fock import states_A
-
-    for s in states_A(grade):
+    for s in graded_basis("A", grade):
         v = FockVector.basis(s)
         for k in range(-window, window + 1):
             got = apply_mode_A("phi", -1, apply_mode_A("psi", k, v)) + apply_mode_A(
@@ -748,22 +664,16 @@ def _check_ope_residues(params) -> IdentityReport:
                 problems.append(f"type A mode residue fails at k={k} on {s}")
                 break
     if problems:
-        rep.status = "fail"
-        rep.witnesses["first_difference"] = problems[0]
-    return rep
+        _fail(rep, problems[0])
 
 
-def _check_hopf(params) -> IdentityReport:
-    window = params.get("window", 6)
-    grade = params.get("grade", 8)
-    rep = IdentityReport("hopf-relations", {"grade": grade, "window": window, **params}, "pass")
+def _run_hopf(model, rep, p) -> None:
+    window, grade = p["window"], p["grade"]
     problems = []
-    from .fock import states_A
-
     cases = [
-        (phi_A(), states_A(grade), FockVector.basis(FermionStateA((0,), ()))),
-        (psi_A(), states_A(grade), FockVector.basis(FermionStateA((), (0,)))),
-        (phi_B(), states_B(grade), FockVector.basis(FermionStateB((0,)))),
+        (phi_A(), graded_basis("A", grade), FockVector.basis(FermionStateA((0,), ()))),
+        (psi_A(), graded_basis("A", grade), FockVector.basis(FermionStateA((), (0,)))),
+        (phi_B(), graded_basis("B", grade), FockVector.basis(FermionStateB((0,)))),
     ]
     for base, basis, created in cases:
         tt = act_hopf("TT", base)
@@ -791,29 +701,95 @@ def _check_hopf(params) -> IdentityReport:
     if tphi.coeff(0)(FockVector.basis(VACUUM_B)) != FockVector.basis(FermionStateB((0,))):
         problems.append("T phi_B creation value differs from phi_B")
     if problems:
-        rep.status = "fail"
-        rep.witnesses["first_difference"] = problems[0]
+        _fail(rep, problems[0])
     rep.witnesses["relations"] = "T^2 = 1, DT = -TD, vacuum regularity, creation values"
-    return rep
 
 
-_CHECKS = {
-    "cauchy": _check_cauchy,
-    "schur-pfaffian": _check_schur,
-    "det-formula-A": _check_det_formula,
-    "product-formula-A": _check_product_formula_A,
-    "pf-formula-B": _check_pf_formula,
-    "product-formula-B": _check_product_formula_B,
-    "vev-match-A": _check_vev_match_A,
-    "vev-match-B": _check_vev_match_B,
-    "supercommutativity-A": lambda p: _check_supercommutativity("A", p),
-    "supercommutativity-B": lambda p: _check_supercommutativity("B", p),
-    "heisenberg-from-fermions-A": _check_heisenberg_A,
-    "twisted-heisenberg-from-fermions-B": _check_heisenberg_B,
-    "character-A": _check_character_A,
-    "character-B": _check_character_B,
-    "ope-residues": _check_ope_residues,
-    "hopf-relations": _check_hopf,
-}
+# -- the check table ------------------------------------------------------------
 
-CHECK_NAMES = tuple(sorted(_CHECKS))
+DEFAULT_CUTOFF = 10
+QUICK_CUTOFF = 6  # --quick caps the cutoff of every check at this
+
+# the least value of each size at which a check still tests something
+MIN_SIZES = {"n": 1, "cutoff": 1, "grade": 0, "dmax": 0, "mmax": 1, "window": 1}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check.
+
+    ``target`` is its ``bfcorr verify`` target and ``model`` is 'A', 'B'
+    or 'AB' (one check covering both).  ``run(model, report, params)``
+    records the verdict and witnesses on the report.  ``sizes`` are the
+    full default sizes, which hold ``cutoff`` when the check uses one;
+    ``quick`` are the sizes under ``--quick``, which caps the cutoff at
+    QUICK_CUTOFF instead.  A check takes ``--n`` exactly when its sizes hold
+    ``n``; type B sizes count points, so ``n`` is 2x the CLI's ``--n``.
+    """
+
+    name: str
+    target: str
+    model: str
+    run: Callable[[str, IdentityReport, Dict], None]
+    sizes: Dict
+    quick: Dict
+
+
+# rows in the order of the verify targets; reports come out sorted by name
+CHECKS = (
+    Check("cauchy", "cauchy", "A", _run_closed_forms, {"n": 3}, {"n": 2}),
+    Check("schur-pfaffian", "schur-pfaffian", "B", _run_closed_forms, {"n": 4}, {"n": 2}),
+    Check("vev-match-A", "vev-match", "A", _series_check(_vev_match_pairs),
+          {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+    Check("vev-match-B", "vev-match", "B", _series_check(_vev_match_pairs),
+          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+    Check("det-formula-A", "det-formula", "A", _series_check(_mode_pairs),
+          {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+    Check("pf-formula-B", "pf-formula", "B", _series_check(_mode_pairs),
+          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+    Check("product-formula-A", "product-formula", "A", _series_check(_product_pairs),
+          {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+    Check("product-formula-B", "product-formula", "B", _series_check(_product_pairs),
+          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+    Check("supercommutativity-A", "supercommutativity", "A", _run_supercommutativity,
+          {"cutoff": DEFAULT_CUTOFF}, {}),
+    Check("supercommutativity-B", "supercommutativity", "B", _run_supercommutativity,
+          {"cutoff": DEFAULT_CUTOFF}, {}),
+    Check("heisenberg-from-fermions-A", "heisenberg", "A", _run_heisenberg_A,
+          {"mmax": 5, "grade": 12}, {"mmax": 3, "grade": 8}),
+    Check("twisted-heisenberg-from-fermions-B", "heisenberg", "B", _run_heisenberg_B,
+          {"mmax": 7, "grade": 10}, {"mmax": 5, "grade": 8}),
+    Check("character-A", "character", "A", _run_character,
+          {"dmax": 12, "charge": 0}, {"dmax": 8, "charge": 0}),
+    Check("character-B", "character", "B", _run_character, {"dmax": 20}, {"dmax": 12}),
+    Check("ope-residues", "ope-residues", "AB", _run_ope_residues, {"grade": 8}, {"grade": 6}),
+    Check("hopf-relations", "hopf", "AB", _run_hopf,
+          {"grade": 8, "window": 6}, {"grade": 6, "window": 6}),
+)
+
+_BY_NAME = {check.name: check for check in CHECKS}
+CHECK_NAMES = tuple(sorted(_BY_NAME))
+
+
+def check_identity(name: str, params: Optional[Dict] = None) -> IdentityReport:
+    """Run one named check and report pass/fail with witnesses.
+
+    Sizes missing from ``params`` are the check's full sizes in CHECKS.  A
+    size below its MIN_SIZES value (where the check would pass with nothing
+    tested) or an odd number of type B points raises ValueError.
+    """
+    check = _BY_NAME.get(name)
+    if check is None:
+        raise ValueError(f"unknown check name {name!r}")
+    params = {**check.sizes, **(params or {})}
+    for key, least in MIN_SIZES.items():
+        if params.get(key, least) < least:
+            raise ValueError(f"{key} must be >= {least}, got {params[key]}")
+    if check.model == "B" and params.get("n", 0) % 2:
+        raise ValueError("type B checks need an even number of points")
+    model = {} if check.model == "AB" else {"model": check.model}
+    report = IdentityReport(name, {**model, **params}, "pass")
+    t0 = time.perf_counter()
+    check.run(check.model, report, params)
+    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return report

@@ -23,6 +23,7 @@ mode a finite sum on graded vectors.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fock import (
@@ -305,6 +306,13 @@ def twisted_heisenberg_field_B() -> Field:
                  mode_zpow=lambda m: -m)
 
 
+@lru_cache(maxsize=16)
+def graded_basis(space: str, grade: int) -> Tuple:
+    """The basis states of F_A (energy2 <= grade) or F_B (degree <= grade),
+    enumerated once per (space, grade)."""
+    return tuple(states_A(grade) if space == "A" else states_B(grade))
+
+
 def mode_commutator(a: Field, b: Field, m: int, n: int, grade_bound: int,
                     expected: Rat = Rat(0)) -> List[Tuple[object, FockVector]]:
     """Residual of (a_m b_n -/+ b_n a_m) - expected*Id on the graded subspace.
@@ -324,9 +332,8 @@ def mode_commutator(a: Field, b: Field, m: int, n: int, grade_bound: int,
     diagonal = Rat(expected) * den
     if diagonal.denominator == 1:
         diagonal = diagonal.numerator
-    basis = states_A(grade_bound) if a.space == "A" else states_B(grade_bound)
     bad = []
-    for s in basis:
+    for s in graded_basis(a.space, grade_bound):
         acc: Dict = {s: -diagonal}
         for t, x in brow(kb, s):
             for u, y in arow(ka, t):

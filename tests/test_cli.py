@@ -174,13 +174,6 @@ def test_console_script_entry_point():
     assert "[PASS]" in proc.stdout
 
 
-def test_parallel_ordering_is_by_name():
-    args = ("verify", "character", "--quick", "--no-timing", "--format", "json")
-    _, serial = run_cli(*args)
-    _, parallel = run_cli(*args, "--parallel")
-    assert serial == parallel
-
-
 @pytest.mark.parametrize("model,points,message", [
     ("A", "-2", "--points must be >= 1"),
     ("A", "0", "--points must be >= 1"),
@@ -229,3 +222,37 @@ def test_empty_comparison_fails():
     assert code == 1
     assert "[FAIL] det-formula-A" in out
     assert "no terms compared" in out
+
+
+# stdout sha256 and exit code of the verify runs the check table must keep,
+# recorded before the checks moved into one table
+@pytest.mark.parametrize("argv,code,digest", [
+    ("verify all --quick --no-timing", 0,
+     "8eac7d1b59ee1d158ad5cfe5e30a4c0c9974627d87d2a5139f366a1fd1335286"),
+    ("verify all --quick --no-timing --format json", 0,
+     "ae88588d369b3c9ecf1986a806e8914cf003bf46deb76f7193a325df01908bfb"),
+    ("verify all --quick --n 2 --cutoff 3 --format json --no-timing", 0,
+     "5aad677514618ff7161e239c30157f430c5834ef83e90d321e09ed1a2e5d25d3"),
+    ("verify heisenberg --model A --quick --no-timing", 0,
+     "2aa0c1d1ce2db51a9a366a1ba5e02427103634c897d9d5d5b76c91c31562944c"),
+    ("verify hopf --model B --quick --no-timing", 0,
+     "a7c9ba1ddfca100ebec572cd338b23740242f98002bc201306ea2110682403df"),
+    ("verify vev-match --model B --n 1 --cutoff 5 --no-timing", 0,
+     "4787596993239915ea62054d83cc686919fc8efa73871c3cbe58b6e7b88477a2"),
+    # exit 2 with nothing on stdout
+    ("verify cauchy --model B", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify character --n 2", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+])
+def test_verify_outputs_are_pinned(argv, code, digest):
+    got, out = run_cli(*argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_model_without_a_variant_is_a_usage_error(capsys):
+    code, out = run_cli("verify", "cauchy", "--model", "B")
+    assert code == 2
+    assert out == ""
+    assert "cauchy has no model B variant" in capsys.readouterr().err

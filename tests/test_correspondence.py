@@ -20,6 +20,7 @@ from bfcorr.correspondence import (
 from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
 from bfcorr.series import LaurentSeries, expand, raw_mul
+from bfcorr.textio import format_series
 from conftest import rf
 
 
@@ -305,3 +306,62 @@ def test_failing_check_reports_first_difference():
     _compare_series(rep, [("lhs", "rhs", a, b)])
     assert rep.status == "fail"
     assert "z1^-1" in rep.witnesses["first_difference"]
+
+
+# one case per size: each is just below its minimum, where the check would
+# pass with nothing tested
+@pytest.mark.parametrize("name,params,message", [
+    ("cauchy", {"n": 0}, "n must be >= 1"),
+    ("supercommutativity-A", {"cutoff": 0}, "cutoff must be >= 1"),
+    ("ope-residues", {"grade": -1}, "grade must be >= 0"),
+    ("character-B", {"dmax": -1}, "dmax must be >= 0"),
+    ("heisenberg-from-fermions-A", {"mmax": 0, "grade": 4}, "mmax must be >= 1"),
+    ("hopf-relations", {"grade": 4, "window": 0}, "window must be >= 1"),
+])
+def test_sizes_below_their_minimum_are_rejected(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        check_identity(name, params)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cauchy", {"n": 1}),
+    ("supercommutativity-B", {"cutoff": 1}),
+    ("ope-residues", {"grade": 0}),
+    ("character-A", {"dmax": 0}),
+    ("twisted-heisenberg-from-fermions-B", {"mmax": 1, "grade": 2}),
+    ("hopf-relations", {"grade": 0, "window": 1}),
+])
+def test_sizes_at_their_minimum_pass(name, params):
+    assert check_identity(name, params).passed
+
+
+def test_type_b_checks_need_an_even_number_of_points():
+    with pytest.raises(ValueError, match="even number of points"):
+        check_identity("pf-formula-B", {"n": 3, "cutoff": 2})
+
+
+def test_missing_sizes_come_from_the_check_table():
+    from bfcorr.correspondence import CHECKS, DEFAULT_CUTOFF
+
+    sizes = {c.name: c.sizes for c in CHECKS}
+    assert sizes["product-formula-B"] == {"n": 4, "cutoff": DEFAULT_CUTOFF}
+    rep = check_identity("cauchy")
+    assert rep.passed and rep.params == {"model": "A", "n": 3}
+    rep = check_identity("hopf-relations", {"grade": 2})
+    assert rep.passed and rep.params == {"grade": 2, "window": 6}
+
+
+def test_vev_match_B_formats_each_series_once(monkeypatch):
+    calls = []
+
+    def counting(series):
+        calls.append(series)
+        return format_series(series)
+
+    monkeypatch.setattr(correspondence, "format_series", counting)
+    rep = check_identity("vev-match-B", {"n": 4, "cutoff": 6})
+    assert rep.passed
+    # the fermion series is the left side of both pairs and equals both right sides
+    assert len(calls) == 1
+    texts = [rep.witnesses[k] for k in ("fermion_series", "boson_series", "pfaffian_series")]
+    assert texts == [format_series(calls[0])] * 3

@@ -288,3 +288,21 @@ _FREE = {"phi": phi_A, "psi": psi_A, "phiB": phi_B}
 def test_clifford_anticommutators_property(pair, m, n):
     a, b = _FREE[pair[0]](), _FREE[pair[1]]()
     assert mode_commutator(a, b, m, n, 6, Fraction(_clifford_bracket(pair, m, n))) == []
+
+
+@pytest.mark.parametrize("name,params,space", [
+    ("heisenberg-from-fermions-A", {"mmax": 5, "grade": 12}, "A"),
+    ("twisted-heisenberg-from-fermions-B", {"mmax": 7, "grade": 10}, "B"),
+])
+def test_heisenberg_checks_enumerate_their_basis_once(name, params, space, monkeypatch):
+    # full sizes: 121 (type A) and 64 (type B) mode commutators share one basis
+    import bfcorr.fields as fields
+
+    calls = []
+    for attr in ("states_A", "states_B"):
+        original = getattr(fields, attr)
+        monkeypatch.setattr(fields, attr,
+                            lambda grade, attr=attr, f=original: calls.append(attr) or f(grade))
+    fields.graded_basis.cache_clear()
+    assert correspondence.check_identity(name, params).passed
+    assert calls == [f"states_{space}"]
