@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .fock import FockVector
 
@@ -143,16 +143,17 @@ def _creation_table(weight: int, odd: bool) -> Tuple[Tuple[Monomial, int, int], 
 def _lowering_table(mon: Monomial, scale: int):
     """exp(-sum_n (scale/n) d/dx_n z^-n) on ``mon``, up to the sign.
 
-    One row (z-exponent, lowered monomial, weight, parity of the number of
-    derivatives) per choice of l_n <= e_n; the coefficient of the row is
-    weight / prod_n n^e_n, weight = prod_n C(e_n, l_n) scale^l_n n^(e_n - l_n).
+    Returns (prod_n n^e_n, rows): one row (z-exponent, lowered monomial,
+    weight, parity of the number of derivatives) per choice of l_n <= e_n;
+    the coefficient of the row is weight / prod_n n^e_n, weight =
+    prod_n C(e_n, l_n) scale^l_n n^(e_n - l_n).
     """
     rows = [(0, (), 1, 0)]
     for n, e in reversed(mon):
         rows = [(zl - n * l, ((n, e - l),) + low if l < e else low,
                  w * comb(e, l) * scale ** l * n ** (e - l), odd ^ (l & 1))
                 for zl, low, w, odd in rows for l in range(e + 1)]
-    return rows
+    return prod(n ** e for n, e in mon), tuple(rows)
 
 
 def _mon_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -164,45 +165,130 @@ def _mon_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(d.items()))
 
 
-def _vertex(terms, make, odd: bool, scale: int, low_sign: int, part_sign: int,
-            ze_sign: int, cutoff: int, wmax: int | None) -> Dict[int, FockVector]:
-    """Sum over ``terms`` (shift, new label, monomial, coefficient) of
-    z^shift * exp(sum x_n z^n) exp(-sum (scale/n) d/dx_n z^-n) applied to
-    the monomial, n odd when ``odd``, per z-exponent in [-D, D].
+class Vertex(NamedTuple):
+    """One vertex operator, z^shift * exp(sum x_n z^n) exp(-sum (scale/n)
+    d/dx_n z^-n) after a label change, n odd when ``odd``.
 
-    A term carries the sign low_sign^(derivatives) * part_sign^(created
-    parts) * ze_sign^(z-exponent); output monomials have weight <= wmax.
-    Coefficients are summed as integers over one common denominator.
+    ``split(state)`` gives (shift, new label) and ``make(label, monomial)``
+    the output state.  A term carries the sign low_sign^(derivatives) *
+    part_sign^(created parts) * ze_sign^(z-exponent).  See vertex_A and
+    vertex_B; ``annihilate`` and ``create`` are its two halves.
     """
-    den, jmax = 1, 0  # jmax bounds the created weight
-    for shift, _, mon, c in terms:
-        den = lcm(den, c.denominator * prod(n ** e for n, e in mon))
-        j = cutoff - shift + mon_weight(mon)
-        jmax = max(jmax, j if wmax is None else min(j, wmax))
+
+    split: Callable
+    make: Callable
+    odd: bool
+    scale: int
+    low_sign: int
+    part_sign: int
+    ze_sign: int
+
+
+def annihilate(op: Vertex, terms, wmax: int | None) -> Tuple[int, Dict]:
+    """The charge factor and annihilation exponential of ``op`` on a list
+    of terms (key, state, integer numerator), summed per key and (z-exponent,
+    new label, lowered monomial, its weight).  Lowered monomials of weight
+    above ``wmax`` are dropped: the creation half only adds weight.
+
+    Returns (d, lowered): ``lowered`` maps (key, (z-exponent, label,
+    lowered monomial, weight)) to an integer numerator over d times the
+    common denominator of ``terms``, d the lcm of prod_n n^e_n over the
+    distinct monomials.
+    """
+    tables = {}
+    for _, s, _ in terms:
+        if s.mon not in tables:
+            tables[s.mon] = _lowering_table(s.mon, op.scale)
+    d = lcm(*(den for den, _ in tables.values()))
+    negate = op.low_sign < 0
+    rows_of = {}  # state -> ((z-exponent, label, lowered monomial, weight), numerator over d)
+    out: Dict[tuple, int] = {}
+    for key, s, c in terms:
+        rows = rows_of.get(s)
+        if rows is None:
+            shift, label = op.split(s)
+            den, table = tables[s.mon]
+            g = d // den
+            w0 = mon_weight(s.mon)
+            rows = rows_of[s] = [
+                ((shift + zl, label, mon1, w0 + zl), -g * w if low_odd and negate else g * w)
+                for zl, mon1, w, low_odd in table if wmax is None or w0 + zl <= wmax]
+        for low, w in rows:
+            k = (key, low)
+            v = out.get(k, 0) + c * w
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return d, out
+
+
+def create(op: Vertex, lowered: Dict, window: Callable, wmax: int | None) -> Tuple[int, Dict]:
+    """The creation exponential of ``op`` on ``lowered`` (as ``annihilate``
+    returns it), keeping z-exponents in window(key) = (lo, hi) and output
+    monomials of weight <= wmax (None: no cap).
+
+    Returns (d, out): ``out`` maps (key, z-exponent) to {state: integer
+    numerator} over d times the denominator of ``lowered``, d = jmax! for
+    the largest created weight jmax.  A bucket may be empty.
+    """
+    spans, jmax = [], 0
+    for (key, (z1, label, mon1, w1)), g in lowered.items():
+        lo, hi = window(key)
+        top = hi - z1 if wmax is None else min(hi - z1, wmax - w1)
+        bottom = max(0, lo - z1)
+        if bottom <= top:
+            spans.append((key, z1, label, mon1, g, bottom, top))
+            jmax = max(jmax, top)
     over = [factorial(jmax) // factorial(j) for j in range(jmax + 1)]
-    out: Dict[int, dict] = {}
-    for shift, label, mon, c in terms:
-        w0 = mon_weight(mon)
-        g0 = c.numerator * (den // (c.denominator * prod(n ** e for n, e in mon)))
-        for zl, mon1, weight, low_odd in _lowering_table(mon, scale):
-            z1 = shift + zl
-            top = cutoff - z1 if wmax is None else min(cutoff - z1, wmax - w0 - zl)
-            g = g0 * weight * (low_sign if low_odd else 1)
-            for j in range(max(0, -cutoff - z1), top + 1):
-                ze = z1 + j
-                f = -g * over[j] if ze & 1 and ze_sign < 0 else g * over[j]
-                flip = f * part_sign
-                bucket = out.setdefault(ze, {})
-                for mon2, parts_odd, r in _creation_table(j, odd):
-                    state = make(label, _mon_mul(mon1, mon2))
-                    v = bucket.get(state, 0) + (flip if parts_odd else f) * r
-                    if v:
-                        bucket[state] = v
-                    else:
-                        del bucket[state]
-    den *= over[0]
+    make, odd, part_sign, negate = op.make, op.odd, op.part_sign, op.ze_sign < 0
+    raised = {}  # (label, lowered monomial, j) -> rows (state, signed r)
+    out: Dict[tuple, dict] = {}
+    for key, z1, label, mon1, g, bottom, top in spans:
+        for j in range(bottom, top + 1):
+            ze = z1 + j
+            f = -g * over[j] if ze & 1 and negate else g * over[j]
+            bucket = out.get((key, ze))
+            if bucket is None:
+                bucket = out[key, ze] = {}
+            rows = raised.get((label, mon1, j))
+            if rows is None:
+                rows = raised[label, mon1, j] = [
+                    (make(label, _mon_mul(mon1, mon2)), part_sign * r if parts_odd else r)
+                    for mon2, parts_odd, r in _creation_table(j, odd)]
+            for state, r in rows:
+                v = bucket.get(state, 0) + f * r
+                if v:
+                    bucket[state] = v
+                else:
+                    del bucket[state]
+    return over[0], out
+
+
+def vertex_op_A(sign: int) -> Vertex:
+    """e^{sign*alpha}(z); see vertex_A."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return Vertex(lambda s: (sign * s.charge, s.charge + sign), BosonStateA, False, 1, -sign, sign, 1)
+
+
+def vertex_op_B(arg_sign: int) -> Vertex:
+    """e^alpha(arg_sign*z); see vertex_B."""
+    if arg_sign not in (1, -1):
+        raise ValueError("arg_sign must be +1 or -1")
+    return Vertex(lambda s: (0, 1 - s.parity), BosonStateB, True, 2, -1, 1, arg_sign)
+
+
+def _apply(op: Vertex, v: FockVector, cutoff: int, wmax: int | None) -> Dict[int, FockVector]:
+    """``op`` on v per z-exponent in [-cutoff, cutoff], over one common
+    denominator."""
+    den = lcm(*(c.denominator for c in v.terms.values()))
+    terms = [((), s, c.numerator * (den // c.denominator)) for s, c in v.items()]
+    d1, lowered = annihilate(op, terms, wmax)
+    d2, out = create(op, lowered, lambda _: (-cutoff, cutoff), wmax)
+    den *= d1 * d2
     result: Dict[int, FockVector] = {}
-    for ze, bucket in out.items():
+    for (_, ze), bucket in out.items():
         if bucket:
             result[ze] = fv = FockVector()
             fv.terms = {s: Fraction(n, den) for s, n in bucket.items()}
@@ -219,10 +305,7 @@ def vertex_A(sign: int, v: FockVector, cutoff: int, wmax: int | None = None) -> 
     output monomial weight (used to drop states no later operator can
     bring back to the vacuum).
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    terms = [(sign * s.charge, s.charge + sign, s.mon, c) for s, c in v.items()]
-    return _vertex(terms, BosonStateA, False, 1, -sign, sign, 1, cutoff, wmax)
+    return _apply(vertex_op_A(sign), v, cutoff, wmax)
 
 
 def vertex_B(arg_sign: int, v: FockVector, cutoff: int, wmax: int | None = None) -> Dict[int, FockVector]:
@@ -233,7 +316,4 @@ def vertex_B(arg_sign: int, v: FockVector, cutoff: int, wmax: int | None = None)
     as exp(-sum_m (2/m) d/dx_m z^-m), then the creation exponential
     exp(sum_m x_m z^m), odd m throughout.
     """
-    if arg_sign not in (1, -1):
-        raise ValueError("arg_sign must be +1 or -1")
-    terms = [(0, 1 - s.parity, s.mon, c) for s, c in v.items()]
-    return _vertex(terms, BosonStateB, True, 2, -1, 1, arg_sign, cutoff, wmax)
+    return _apply(vertex_op_B(arg_sign), v, cutoff, wmax)

@@ -4,9 +4,12 @@ calculator.  All numeric output is exact rational text.
 
 ``verify`` runs the checks of ``correspondence.CHECKS``: its targets, each
 check's model and its default sizes (full and ``--quick``) come from that
-table.  ``--n`` sets the size of the checks that have one (pairs for type
-A, half the points for type B); ``--quick`` runs the table's smaller sizes
-and caps the cutoff at ``QUICK_CUTOFF``.
+table.  ``--model`` keeps the checks of that model and those covering
+both, for a single target or ``all``.  ``--n`` sets the size of the checks
+that have one (pairs for type A, half the points for type B); ``--quick``
+runs the table's smaller sizes and caps the cutoff at ``QUICK_CUTOFF``,
+with a note on stderr when a cutoff asked for by ``--cutoff`` or
+BFCORR_CUTOFF is lowered.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
 error, including a cutoff or size no check can use.  The default cutoff
@@ -39,10 +42,11 @@ from .textio import format_series, parse_rational
 VERIFY_TARGETS = tuple(dict.fromkeys(check.target for check in CHECKS)) + ("all",)
 
 
-def _default_cutoff() -> int:
+def _env_cutoff() -> int | None:
+    """BFCORR_CUTOFF as an integer >= 1, or None when it is unset."""
     env = os.environ.get("BFCORR_CUTOFF")
     if not env:
-        return DEFAULT_CUTOFF
+        return None
     try:
         value = int(env)
     except ValueError:
@@ -55,10 +59,15 @@ def _default_cutoff() -> int:
 def _validate(args) -> None:
     """Resolve and check the sizes of a command: the one place they are
     validated, so that no check runs (and passes) at a size it cannot use."""
-    if args.cutoff is None:
-        args.cutoff = _default_cutoff()
+    asked = args.cutoff if args.cutoff is not None else _env_cutoff()
+    args.cutoff = DEFAULT_CUTOFF if asked is None else asked
     if args.cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {args.cutoff}")
+    if getattr(args, "quick", False) and args.cutoff > QUICK_CUTOFF:
+        if asked is not None:
+            print(f"note: --quick runs at cutoff {QUICK_CUTOFF}, not the requested {asked}",
+                  file=sys.stderr)
+        args.cutoff = QUICK_CUTOFF
     n = getattr(args, "n", None)
     if n is not None:
         if n < 1:
@@ -92,15 +101,15 @@ def _emit_report(report: IdentityReport, fmt: str, timing: bool, out) -> None:
 
 def _run_verify(args) -> int:
     checks = [c for c in CHECKS if args.target in ("all", c.target)]
-    if args.target != "all" and args.model != "both":
+    if args.model != "both":
         checks = [c for c in checks if c.model in (args.model, "AB")]
         if not checks:
             print(f"error: {args.target} has no model {args.model} variant", file=sys.stderr)
             return 2
-    cutoff = min(args.cutoff, QUICK_CUTOFF) if args.quick else args.cutoff
     reports = []
     for check in sorted(checks, key=lambda c: c.name):
-        params = {**(check.quick if args.quick else check.sizes), "cutoff": cutoff, "seed": args.seed}
+        params = {**(check.quick if args.quick else check.sizes),
+                  "cutoff": args.cutoff, "seed": args.seed}
         if args.n is not None and "n" in params:
             params["n"] = 2 * args.n if check.model == "B" else args.n
         reports.append(check_identity(check.name, params))

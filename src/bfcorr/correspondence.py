@@ -19,11 +19,12 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B, BosonStateA, BosonStateB, mon_weight, vertex_A, vertex_B
+# vertex_A is bound here only for the benchmark's tracer test
+# (perfbench/test_perfbench.py), which looks for it in this module
+from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B, annihilate, create, vertex_A, vertex_op_A, vertex_op_B
 from .fields import (
     act_hopf,
     graded_basis,
@@ -44,7 +45,6 @@ from .fock import (
     apply_mode_B,
     character_A,
     character_B,
-    vacuum_component,
 )
 from .matrices import det_expansion, determinant, pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
@@ -78,11 +78,13 @@ class VevSpec:
         return cls("B", side, tuple((sym, f"z{i + 1}") for i in range(points)), cutoff)
 
 
-def _sweep(word, vacuum, cutoff: int, action_at) -> LaurentSeries:
+def _sweep(word, vacuum, cutoff: int, step_at) -> LaurentSeries:
     """<0| word |0>: apply the fields right to left to the vacuum and read
     off the vacuum coefficient of every exponent prefix.
 
-    ``action_at(pos)`` is the action of the field at ``pos``; see
+    ``step_at(pos)(entries, den)`` applies the field at ``pos`` to the
+    prefix -> {state: numerator} tables, every numerator over the common
+    denominator ``den``, and returns the new tables and denominator; see
     ``_propagate``.
     """
     ordering = tuple(v for _, v in word)
@@ -90,48 +92,49 @@ def _sweep(word, vacuum, cutoff: int, action_at) -> LaurentSeries:
         raise ValueError("variables must be distinct")
     entries, den = {(): {vacuum: 1}}, 1
     for pos in range(len(word) - 1, -1, -1):
-        entries, den = _propagate(entries, den, action_at(pos), pos, cutoff)
+        entries, den = step_at(pos)(entries, den)
     terms = {tuple(reversed(prefix)): Fraction(smap[vacuum], den)
              for prefix, smap in entries.items() if vacuum in smap}
     return LaurentSeries(ordering, cutoff, terms)
 
 
-def _propagate(entries, den, action, pos, cutoff):
-    """One right-to-left word step on prefix -> {state: numerator} tables,
-    every numerator over the common denominator ``den``.
+def _prefix_window(prefix, pos: int, cutoff: int) -> Tuple[int, int]:
+    """The exponents the field at ``pos`` may add to ``prefix`` so that the
+    prefix can still complete to a box monomial with ``pos`` fields left."""
+    slack, partial = (pos + 1) * cutoff, sum(prefix)
+    return -slack - partial, slack - partial
 
-    ``action(state)`` gives (d, rows): rows of (exponent, new state,
-    integer numerator over d); it runs once per distinct state.  Exponents
-    that cannot complete to a box monomial with ``pos`` fields remaining
-    are dropped.  Returns the new tables and their denominator.
+
+def _propagate(entries, action, pos, cutoff):
+    """One right-to-left word step of ``_sweep`` whose actions have
+    integer coefficients, so the denominator stays as it is.
+
+    ``action(state)`` gives rows of (exponent, new state, integer
+    coefficient); it runs once per distinct state.  Exponents outside
+    ``_prefix_window`` are dropped.  Returns the new tables.
     """
     acts = {}
     for smap in entries.values():
         for s in smap:
             if s not in acts:
                 acts[s] = action(s)
-    step = lcm(*(d for d, _ in acts.values()))
     new: Dict[Tuple[int, ...], Dict] = {}
-    slack = (pos + 1) * cutoff
     for prefix, smap in entries.items():
-        partial = sum(prefix)
-        lo, hi = -slack - partial, slack - partial
+        lo, hi = _prefix_window(prefix, pos, cutoff)
         for s, c in smap.items():
-            d_s, rows = acts[s]
-            f = c * (step // d_s)
-            for ze, s2, n2 in rows:
+            for ze, s2, n2 in acts[s]:
                 if ze < lo or ze > hi:
                     continue
                 key = prefix + (ze,)
                 d = new.get(key)
                 if d is None:
                     d = new[key] = {}
-                v = d.get(s2, 0) + f * n2
+                v = d.get(s2, 0) + c * n2
                 if v:
                     d[s2] = v
                 else:
                     del d[s2]
-    return {k: d for k, d in new.items() if d}, den * step
+    return {k: d for k, d in new.items() if d}
 
 
 def _fermion_actions_A(sym: str, psis_left: int, phis_left: int, cutoff: int):
@@ -202,15 +205,15 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
         raise ValueError("spec.side must be 'fermion'")
     D, word = spec.cutoff, spec.word
 
-    def action_at(pos):
+    def step_at(pos):
         if spec.model == "A":
             phis_left = sum(1 for t, _ in word[:pos] if t == "phi")
             base = _fermion_actions_A(word[pos][0], pos - phis_left, phis_left, D)
         else:
             base = _fermion_action_B(pos, D)
-        return lambda s: (1, base(s))
+        return lambda entries, den: (_propagate(entries, base, pos, D), den)
 
-    return _sweep(word, VACUUM_A if spec.model == "A" else VACUUM_B, D, action_at)
+    return _sweep(word, VACUUM_A if spec.model == "A" else VACUUM_B, D, step_at)
 
 
 def vev_boson(spec: VevSpec) -> LaurentSeries:
@@ -228,31 +231,42 @@ def vev_boson(spec: VevSpec) -> LaurentSeries:
 @lru_cache(maxsize=8)
 def _boson_series(spec: VevSpec) -> LaurentSeries:
     """The VEV behind ``vev_boson``; the last few specs stay cached, since
-    checks such as product-formula and vev-match ask for the same one."""
+    checks such as product-formula and vev-match ask for the same one.
+
+    Each word step runs the two halves of the vertex operator on all
+    (prefix, state) pairs at once: the annihilation half is summed per
+    (prefix, z-exponent, label, lowered monomial) before the creation half
+    runs, inside the prefix window and the weight cap.
+    """
     D, word = spec.cutoff, spec.word
-    vertex = vertex_A if spec.model == "A" else vertex_B
-    # net weight one operator can absorb: its exponent is >= -D and the
-    # charge factor shifts it by at most the running charge
-    charges = []
+    # net weight one operator can absorb: its exponent, shift + created -
+    # lowered weight, is >= -D, so it lowers the weight by at most D + shift;
+    # the shift is sign * charge for type A and 0 for type B
+    absorbs = []  # indexed right to left
     q = 0
     for sym, _ in reversed(word):
-        charges.append(abs(q))
-        q += 1 if sym == "+" else -1
-    absorbs = [D + c for c in charges]  # indexed right to left
+        sign = 1 if sym == "+" else -1
+        absorbs.append(D + (sign * q if spec.model == "A" else 0))
+        q += sign
 
-    def action_at(pos):
+    def step_at(pos):
         sign = 1 if word[pos][0] == "+" else -1
-        wmax = sum(absorbs[len(word) - pos:]) if spec.model == "A" else pos * D
+        op = vertex_op_A(sign) if spec.model == "A" else vertex_op_B(sign)
+        wmax = sum(absorbs[len(word) - pos:])
 
-        def action(s):
-            rows = [(ze, s2, c2) for ze, out in vertex(sign, FockVector.basis(s), D, wmax).items()
-                    for s2, c2 in out.items()]
-            d = lcm(*(c2.denominator for _, _, c2 in rows))
-            return d, [(ze, s2, c2.numerator * (d // c2.denominator)) for ze, s2, c2 in rows]
+        def step(entries, den):
+            d1, lowered = annihilate(op, [(prefix, s, c) for prefix, smap in entries.items()
+                                          for s, c in smap.items()], wmax)
+            windows = {}
+            for prefix in entries:
+                lo, hi = _prefix_window(prefix, pos, D)
+                windows[prefix] = max(lo, -D), min(hi, D)
+            d2, out = create(op, lowered, windows.__getitem__, wmax)
+            return {prefix + (ze,): d for (prefix, ze), d in out.items() if d}, den * d1 * d2
 
-        return action
+        return step
 
-    return _sweep(word, BOSON_VACUUM_A if spec.model == "A" else BOSON_VACUUM_B, D, action_at)
+    return _sweep(word, BOSON_VACUUM_A if spec.model == "A" else BOSON_VACUUM_B, D, step_at)
 
 
 def vev(spec: VevSpec) -> LaurentSeries:
@@ -775,12 +789,17 @@ def check_identity(name: str, params: Optional[Dict] = None) -> IdentityReport:
     """Run one named check and report pass/fail with witnesses.
 
     Sizes missing from ``params`` are the check's full sizes in CHECKS.  A
-    size below its MIN_SIZES value (where the check would pass with nothing
-    tested) or an odd number of type B points raises ValueError.
+    name outside the check's sizes, ``cutoff`` and ``seed`` (so a misspelt
+    size cannot run at its default), a size below its MIN_SIZES value
+    (where the check would pass with nothing tested) or an odd number of
+    type B points raises ValueError.
     """
     check = _BY_NAME.get(name)
     if check is None:
         raise ValueError(f"unknown check name {name!r}")
+    unknown = sorted(set(params or {}) - set(check.sizes) - {"cutoff", "seed"})
+    if unknown:
+        raise ValueError(f"{name} takes no parameter {', '.join(unknown)}")
     params = {**check.sizes, **(params or {})}
     for key, least in MIN_SIZES.items():
         if params.get(key, least) < least:

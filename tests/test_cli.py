@@ -256,3 +256,46 @@ def test_model_without_a_variant_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "cauchy has no model B variant" in capsys.readouterr().err
+
+
+def test_full_size_verify_all_is_pinned():
+    # stdout sha256 of the full-size run, recorded before the boson VEV
+    # sweep split each vertex operator into its annihilation and creation
+    # halves; the same under PYTHONHASHSEED 0 and 77
+    code, out = run_cli("verify", "all", "--no-timing", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c33673c39f683f0085e54bb9321dd4e5f6782502d65d29a9b97a1af01ae97887")
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_verify_all_honours_model(model):
+    from bfcorr.correspondence import CHECKS
+
+    code, out = run_cli("verify", "all", "--model", model, "--quick", "--no-timing")
+    assert code == 0
+    names = [line.split()[1] for line in out.splitlines()]
+    assert names == sorted(c.name for c in CHECKS if c.model in (model, "AB"))
+    assert len(names) == 9
+
+
+@pytest.mark.parametrize("env,argv,asked", [
+    (None, ("--cutoff", "9"), 9),
+    ("8", (), 8),
+])
+def test_quick_says_when_it_lowers_the_cutoff(env, argv, asked, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("BFCORR_CUTOFF", env)
+    code, out = run_cli("verify", "det-formula", "--model", "A", "--quick", *argv)
+    assert code == 0
+    assert "cutoff=6" in out
+    assert capsys.readouterr().err == f"note: --quick runs at cutoff 6, not the requested {asked}\n"
+
+
+@pytest.mark.parametrize("argv", [(), ("--cutoff", "6"), ("--cutoff", "3")])
+def test_quick_is_silent_when_it_keeps_the_cutoff(argv, monkeypatch, capsys):
+    # the default cutoff is lowered without a note: it was not asked for
+    monkeypatch.delenv("BFCORR_CUTOFF", raising=False)
+    code, _ = run_cli("verify", "det-formula", "--model", "A", "--quick", *argv)
+    assert code == 0
+    assert capsys.readouterr().err == ""

@@ -1,11 +1,12 @@
 """VEV engines against closed forms, analytic continuation, named checks."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 import bfcorr.correspondence as correspondence
+from bfcorr.boson import BOSON_VACUUM_A, BOSON_VACUUM_B, vertex_A, vertex_B
 from bfcorr.correspondence import (
     VevSpec,
     analytic_continuation_check,
@@ -17,6 +18,7 @@ from bfcorr.correspondence import (
     vev_boson,
     vev_fermion,
 )
+from bfcorr.fock import FockVector
 from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
 from bfcorr.series import LaurentSeries, expand, raw_mul
@@ -186,7 +188,7 @@ def test_product_formula_B_2n4_small_cutoff():
 @pytest.mark.parametrize("side", ["fermion", "boson"])
 @pytest.mark.parametrize("model,size,cutoff", [("A", 1, 5), ("A", 2, 5), ("B", 2, 6), ("B", 4, 6)])
 def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
-    # the pruning bounds (wmax in vertex_*, the slack in _propagate) must
+    # the pruning bounds (wmax in _boson_series, the prefix window) must
     # only drop terms outside the box: a smaller cutoff is a restriction
     spec = VevSpec.standard_A if model == "A" else VevSpec.standard_B
     full = vev(spec(side, size, cutoff))
@@ -198,12 +200,12 @@ def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
 def test_boson_vev_is_computed_once_per_spec(monkeypatch):
     calls = []
 
-    def counted(sign, v, cutoff, wmax=None):
-        calls.append(sign)
-        return vertex_A(sign, v, cutoff, wmax)
+    def counted(op, terms, wmax):
+        calls.append(op)
+        return annihilate(op, terms, wmax)
 
-    vertex_A = correspondence.vertex_A
-    monkeypatch.setattr(correspondence, "vertex_A", counted)
+    annihilate = correspondence.annihilate
+    monkeypatch.setattr(correspondence, "annihilate", counted)
     spec = VevSpec("A", "boson", (("+", "a"), ("-", "b")), 3)
     first = vev_boson(spec)
     assert calls
@@ -212,6 +214,40 @@ def test_boson_vev_is_computed_once_per_spec(monkeypatch):
     again = vev_boson(spec)
     assert len(calls) == made
     assert again == expand(rf("(1) / ((a-b)^1)", ("a", "b")), ("a", "b"), 3)
+
+
+# every ordering of ++-- (type A), every +- pattern of 4 points (type B,
+# '-' is e^alpha(-z)) and two type A words of nonzero charge
+_ORACLE_WORDS = ([("A", w) for w in sorted(set(permutations("++--")))]
+                 + [("B", w) for w in product("+-", repeat=4)]
+                 + [("A", ("+", "+", "-")), ("A", ("+", "-", "-"))])
+
+
+def _composed_vev(spec):
+    """<0| word |0> by composing vertex_A/vertex_B on FockVectors from the
+    right, one vector per exponent tuple, with no weight cap or exponent
+    window.  The leftmost operator runs with wmax=0: only its weight-0
+    part can hold the vacuum coefficient read off at the end."""
+    vertex, vacuum = (vertex_A, BOSON_VACUUM_A) if spec.model == "A" else (vertex_B, BOSON_VACUUM_B)
+    vecs = {(): FockVector.basis(vacuum)}
+    for k, (sym, _) in enumerate(reversed(spec.word)):
+        wmax = 0 if k == len(spec.word) - 1 else None
+        vecs = {(ze,) + exps: out for exps, fv in vecs.items()
+                for ze, out in vertex(1 if sym == "+" else -1, fv, spec.cutoff, wmax).items()}
+    return LaurentSeries(tuple(v for _, v in spec.word), spec.cutoff,
+                         {exps: fv.coefficient(vacuum) for exps, fv in vecs.items()})
+
+
+@pytest.mark.parametrize("cutoff", range(1, 6))
+def test_boson_sweep_matches_composed_vertex_operators(cutoff):
+    # the sweep splits each vertex operator and prunes by weight and by
+    # exponent prefix; the composition here does neither
+    for model, word in _ORACLE_WORDS:
+        spec = VevSpec(model, "boson", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
+        got = vev_boson(spec)
+        assert got == _composed_vev(spec), (model, word)
+        neutral = model == "B" or word.count("+") == word.count("-")
+        assert got.is_zero() == (not neutral or (model == "A" and cutoff == 1)), (model, word)
 
 
 def test_analytic_continuation_examples():
@@ -333,6 +369,28 @@ def test_sizes_below_their_minimum_are_rejected(name, params, message):
 ])
 def test_sizes_at_their_minimum_pass(name, params):
     assert check_identity(name, params).passed
+
+
+# one case per rejected name: a misspelt size, a size another check has,
+# and a name that is no size at all
+@pytest.mark.parametrize("name,params,bad", [
+    ("cauchy", {"nn": 1}, "nn"),
+    ("supercommutativity-A", {"n": 2}, "n"),
+    ("character-B", {"charge": 0}, "charge"),
+    ("hopf-relations", {"grade": 2, "model": "A"}, "model"),
+])
+def test_unknown_parameter_names_are_rejected(name, params, bad):
+    with pytest.raises(ValueError, match=f"{name} takes no parameter {bad}$"):
+        check_identity(name, params)
+
+
+def test_every_check_takes_cutoff_and_seed():
+    # the CLI passes both to every check, next to the check's own sizes
+    from bfcorr.correspondence import CHECKS
+
+    for check in CHECKS:
+        rep = check_identity(check.name, {**check.quick, "cutoff": 3, "seed": 5})
+        assert rep.passed and rep.params["seed"] == 5, check.name
 
 
 def test_type_b_checks_need_an_even_number_of_points():
