@@ -69,38 +69,32 @@ def boson_state_text(s) -> str:
 # -- Heisenberg actions -------------------------------------------------------
 
 
+def _heis_apply(n: int, v: FockVector, create) -> FockVector:
+    """d/dx_n for n > 0, multiplication by create * x_|n| for n < 0."""
+    m = abs(n)
+    out = FockVector()
+    for s, c in v.items():
+        e = mon_get(s.mon, m)
+        if n > 0:
+            if e:
+                out.add_term(s._replace(mon=mon_set(s.mon, m, e - 1)), c * e)
+        else:
+            out.add_term(s._replace(mon=mon_set(s.mon, m, e + 1)), c * create)
+    return out
+
+
 def heis_apply_A(n: int, v: FockVector) -> FockVector:
     """h_n on B_A: d/dx_n for n > 0, multiplication by |n|*x_|n| for n < 0."""
     if n == 0:
         raise ValueError("h_0 is not represented")
-    out = FockVector()
-    for s, c in v.items():
-        if n > 0:
-            e = mon_get(s.mon, n)
-            if e:
-                out.add_term(BosonStateA(s.charge, mon_set(s.mon, n, e - 1)), c * e)
-        else:
-            m = -n
-            e = mon_get(s.mon, m)
-            out.add_term(BosonStateA(s.charge, mon_set(s.mon, m, e + 1)), c * m)
-    return out
+    return _heis_apply(n, v, -n)
 
 
 def heis_apply_B(n: int, v: FockVector) -> FockVector:
     """Twisted h_n: d/dx_n for n > 0, multiplication by (|n|/2)*x_|n| for n < 0."""
     if n % 2 == 0:
         raise ValueError("twisted Heisenberg modes are odd")
-    out = FockVector()
-    for s, c in v.items():
-        if n > 0:
-            e = mon_get(s.mon, n)
-            if e:
-                out.add_term(BosonStateB(s.parity, mon_set(s.mon, n, e - 1)), c * e)
-        else:
-            m = -n
-            e = mon_get(s.mon, m)
-            out.add_term(BosonStateB(s.parity, mon_set(s.mon, m, e + 1)), c * Fraction(m, 2))
-    return out
+    return _heis_apply(n, v, Fraction(-n, 2))
 
 
 # -- vertex operators ---------------------------------------------------------

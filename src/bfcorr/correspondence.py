@@ -2,10 +2,13 @@
 closed-form determinant/Pfaffian/product expressions, and the named
 identity checks.
 
-The fermionic engines apply mode sums right to left with symbolic
-variable powers, pruning states that can no longer return to the vacuum
-inside the cutoff box; the bosonic engines compose truncated vertex
-operators.  Closed forms are exact rational functions; series forms of
+Both VEV engines apply the word right to left to the vacuum, one field
+per step, keeping each exponent prefix apart.  The fermion sweep runs
+fock's basis-state Clifford actions over the modes of the cutoff box and
+drops the states the fields still to come cannot return to the vacuum;
+the boson sweep runs the annihilation half of each vertex operator on all
+(prefix, state) pairs, sums the results, and only then runs the creation
+half.  Closed forms are exact rational functions; series forms of
 the determinant and Pfaffian run the shared expansions of ``matrices`` on
 integer entrywise expansions (region expansion is a ring homomorphism,
 and each term of the expansion touches disjoint variable pairs, so entry
@@ -41,6 +44,9 @@ from .fock import (
     FermionStateA,
     FermionStateB,
     FockVector,
+    _apply_phi_A,
+    _apply_phi_B,
+    _apply_psi_A,
     apply_mode_A,
     apply_mode_B,
     character_A,
@@ -137,81 +143,36 @@ def _propagate(entries, action, pos, cutoff):
     return {k: d for k, d in new.items() if d}
 
 
-def _fermion_actions_A(sym: str, psis_left: int, phis_left: int, cutoff: int):
-    """Mode sweep of one type A field on a basis state, pruned to states
-    the remaining fields can still annihilate."""
-    top = cutoff - 1
-
-    def action(s: FermionStateA):
-        out = []
-        phis, psis = s.phis, s.psis
-        if sym == "phi":
-            if len(phis) < psis_left:
-                lim = min(top, cutoff)
-                for m in range(lim, -1, -1):
-                    if m in phis:
-                        continue
-                    pos = sum(1 for p in phis if p > m)
-                    out.append((m, FermionStateA(phis[:pos] + (m,) + phis[pos:], psis),
-                                (-1) ** pos))
-            sign = (-1) ** len(phis)
-            for i, q in enumerate(psis):
-                m = -1 - q
-                if m >= -cutoff:
-                    out.append((m, FermionStateA(phis, psis[:i] + psis[i + 1:]),
-                                sign * (-1) ** i))
-        else:
-            if len(psis) < phis_left:
-                sign = (-1) ** len(phis)
-                for m in range(min(top, cutoff), -1, -1):
-                    if m in psis:
-                        continue
-                    pos = sum(1 for q in psis if q > m)
-                    out.append((m, FermionStateA(phis, psis[:pos] + (m,) + psis[pos:]),
-                                sign * (-1) ** pos))
-            for i, p in enumerate(phis):
-                m = -1 - p
-                if m >= -cutoff:
-                    out.append((m, FermionStateA(phis[:i] + phis[i + 1:], psis), (-1) ** i))
-        return out
-
-    return action
-
-
-def _fermion_action_B(parts_left: int, cutoff: int):
-    def action(s: FermionStateB):
-        out = []
-        idx = s.indices
-        if len(idx) < parts_left:
-            for m in range(cutoff, -1, -1):
-                if m in idx:
-                    continue
-                pos = sum(1 for n in idx if n > m)
-                out.append((m, FermionStateB(idx[:pos] + (m,) + idx[pos:]), (-1) ** pos))
-        for i, n in enumerate(idx):
-            if n == 0:
-                out.append((0, FermionStateB(idx[:i] + idx[i + 1:]), (-1) ** i))
-            elif n <= cutoff:
-                out.append((-n, FermionStateB(idx[:i] + idx[i + 1:]),
-                            2 * (-1) ** n * (-1) ** i))
-        return out
-
-    return action
-
-
 def vev_fermion(spec: VevSpec) -> LaurentSeries:
-    """<0| word |0> as a Laurent series in the word-order expansion region."""
+    """<0| word |0> as a Laurent series in the word-order expansion region.
+
+    Each word step runs fock's basis-state action of its field over the
+    modes that a field applied after it can still undo inside the box: a
+    created mode m is removed at exponent -1-m (type A) or -m (type B),
+    which must be >= -cutoff.  A new state is kept only if the fields
+    still to come can remove all of its modes: its phi modes need as many
+    psi fields and its psi modes as many phi fields (type A), its modes
+    as many fields (type B).
+    """
     if spec.side != "fermion":
         raise ValueError("spec.side must be 'fermion'")
     D, word = spec.cutoff, spec.word
 
     def step_at(pos):
         if spec.model == "A":
+            act = _apply_phi_A if word[pos][0] == "phi" else _apply_psi_A
+            modes = range(D - 1, -D - 1, -1)
             phis_left = sum(1 for t, _ in word[:pos] if t == "phi")
-            base = _fermion_actions_A(word[pos][0], pos - phis_left, phis_left, D)
+            psis_left = pos - phis_left
+            keep = lambda t: len(t.phis) <= psis_left and len(t.psis) <= phis_left
         else:
-            base = _fermion_action_B(pos, D)
-        return lambda entries, den: (_propagate(entries, base, pos, D), den)
+            act, modes = _apply_phi_B, range(D, -D - 1, -1)
+            keep = lambda t: len(t.indices) <= pos
+
+        def action(s):
+            return [(m, t, c) for m in modes for t, c in act(m, s) if keep(t)]
+
+        return lambda entries, den: (_propagate(entries, action, pos, D), den)
 
     return _sweep(word, VACUUM_A if spec.model == "A" else VACUUM_B, D, step_at)
 

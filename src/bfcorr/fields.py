@@ -8,8 +8,9 @@ over the field's one common denominator ``field.den``, so the z^k
 coefficient sends s to sum (numerator/den) * state.  The rows of the
 free fermions are fock's basis-state Clifford actions; D, T and scalar
 multiples transform rows; a quadratic normal ordered product builds and
-caches its rows from the Clifford actions of its factors, so no
-``Fraction`` is made while rows are built or composed.
+caches its rows from the Clifford actions of its factors, and reads the
+vacuum pairing it subtracts off the same actions, so no ``Fraction`` is
+made while rows are built or composed.
 
 ``coeff(k)`` is the linear extension of the rows of z^k to FockVectors,
 and ``mode(n)`` the same for a mode label, whose z-power is fixed by the
@@ -27,6 +28,8 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fock import (
+    VACUUM_A,
+    VACUUM_B,
     FockVector,
     _apply_phi_A,
     _apply_phi_B,
@@ -222,20 +225,6 @@ def act_hopf(h, a: Field) -> Field:
 # -- quadratic normal ordering ------------------------------------------------
 
 
-def _vev_pair(families: Tuple[str, str], alpha: int, beta: int) -> int:
-    """<0| X_alpha Y_beta |0> for the underlying Clifford modes."""
-    fa, fb = families
-    if (fa, fb) in (("phiA", "psiA"), ("psiA", "phiA")):
-        return 1 if (beta >= 0 and alpha + beta == -1) else 0
-    if (fa, fb) == ("phiB", "phiB"):
-        if alpha == -beta and beta > 0:
-            return 2 * (-1) ** beta
-        if alpha == beta == 0:
-            return 1
-        return 0
-    raise ValueError(f"unsupported quadratic pair {families}")
-
-
 def _candidates(families: Tuple[str, str], ksum: int, s) -> List[int]:
     """Underlying b-indices beta for which :a_(ksum-beta) b_beta: can act."""
     fa, fb = families
@@ -268,7 +257,13 @@ def normal_ordered_quadratic(a: Field, b: Field) -> Field:
         raise ValueError(f"unsupported quadratic pair {families}")
     at_a, at_b = a.atom, b.atom
     act_a, act_b = _ACTIONS[at_a.family], _ACTIONS[at_b.family]
+    vacuum = VACUUM_A if a.space == "A" else VACUUM_B
     cache: Dict = {}
+
+    @lru_cache(maxsize=None)
+    def vev_pair(alpha: int, beta: int) -> int:
+        """<0| X_alpha Y_beta |0>, read off the basis-state actions."""
+        return sum(x * y for t, x in act_b(beta, vacuum) for u, y in act_a(alpha, t) if u == vacuum)
 
     def row(K: int, s) -> Row:
         got = cache.get((K, s))
@@ -283,7 +278,7 @@ def normal_ordered_quadratic(a: Field, b: Field) -> Field:
                 for t, x in act_b(beta, s):
                     for u, y in act_a(alpha, t):
                         acc[u] = acc.get(u, 0) + scal * x * y
-                pair = _vev_pair(families, alpha, beta)
+                pair = vev_pair(alpha, beta)
                 if pair:
                     acc[s] = acc.get(s, 0) - scal * pair
             got = cache[(K, s)] = [(u, x) for u, x in acc.items() if x]

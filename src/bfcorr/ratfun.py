@@ -110,9 +110,6 @@ class RationalFn:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return not self.den
-
     def __eq__(self, other) -> bool:
         # canonical form is unique, so structural equality is exact equality
         return (

@@ -261,7 +261,7 @@ def test_model_without_a_variant_is_a_usage_error(capsys):
 def test_full_size_verify_all_is_pinned():
     # stdout sha256 of the full-size run, recorded before the boson VEV
     # sweep split each vertex operator into its annihilation and creation
-    # halves; the same under PYTHONHASHSEED 0 and 77
+    # halves; CI runs this test under PYTHONHASHSEED 0 and 77
     code, out = run_cli("verify", "all", "--no-timing", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -18,7 +18,7 @@ from bfcorr.correspondence import (
     vev_boson,
     vev_fermion,
 )
-from bfcorr.fock import FockVector
+from bfcorr.fock import VACUUM_A, VACUUM_B, FockVector, apply_mode_A, apply_mode_B
 from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
 from bfcorr.series import LaurentSeries, expand, raw_mul
@@ -247,6 +247,50 @@ def test_boson_sweep_matches_composed_vertex_operators(cutoff):
         got = vev_boson(spec)
         assert got == _composed_vev(spec), (model, word)
         neutral = model == "B" or word.count("+") == word.count("-")
+        assert got.is_zero() == (not neutral or (model == "A" and cutoff == 1)), (model, word)
+
+
+# every ordering of phi phi psi psi and the two charged words of 3 fields
+# (type A); the type B fermion word has one symbol, so one word of 4 points
+_FERMION_WORDS = ([("A", w) for w in sorted(set(permutations(("phi", "phi", "psi", "psi"))))]
+                  + [("A", ("phi", "phi", "psi")), ("A", ("phi", "psi", "psi")),
+                     ("B", ("phi",) * 4)])
+
+
+def _composed_fermion_vev(spec):
+    """<0| word |0> by composing apply_mode_A/apply_mode_B on FockVectors
+    from the right, one vector per exponent tuple, with no pruning: every
+    field but the leftmost runs over every exponent a box monomial allows,
+    [-D, k*D] for k fields.  The leftmost runs only over the exponents
+    that put the whole tuple in the box, where its vacuum coefficient is
+    read off."""
+    D, k = spec.cutoff, len(spec.word)
+    vacuum = VACUUM_A if spec.model == "A" else VACUUM_B
+
+    def apply(sym, m, v):
+        return apply_mode_A(sym, m, v) if spec.model == "A" else apply_mode_B(m, v)
+
+    vecs = {(): FockVector.basis(vacuum)}
+    for sym, _ in reversed(spec.word[1:]):
+        vecs = {(m,) + exps: out for exps, fv in vecs.items() for m in range(-D, k * D + 1)
+                if not (out := apply(sym, m, fv)).is_zero()}
+    sym = spec.word[0][0]
+    terms = {(m,) + exps: apply(sym, m, fv).coefficient(vacuum) for exps, fv in vecs.items()
+             for m in range(max(-D, -D - sum(exps)), D - sum(exps) + 1)}
+    return LaurentSeries(tuple(v for _, v in spec.word), D, terms)
+
+
+@pytest.mark.parametrize("cutoff", range(1, 6))
+def test_fermion_sweep_matches_composed_modes(cutoff):
+    # the sweep runs each field over [-D, D-1] (A) or [-D, D] (B) only and
+    # drops states the fields to their left cannot remove; the composition
+    # here does neither
+    for model, word in _FERMION_WORDS:
+        spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
+        got = vev_fermion(spec)
+        assert got == _composed_fermion_vev(spec), (model, word)
+        # a type A pair has total degree -1, so two pairs leave the box at D=1
+        neutral = model == "B" or word.count("phi") == word.count("psi")
         assert got.is_zero() == (not neutral or (model == "A" and cutoff == 1)), (model, word)
 
 

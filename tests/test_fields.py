@@ -100,14 +100,24 @@ def test_field_property_window():
 
 
 def test_normal_ordering_kills_vacuum_pairing():
-    # <0| :phi_j psi_k: |0> = 0 for every bidegree
-    from bfcorr.fock import apply_mode_A
-
+    # the vacuum pairings: <0|phi_j psi_k|0> = 1 if k >= 0 and j + k = -1
+    # (type A); <0|phi_j phi_k|0> = 2(-1)^k if j = -k and k > 0, 1 if
+    # j = k = 0 (type B); 0 otherwise
     for j in range(-5, 6):
         for k in range(-5, 6):
             raw = vacuum_component(apply_mode_A("phi", j, apply_mode_A("psi", k, VAC_A)))
             pair = Fraction(1) if (k >= 0 and j + k == -1) else Fraction(0)
             assert raw - pair == 0
+            raw = vacuum_component(apply_mode_B(j, apply_mode_B(k, VAC_B)))
+            pair = 2 * (-1) ** k if (j == -k and k > 0) else int(j == k == 0)
+            assert raw == pair, (j, k)
+    # normal ordering subtracts them: <0| :a b:_K |0> = 0 for every K
+    for field, vac in ((heisenberg_field_A(), VAC_A),
+                       (normal_ordered_quadratic(psi_A(), phi_A()), VAC_A),
+                       (normal_ordered_quadratic(phi_B(), phi_B()), VAC_B),
+                       (twisted_heisenberg_field_B(), VAC_B)):
+        for K in range(-8, 9):
+            assert vacuum_component(field.coeff(K)(vac)) == 0, (field.name, K)
 
 
 def test_heisenberg_field_A_basic_brackets():
