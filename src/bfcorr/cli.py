@@ -31,11 +31,10 @@ from .correspondence import (
     QUICK_CUTOFF,
     IdentityReport,
     VevSpec,
+    character_oracle,
     check_identity,
     vev,
 )
-from .fock import character_A, character_B
-from .partitions import odd_partition_count, partition_count
 from .series import expand
 from .textio import format_series, parse_rational
 
@@ -122,10 +121,7 @@ def _run_vev(args) -> int:
     cutoff = args.cutoff
     side = "fermion" if args.side == "fermion" else "boson"
     t0 = time.perf_counter()
-    if args.model == "A":
-        spec = VevSpec.standard_A(side, args.points, cutoff)
-    else:
-        spec = VevSpec.standard_B(side, args.points, cutoff)
+    spec = VevSpec.standard(args.model, side, args.points, cutoff)
     series = vev(spec)
     elapsed = int((time.perf_counter() - t0) * 1000)
     word = " ".join(f"{sym}({var})" for sym, var in spec.word)
@@ -147,15 +143,8 @@ def _run_vev(args) -> int:
 
 
 def _run_character(args) -> int:
-    if args.model == "A":
-        table = character_A(args.charge, args.charge * args.charge + 2 * args.max)
-        oracle = {args.charge * args.charge + 2 * d: partition_count(d) for d in range(args.max + 1)}
-        label = "energy2"
-    else:
-        table = character_B(args.max)
-        oracle = {d: 2 * odd_partition_count(d) for d in range(args.max + 1)}
-        label = "degree"
-    rows = [{label: g, "dim": dim, "oracle": oracle.get(g)} for g, dim in table]
+    label, _, table, oracle = character_oracle(args.model, args.charge, args.max)
+    rows = [{label: g, "dim": dim, "oracle": oracle.get(g)} for g, dim in table.items()]
     if args.format == "json":
         payload = {"command": "character", "model": args.model, "rows": rows,
                    "params": {"charge": args.charge if args.model == "A" else None,

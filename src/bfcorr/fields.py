@@ -1,24 +1,30 @@
-"""Field objects: mode families with a series convention, the Hopf
+"""Field objects: operator-valued series given by their rows, the Hopf
 generator actions D = d/dz and T_{-1}: z -> -z, quadratic normal ordered
 products, and the Heisenberg fields built from fermions.
 
-A Field is given by its rows.  The row of z^k at a basis state s,
+A Field is its rows.  The row of z^k at a basis state s,
 ``field.row(k, s)``, lists (state, numerator) pairs: integer numerators
 over the field's one common denominator ``field.den``, so the z^k
-coefficient sends s to sum (numerator/den) * state.  The rows of the
-free fermions are fock's basis-state Clifford actions; D, T and scalar
-multiples transform rows; a quadratic normal ordered product builds and
-caches its rows from the Clifford actions of its factors, and reads the
-vacuum pairing it subtracts off the same actions, so no ``Fraction`` is
-made while rows are built or composed.
+coefficient sends s to sum (numerator/den) * state.  The rows of the free
+fermions are fock's basis-state Clifford actions.  D, T and scalar
+multiples are the only rules that transform rows; a quadratic normal
+ordered product composes the rows of its two factors and subtracts the
+vacuum pairing read off the same rows, so no ``Fraction`` is made while
+rows are built or composed.  ``coeff(k)`` is the linear extension of the
+rows of z^k to FockVectors.
 
-``coeff(k)`` is the linear extension of the rows of z^k to FockVectors,
-and ``mode(n)`` the same for a mode label, whose z-power is fixed by the
-convention: PositivePower a(z) = sum a_n z^n, StandardVA
-a(z) = sum a_(n) z^{-n-1}.  Quadratic normal ordering is defined by
-vacuum subtraction :a_j b_k: = a_j b_k - <0|a_j b_k|0>, which for free
-fields agrees with the annihilation-right convention and keeps every
-mode a finite sum on graded vectors.
+``mode(n)`` is ``coeff`` at the z-power ``mode_zpow(n)``, the field's one
+mode-label map, which D, T and scaling keep: PositivePower a(z) = sum a_n
+z^n for the free fermions, StandardVA a(z) = sum a_(n) z^{-n-1} for the
+quadratic fields, h_m at z^{-m} for the twisted Heisenberg field.
+
+A unary Clifford field is tagged ``clifford = (family, shift)``: its z^k
+coefficient is a multiple of the mode X_{k+shift} of family 'phiA', 'psiA'
+or 'phiB'.  Normal ordering reads the tag only to know which mode indices
+can act on a state; the multiples are in the rows.  Quadratic normal
+ordering is defined by vacuum subtraction :a_j b_k: = a_j b_k -
+<0|a_j b_k|0>, which for free fields agrees with the annihilation-right
+convention and keeps every mode a finite sum on graded vectors.
 """
 
 from __future__ import annotations
@@ -50,47 +56,34 @@ Row = Sequence[Tuple[object, int]]
 POSITIVE = "positive"   # a(z) = sum_n a_n z^n
 STANDARD = "standard"   # a(z) = sum_n a_(n) z^{-n-1}
 
-# basis-state action (index, state) -> [(state, sign)] of each Clifford family
-_ACTIONS = {"phiA": _apply_phi_A, "psiA": _apply_psi_A, "phiB": _apply_phi_B}
-
-
-class CliffordAtom:
-    """Unary Clifford content of a field: coeff(k) = scalar(k)/den * X_{k+shift},
-    with an integer scalar(k) over the field's common denominator den."""
-
-    __slots__ = ("family", "shift", "scalar")
-
-    def __init__(self, family: str, shift: int = 0, scalar: Callable[[int], int] | None = None):
-        self.family = family  # 'phiA' | 'psiA' | 'phiB'
-        self.shift = shift
-        self.scalar = scalar or (lambda k: 1)
+_ZPOW = {POSITIVE: lambda n: n, STANDARD: lambda n: -n - 1}
 
 
 class Field:
-    """Immutable descriptor of an operator-valued formal series."""
+    """Immutable descriptor of an operator-valued formal series: its rows,
+    its mode-label map and, for a unary Clifford field, its ``clifford``
+    tag (None for any other field)."""
 
     def __init__(
         self,
         name: str,
         space: str,
         parity: int,
-        convention: str,
+        mode_zpow: Callable[[int], int],
         row: Callable[[int, object], Row],
         den: int = 1,
-        atom: Optional[CliffordAtom] = None,
-        mode_zpow: Optional[Callable[[int], int]] = None,
+        clifford: Optional[Tuple[str, int]] = None,
     ):
         self.name = name
         self.space = space
         self.parity = parity
-        self.convention = convention
+        self.mode_zpow = mode_zpow
         self.row = row
         self.den = den
-        self.atom = atom
-        self._mode_zpow = mode_zpow
+        self.clifford = clifford
 
     def coeff(self, k: int) -> Operator:
-        """Operator coefficient of z^k (convention independent)."""
+        """Operator coefficient of z^k (independent of the mode labels)."""
         row, den = self.row, self.den
 
         def op(v: FockVector) -> FockVector:
@@ -104,44 +97,37 @@ class Field:
 
         return op
 
-    def mode_zpow(self, n: int) -> int:
-        if self._mode_zpow is not None:
-            return self._mode_zpow(n)
-        return n if self.convention == POSITIVE else -n - 1
-
     def mode(self, n: int) -> Operator:
-        """Operator for mode label n in this field's convention."""
+        """Operator for mode label n."""
         return self.coeff(self.mode_zpow(n))
 
     def with_convention(self, convention: str) -> "Field":
-        if convention not in (POSITIVE, STANDARD):
+        """The same field with the mode labels of ``convention``."""
+        if convention not in _ZPOW:
             raise ValueError("unknown convention")
-        return Field(self.name, self.space, self.parity, convention,
-                     self.row, self.den, self.atom)
+        return Field(self.name, self.space, self.parity, _ZPOW[convention],
+                     self.row, self.den, self.clifford)
 
     def scaled(self, c) -> "Field":
         c = Rat(c)
         p, q = c.numerator, c.denominator
-        row, atom = self.row, None
+        row = self.row
         if p != 1:
             row = lambda k, s, row=row: [(t, p * x) for t, x in row(k, s)]
-        if self.atom is not None:
-            a = self.atom
-            atom = CliffordAtom(a.family, a.shift, lambda k, a=a: p * a.scalar(k))
-        return Field(self.name, self.space, self.parity, self.convention,
-                     row, self.den * q, atom, self._mode_zpow)
+        return Field(self.name, self.space, self.parity, self.mode_zpow,
+                     row, self.den * q, self.clifford)
 
 
 def phi_A() -> Field:
-    return Field("phi", "A", 1, POSITIVE, _apply_phi_A, atom=CliffordAtom("phiA"))
+    return Field("phi", "A", 1, _ZPOW[POSITIVE], _apply_phi_A, clifford=("phiA", 0))
 
 
 def psi_A() -> Field:
-    return Field("psi", "A", 1, POSITIVE, _apply_psi_A, atom=CliffordAtom("psiA"))
+    return Field("psi", "A", 1, _ZPOW[POSITIVE], _apply_psi_A, clifford=("psiA", 0))
 
 
 def phi_B() -> Field:
-    return Field("phi", "B", 1, POSITIVE, _apply_phi_B, atom=CliffordAtom("phiB"))
+    return Field("phi", "B", 1, _ZPOW[POSITIVE], _apply_phi_B, clifford=("phiB", 0))
 
 
 # -- Hopf algebra action ------------------------------------------------------
@@ -187,25 +173,16 @@ class HopfAction:
 
 def _apply_D(a: Field) -> Field:
     row = a.row
-    atom = None
-    if a.atom is not None:
-        at = a.atom
-        atom = CliffordAtom(at.family, at.shift + 1,
-                            lambda k, at=at: (k + 1) * at.scalar(k + 1))
-    return Field(f"D({a.name})", a.space, a.parity, a.convention,
-                 lambda k, s: [(t, (k + 1) * x) for t, x in row(k + 1, s)], a.den, atom)
+    clifford = a.clifford and (a.clifford[0], a.clifford[1] + 1)
+    return Field(f"D({a.name})", a.space, a.parity, a.mode_zpow,
+                 lambda k, s: [(t, (k + 1) * x) for t, x in row(k + 1, s)], a.den, clifford)
 
 
 def _apply_T(a: Field) -> Field:
     row = a.row
-    atom = None
-    if a.atom is not None:
-        at = a.atom
-        atom = CliffordAtom(at.family, at.shift,
-                            lambda k, at=at: -at.scalar(k) if k % 2 else at.scalar(k))
-    return Field(f"T({a.name})", a.space, a.parity, a.convention,
+    return Field(f"T({a.name})", a.space, a.parity, a.mode_zpow,
                  lambda k, s: [(t, -x) for t, x in row(k, s)] if k % 2 else row(k, s),
-                 a.den, atom)
+                 a.den, a.clifford)
 
 
 def act_hopf(h, a: Field) -> Field:
@@ -250,42 +227,38 @@ def normal_ordered_quadratic(a: Field, b: Field) -> Field:
     """The field with z-power coefficients sum_{j+k=K} :a_j b_k:."""
     if a.space != b.space:
         raise ValueError("fields act on different spaces")
-    if a.atom is None or b.atom is None:
+    if a.clifford is None or b.clifford is None:
         raise ValueError("quadratic normal ordering needs unary Clifford fields")
-    families = (a.atom.family, b.atom.family)
-    if families not in (("phiA", "psiA"), ("psiA", "phiA"), ("phiB", "phiB")):
-        raise ValueError(f"unsupported quadratic pair {families}")
-    at_a, at_b = a.atom, b.atom
-    act_a, act_b = _ACTIONS[at_a.family], _ACTIONS[at_b.family]
+    (fa, shift_a), (fb, shift_b) = a.clifford, b.clifford
+    if (fa, fb) not in (("phiA", "psiA"), ("psiA", "phiA"), ("phiB", "phiB")):
+        raise ValueError(f"unsupported quadratic pair {(fa, fb)}")
+    arow, brow = a.row, b.row
     vacuum = VACUUM_A if a.space == "A" else VACUUM_B
     cache: Dict = {}
 
     @lru_cache(maxsize=None)
-    def vev_pair(alpha: int, beta: int) -> int:
-        """<0| X_alpha Y_beta |0>, read off the basis-state actions."""
-        return sum(x * y for t, x in act_b(beta, vacuum) for u, y in act_a(alpha, t) if u == vacuum)
+    def vev_pair(ka: int, kb: int) -> int:
+        """<0| a_ka b_kb |0> at z-powers ka, kb, read off the rows."""
+        return sum(x * y for t, x in brow(kb, vacuum) for u, y in arow(ka, t) if u == vacuum)
 
     def row(K: int, s) -> Row:
         got = cache.get((K, s))
         if got is None:
             acc: Dict = {}
-            ksum = K + at_a.shift + at_b.shift
-            for beta in _candidates(families, ksum, s):
-                alpha = ksum - beta
-                scal = at_a.scalar(alpha - at_a.shift) * at_b.scalar(beta - at_b.shift)
-                if not scal:
-                    continue
-                for t, x in act_b(beta, s):
-                    for u, y in act_a(alpha, t):
-                        acc[u] = acc.get(u, 0) + scal * x * y
-                pair = vev_pair(alpha, beta)
+            for beta in _candidates((fa, fb), K + shift_a + shift_b, s):
+                kb = beta - shift_b
+                ka = K - kb
+                for t, x in brow(kb, s):
+                    for u, y in arow(ka, t):
+                        acc[u] = acc.get(u, 0) + x * y
+                pair = vev_pair(ka, kb)
                 if pair:
-                    acc[s] = acc.get(s, 0) - scal * pair
+                    acc[s] = acc.get(s, 0) - pair
             got = cache[(K, s)] = [(u, x) for u, x in acc.items() if x]
         return got
 
     return Field(f":{a.name}{b.name}:", a.space, (a.parity + b.parity) % 2,
-                 STANDARD, row, a.den * b.den)
+                 _ZPOW[STANDARD], row, a.den * b.den)
 
 
 def heisenberg_field_A() -> Field:
@@ -297,8 +270,7 @@ def twisted_heisenberg_field_B() -> Field:
     """h(z) = (1/4):phi(z)phi(-z): on F_B, odd modes h_m at z^{-m}."""
     phi = phi_B()
     h = normal_ordered_quadratic(phi, act_hopf("T", phi)).scaled(Fraction(1, 4))
-    return Field("h_B", h.space, 0, STANDARD, h.row, h.den, None,
-                 mode_zpow=lambda m: -m)
+    return Field("h_B", h.space, 0, lambda m: -m, h.row, h.den)
 
 
 @lru_cache(maxsize=16)

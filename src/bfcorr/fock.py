@@ -13,7 +13,7 @@ re-canonicalizes exactly via the Clifford relations
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .poly import Rat
 

@@ -6,6 +6,7 @@ from itertools import permutations, product
 import pytest
 
 import bfcorr.correspondence as correspondence
+import bfcorr.fields as fields
 from bfcorr.boson import BOSON_VACUUM_A, BOSON_VACUUM_B, vertex_A, vertex_B
 from bfcorr.correspondence import (
     VevSpec,
@@ -18,6 +19,7 @@ from bfcorr.correspondence import (
     vev_boson,
     vev_fermion,
 )
+from bfcorr.fields import Field, phi_B, twisted_heisenberg_field_B
 from bfcorr.fock import VACUUM_A, VACUUM_B, FockVector, apply_mode_A, apply_mode_B
 from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
@@ -386,6 +388,45 @@ def test_failing_check_reports_first_difference():
     _compare_series(rep, [("lhs", "rhs", a, b)])
     assert rep.status == "fail"
     assert "z1^-1" in rep.witnesses["first_difference"]
+
+
+def _with_rows(field, row):
+    return Field(field.name, field.space, field.parity, field.mode_zpow, row, field.den,
+                 field.clifford)
+
+
+def test_ope_residues_reads_the_rows_of_phi_B(monkeypatch):
+    # doubling the row of z^-1 doubles {phi_-1, phi_1} = -2 and no other bracket
+    def doubled():
+        phi = phi_B()
+        return _with_rows(phi, lambda k, s: [(t, 2 * x) for t, x in phi.row(k, s)]
+                          if k == -1 else phi.row(k, s))
+
+    monkeypatch.setattr(correspondence, "phi_B", doubled)
+    rep = check_identity("ope-residues", {"grade": 4})
+    assert rep.status == "fail"
+    assert rep.witnesses["first_difference"] == (
+        "type B mode residue fails at k=1 on FermionStateB(indices=())")
+
+
+def test_twisted_heisenberg_fails_on_nonzero_even_rows(monkeypatch):
+    # even z-powers carry the vacuum; the odd rows, and so every bracket, stay
+    def broken():
+        h = twisted_heisenberg_field_B()
+        return _with_rows(h, lambda k, s: h.row(k, s) if k % 2 else [(s, 1)])
+
+    monkeypatch.setattr(correspondence, "twisted_heisenberg_field_B", broken)
+    rep = check_identity("twisted-heisenberg-from-fermions-B", {"mmax": 3, "grade": 4})
+    assert rep.status == "fail"
+    assert rep.witnesses["first_difference"] == "h_-2 != 0 on FermionStateB(indices=())"
+
+
+def test_hopf_relations_fail_when_T_is_the_identity(monkeypatch):
+    # T^2 = 1 still holds; DT = -TD becomes 2 D = 0, false at z^-2 on phi_A
+    monkeypatch.setattr(fields, "_apply_T", lambda a: a)
+    rep = check_identity("hopf-relations", {"grade": 2, "window": 2})
+    assert rep.status == "fail"
+    assert rep.witnesses["first_difference"] == "DT != -TD for phi at z^-2"
 
 
 # one case per size: each is just below its minimum, where the check would

@@ -41,9 +41,13 @@ def test_hopf_action_canonical_form():
     assert HopfAction.word("DDT") == HopfAction(1, 1, 2)
 
 
+# Each relation composes one generator at a time: the words "TT" and "DT"
+# reduce to the identity and to -TD, which would compare a field with itself.
+
+
 def test_t_squared_is_identity_on_modes():
     for base in (phi_A(), psi_A(), phi_B()):
-        tt = act_hopf("TT", base)
+        tt = act_hopf("T", act_hopf("T", base))
         basis = states_A(6) if base.space == "A" else states_B(6)
         for k in range(-5, 6):
             for s in basis[:10]:
@@ -53,8 +57,8 @@ def test_t_squared_is_identity_on_modes():
 
 def test_dt_anticommutes_with_td():
     for base in (phi_A(), phi_B()):
-        dt = act_hopf("DT", base)
-        td = act_hopf("TD", base)
+        dt = act_hopf("D", act_hopf("T", base))
+        td = act_hopf("T", act_hopf("D", base))
         basis = states_A(6) if base.space == "A" else states_B(6)
         for k in range(-5, 6):
             for s in basis[:10]:
@@ -86,6 +90,20 @@ def test_convention_round_trip():
     std = f.with_convention("standard")
     for n in range(-4, 5):
         assert std.mode(n)(VAC_A) == f.coeff(-n - 1)(VAC_A)
+
+
+def test_label_map_is_kept_by_D_T_and_scaling():
+    # h_B's mode h_m sits at z^{-m}; D, T and scalars change rows, not labels
+    h = twisted_heisenberg_field_B()
+    labels = (-3, -2, 0, 1, 4)
+    for f in (h, act_hopf("T", h), act_hopf("D", h), act_hopf("DT", h), h.scaled(3)):
+        assert [f.mode_zpow(m) for m in labels] == [3, 2, 0, -1, -4], f.name
+    assert act_hopf("T", h).mode(1)(VAC_B) == act_hopf("T", h).coeff(-1)(VAC_B)
+    std = act_hopf("T", h).with_convention("standard")
+    assert [std.mode_zpow(n) for n in labels] == [2, 1, -1, -2, -5]
+    assert [h.with_convention("positive").mode_zpow(n) for n in labels] == list(labels)
+    with pytest.raises(ValueError):
+        h.with_convention("twisted")
 
 
 def test_field_property_window():
