@@ -19,7 +19,6 @@ from .correspondence import (
 )
 from .fields import (
     Field,
-    HopfAction,
     act_hopf,
     heisenberg_field_A,
     mode_commutator,
@@ -48,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BosonStateA", "BosonStateB", "CHECK_NAMES", "FermionStateA", "FermionStateB",
-    "Field", "FockVector", "HopfAction", "IdentityReport", "LaurentSeries",
+    "Field", "FockVector", "IdentityReport", "LaurentSeries",
     "MultiPoly", "Rat", "RationalFn", "VevSpec", "act_hopf",
     "analytic_continuation_check", "apply_mode_A", "apply_mode_B", "character_A",
     "character_B", "check_identity", "closed_form", "determinant", "expand",

@@ -79,6 +79,10 @@ def _validate(args) -> None:
             raise ValueError(f"--points must be >= 1, got {points}")
         if args.model == "B" and points % 2:
             raise ValueError(f"--points must be even for --model B, got {points}")
+    if getattr(args, "charge", None) is not None and args.model == "B":
+        raise ValueError("--charge applies to --model A only: F_B has no charge sectors")
+    if args.command == "character" and args.model == "A" and args.charge is None:
+        args.charge = 0
     top = getattr(args, "max", None)
     if top is not None and top < 0:
         raise ValueError(f"--max must be >= 0, got {top}")
@@ -147,7 +151,7 @@ def _run_character(args) -> int:
     rows = [{label: g, "dim": dim, "oracle": oracle.get(g)} for g, dim in table.items()]
     if args.format == "json":
         payload = {"command": "character", "model": args.model, "rows": rows,
-                   "params": {"charge": args.charge if args.model == "A" else None,
+                   "params": {"charge": args.charge,
                               "max": args.max, "seed": args.seed}}
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("character", help="graded dimensions against partition oracles")
     c.add_argument("--model", choices=("A", "B"), required=True)
-    c.add_argument("--charge", type=int, default=0, help="charge sector (model A)")
+    c.add_argument("--charge", type=int, default=None, help="charge sector (model A only, default 0)")
     c.add_argument("--max", type=int, default=12, help="top energy (A) or degree (B)")
     common(c)
     c.set_defaults(func=_run_character)

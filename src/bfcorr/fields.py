@@ -7,7 +7,10 @@ A Field is its rows.  The row of z^k at a basis state s,
 over the field's one common denominator ``field.den``, so the z^k
 coefficient sends s to sum (numerator/den) * state.  The rows of the free
 fermions are fock's basis-state Clifford actions.  D, T and scalar
-multiples are the only rules that transform rows; a quadratic normal
+multiples are the only rules that transform rows.  ``act_hopf`` applies a
+word in D and T letter by letter; words have no normal form here, so
+T^2 = 1 and DT = -TD are what the ``hopf-relations`` check tests on the
+rows, not rules the code assumes.  A quadratic normal
 ordered product composes the rows of its two factors and subtracts the
 vacuum pairing read off the same rows, so no ``Fraction`` is made while
 rows are built or composed.  ``coeff(k)`` is the linear extension of the
@@ -133,44 +136,6 @@ def phi_B() -> Field:
 # -- Hopf algebra action ------------------------------------------------------
 
 
-class HopfAction:
-    """Canonical form sign * T^eps * D^k of a word in {D, T}."""
-
-    __slots__ = ("sign", "eps", "k")
-
-    def __init__(self, sign: int = 1, eps: int = 0, k: int = 0):
-        if sign not in (1, -1) or eps not in (0, 1) or k < 0:
-            raise ValueError("bad Hopf action data")
-        self.sign = sign
-        self.eps = eps
-        self.k = k
-
-    @classmethod
-    def word(cls, letters: str) -> "HopfAction":
-        """Compose from a word like "DT" (rightmost letter acts first)."""
-        h = cls()
-        for ch in letters:
-            if ch == "D":
-                h = h * cls(1, 0, 1)
-            elif ch == "T":
-                h = h * cls(1, 1, 0)
-            else:
-                raise ValueError(f"unknown generator {ch!r}")
-        return h
-
-    def __mul__(self, other: "HopfAction") -> "HopfAction":
-        # T^e1 D^k1 T^e2 D^k2 = (-1)^(k1*e2) T^(e1+e2) D^(k1+k2)
-        sign = self.sign * other.sign * ((-1) ** (self.k * other.eps))
-        return HopfAction(sign, (self.eps + other.eps) % 2, self.k + other.k)
-
-    def __eq__(self, other):
-        return (isinstance(other, HopfAction)
-                and (self.sign, self.eps, self.k) == (other.sign, other.eps, other.k))
-
-    def __repr__(self):
-        return f"HopfAction(sign={self.sign}, eps={self.eps}, k={self.k})"
-
-
 def _apply_D(a: Field) -> Field:
     row = a.row
     clifford = a.clifford and (a.clifford[0], a.clifford[1] + 1)
@@ -185,18 +150,19 @@ def _apply_T(a: Field) -> Field:
                  a.den, a.clifford)
 
 
-def act_hopf(h, a: Field) -> Field:
-    """Apply a Hopf word to a field; composite words apply the left factor last."""
-    if isinstance(h, str):
-        h = HopfAction.word(h)
-    out = a
-    for _ in range(h.k):
-        out = _apply_D(out)
-    if h.eps:
-        out = _apply_T(out)
-    if h.sign < 0:
-        out = out.scaled(-1)
-    return out
+def act_hopf(word: str, a: Field) -> Field:
+    """Apply a word in the generators D = d/dz and T: z -> -z to a field,
+    one letter at a time, the rightmost first: "DT" gives D(T(a)).  Words
+    are not brought to a normal form, so T^2 = 1 and DT = -TD hold only as
+    far as the rows of D and T make them hold."""
+    for letter in reversed(word):
+        if letter == "D":
+            a = _apply_D(a)
+        elif letter == "T":
+            a = _apply_T(a)
+        else:
+            raise ValueError(f"unknown generator {letter!r}")
+    return a
 
 
 # -- quadratic normal ordering ------------------------------------------------

@@ -9,15 +9,14 @@ expansions serve rational-function matrices here and integer Laurent
 series in ``correspondence``.
 
 Matrices stay tiny at desk scale (<= 8x8), so exactness wins over
-asymptotics.  To keep intermediate swell down, ``determinant`` clears
-each row's factored denominator first and expands polynomials;
-``pfaffian`` accumulates over a common factored denominator and reduces
-once at the end.
+asymptotics.  ``determinant`` and ``pfaffian`` run their expansion on
+unreduced (numerator, factored denominator) pairs, scaling each sum to
+the least common factored denominator, and reduce once at the end.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Sequence
 
 from .poly import MultiPoly
 from .ratfun import RationalFn, factor_poly
@@ -73,35 +72,6 @@ def pf_expansion(m: Sequence[Sequence], one, zero: Callable, mac: Callable):
     return pf(tuple(range(len(m))))
 
 
-def _poly_mac(acc: MultiPoly, sign: int, a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    term = a * b
-    return acc + (term if sign > 0 else -term)
-
-
-def determinant(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
-    """Exact determinant, fraction-free: rows are cleared to polynomials."""
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    alphabet = m[0][0].alphabet
-    cleared: List[List[MultiPoly]] = []
-    full_den: Dict = {}
-    for row in m:
-        row_den: Dict = {}
-        for entry in row:
-            for atom, e in entry.den.items():
-                row_den[atom] = max(row_den.get(atom, 0), e)
-        cleared.append([_raw_scale_to(entry.num, entry.den, row_den, alphabet) for entry in row])
-        for atom, e in row_den.items():
-            full_den[atom] = full_den.get(atom, 0) + e
-    num = det_expansion(cleared, MultiPoly.const(alphabet, 1),
-                        lambda: MultiPoly.zero(alphabet), _poly_mac)
-    return RationalFn(num, full_den)
-
-
 def _raw_scale_to(num: MultiPoly, den: Dict, target: Dict, alphabet) -> MultiPoly:
     for atom, e in target.items():
         k = e - den.get(atom, 0)
@@ -110,24 +80,12 @@ def _raw_scale_to(num: MultiPoly, den: Dict, target: Dict, alphabet) -> MultiPol
     return num
 
 
-def pfaffian(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
-    """Exact Pfaffian of an antisymmetric matrix of even size."""
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n % 2 != 0:
-        raise ValueError("Pfaffian needs even size")
-    if n == 0:
-        raise ValueError("empty matrix")
+def _rational(expansion: Callable, m: Sequence[Sequence[RationalFn]]) -> RationalFn:
+    """Run ``expansion`` on rational-function entries, accumulating unreduced
+    (numerator, factored denominator) pairs and reducing once at the end."""
     alphabet = m[0][0].alphabet
-    for i in range(n):
-        for j in range(i, n):
-            if not (m[i][j] == -m[j][i]):
-                raise ValueError(f"matrix is not antisymmetric at ({i}, {j})")
 
     def mac(acc, sign, a: RationalFn, b):
-        # unreduced (numerator, factored denominator) accumulation
         total_num, total_den = acc
         sub_num, sub_den = b
         num = a.num * sub_num
@@ -140,6 +98,34 @@ def pfaffian(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
         return total_num + (num if sign > 0 else -num), merged
 
     entries = [[None if x.is_zero() else x for x in row] for row in m]
-    num, den = pf_expansion(entries, (MultiPoly.const(alphabet, 1), {}),
-                            lambda: (MultiPoly.zero(alphabet), {}), mac)
+    num, den = expansion(entries, (MultiPoly.const(alphabet, 1), {}),
+                         lambda: (MultiPoly.zero(alphabet), {}), mac)
     return RationalFn(num, den)
+
+
+def _check_square(m: Sequence[Sequence]) -> None:
+    n = len(m)
+    if n == 0:
+        raise ValueError("empty matrix")
+    for row in m:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+
+
+def determinant(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
+    """Exact determinant."""
+    _check_square(m)
+    return _rational(det_expansion, m)
+
+
+def pfaffian(m: Sequence[Sequence[RationalFn]]) -> RationalFn:
+    """Exact Pfaffian of an antisymmetric matrix of even size."""
+    _check_square(m)
+    n = len(m)
+    if n % 2 != 0:
+        raise ValueError("Pfaffian needs even size")
+    for i in range(n):
+        for j in range(i, n):
+            if not (m[i][j] == -m[j][i]):
+                raise ValueError(f"matrix is not antisymmetric at ({i}, {j})")
+    return _rational(pf_expansion, m)

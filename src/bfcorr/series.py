@@ -77,14 +77,6 @@ class LaurentSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        """Truncated convolution; faithful away from the box boundary only."""
-        if self.ordering != other.ordering:
-            raise ValueError("ordering mismatch")
-        cutoff = min(self.cutoff, other.cutoff)
-        out = raw_mul(self.terms, other.terms)
-        return LaurentSeries(self.ordering, cutoff, out)
-
     def scale(self, c) -> "LaurentSeries":
         c = Rat(c)
         if c == 0:

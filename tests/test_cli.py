@@ -251,6 +251,29 @@ def test_verify_outputs_are_pinned(argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout sha256 of character runs, recorded before --charge was made
+# type A only
+@pytest.mark.parametrize("argv,digest", [
+    ("character --model A --max 6",
+     "d387f28102bd09c71d0bf08f72de733f4baf960808d5d9b515eafc316b238e4b"),
+    ("character --model A --charge 1 --max 6 --format json",
+     "cc273be78d2f36fa614f44779e11a7ed67e1fc327ff9558a1f13571b78c0e81c"),
+    ("character --model B --max 10 --format json",
+     "e65bf78b1c3ce607da03d5adec6f8d8cd916f20ed149fe6447eda589a39017a2"),
+])
+def test_character_outputs_are_pinned(argv, digest):
+    code, out = run_cli(*argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_charge_is_rejected_for_model_B(capsys):
+    code, out = run_cli("character", "--model", "B", "--max", "3", "--charge", "2")
+    assert code == 2
+    assert out == ""
+    assert "--charge applies to --model A only" in capsys.readouterr().err
+
+
 def test_model_without_a_variant_is_a_usage_error(capsys):
     code, out = run_cli("verify", "cauchy", "--model", "B")
     assert code == 2

@@ -19,7 +19,7 @@ from bfcorr.correspondence import (
     vev_boson,
     vev_fermion,
 )
-from bfcorr.fields import Field, phi_B, twisted_heisenberg_field_B
+from bfcorr.fields import Field, phi_A, phi_B, twisted_heisenberg_field_B
 from bfcorr.fock import VACUUM_A, VACUUM_B, FockVector, apply_mode_A, apply_mode_B
 from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
@@ -421,12 +421,49 @@ def test_twisted_heisenberg_fails_on_nonzero_even_rows(monkeypatch):
     assert rep.witnesses["first_difference"] == "h_-2 != 0 on FermionStateB(indices=())"
 
 
+def test_supercommutativity_fails_on_a_symmetric_kernel(monkeypatch):
+    # 1/(x_i + x_j) is swap-symmetric, so F(w, z) = -F(z, w) must fail
+    def symmetric(model, alpha, i, j):
+        return RationalFn(MultiPoly.const(alpha, 1), {sum_factor(i, j): 1})
+
+    monkeypatch.setattr(correspondence, "_two_point", symmetric)
+    rep = check_identity("supercommutativity-A", {"cutoff": 3})
+    assert rep.status == "fail"
+    assert rep.witnesses["first_difference"] == "candidate is not swap-antisymmetric"
+
+
 def test_hopf_relations_fail_when_T_is_the_identity(monkeypatch):
     # T^2 = 1 still holds; DT = -TD becomes 2 D = 0, false at z^-2 on phi_A
     monkeypatch.setattr(fields, "_apply_T", lambda a: a)
     rep = check_identity("hopf-relations", {"grade": 2, "window": 2})
     assert rep.status == "fail"
     assert rep.witnesses["first_difference"] == "DT != -TD for phi at z^-2"
+
+
+def test_hopf_relations_fail_on_a_negative_vacuum_power(monkeypatch):
+    # phi_A(z)|0> gains a z^-1 term; T and D transform it, so T^2 = 1 and
+    # DT = -TD still hold and only vacuum regularity fails
+    def singular():
+        phi = phi_A()
+        return _with_rows(phi, lambda k, s: [(s, 1)] if (k, s) == (-1, VACUUM_A)
+                          else phi.row(k, s))
+
+    monkeypatch.setattr(correspondence, "phi_A", singular)
+    rep = check_identity("hopf-relations", {"grade": 2, "window": 2})
+    assert rep.status == "fail"
+    assert rep.witnesses["first_difference"] == "phi(z)|0> has a negative z-power -1"
+
+
+def test_hopf_relations_fail_on_a_scaled_creation_value(monkeypatch):
+    def doubled():
+        phi = phi_A()
+        return _with_rows(phi, lambda k, s: [(t, 2 * x) for t, x in phi.row(k, s)]
+                          if (k, s) == (0, VACUUM_A) else phi.row(k, s))
+
+    monkeypatch.setattr(correspondence, "phi_A", doubled)
+    rep = check_identity("hopf-relations", {"grade": 2, "window": 2})
+    assert rep.status == "fail"
+    assert rep.witnesses["first_difference"] == "phi(z)|0> at z=0 is not the projected state"
 
 
 # one case per size: each is just below its minimum, where the check would

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bfcorr import correspondence
 from bfcorr.fields import (
-    HopfAction,
     act_hopf,
     heisenberg_field_A,
     mode_commutator,
@@ -33,21 +32,13 @@ VAC_A = FockVector.basis(VACUUM_A)
 VAC_B = FockVector.basis(VACUUM_B)
 
 
-def test_hopf_action_canonical_form():
-    assert HopfAction.word("TT") == HopfAction(1, 0, 0)
-    # canonical order puts T leftmost, so the product D*T picks up a sign
-    assert HopfAction.word("DT") == HopfAction(-1, 1, 1)
-    assert HopfAction.word("TD") == HopfAction(1, 1, 1)
-    assert HopfAction.word("DDT") == HopfAction(1, 1, 2)
-
-
-# Each relation composes one generator at a time: the words "TT" and "DT"
-# reduce to the identity and to -TD, which would compare a field with itself.
+# act_hopf applies a word letter by letter, so these words really compose
+# their generators: with T the identity, DT = -TD fails.
 
 
 def test_t_squared_is_identity_on_modes():
     for base in (phi_A(), psi_A(), phi_B()):
-        tt = act_hopf("T", act_hopf("T", base))
+        tt = act_hopf("TT", base)
         basis = states_A(6) if base.space == "A" else states_B(6)
         for k in range(-5, 6):
             for s in basis[:10]:
@@ -57,13 +48,18 @@ def test_t_squared_is_identity_on_modes():
 
 def test_dt_anticommutes_with_td():
     for base in (phi_A(), phi_B()):
-        dt = act_hopf("D", act_hopf("T", base))
-        td = act_hopf("T", act_hopf("D", base))
+        dt = act_hopf("DT", base)
+        td = act_hopf("TD", base)
         basis = states_A(6) if base.space == "A" else states_B(6)
         for k in range(-5, 6):
             for s in basis[:10]:
                 v = FockVector.basis(s)
                 assert dt.coeff(k)(v) + td.coeff(k)(v) == FockVector()
+
+
+def test_unknown_hopf_generator_is_rejected():
+    with pytest.raises(ValueError, match="unknown generator 'X'"):
+        act_hopf("X", phi_A())
 
 
 def test_derivative_mode_rule():

@@ -1,11 +1,13 @@
-"""Every name a bfcorr module imports is used in that module."""
+"""Every name a bfcorr module imports is used in that module, and every
+function, class and method it defines is named somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bfcorr"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bfcorr"
 
 # Imported on purpose without a use: the benchmark's tracer test looks these
 # names up in the importing module (each import says so in a comment).
@@ -48,3 +50,47 @@ def test_module_has_no_unused_imports(path):
 def test_unused_import_is_flagged():
     source = "from typing import Dict, Iterable\nx: Dict = {}\n__all__ = ['y']\nfrom m import y\n"
     assert unused_imports(source) == ["Iterable"]
+
+
+def _named(tree: ast.AST) -> set:
+    """Identifiers ``tree`` names: as a variable, an attribute, an import or
+    a string (``getattr``, ``monkeypatch.setattr`` and the tracer name
+    functions by string)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            names.add(node.asname)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def dead_definitions(source: str, named_elsewhere=frozenset()) -> list:
+    """Functions, classes and non-dunder methods defined in ``source`` that
+    neither ``source`` names nor ``named_elsewhere`` holds."""
+    tree = ast.parse(source)
+    named = _named(tree) | named_elsewhere
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return sorted(name for name in defined
+                  if name not in named and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_definition_is_named_somewhere():
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    named = set().union(*(_named(ast.parse(path.read_text())) for path in paths))
+    dead = {path.name: dead_definitions(path.read_text(), named) for path in SRC.glob("*.py")}
+    assert not {name: d for name, d in dead.items() if d}
+
+
+def test_unused_definition_is_flagged():
+    source = ("class Box:\n    def __init__(self):\n        pass\n\n"
+              "    def unread(self):\n        pass\n\n"
+              "def used():\n    return Box()\n\n"
+              "def unused():\n    return used()\n")
+    assert dead_definitions(source) == ["unread", "unused"]
