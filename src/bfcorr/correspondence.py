@@ -1,6 +1,5 @@
 """Vacuum expectation values on all four sides of the correspondences,
-closed-form determinant/Pfaffian/product expressions, and the named
-identity checks.
+their Wick and product forms, and the named identity checks.
 
 Both VEV engines apply the word right to left to the vacuum, one field
 per step, keeping each exponent prefix apart.  The fermion sweep runs
@@ -8,11 +7,13 @@ fock's basis-state Clifford actions over the modes of the cutoff box and
 drops the states the fields still to come cannot return to the vacuum;
 the boson sweep runs the annihilation half of each vertex operator on all
 (prefix, state) pairs, sums the results, and only then runs the creation
-half.  Closed forms are exact rational functions; series forms of
-the determinant and Pfaffian run the shared expansions of ``matrices`` on
-integer entrywise expansions (region expansion is a ring homomorphism,
-and each term of the expansion touches disjoint variable pairs, so entry
-truncation at the box bound is exact).
+half.  Any word has one Wick form, the Pfaffian of its paired two-point
+functions (``_wick_pairs``), and one product form (``_product_form``);
+the closed forms and the det/Pf series are these for the standard word.
+The series form runs ``matrices.pf_expansion`` on integer entrywise
+expansions (region expansion is a ring homomorphism, and each term of the
+expansion touches disjoint variable pairs, so entry truncation at the box
+bound is exact).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -49,7 +51,7 @@ from .fock import (
     character_A,
     character_B,
 )
-from .matrices import det_expansion, determinant, pf_expansion, pfaffian
+from .matrices import pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
 from .poly import MultiPoly, Rat
 from .ratfun import RationalFn, diff_factor, residue_at, rf_equal, sum_factor
@@ -57,14 +59,36 @@ from .series import LaurentSeries, expand
 from .textio import format_rational, format_series
 
 
+# the field symbols of each (model, side); type B '-' is e^alpha(-z) = e^{-alpha}(z)
+_SYMBOLS = {("A", "fermion"): ("phi", "psi"), ("A", "boson"): ("+", "-"),
+            ("B", "fermion"): ("phi",), ("B", "boson"): ("+", "-")}
+
+
 @dataclass(frozen=True)
 class VevSpec:
-    """A vacuum expectation value request: an ordered word of fields."""
+    """A vacuum expectation value request: an ordered word of fields.  An
+    unknown (model, side), a symbol the side lacks or a repeated variable
+    raises ValueError."""
 
     model: str                      # 'A' | 'B'
     side: str                       # 'fermion' | 'boson'
     word: Tuple[Tuple[str, str], ...]  # (symbol, variable) pairs, left to right
     cutoff: int
+
+    def __post_init__(self):
+        symbols = _SYMBOLS.get((self.model, self.side))
+        if symbols is None:
+            raise ValueError(f"unknown model/side {self.model!r}/{self.side!r}")
+        for sym, _ in self.word:
+            if sym not in symbols:
+                raise ValueError(f"type {self.model} {self.side} words take {symbols}, not {sym!r}")
+        if len(set(self.variables)) != len(self.word):
+            raise ValueError("variables must be distinct")
+
+    @property
+    def variables(self) -> Tuple[str, ...]:
+        """The word's variables, left to right: its expansion region."""
+        return tuple(v for _, v in self.word)
 
     @classmethod
     def standard_A(cls, side: str, n: int, cutoff: int) -> "VevSpec":
@@ -83,6 +107,8 @@ class VevSpec:
     @classmethod
     def standard(cls, model: str, side: str, n: int, cutoff: int) -> "VevSpec":
         """The standard word: n pairs (type A) or n points (type B)."""
+        if model not in ("A", "B"):
+            raise ValueError(f"unknown model {model!r}")
         return (cls.standard_A if model == "A" else cls.standard_B)(side, n, cutoff)
 
 
@@ -95,15 +121,12 @@ def _sweep(word, vacuum, cutoff: int, step_at) -> LaurentSeries:
     denominator ``den``, and returns the new tables and denominator; see
     ``_propagate``.
     """
-    ordering = tuple(v for _, v in word)
-    if len(set(ordering)) != len(ordering):
-        raise ValueError("variables must be distinct")
     entries, den = {(): {vacuum: 1}}, 1
     for pos in range(len(word) - 1, -1, -1):
         entries, den = step_at(pos)(entries, den)
     terms = {tuple(reversed(prefix)): Fraction(smap[vacuum], den)
              for prefix, smap in entries.items() if vacuum in smap}
-    return LaurentSeries(ordering, cutoff, terms)
+    return LaurentSeries(tuple(v for _, v in word), cutoff, terms)
 
 
 def _prefix_window(prefix, pos: int, cutoff: int) -> Tuple[int, int]:
@@ -239,14 +262,6 @@ def vev(spec: VevSpec) -> LaurentSeries:
 # -- closed forms --------------------------------------------------------------
 
 
-def _alphabet_A(n: int):
-    return tuple(f"z{i + 1}" for i in range(n)) + tuple(f"w{i + 1}" for i in range(n))
-
-
-def _alphabet_B(points: int):
-    return tuple(f"z{i + 1}" for i in range(points))
-
-
 def _two_point(model: str, alpha, i: int, j: int) -> RationalFn:
     """The Wick kernel of the fields at x_i and x_j: 1/(x_i - x_j) (type A)
     or (x_i - x_j)/(x_i + x_j) (type B), over the alphabet ``alpha``."""
@@ -256,52 +271,50 @@ def _two_point(model: str, alpha, i: int, j: int) -> RationalFn:
     return RationalFn(MultiPoly.linear(alpha, i, j, -1), {sum_factor(i, j): 1})
 
 
+def _wick_pairs(spec: VevSpec) -> List[Tuple[int, int]]:
+    """The word positions i < j whose fields pair: a phi with a psi (type
+    A) or any two (type B).  <0| word |0> is the Pfaffian of their
+    two-point functions, with every other entry zero."""
+    return [(i, j) for i, j in combinations(range(len(spec.word)), 2)
+            if spec.model == "B" or spec.word[i][0] != spec.word[j][0]]
+
+
+def _product_form(spec: VevSpec) -> RationalFn:
+    """The boson side of <0| word |0>: prod_{i<j} K(x_i, x_j)^{e_i e_j} in
+    word order, with K = x_i - x_j (type A) or (x_i - x_j)/(x_i + x_j)
+    (type B).  e_i e_j = +1 exactly when the two symbols agree; for type B
+    that is because e^alpha(-z) = e^{-alpha}(z) and K(-x_i, x_j) = 1/K."""
+    alpha = spec.variables
+    num, den = MultiPoly.const(alpha, 1), {}
+    for i, j in combinations(range(len(alpha)), 2):
+        eps = 1 if spec.word[i][0] == spec.word[j][0] else -1
+        # K^eps as factors (x_i + sigma*x_j)^power
+        for sigma, power in [(-1, eps)] + ([(1, -eps)] if spec.model == "B" else []):
+            if power > 0:
+                num = num * MultiPoly.linear(alpha, i, j, sigma)
+            else:
+                den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = 1
+    return RationalFn(num, den)
+
+
 def closed_form(model: str, kind: str, n: int) -> RationalFn:
-    """Exact closed forms: det/product (type A, n pairs), pfaffian/product
-    (type B, 2n points)."""
+    """Exact closed forms of the standard word of n pairs (type A) or 2n
+    points (type B): its Wick Pfaffian, called "determinant" for type A,
+    where it is (-1)^{n(n-1)/2} det(1/(z_i - w_j)), and "pfaffian" for type
+    B, or its "product" form."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if model == "A":
-        alpha = _alphabet_A(n)
-        if kind == "determinant":
-            mat = [[_two_point("A", alpha, i, n + j) for j in range(n)] for i in range(n)]
-            sign = (-1) ** (n * (n - 1) // 2)
-            return determinant(mat).scale(sign)
-        if kind == "product":
-            num = MultiPoly.const(alpha, 1)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    num = num * MultiPoly.linear(alpha, i, j, -1)
-                    num = num * MultiPoly.linear(alpha, n + i, n + j, -1)
-            den = {}
-            sign = 1
-            for i in range(n):
-                for j in range(n):
-                    atom, s = diff_factor(i, n + j)
-                    den[atom] = den.get(atom, 0) + 1
-                    sign *= s
-            return RationalFn(num.scale(sign), den)
-        raise ValueError(f"unknown type A closed form {kind!r}")
-    if model == "B":
-        points = 2 * n
-        alpha = _alphabet_B(points)
-        if kind == "pfaffian":
-            mat = [[RationalFn.zero(alpha) for _ in range(points)] for _ in range(points)]
-            for i in range(points):
-                for j in range(i + 1, points):
-                    mat[i][j] = _two_point("B", alpha, i, j)
-                    mat[j][i] = -mat[i][j]
-            return pfaffian(mat)
-        if kind == "product":
-            num = MultiPoly.const(alpha, 1)
-            den = {}
-            for i in range(points):
-                for j in range(i + 1, points):
-                    num = num * MultiPoly.linear(alpha, i, j, -1)
-                    den[sum_factor(i, j)] = 1
-            return RationalFn(num, den)
-        raise ValueError(f"unknown type B closed form {kind!r}")
-    raise ValueError(f"unknown model {model!r}")
+    spec = VevSpec.standard(model, "fermion", n if model == "A" else 2 * n, 0)
+    if kind == "product":
+        return _product_form(spec)
+    if kind != ("determinant" if model == "A" else "pfaffian"):
+        raise ValueError(f"unknown type {model} closed form {kind!r}")
+    alpha = spec.variables
+    m = [[RationalFn.zero(alpha)] * len(alpha) for _ in alpha]
+    for i, j in _wick_pairs(spec):
+        m[i][j] = _two_point(model, alpha, i, j)
+        m[j][i] = -m[i][j]
+    return pfaffian(m)
 
 
 def _int_terms(series: LaurentSeries) -> Dict[Tuple[int, ...], int]:
@@ -329,29 +342,27 @@ def _series_mac(acc: Dict, sign: int, a: Dict, b: Dict) -> Dict:
     return acc
 
 
-def _expansion_series(ordering, cutoff: int, expansion, m, sign: int = 1) -> LaurentSeries:
-    total = expansion(m, {(0,) * len(ordering): 1}, dict, _series_mac)
-    return LaurentSeries(ordering, cutoff, {e: Fraction(sign * c) for e, c in total.items()})
+def _wick_series(spec: VevSpec) -> LaurentSeries:
+    """<0| word |0> by Wick's theorem: the Pfaffian over the integer
+    expansions of the word's two-point functions on the cutoff box."""
+    alpha, D = spec.variables, spec.cutoff
+    m = [[None] * len(alpha) for _ in alpha]  # the expansion reads i < j only
+    for i, j in _wick_pairs(spec):
+        m[i][j] = _int_terms(expand(_two_point(spec.model, alpha, i, j), alpha, D))
+    total = pf_expansion(m, {(0,) * len(alpha): 1}, dict, _series_mac)
+    return LaurentSeries(alpha, D, {e: Fraction(c) for e, c in total.items()})
 
 
 def det_series(n: int, cutoff: int) -> LaurentSeries:
-    """Expansion of (-1)^{n(n-1)/2} det(1/(z_i - w_j)) on the cutoff box."""
-    alpha = _alphabet_A(n)
-    m = [[_int_terms(expand(_two_point("A", alpha, i, n + j), alpha, cutoff)) for j in range(n)]
-         for i in range(n)]
-    return _expansion_series(alpha, cutoff, det_expansion, m, (-1) ** (n * (n - 1) // 2))
+    """The Wick series of the standard type A word: (-1)^{n(n-1)/2} det(1/(z_i - w_j))."""
+    return _wick_series(VevSpec.standard_A("fermion", n, cutoff))
 
 
 def pf_series(points: int, cutoff: int) -> LaurentSeries:
-    """Expansion of Pf((z_i - z_j)/(z_i + z_j)) on the cutoff box."""
+    """The Wick series of the standard type B word: Pf((z_i - z_j)/(z_i + z_j))."""
     if points % 2:
         raise ValueError("points must be even")
-    alpha = _alphabet_B(points)
-    m = [[None] * points for _ in range(points)]  # the expansion reads i < j only
-    for i in range(points):
-        for j in range(i + 1, points):
-            m[i][j] = _int_terms(expand(_two_point("B", alpha, i, j), alpha, cutoff))
-    return _expansion_series(alpha, cutoff, pf_expansion, m)
+    return _wick_series(VevSpec.standard_B("fermion", points, cutoff))
 
 
 def analytic_continuation_check(series: LaurentSeries, candidate: RationalFn) -> bool:
@@ -456,12 +467,9 @@ def _mode_pairs(model, n, D):
 
 
 def _product_pairs(model, n, D):
-    lhs = vev_boson(VevSpec.standard(model, "boson", n, D))
-    if model == "A":
-        rhs = expand(closed_form("A", "product", n), _alphabet_A(n), D)
-    else:
-        rhs = expand(closed_form("B", "product", n // 2), _alphabet_B(n), D)
-    return [("vertex_series", "product_series", lhs, rhs)]
+    spec = VevSpec.standard(model, "boson", n, D)
+    return [("vertex_series", "product_series", vev_boson(spec),
+             expand(_product_form(spec), spec.variables, D))]
 
 
 def _vev_match_pairs(model, n, D):

@@ -61,6 +61,20 @@ def _divide_if_possible(num: MultiPoly, atom: PoleFactor):
     return None
 
 
+def common_denominator(a: Dict[PoleFactor, int], b: Dict[PoleFactor, int]) -> Dict[PoleFactor, int]:
+    """The least common factored denominator: each atom at its larger exponent."""
+    return {atom: max(a.get(atom, 0), b.get(atom, 0)) for atom in {**a, **b}}
+
+
+def lift(num: MultiPoly, den: Dict[PoleFactor, int], target: Dict[PoleFactor, int]) -> MultiPoly:
+    """The numerator of num/den over the multiple ``target`` of ``den``."""
+    for atom, e in target.items():
+        k = e - den.get(atom, 0)
+        if k:
+            num = num * factor_poly(num.alphabet, atom) ** k
+    return num
+
+
 class RationalFn:
     """numerator / product of pole atoms, kept in reduced canonical form."""
 
@@ -129,20 +143,8 @@ class RationalFn:
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
         self._check(other)
-        den = {}
-        for a in set(self.den) | set(other.den):
-            den[a] = max(self.den.get(a, 0), other.den.get(a, 0))
-        n1 = self.num
-        for a, e in den.items():
-            k = e - self.den.get(a, 0)
-            if k:
-                n1 = n1 * factor_poly(self.alphabet, a) ** k
-        n2 = other.num
-        for a, e in den.items():
-            k = e - other.den.get(a, 0)
-            if k:
-                n2 = n2 * factor_poly(self.alphabet, a) ** k
-        return RationalFn(n1 + n2, den)
+        den = common_denominator(self.den, other.den)
+        return RationalFn(lift(self.num, self.den, den) + lift(other.num, other.den, den), den)
 
     def __neg__(self) -> "RationalFn":
         return RationalFn(-self.num, dict(self.den), reduce=False)
@@ -265,18 +267,12 @@ def rf_reduce(f: RationalFn) -> RationalFn:
 def rf_equal(f: RationalFn, g: RationalFn) -> bool:
     """Exact equality via cross-multiplication to polynomials.
 
-    Each numerator is multiplied only by the other side's excess pole
-    atoms, which is the same cross-multiplied comparison with the common
-    denominator content cancelled.
+    Both sides are lifted to their common denominator, so each numerator
+    is multiplied only by the other side's excess pole atoms: the
+    cross-multiplied comparison with the common content cancelled.
     """
-    lhs, rhs = f.num, g.num
-    for atom in set(f.den) | set(g.den):
-        k = g.den.get(atom, 0) - f.den.get(atom, 0)
-        if k > 0:
-            lhs = lhs * factor_poly(f.alphabet, atom) ** k
-        elif k < 0:
-            rhs = rhs * factor_poly(g.alphabet, atom) ** (-k)
-    return lhs == rhs
+    den = common_denominator(f.den, g.den)
+    return lift(f.num, f.den, den) == lift(g.num, g.den, den)
 
 
 def residue_at(f: RationalFn, i: int, point_sign: int, j: int, power: int = 0) -> RationalFn:

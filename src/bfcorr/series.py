@@ -24,12 +24,15 @@ Expo = Tuple[int, ...]
 
 
 class LaurentSeries:
-    """Truncated multivariate Laurent series for a fixed expansion region."""
+    """Truncated multivariate Laurent series for a fixed expansion region;
+    an ordering that repeats a variable names no region and raises."""
 
     __slots__ = ("ordering", "cutoff", "terms")
 
     def __init__(self, ordering, cutoff: int, terms: Dict[Expo, Rat] | None = None):
         self.ordering = tuple(ordering)
+        if len(set(self.ordering)) != len(self.ordering):
+            raise ValueError(f"ordering repeats a variable: {', '.join(self.ordering)}")
         self.cutoff = cutoff = int(cutoff)
         clean = {}
         if terms:

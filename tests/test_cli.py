@@ -95,6 +95,14 @@ def test_expand_rejects_bad_expression():
     assert code == 2
 
 
+def test_expand_rejects_a_repeated_variable(capsys):
+    # z,w,z names no expansion region; it used to print the |w| >> |z| series
+    code, out = run_cli("expand", "--expr", "(1) / ((z-w)^1)", "--order", "z,w,z", "--cutoff", "3")
+    assert code == 2
+    assert out == ""
+    assert "ordering repeats a variable" in capsys.readouterr().err
+
+
 def test_character_command():
     code, out = run_cli("character", "--model", "B", "--max", "6")
     assert code == 0

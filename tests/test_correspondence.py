@@ -74,7 +74,7 @@ def test_closed_form_pf_equals_product_2n4():
 
 def test_det_series_grounds_to_generic_expand():
     for n, cutoff in [(2, 6), (3, 4)]:
-        alpha = correspondence._alphabet_A(n)
+        alpha = VevSpec.standard_A("fermion", n, cutoff).variables
         assert det_series(n, cutoff) == expand(closed_form("A", "determinant", n), alpha, cutoff)
 
 
@@ -82,7 +82,7 @@ def test_pf_series_grounds_to_generic_expand():
     assert pf_series(2, 6) == expand(closed_form("B", "pfaffian", 1), ("z1", "z2"), 6)
     assert pf_series(4, 5) == expand(closed_form("B", "pfaffian", 2),
                                      ("z1", "z2", "z3", "z4"), 5)
-    assert pf_series(6, 3) == expand(closed_form("B", "pfaffian", 3), correspondence._alphabet_B(6), 3)
+    assert pf_series(6, 3) == expand(closed_form("B", "pfaffian", 3), VevSpec.standard_B("fermion", 6, 3).variables, 3)
 
 
 def _accumulate(total, sign, terms):
@@ -92,7 +92,7 @@ def _accumulate(total, sign, terms):
 
 def _det_series_oracle(n, cutoff):
     """The signed permutation sum of raw_mul products of expanded entries."""
-    alpha = correspondence._alphabet_A(n)
+    alpha = VevSpec.standard_A("fermion", n, cutoff).variables
     entries = {}
     for i in range(n):
         for j in range(n):
@@ -123,7 +123,7 @@ def _matchings(points):
 
 def _pf_series_oracle(points, cutoff):
     """The signed perfect-matching sum of raw_mul products of expanded entries."""
-    alpha = correspondence._alphabet_B(points)
+    alpha = VevSpec.standard_B("fermion", points, cutoff).variables
     entries = {}
     for i in range(points):
         for j in range(i + 1, points):
@@ -250,6 +250,9 @@ def test_boson_sweep_matches_composed_vertex_operators(cutoff):
         assert got == _composed_vev(spec), (model, word)
         neutral = model == "B" or word.count("+") == word.count("-")
         assert got.is_zero() == (not neutral or (model == "A" and cutoff == 1)), (model, word)
+        if neutral:
+            product = expand(correspondence._product_form(spec), spec.variables, cutoff)
+            assert got == product, (model, word)
 
 
 # every ordering of phi phi psi psi and the two charged words of 3 fields
@@ -291,9 +294,41 @@ def test_fermion_sweep_matches_composed_modes(cutoff):
         spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
         got = vev_fermion(spec)
         assert got == _composed_fermion_vev(spec), (model, word)
+        assert got == correspondence._wick_series(spec), (model, word)
         # a type A pair has total degree -1, so two pairs leave the box at D=1
         neutral = model == "B" or word.count("phi") == word.count("psi")
         assert got.is_zero() == (not neutral or (model == "A" and cutoff == 1)), (model, word)
+
+
+def test_standard_order_product_misses_the_sign_of_a_reordered_word():
+    # known false: for the word e^alpha(z2) e^alpha(z1) e^alpha(z3) e^alpha(z4)
+    # the product taken in the standard order z1, z2, .. is -K(z2, z1) times
+    # the word-order one, so it expands to -VEV
+    spec = VevSpec("B", "boson", tuple(("+", v) for v in ("z2", "z1", "z3", "z4")), 4)
+    got = vev_boson(spec)
+    standard = expand(closed_form("B", "product", 2), spec.variables, 4)
+    assert len(got.terms) == 65
+    assert got != standard
+    assert got == -standard == expand(correspondence._product_form(spec), spec.variables, 4)
+
+
+@pytest.mark.parametrize("model,side,word,message", [
+    ("C", "fermion", (("phi", "z"),), "unknown model/side"),
+    ("A", "bosons", (("+", "z"),), "unknown model/side"),
+    ("A", "fermion", (("chi", "z"),), "not 'chi'"),
+    ("B", "fermion", (("psi", "z"),), "not 'psi'"),
+    ("A", "boson", (("x", "z"),), "not 'x'"),
+    ("B", "boson", (("phi", "z"),), "not 'phi'"),
+    ("A", "fermion", (("phi", "z"), ("psi", "z")), "variables must be distinct"),
+])
+def test_vev_spec_rejects_bad_input(model, side, word, message):
+    with pytest.raises(ValueError, match=message):
+        VevSpec(model, side, word, 3)
+
+
+def test_standard_word_needs_model_A_or_B():
+    with pytest.raises(ValueError, match="unknown model 'C'"):
+        VevSpec.standard("C", "fermion", 2, 3)
 
 
 def test_analytic_continuation_examples():

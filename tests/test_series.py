@@ -7,9 +7,19 @@ import pytest
 
 from bfcorr.ratfun import RationalFn
 from bfcorr.series import LaurentSeries, expand, raw_mul
+from bfcorr.textio import parse_series
 from conftest import random_ratfun, rf
 
 AL = ("z", "w")
+
+
+def test_series_rejects_a_repeated_variable():
+    with pytest.raises(ValueError, match="ordering repeats a variable"):
+        LaurentSeries(("z", "w", "z"), 3, {(0, 0, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="ordering repeats a variable"):
+        expand(rf("(1) / ((z-w)^1)", ("z", "w")), ("z", "w", "z"), 3)
+    with pytest.raises(ValueError, match="ordering repeats a variable"):
+        parse_series("z^-1 + w", ("z", "w", "z"), 3)
 
 
 def test_expand_geometric():
