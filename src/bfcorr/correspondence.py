@@ -2,13 +2,16 @@
 their Wick and product forms, and the named identity checks.
 
 Both VEV engines apply the word right to left to the vacuum, one field
-per step, keeping each exponent prefix apart.  The fermion sweep runs
-fock's basis-state Clifford actions over the modes of the cutoff box and
-drops the states the fields still to come cannot return to the vacuum;
-the boson sweep runs the annihilation half of each vertex operator on all
-(prefix, state) pairs, sums the results, and only then runs the creation
-half.  Any word has one Wick form, the Pfaffian of its paired two-point
-functions (``_wick_pairs``), and one product form (``_product_form``);
+per step, and keep the exponent prefixes apart.  The fermion sweep holds
+one {prefix: coefficient} table per basis state (a Clifford monomial
+reaches one state, whose grade fixes the prefix sum), runs fock's
+basis-state Clifford actions over the modes of the cutoff box and drops
+the states the fields still to come cannot return to the vacuum; the
+boson sweep holds one {state: coefficient} table per prefix, runs the
+annihilation half of each vertex operator on all (prefix, state) pairs,
+sums the results, and only then runs the creation half.  Any word has
+one Wick form, the Pfaffian of its paired two-point functions
+(``_wick_pairs``), and one product form (``_product_form``);
 the closed forms and the det/Pf series are these for the standard word.
 The series form runs ``matrices.pf_expansion`` on integer entrywise
 expansions (region expansion is a ring homomorphism, and each term of the
@@ -50,6 +53,8 @@ from .fock import (
     _apply_psi_A,
     character_A,
     character_B,
+    degree_B,
+    energy2_A,
 )
 from .matrices import pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
@@ -112,94 +117,56 @@ class VevSpec:
         return (cls.standard_A if model == "A" else cls.standard_B)(side, n, cutoff)
 
 
-def _sweep(word, vacuum, cutoff: int, step_at) -> LaurentSeries:
-    """<0| word |0>: apply the fields right to left to the vacuum and read
-    off the vacuum coefficient of every exponent prefix.
-
-    ``step_at(pos)(entries, den)`` applies the field at ``pos`` to the
-    prefix -> {state: numerator} tables, every numerator over the common
-    denominator ``den``, and returns the new tables and denominator; see
-    ``_propagate``.
-    """
-    entries, den = {(): {vacuum: 1}}, 1
-    for pos in range(len(word) - 1, -1, -1):
-        entries, den = step_at(pos)(entries, den)
-    terms = {tuple(reversed(prefix)): Fraction(smap[vacuum], den)
-             for prefix, smap in entries.items() if vacuum in smap}
-    return LaurentSeries(tuple(v for _, v in word), cutoff, terms)
-
-
-def _prefix_window(prefix, pos: int, cutoff: int) -> Tuple[int, int]:
-    """The exponents the field at ``pos`` may add to ``prefix`` so that the
-    prefix can still complete to a box monomial with ``pos`` fields left."""
-    slack, partial = (pos + 1) * cutoff, sum(prefix)
+def _prefix_window(partial: int, pos: int, cutoff: int) -> Tuple[int, int]:
+    """The exponents the field at ``pos`` may add to a prefix whose
+    exponents sum to ``partial`` so that the prefix can still complete to a
+    box monomial with ``pos`` fields left."""
+    slack = (pos + 1) * cutoff
     return -slack - partial, slack - partial
-
-
-def _propagate(entries, action, pos, cutoff):
-    """One right-to-left word step of ``_sweep`` whose actions have
-    integer coefficients, so the denominator stays as it is.
-
-    ``action(state)`` gives rows of (exponent, new state, integer
-    coefficient); it runs once per distinct state.  Exponents outside
-    ``_prefix_window`` are dropped.  Returns the new tables.
-    """
-    acts = {}
-    for smap in entries.values():
-        for s in smap:
-            if s not in acts:
-                acts[s] = action(s)
-    new: Dict[Tuple[int, ...], Dict] = {}
-    for prefix, smap in entries.items():
-        lo, hi = _prefix_window(prefix, pos, cutoff)
-        for s, c in smap.items():
-            for ze, s2, n2 in acts[s]:
-                if ze < lo or ze > hi:
-                    continue
-                key = prefix + (ze,)
-                d = new.get(key)
-                if d is None:
-                    d = new[key] = {}
-                v = d.get(s2, 0) + c * n2
-                if v:
-                    d[s2] = v
-                else:
-                    del d[s2]
-    return {k: d for k, d in new.items() if d}
 
 
 def vev_fermion(spec: VevSpec) -> LaurentSeries:
     """<0| word |0> as a Laurent series in the word-order expansion region.
 
+    The fields run right to left on the vacuum, over tables {basis state:
+    {exponent prefix: integer coefficient}}.  A Clifford monomial maps a
+    basis state to +-1 or +-2 times one basis state or to 0, so each prefix
+    sits in one state's table and prefixes never merge.  The state's grade
+    fixes the prefix sum: degree_B(s) (type B), or (energy2_A(s) - fields
+    applied) / 2 (type A), so ``_prefix_window`` is taken once per state.
     Each word step runs fock's basis-state action of its field over the
-    modes that a field applied after it can still undo inside the box: a
-    created mode m is removed at exponent -1-m (type A) or -m (type B),
-    which must be >= -cutoff.  A new state is kept only if the fields
-    still to come can remove all of its modes: its phi modes need as many
-    psi fields and its psi modes as many phi fields (type A), its modes
-    as many fields (type B).
+    modes in that window that a field applied after it can still undo
+    inside the box: a created mode m is removed at exponent -1-m (type A)
+    or -m (type B), which must be >= -cutoff.  A new state is kept only if
+    the fields still to come can remove all of its modes: its phi modes
+    need as many psi fields and its psi modes as many phi fields (type A),
+    its modes as many fields (type B).
     """
     if spec.side != "fermion":
         raise ValueError("spec.side must be 'fermion'")
-    D, word = spec.cutoff, spec.word
-
-    def step_at(pos):
-        if spec.model == "A":
+    D, word, is_a = spec.cutoff, spec.word, spec.model == "A"
+    vacuum = VACUUM_A if is_a else VACUUM_B
+    tables = {vacuum: {(): 1}}
+    for pos in range(len(word) - 1, -1, -1):
+        if is_a:
             act = _apply_phi_A if word[pos][0] == "phi" else _apply_psi_A
-            modes = range(D - 1, -D - 1, -1)
+            top, applied = D - 1, len(word) - 1 - pos
             phis_left = sum(1 for t, _ in word[:pos] if t == "phi")
             psis_left = pos - phis_left
+            partial = lambda s: (energy2_A(s) - applied) // 2
             keep = lambda t: len(t.phis) <= psis_left and len(t.psis) <= phis_left
         else:
-            act, modes = _apply_phi_B, range(D, -D - 1, -1)
+            act, top, partial = _apply_phi_B, D, degree_B
             keep = lambda t: len(t.indices) <= pos
-
-        def action(s):
-            return [(m, t, c) for m in modes for t, c in act(m, s) if keep(t)]
-
-        return lambda entries, den: (_propagate(entries, action, pos, D), den)
-
-    return _sweep(word, VACUUM_A if spec.model == "A" else VACUUM_B, D, step_at)
+        new: Dict = {}
+        for s, prefixes in tables.items():
+            lo, hi = _prefix_window(partial(s), pos, D)
+            for m in range(min(hi, top), max(lo, -D) - 1, -1):
+                for t, c in act(m, s):
+                    if keep(t):
+                        new.setdefault(t, {}).update({(m,) + p: c * v for p, v in prefixes.items()})
+        tables = new
+    return LaurentSeries(spec.variables, D, tables.get(vacuum))
 
 
 def vev_boson(spec: VevSpec) -> LaurentSeries:
@@ -235,24 +202,22 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
         absorbs.append(D + (sign * q if spec.model == "A" else 0))
         q += sign
 
-    def step_at(pos):
+    vacuum = BOSON_VACUUM_A if spec.model == "A" else BOSON_VACUUM_B
+    entries, den = {(): {vacuum: 1}}, 1  # prefix -> {state: numerator over den}
+    for pos in range(len(word) - 1, -1, -1):
         sign = 1 if word[pos][0] == "+" else -1
         op = vertex_op_A(sign) if spec.model == "A" else vertex_op_B(sign)
         wmax = sum(absorbs[len(word) - pos:])
-
-        def step(entries, den):
-            d1, lowered = annihilate(op, [(prefix, s, c) for prefix, smap in entries.items()
-                                          for s, c in smap.items()], wmax)
-            windows = {}
-            for prefix in entries:
-                lo, hi = _prefix_window(prefix, pos, D)
-                windows[prefix] = max(lo, -D), min(hi, D)
-            d2, out = create(op, lowered, windows.__getitem__, wmax)
-            return {prefix + (ze,): d for (prefix, ze), d in out.items() if d}, den * d1 * d2
-
-        return step
-
-    return _sweep(word, BOSON_VACUUM_A if spec.model == "A" else BOSON_VACUUM_B, D, step_at)
+        d1, lowered = annihilate(op, [(prefix, s, c) for prefix, smap in entries.items()
+                                      for s, c in smap.items()], wmax)
+        windows = {}
+        for prefix in entries:
+            lo, hi = _prefix_window(sum(prefix), pos, D)
+            windows[prefix] = max(lo, -D), min(hi, D)
+        d2, out = create(op, lowered, windows.__getitem__, wmax)
+        entries, den = {(ze,) + prefix: d for (prefix, ze), d in out.items() if d}, den * d1 * d2
+    terms = {prefix: Fraction(smap[vacuum], den) for prefix, smap in entries.items() if vacuum in smap}
+    return LaurentSeries(spec.variables, D, terms)
 
 
 def vev(spec: VevSpec) -> LaurentSeries:

@@ -156,8 +156,8 @@ def _parse_terms(tk: _Tokens, names_seen: list) -> Dict[Tuple[str, int], Rat]:
             have_coeff = True
             if tk.accept("sym", "/"):
                 k2, v2 = tk.next()
-                if k2 != "num":
-                    raise ValueError("expected denominator digits")
+                if k2 != "num" or v2 == 0:
+                    raise ValueError("expected a nonzero integer denominator")
                 coeff /= v2
         factors: Dict[str, int] = {}
         need_name = False
@@ -185,15 +185,21 @@ def _parse_terms(tk: _Tokens, names_seen: list) -> Dict[Tuple[str, int], Rat]:
         first = False
 
 
+def _position(idx: Dict[str, int], name: str) -> int:
+    """The index of ``name`` in the alphabet ``idx``; a name outside it
+    raises ValueError."""
+    if name not in idx:
+        raise ValueError(f"unknown variable {name}")
+    return idx[name]
+
+
 def _terms_to_poly(terms, alphabet) -> MultiPoly:
     idx = {name: k for k, name in enumerate(alphabet)}
     tmap = {}
     for key, coeff in terms.items():
         e = [0] * len(alphabet)
         for name, k in key:
-            if name not in idx:
-                raise ValueError(f"unknown variable {name}")
-            e[idx[name]] += k
+            e[_position(idx, name)] += k
         if any(x < 0 for x in e):
             raise ValueError("negative exponent in a polynomial")
         e = tuple(e)
@@ -264,12 +270,13 @@ def parse_rational(text: str, alphabet=None) -> RationalFn:
     den: Dict[PoleFactor, int] = {}
     sign = Rat(1)
     for (name1, op, name2), e in den_atoms:
+        i = _position(idx, name1)
         if op is None:
-            atom = var_factor(idx[name1])
+            atom = var_factor(i)
         elif op == "+":
-            atom = sum_factor(idx[name1], idx[name2])
+            atom = sum_factor(i, _position(idx, name2))
         else:
-            atom, s = diff_factor(idx[name1], idx[name2])
+            atom, s = diff_factor(i, _position(idx, name2))
             sign *= Rat(s) ** e
         den[atom] = den.get(atom, 0) + e
     return RationalFn(num.scale(sign), den)
@@ -287,9 +294,7 @@ def parse_series(text: str, ordering, cutoff: int) -> LaurentSeries:
     for key, coeff in terms.items():
         e = [0] * len(ordering)
         for name, k in key:
-            if name not in idx:
-                raise ValueError(f"unknown variable {name}")
-            e[idx[name]] += k
+            e[_position(idx, name)] += k
         e = tuple(e)
         tmap[e] = tmap.get(e, Rat(0)) + coeff
     return LaurentSeries(ordering, cutoff, tmap)

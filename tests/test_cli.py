@@ -103,6 +103,19 @@ def test_expand_rejects_a_repeated_variable(capsys):
     assert "ordering repeats a variable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr, order, name", [
+    ("(1) / ((z-w)^1)", "z", "w"),
+    ("(1) / ((z+w)^1)", "z", "w"),
+    ("(1) / ((q)^1)", "z,w", "q"),
+])
+def test_expand_rejects_a_pole_variable_outside_the_ordering(capsys, expr, order, name):
+    # each pole atom (difference, sum, single variable) used to raise KeyError
+    code, out = run_cli("expand", "--expr", expr, "--order", order, "--cutoff", "3")
+    assert code == 2
+    assert out == ""
+    assert f"unknown variable {name}" in capsys.readouterr().err
+
+
 def test_character_command():
     code, out = run_cli("character", "--model", "B", "--max", "6")
     assert code == 0

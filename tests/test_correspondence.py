@@ -300,6 +300,25 @@ def test_fermion_sweep_matches_composed_modes(cutoff):
         assert got.is_zero() == (not neutral or (model == "A" and cutoff == 1)), (model, word)
 
 
+# longer words: the composed oracle is cheap only for 6 type B points at
+# D=1 (the 3-pair type A words take about 40 s there), so the rest are
+# checked against the Wick form alone
+_LONG_FERMION_WORDS = [("B", ("phi",) * 6, range(1, 5)),
+                       ("A", ("phi", "psi") * 3, range(3, 5)),
+                       ("A", ("psi", "psi", "phi", "phi", "psi", "phi"), range(3, 5))]
+
+
+@pytest.mark.parametrize("model, word, cutoffs", _LONG_FERMION_WORDS)
+def test_fermion_sweep_matches_wick_form_on_six_fields(model, word, cutoffs):
+    for cutoff in cutoffs:
+        spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
+        got = vev_fermion(spec)
+        assert not got.is_zero(), cutoff
+        assert got == correspondence._wick_series(spec), cutoff
+        if model == "B" and cutoff == 1:
+            assert got == _composed_fermion_vev(spec)
+
+
 def test_standard_order_product_misses_the_sign_of_a_reordered_word():
     # known false: for the word e^alpha(z2) e^alpha(z1) e^alpha(z3) e^alpha(z4)
     # the product taken in the standard order z1, z2, .. is -K(z2, z1) times

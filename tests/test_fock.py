@@ -98,6 +98,36 @@ def test_mode_application_is_degree_homogeneous():
                 assert degree_B(s2) == d + n
 
 
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_a_mode_monomial_maps_the_vacuum_to_one_graded_state(model):
+    # the fermion VEV sweep keeps one table per basis state and takes each
+    # prefix window from the state's grade; this is the fact it rests on:
+    # every Clifford monomial of length <= 4 with modes in [-3, 3] sends the
+    # vacuum to 0 or to a multiple of one basis state, whose grade is fixed
+    # by the modes: degree_B = their sum (B), energy2_A = 2 * sum + length (A)
+    kinds = ("phi", "psi") if model == "A" else ("phi",)
+    level = {(): FockVector.basis(VACUUM_A if model == "A" else VACUUM_B)}
+    for length in range(1, 5):
+        nxt = {}
+        for word, v in level.items():
+            for kind in kinds:
+                for m in range(-3, 4):
+                    out = apply_mode_A(kind, m, v) if model == "A" else apply_mode_B(m, v)
+                    if out.is_zero():  # and so is every longer monomial ending in it
+                        continue
+                    assert len(out.terms) == 1, (kind, m, word)
+                    (state, c), = out.terms.items()
+                    assert c.denominator == 1
+                    total = m + sum(n for _, n in word)
+                    if model == "A":
+                        assert energy2_A(state) == 2 * total + length
+                    else:
+                        assert degree_B(state) == total
+                    nxt[((kind, m),) + word] = out
+        level = nxt
+        assert level  # some monomial of each length survives
+
+
 def test_reduction_is_confluent_under_adjacent_swaps():
     # x_m x_n = [x_m, x_n]_+ - x_n x_m: applying a random word directly
     # must agree with applying it with one adjacent pair swapped plus the

@@ -1,9 +1,12 @@
 """Lossless round trips for the textual serialization."""
 
 import random
+from contextlib import suppress
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, diff_factor, sum_factor, var_factor
@@ -94,3 +97,24 @@ def test_parse_rejects_garbage():
         parse_poly("z1 w1", AL)
     with pytest.raises(ValueError):
         parse_poly("q5", AL)
+
+
+def test_parse_rejects_a_zero_coefficient_denominator():
+    with pytest.raises(ValueError):
+        parse_series("1/0*z1", AL, 3)
+    with pytest.raises(ValueError):
+        parse_rational("(1/0) / ((z1-w1)^1)", AL)
+
+
+# arbitrary text, and text over the grammar's own characters so that most
+# examples get past the tokenizer
+_TEXT = st.text(max_size=30) | st.text(alphabet=" ()+-*/^0123456789z1wq_", max_size=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_TEXT, alphabet=st.sampled_from([None, AL]))
+def test_parsers_return_or_raise_value_error(text, alphabet):
+    with suppress(ValueError):
+        parse_rational(text, alphabet)
+    with suppress(ValueError):
+        parse_series(text, AL, 3)
