@@ -134,19 +134,19 @@ def _creation_table(weight: int, odd: bool) -> Tuple[Tuple[Monomial, int, int], 
                  for comp in _weighted_compositions(weight, parts))
 
 
-def _lowering_table(mon: Monomial, scale: int):
-    """exp(-sum_n (scale/n) d/dx_n z^-n) on ``mon``, up to the sign.
+def _lowering_table(mon: Monomial, factor: int):
+    """exp(factor * sum_n (1/n) d/dx_n z^-n) on ``mon``.
 
     Returns (prod_n n^e_n, rows): one row (z-exponent, lowered monomial,
-    weight, parity of the number of derivatives) per choice of l_n <= e_n;
-    the coefficient of the row is weight / prod_n n^e_n, weight =
-    prod_n C(e_n, l_n) scale^l_n n^(e_n - l_n).
+    weight) per choice of l_n <= e_n; the coefficient of the row is
+    weight / prod_n n^e_n, weight = prod_n C(e_n, l_n) factor^l_n
+    n^(e_n - l_n).
     """
-    rows = [(0, (), 1, 0)]
+    rows = [(0, (), 1)]
     for n, e in reversed(mon):
         rows = [(zl - n * l, ((n, e - l),) + low if l < e else low,
-                 w * comb(e, l) * scale ** l * n ** (e - l), odd ^ (l & 1))
-                for zl, low, w, odd in rows for l in range(e + 1)]
+                 w * comb(e, l) * factor ** l * n ** (e - l))
+                for zl, low, w in rows for l in range(e + 1)]
     return prod(n ** e for n, e in mon), tuple(rows)
 
 
@@ -160,43 +160,43 @@ def _mon_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class Vertex(NamedTuple):
-    """One vertex operator, z^shift * exp(sum x_n z^n) exp(-sum (scale/n)
-    d/dx_n z^-n) after a label change, n odd when ``odd``.
+    """One vertex operator, z^shift * exp(sign * sum x_n z^n)
+    exp(-sign * sum (scale/n) d/dx_n z^-n) after a label change, n odd
+    when ``odd``.
 
     ``split(state)`` gives (shift, new label) and ``make(label, monomial)``
-    the output state.  A term carries the sign low_sign^(derivatives) *
-    part_sign^(created parts) * ze_sign^(z-exponent).  See vertex_A and
-    vertex_B; ``annihilate`` and ``create`` are its two halves.
+    the output state.  See vertex_A and vertex_B; ``vertex_terms`` applies
+    it.
     """
 
     split: Callable
     make: Callable
     odd: bool
     scale: int
-    low_sign: int
-    part_sign: int
-    ze_sign: int
+    sign: int
 
 
-def annihilate(op: Vertex, terms, wmax: int | None) -> Tuple[int, Dict]:
-    """The charge factor and annihilation exponential of ``op`` on a list
-    of terms (key, state, integer numerator), summed per key and (z-exponent,
-    new label, lowered monomial, its weight).  Lowered monomials of weight
-    above ``wmax`` are dropped: the creation half only adds weight.
+def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None) -> Tuple[int, Dict]:
+    """``op`` on a list of terms (key, state, integer numerator), per key
+    and z-exponent in [-cutoff, cutoff], keeping output monomials of weight
+    <= wmax (None: no cap).
 
-    Returns (d, lowered): ``lowered`` maps (key, (z-exponent, label,
-    lowered monomial, weight)) to an integer numerator over d times the
-    common denominator of ``terms``, d the lcm of prod_n n^e_n over the
-    distinct monomials.
+    The charge factor and annihilation exponential run first, and their
+    rows are summed per key and (z-exponent, new label, lowered monomial,
+    its weight); lowered monomials above ``wmax`` are dropped, since the
+    creation exponential only adds weight.  The creation exponential then
+    runs once per sum.  Returns (d, out): ``out`` maps (key, z-exponent) to
+    {state: integer numerator} over d times the common denominator of
+    ``terms``.  A bucket may be empty.
     """
+    factor = -op.sign * op.scale
     tables = {}
     for _, s, _ in terms:
         if s.mon not in tables:
-            tables[s.mon] = _lowering_table(s.mon, op.scale)
+            tables[s.mon] = _lowering_table(s.mon, factor)
     d = lcm(*(den for den, _ in tables.values()))
-    negate = op.low_sign < 0
     rows_of = {}  # state -> ((z-exponent, label, lowered monomial, weight), numerator over d)
-    out: Dict[tuple, int] = {}
+    lowered: Dict[tuple, int] = {}
     for key, s, c in terms:
         rows = rows_of.get(s)
         if rows is None:
@@ -204,51 +204,38 @@ def annihilate(op: Vertex, terms, wmax: int | None) -> Tuple[int, Dict]:
             den, table = tables[s.mon]
             g = d // den
             w0 = mon_weight(s.mon)
-            rows = rows_of[s] = [
-                ((shift + zl, label, mon1, w0 + zl), -g * w if low_odd and negate else g * w)
-                for zl, mon1, w, low_odd in table if wmax is None or w0 + zl <= wmax]
+            rows = rows_of[s] = [((shift + zl, label, mon1, w0 + zl), g * w)
+                                 for zl, mon1, w in table if wmax is None or w0 + zl <= wmax]
         for low, w in rows:
             k = (key, low)
-            v = out.get(k, 0) + c * w
+            v = lowered.get(k, 0) + c * w
             if v:
-                out[k] = v
+                lowered[k] = v
             else:
-                del out[k]
-    return d, out
+                del lowered[k]
 
-
-def create(op: Vertex, lowered: Dict, window: Callable, wmax: int | None) -> Tuple[int, Dict]:
-    """The creation exponential of ``op`` on ``lowered`` (as ``annihilate``
-    returns it), keeping z-exponents in window(key) = (lo, hi) and output
-    monomials of weight <= wmax (None: no cap).
-
-    Returns (d, out): ``out`` maps (key, z-exponent) to {state: integer
-    numerator} over d times the denominator of ``lowered``, d = jmax! for
-    the largest created weight jmax.  A bucket may be empty.
-    """
+    # a created part of weight j moves z1 to z1 + j, which must stay in the box
     spans, jmax = [], 0
     for (key, (z1, label, mon1, w1)), g in lowered.items():
-        lo, hi = window(key)
-        top = hi - z1 if wmax is None else min(hi - z1, wmax - w1)
-        bottom = max(0, lo - z1)
+        top = cutoff - z1 if wmax is None else min(cutoff - z1, wmax - w1)
+        bottom = max(0, -cutoff - z1)
         if bottom <= top:
             spans.append((key, z1, label, mon1, g, bottom, top))
             jmax = max(jmax, top)
     over = [factorial(jmax) // factorial(j) for j in range(jmax + 1)]
-    make, odd, part_sign, negate = op.make, op.odd, op.part_sign, op.ze_sign < 0
+    make, odd, sign = op.make, op.odd, op.sign
     raised = {}  # (label, lowered monomial, j) -> rows (state, signed r)
     out: Dict[tuple, dict] = {}
     for key, z1, label, mon1, g, bottom, top in spans:
         for j in range(bottom, top + 1):
-            ze = z1 + j
-            f = -g * over[j] if ze & 1 and negate else g * over[j]
-            bucket = out.get((key, ze))
+            f = g * over[j]
+            bucket = out.get((key, z1 + j))
             if bucket is None:
-                bucket = out[key, ze] = {}
+                bucket = out[key, z1 + j] = {}
             rows = raised.get((label, mon1, j))
             if rows is None:
                 rows = raised[label, mon1, j] = [
-                    (make(label, _mon_mul(mon1, mon2)), part_sign * r if parts_odd else r)
+                    (make(label, _mon_mul(mon1, mon2)), sign * r if parts_odd else r)
                     for mon2, parts_odd, r in _creation_table(j, odd)]
             for state, r in rows:
                 v = bucket.get(state, 0) + f * r
@@ -256,31 +243,30 @@ def create(op: Vertex, lowered: Dict, window: Callable, wmax: int | None) -> Tup
                     bucket[state] = v
                 else:
                     del bucket[state]
-    return over[0], out
+    return d * over[0], out
 
 
 def vertex_op_A(sign: int) -> Vertex:
     """e^{sign*alpha}(z); see vertex_A."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return Vertex(lambda s: (sign * s.charge, s.charge + sign), BosonStateA, False, 1, -sign, sign, 1)
+    return Vertex(lambda s: (sign * s.charge, s.charge + sign), BosonStateA, False, 1, sign)
 
 
-def vertex_op_B(arg_sign: int) -> Vertex:
-    """e^alpha(arg_sign*z); see vertex_B."""
-    if arg_sign not in (1, -1):
-        raise ValueError("arg_sign must be +1 or -1")
-    return Vertex(lambda s: (0, 1 - s.parity), BosonStateB, True, 2, -1, 1, arg_sign)
+def vertex_op_B(sign: int) -> Vertex:
+    """e^alpha(sign*z); see vertex_B."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return Vertex(lambda s: (0, 1 - s.parity), BosonStateB, True, 2, sign)
 
 
 def _apply(op: Vertex, v: FockVector, cutoff: int, wmax: int | None) -> Dict[int, FockVector]:
     """``op`` on v per z-exponent in [-cutoff, cutoff], over one common
     denominator."""
     den = lcm(*(c.denominator for c in v.terms.values()))
-    terms = [((), s, c.numerator * (den // c.denominator)) for s, c in v.items()]
-    d1, lowered = annihilate(op, terms, wmax)
-    d2, out = create(op, lowered, lambda _: (-cutoff, cutoff), wmax)
-    den *= d1 * d2
+    d, out = vertex_terms(op, [((), s, c.numerator * (den // c.denominator)) for s, c in v.items()],
+                          cutoff, wmax)
+    den *= d
     result: Dict[int, FockVector] = {}
     for (_, ze), bucket in out.items():
         if bucket:
@@ -307,7 +293,8 @@ def vertex_B(arg_sign: int, v: FockVector, cutoff: int, wmax: int | None = None)
 
     Right-to-left: e^alpha flips the parity (e^{2alpha} = 1), then the
     annihilation exponential exp(-sum_k h_{2k+1}/(k+1/2) z^{-2k-1}) acting
-    as exp(-sum_m (2/m) d/dx_m z^-m), then the creation exponential
-    exp(sum_m x_m z^m), odd m throughout.
+    as exp(-sign*sum_m (2/m) d/dx_m z^-m), then the creation exponential
+    exp(sign*sum_m x_m z^m), odd m throughout, with sign = arg_sign: every
+    exponent is odd, so z -> -z negates both sums.
     """
     return _apply(vertex_op_B(arg_sign), v, cutoff, wmax)

@@ -4,14 +4,14 @@ their Wick and product forms, and the named identity checks.
 Both VEV engines apply the word right to left to the vacuum, one field
 per step, and keep the exponent prefixes apart.  The fermion sweep holds
 one {prefix: coefficient} table per basis state (a Clifford monomial
-reaches one state, whose grade fixes the prefix sum), runs fock's
-basis-state Clifford actions over the modes of the cutoff box and drops
-the states the fields still to come cannot return to the vacuum; the
-boson sweep holds one {state: coefficient} table per prefix, runs the
-annihilation half of each vertex operator on all (prefix, state) pairs,
-sums the results, and only then runs the creation half.  Any word has
-one Wick form, the Pfaffian of its paired two-point functions
-(``_wick_pairs``), and one product form (``_product_form``);
+reaches one state, so prefixes never merge), runs fock's basis-state
+Clifford actions over the modes of the cutoff box and drops the states
+the fields still to come cannot return to the vacuum; the boson sweep
+holds one {state: coefficient} table per prefix and runs each vertex
+operator on all (prefix, state) pairs at once (``boson.vertex_terms``,
+which sums the annihilation half's results before the creation half
+runs).  Any word has one Wick form, the Pfaffian of its paired two-point
+functions (``_wick_pairs``), and one product form (``_product_form``);
 the closed forms and the det/Pf series are these for the standard word.
 The series form runs ``matrices.pf_expansion`` on integer entrywise
 expansions (region expansion is a ring homomorphism, and each term of the
@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 # vertex_A is bound here only for the benchmark's tracer test
 # (perfbench/test_perfbench.py), which looks for it in this module
-from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B, annihilate, create, vertex_A, vertex_op_A, vertex_op_B
+from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B, vertex_A, vertex_op_A, vertex_op_B, vertex_terms
 from .fields import (
     act_hopf,
     graded_basis,
@@ -53,8 +53,6 @@ from .fock import (
     _apply_psi_A,
     character_A,
     character_B,
-    degree_B,
-    energy2_A,
 )
 from .matrices import pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
@@ -117,30 +115,21 @@ class VevSpec:
         return (cls.standard_A if model == "A" else cls.standard_B)(side, n, cutoff)
 
 
-def _prefix_window(partial: int, pos: int, cutoff: int) -> Tuple[int, int]:
-    """The exponents the field at ``pos`` may add to a prefix whose
-    exponents sum to ``partial`` so that the prefix can still complete to a
-    box monomial with ``pos`` fields left."""
-    slack = (pos + 1) * cutoff
-    return -slack - partial, slack - partial
-
-
 def vev_fermion(spec: VevSpec) -> LaurentSeries:
     """<0| word |0> as a Laurent series in the word-order expansion region.
 
     The fields run right to left on the vacuum, over tables {basis state:
     {exponent prefix: integer coefficient}}.  A Clifford monomial maps a
     basis state to +-1 or +-2 times one basis state or to 0, so each prefix
-    sits in one state's table and prefixes never merge.  The state's grade
-    fixes the prefix sum: degree_B(s) (type B), or (energy2_A(s) - fields
-    applied) / 2 (type A), so ``_prefix_window`` is taken once per state.
-    Each word step runs fock's basis-state action of its field over the
-    modes in that window that a field applied after it can still undo
-    inside the box: a created mode m is removed at exponent -1-m (type A)
-    or -m (type B), which must be >= -cutoff.  A new state is kept only if
-    the fields still to come can remove all of its modes: its phi modes
-    need as many psi fields and its psi modes as many phi fields (type A),
-    its modes as many fields (type B).
+    sits in one state's table and prefixes never merge.  Each word step
+    runs fock's basis-state action of its field over the modes that a field
+    applied after it can still undo inside the box: a created mode m is
+    removed at exponent -1-m (type A) or -m (type B), which must be >=
+    -cutoff, so the modes run from cutoff-1 (A) or cutoff (B) down to
+    -cutoff.  A new state is kept only if the fields still to come can
+    remove all of its modes: its phi modes need as many psi fields and its
+    psi modes as many phi fields (type A), its modes as many fields (type
+    B).
     """
     if spec.side != "fermion":
         raise ValueError("spec.side must be 'fermion'")
@@ -150,18 +139,16 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
     for pos in range(len(word) - 1, -1, -1):
         if is_a:
             act = _apply_phi_A if word[pos][0] == "phi" else _apply_psi_A
-            top, applied = D - 1, len(word) - 1 - pos
+            top = D - 1
             phis_left = sum(1 for t, _ in word[:pos] if t == "phi")
             psis_left = pos - phis_left
-            partial = lambda s: (energy2_A(s) - applied) // 2
             keep = lambda t: len(t.phis) <= psis_left and len(t.psis) <= phis_left
         else:
-            act, top, partial = _apply_phi_B, D, degree_B
+            act, top = _apply_phi_B, D
             keep = lambda t: len(t.indices) <= pos
         new: Dict = {}
         for s, prefixes in tables.items():
-            lo, hi = _prefix_window(partial(s), pos, D)
-            for m in range(min(hi, top), max(lo, -D) - 1, -1):
+            for m in range(top, -D - 1, -1):
                 for t, c in act(m, s):
                     if keep(t):
                         new.setdefault(t, {}).update({(m,) + p: c * v for p, v in prefixes.items()})
@@ -186,10 +173,10 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
     """The VEV behind ``vev_boson``; the last few specs stay cached, since
     checks such as product-formula and vev-match ask for the same one.
 
-    Each word step runs the two halves of the vertex operator on all
-    (prefix, state) pairs at once: the annihilation half is summed per
-    (prefix, z-exponent, label, lowered monomial) before the creation half
-    runs, inside the prefix window and the weight cap.
+    Each word step runs ``vertex_terms`` on all (prefix, state) pairs at
+    once: the annihilation half is summed per (prefix, z-exponent, label,
+    lowered monomial) before the creation half runs, inside the cutoff box
+    and the weight cap.
     """
     D, word = spec.cutoff, spec.word
     # net weight one operator can absorb: its exponent, shift + created -
@@ -208,14 +195,9 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
         sign = 1 if word[pos][0] == "+" else -1
         op = vertex_op_A(sign) if spec.model == "A" else vertex_op_B(sign)
         wmax = sum(absorbs[len(word) - pos:])
-        d1, lowered = annihilate(op, [(prefix, s, c) for prefix, smap in entries.items()
-                                      for s, c in smap.items()], wmax)
-        windows = {}
-        for prefix in entries:
-            lo, hi = _prefix_window(sum(prefix), pos, D)
-            windows[prefix] = max(lo, -D), min(hi, D)
-        d2, out = create(op, lowered, windows.__getitem__, wmax)
-        entries, den = {(ze,) + prefix: d for (prefix, ze), d in out.items() if d}, den * d1 * d2
+        d, out = vertex_terms(op, [(prefix, s, c) for prefix, smap in entries.items()
+                                   for s, c in smap.items()], D, wmax)
+        entries, den = {(ze,) + prefix: b for (prefix, ze), b in out.items() if b}, den * d
     terms = {prefix: Fraction(smap[vacuum], den) for prefix, smap in entries.items() if vacuum in smap}
     return LaurentSeries(spec.variables, D, terms)
 

@@ -31,10 +31,6 @@ VACUUM_A = FermionStateA((), ())
 VACUUM_B = FermionStateB(())
 
 
-def charge_A(s: FermionStateA) -> int:
-    return len(s.phis) - len(s.psis)
-
-
 def energy2_A(s: FermionStateA) -> int:
     """Doubled energy: deg phi_n = deg psi_n = n + 1/2."""
     return sum(2 * m + 1 for m in s.phis) + sum(2 * n + 1 for n in s.psis)
@@ -244,19 +240,40 @@ def _strict_lists(budget: int, top: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def _strict_lists_of_length(length: int, budget: int, top: int) -> List[Tuple[int, ...]]:
+    """The tuples of ``_strict_lists(budget, top)`` with ``length`` parts, in
+    its order.  L parts cost at least L^2 (the parts L-1, .., 0), which
+    bounds the first part and prunes the search."""
+    if length == 0:
+        return [()]
+    rest = length - 1
+    out = []
+    for first in range(min(top, (budget - rest * rest - 1) // 2), rest - 1, -1):
+        for tail in _strict_lists_of_length(rest, budget - (2 * first + 1), first - 1):
+            out.append((first,) + tail)
+    return out
+
+
 def states_A(max_energy2: int, charge=None) -> List[FermionStateA]:
-    """All type A basis states with energy2 <= max_energy2 (optionally fixed charge)."""
+    """All type A basis states with energy2 <= max_energy2 (optionally fixed
+    charge).  A charge sector is enumerated directly: k phis and k - charge
+    psis cost at least k^2 + (k - charge)^2."""
     if max_energy2 < 0:
         return []
     top = (max_energy2 - 1) // 2 if max_energy2 >= 1 else -1
-    parts = _strict_lists(max_energy2, top)
     out = []
-    for phis in parts:
-        e1 = sum(2 * m + 1 for m in phis)
-        for psis in _strict_lists(max_energy2 - e1, top):
-            s = FermionStateA(phis, psis)
-            if charge is None or charge_A(s) == charge:
-                out.append(s)
+    if charge is None:
+        for phis in _strict_lists(max_energy2, top):
+            e1 = sum(2 * m + 1 for m in phis)
+            out.extend(FermionStateA(phis, psis) for psis in _strict_lists(max_energy2 - e1, top))
+        return out
+    k = max(0, charge)
+    while k * k + (k - charge) ** 2 <= max_energy2:
+        for phis in _strict_lists_of_length(k, max_energy2 - (k - charge) ** 2, top):
+            e1 = sum(2 * m + 1 for m in phis)
+            out.extend(FermionStateA(phis, psis)
+                       for psis in _strict_lists_of_length(k - charge, max_energy2 - e1, top))
+        k += 1
     return out
 
 

@@ -193,17 +193,24 @@ def _position(idx: Dict[str, int], name: str) -> int:
     return idx[name]
 
 
-def _terms_to_poly(terms, alphabet) -> MultiPoly:
+def _exponents(terms, alphabet) -> Dict[Tuple[int, ...], Rat]:
+    """Parsed terms as {exponent tuple over ``alphabet``: coefficient}; a
+    name outside the alphabet raises ValueError."""
     idx = {name: k for k, name in enumerate(alphabet)}
-    tmap = {}
+    tmap: Dict = {}
     for key, coeff in terms.items():
         e = [0] * len(alphabet)
         for name, k in key:
             e[_position(idx, name)] += k
-        if any(x < 0 for x in e):
-            raise ValueError("negative exponent in a polynomial")
         e = tuple(e)
         tmap[e] = tmap.get(e, Rat(0)) + coeff
+    return tmap
+
+
+def _terms_to_poly(terms, alphabet) -> MultiPoly:
+    tmap = _exponents(terms, alphabet)
+    if any(x < 0 for e in tmap for x in e):
+        raise ValueError("negative exponent in a polynomial")
     return MultiPoly(alphabet, tmap)
 
 
@@ -289,15 +296,7 @@ def parse_series(text: str, ordering, cutoff: int) -> LaurentSeries:
     if not tk.done():
         raise ValueError("trailing input after series")
     ordering = tuple(ordering)
-    idx = {name: k for k, name in enumerate(ordering)}
-    tmap: Dict = {}
-    for key, coeff in terms.items():
-        e = [0] * len(ordering)
-        for name, k in key:
-            e[_position(idx, name)] += k
-        e = tuple(e)
-        tmap[e] = tmap.get(e, Rat(0)) + coeff
-    return LaurentSeries(ordering, cutoff, tmap)
+    return LaurentSeries(ordering, cutoff, _exponents(terms, ordering))
 
 
 def _split_top_level(text: str):

@@ -5,10 +5,12 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfcorr.cli import main
 
@@ -343,3 +345,55 @@ def test_quick_is_silent_when_it_keeps_the_cutoff(argv, monkeypatch, capsys):
     code, _ = run_cli("verify", "det-formula", "--model", "A", "--quick", *argv)
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+# generated argv for expand, vev and character, at small sizes: numbers in
+# expressions are single tokens 0..3 (joined by spaces, so they never grow
+# into a large exponent), cutoff <= 4, points <= 4, --max <= 6
+_VARS = ("z", "w", "u")
+_TOKENS = _VARS + ("0", "1", "2", "3", "^", "*", "/", "+", "-", "(", ")")
+_ATOM = st.builds(lambda a, op, b, e: f"({a}{op}{b})^{e}" if op else f"({a})^{e}",
+                  st.sampled_from(_VARS), st.sampled_from(["", "-", "+"]),
+                  st.sampled_from(_VARS), st.integers(1, 3))
+_TERM = st.builds(lambda c, v, e: f"{c}*{v}^{e}", st.sampled_from(["1", "-2", "3/2", "0"]),
+                  st.sampled_from(_VARS), st.integers(0, 3))
+_WELL_FORMED = st.builds(lambda terms, atoms: f"({' + '.join(terms)}) / ({' '.join(atoms)})",
+                         st.lists(_TERM, min_size=1, max_size=3), st.lists(_ATOM, min_size=1, max_size=3))
+_EXPR = _WELL_FORMED | st.lists(st.sampled_from(_TOKENS), max_size=14).map(" ".join)
+_ORDER = (st.permutations(_VARS) | st.lists(st.sampled_from(_VARS + ("",)), max_size=4)).map(",".join)
+
+
+def _given(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+def _option(name, values):
+    return st.just([]) | _given(name, values)
+
+
+def _command(name, *options):
+    return st.tuples(*options).map(lambda opts: [name] + [x for opt in opts for x in opt])
+
+
+# --cutoff is always given: at the default, 10, 4 type A pairs take minutes
+_COMMON = (_given("--cutoff", st.integers(-1, 4)), _option("--format", st.sampled_from(["text", "json"])),
+           st.sampled_from([[], ["--no-timing"]]))
+_ARGV = st.one_of(
+    _command("expand", _given("--expr", _EXPR), _given("--order", _ORDER), *_COMMON),
+    _command("vev", _given("--model", st.sampled_from("AB")), _given("--side", st.sampled_from(["fermion", "boson"])),
+             _given("--points", st.integers(-1, 4)), *_COMMON),
+    _command("character", _given("--model", st.sampled_from("AB")), _option("--charge", st.integers(-20, 20)),
+             _option("--max", st.integers(-1, 6)), *_COMMON),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+def test_generated_commands_exit_0_1_or_2(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())

@@ -190,8 +190,9 @@ def test_product_formula_B_2n4_small_cutoff():
 @pytest.mark.parametrize("side", ["fermion", "boson"])
 @pytest.mark.parametrize("model,size,cutoff", [("A", 1, 5), ("A", 2, 5), ("B", 2, 6), ("B", 4, 6)])
 def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
-    # the pruning bounds (wmax in _boson_series, the prefix window) must
-    # only drop terms outside the box: a smaller cutoff is a restriction
+    # the pruning bounds (wmax in _boson_series, the fermion sweep's mode
+    # range and kept states) must only drop terms outside the box: a
+    # smaller cutoff is a restriction
     spec = VevSpec.standard_A if model == "A" else VevSpec.standard_B
     full = vev(spec(side, size, cutoff))
     assert not full.is_zero()
@@ -202,12 +203,12 @@ def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
 def test_boson_vev_is_computed_once_per_spec(monkeypatch):
     calls = []
 
-    def counted(op, terms, wmax):
+    def counted(op, terms, cutoff, wmax):
         calls.append(op)
-        return annihilate(op, terms, wmax)
+        return vertex_terms(op, terms, cutoff, wmax)
 
-    annihilate = correspondence.annihilate
-    monkeypatch.setattr(correspondence, "annihilate", counted)
+    vertex_terms = correspondence.vertex_terms
+    monkeypatch.setattr(correspondence, "vertex_terms", counted)
     spec = VevSpec("A", "boson", (("+", "a"), ("-", "b")), 3)
     first = vev_boson(spec)
     assert calls
@@ -227,9 +228,10 @@ _ORACLE_WORDS = ([("A", w) for w in sorted(set(permutations("++--")))]
 
 def _composed_vev(spec):
     """<0| word |0> by composing vertex_A/vertex_B on FockVectors from the
-    right, one vector per exponent tuple, with no weight cap or exponent
-    window.  The leftmost operator runs with wmax=0: only its weight-0
-    part can hold the vacuum coefficient read off at the end."""
+    right, one vector per exponent tuple, each operator over its whole
+    z-range [-D, D] with no weight cap.  The leftmost operator runs with
+    wmax=0: only its weight-0 part can hold the vacuum coefficient read
+    off at the end."""
     vertex, vacuum = (vertex_A, BOSON_VACUUM_A) if spec.model == "A" else (vertex_B, BOSON_VACUUM_B)
     vecs = {(): FockVector.basis(vacuum)}
     for k, (sym, _) in enumerate(reversed(spec.word)):
@@ -242,8 +244,9 @@ def _composed_vev(spec):
 
 @pytest.mark.parametrize("cutoff", range(1, 6))
 def test_boson_sweep_matches_composed_vertex_operators(cutoff):
-    # the sweep splits each vertex operator and prunes by weight and by
-    # exponent prefix; the composition here does neither
+    # the sweep sums each vertex operator's annihilation half over all
+    # (prefix, state) pairs and prunes by weight; the composition here
+    # does neither
     for model, word in _ORACLE_WORDS:
         spec = VevSpec(model, "boson", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
         got = vev_boson(spec)

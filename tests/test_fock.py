@@ -100,11 +100,11 @@ def test_mode_application_is_degree_homogeneous():
 
 @pytest.mark.parametrize("model", ["A", "B"])
 def test_a_mode_monomial_maps_the_vacuum_to_one_graded_state(model):
-    # the fermion VEV sweep keeps one table per basis state and takes each
-    # prefix window from the state's grade; this is the fact it rests on:
-    # every Clifford monomial of length <= 4 with modes in [-3, 3] sends the
-    # vacuum to 0 or to a multiple of one basis state, whose grade is fixed
-    # by the modes: degree_B = their sum (B), energy2_A = 2 * sum + length (A)
+    # the fermion VEV sweep keeps one table per basis state, in which
+    # prefixes never merge; this is the fact it rests on: every Clifford
+    # monomial of length <= 4 with modes in [-3, 3] sends the vacuum to 0 or
+    # to a multiple of one basis state, whose grade is fixed by the modes:
+    # degree_B = their sum (B), energy2_A = 2 * sum + length (A)
     kinds = ("phi", "psi") if model == "A" else ("phi",)
     level = {(): FockVector.basis(VACUUM_A if model == "A" else VACUUM_B)}
     for length in range(1, 5):
@@ -165,6 +165,23 @@ def test_character_A_charge_zero_counts_partitions():
 
 def test_character_A_charge_one_ground_state():
     assert character_A(1, 1) == [(1, 1)]
+
+
+@pytest.mark.parametrize("charge", [0, 7, -7, 20, -20])
+def test_character_A_counts_partitions_in_far_charge_sectors(charge):
+    # the sector's ground state sits at energy2 charge^2, so a charge-20
+    # table starts at 400: the sector must be enumerated directly
+    q2 = charge * charge
+    assert character_A(charge, q2 + 12) == [(q2 + 2 * d, partition_count(d)) for d in range(7)]
+
+
+def test_charge_sectors_partition_the_basis():
+    for top in range(13):
+        basis = states_A(top)
+        sectors = {q: states_A(top, q) for q in range(-4, 5)}
+        for q, sector in sectors.items():
+            assert sorted(sector) == sorted(s for s in basis if len(s.phis) - len(s.psis) == q), (top, q)
+        assert sum(map(len, sectors.values())) == len(basis), top
 
 
 def test_character_B_degrees():
