@@ -72,15 +72,14 @@ def boson_state_text(s) -> str:
 def _heis_apply(n: int, v: FockVector, create) -> FockVector:
     """d/dx_n for n > 0, multiplication by create * x_|n| for n < 0."""
     m = abs(n)
-    out = FockVector()
-    for s, c in v.items():
+
+    def act(s):
         e = mon_get(s.mon, m)
-        if n > 0:
-            if e:
-                out.add_term(s._replace(mon=mon_set(s.mon, m, e - 1)), c * e)
-        else:
-            out.add_term(s._replace(mon=mon_set(s.mon, m, e + 1)), c * create)
-    return out
+        if n < 0:
+            return ((s._replace(mon=mon_set(s.mon, m, e + 1)), create),)
+        return ((s._replace(mon=mon_set(s.mon, m, e - 1)), e),) if e else ()
+
+    return v.apply(act)
 
 
 def heis_apply_A(n: int, v: FockVector) -> FockVector:
@@ -267,12 +266,8 @@ def _apply(op: Vertex, v: FockVector, cutoff: int, wmax: int | None) -> Dict[int
     d, out = vertex_terms(op, [((), s, c.numerator * (den // c.denominator)) for s, c in v.items()],
                           cutoff, wmax)
     den *= d
-    result: Dict[int, FockVector] = {}
-    for (_, ze), bucket in out.items():
-        if bucket:
-            result[ze] = fv = FockVector()
-            fv.terms = {s: Fraction(n, den) for s, n in bucket.items()}
-    return result
+    return {ze: FockVector({s: Fraction(n, den) for s, n in bucket.items()})
+            for (_, ze), bucket in out.items() if bucket}
 
 
 def vertex_A(sign: int, v: FockVector, cutoff: int, wmax: int | None = None) -> Dict[int, FockVector]:

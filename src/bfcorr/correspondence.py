@@ -56,7 +56,7 @@ from .fock import (
 )
 from .matrices import pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
-from .poly import MultiPoly, Rat
+from .poly import MultiPoly, Rat, collect
 from .ratfun import RationalFn, diff_factor, residue_at, rf_equal, sum_factor
 from .series import LaurentSeries, expand
 from .textio import format_rational, format_series
@@ -561,14 +561,6 @@ def _run_ope_residues(model, rep, p) -> None:
         _fail(rep, problems[0])
 
 
-def _summed(row) -> Dict:
-    """A row as {state: numerator}, summed per state, zeros dropped."""
-    acc: Dict = {}
-    for t, x in row:
-        acc[t] = acc.get(t, 0) + x
-    return {t: x for t, x in acc.items() if x}
-
-
 def _run_hopf(model, rep, p) -> None:
     window, grade = p["window"], p["grade"]
     problems = []
@@ -583,22 +575,22 @@ def _run_hopf(model, rep, p) -> None:
         basis = graded_basis(base.space, grade)
         for k in range(-window, window + 1):
             for s in basis:
-                if _summed(tt.row(k, s)) != _summed(base.row(k, s)):
+                if collect(tt.row(k, s)) != collect(base.row(k, s)):
                     problems.append(f"T^2 != id for {base.name} at z^{k}")
                     break
-                if _summed([*dt.row(k, s), *td.row(k, s)]):
+                if collect([*dt.row(k, s), *td.row(k, s)]):
                     problems.append(f"DT != -TD for {base.name} at z^{k}")
                     break
         # vacuum and modified creation: a(z)|0> is regular at z=0 and its
         # value there is the projected state pi_f(a)
         for k in range(-window, 0):
-            if _summed(base.row(k, vacuum)):
+            if collect(base.row(k, vacuum)):
                 problems.append(f"{base.name}(z)|0> has a negative z-power {k}")
-        if _summed(base.row(0, vacuum)) != {created: base.den}:
+        if collect(base.row(0, vacuum)) != {created: base.den}:
             problems.append(f"{base.name}(z)|0> at z=0 is not the projected state")
     # T phi_B projects where phi_B does
     tphi = act_hopf("T", phi_B())
-    if _summed(tphi.row(0, VACUUM_B)) != {FermionStateB((0,)): tphi.den}:
+    if collect(tphi.row(0, VACUUM_B)) != {FermionStateB((0,)): tphi.den}:
         problems.append("T phi_B creation value differs from phi_B")
     if problems:
         _fail(rep, problems[0])

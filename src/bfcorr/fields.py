@@ -14,7 +14,7 @@ rows, not rules the code assumes.  A quadratic normal
 ordered product composes the rows of its two factors and subtracts the
 vacuum pairing read off the same rows, so no ``Fraction`` is made while
 rows are built or composed.  ``coeff(k)`` is the linear extension of the
-rows of z^k to FockVectors.
+rows of z^k to FockVectors, ``v.apply(row at k)`` over ``den``.
 
 ``mode(n)`` is ``coeff`` at the z-power ``mode_zpow(n)``, the field's one
 mode-label map, which D, T and scaling keep: PositivePower a(z) = sum a_n
@@ -51,7 +51,7 @@ from .fock import (
 # benchmark's tracer tests (perfbench/test_perfbench.py) still look the
 # FockVector-level actions up in this module.
 from .fock import apply_mode_A, apply_mode_B  # noqa: F401
-from .poly import Rat
+from .poly import Rat, exact
 
 Operator = Callable[[FockVector], FockVector]
 Row = Sequence[Tuple[object, int]]
@@ -87,18 +87,8 @@ class Field:
 
     def coeff(self, k: int) -> Operator:
         """Operator coefficient of z^k (independent of the mode labels)."""
-        row, den = self.row, self.den
-
-        def op(v: FockVector) -> FockVector:
-            acc: Dict = {}
-            for s, c in v.items():
-                for t, x in row(k, s):
-                    acc[t] = acc.get(t, 0) + c * x
-            out = FockVector()
-            out.terms = {t: x / den for t, x in acc.items() if x}
-            return out
-
-        return op
+        row, scale = self.row, Rat(1, self.den)
+        return lambda v: v.apply(lambda s: row(k, s)).scale(scale)
 
     def mode(self, n: int) -> Operator:
         """Operator for mode label n."""
@@ -112,7 +102,7 @@ class Field:
                      self.row, self.den, self.clifford)
 
     def scaled(self, c) -> "Field":
-        c = Rat(c)
+        c = exact(c)
         p, q = c.numerator, c.denominator
         row = self.row
         if p != 1:
@@ -262,7 +252,7 @@ def mode_commutator(a: Field, b: Field, m: int, n: int, grade_bound: int,
     arow, brow = a.row, b.row
     ka, kb = a.mode_zpow(m), b.mode_zpow(n)
     den = a.den * b.den
-    diagonal = Rat(expected) * den
+    diagonal = exact(expected) * den
     if diagonal.denominator == 1:
         diagonal = diagonal.numerator
     bad = []
@@ -276,7 +266,5 @@ def mode_commutator(a: Field, b: Field, m: int, n: int, grade_bound: int,
             for u, y in brow(kb, t):
                 acc[u] = acc.get(u, 0) + x * y
         if any(acc.values()):
-            r = FockVector()
-            r.terms = {u: Rat(x) / den for u, x in acc.items() if x}
-            bad.append((s, r))
+            bad.append((s, FockVector({u: Rat(x) / den for u, x in acc.items()})))
     return bad

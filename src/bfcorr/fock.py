@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-from .poly import Rat
+from .poly import Rat, Terms, collect, exact
 
 
 class FermionStateA(NamedTuple):
@@ -40,68 +40,35 @@ def degree_B(s: FermionStateB) -> int:
     return sum(s.indices)
 
 
-class FockVector:
-    """Sparse linear combination of basis states with Fraction coefficients."""
+class FockVector(Terms):
+    """Sparse linear combination of basis states (fermionic or bosonic)
+    with Fraction coefficients.  Its frame is empty: a mode, a field
+    coefficient or a vertex operator acts on it as ``apply`` of its
+    basis-state action."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms: Dict = {}
-        if terms:
-            for s, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Rat(c)
-                if c:
-                    self.terms[s] = self.terms.get(s, Rat(0)) + c
-                    if not self.terms[s]:
-                        del self.terms[s]
+        """From a dict or from (state, coefficient) pairs; like states are summed."""
+        pairs = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = collect((s, exact(c)) for s, c in pairs)
+
+    def _like(self, terms):
+        v = FockVector.__new__(FockVector)
+        v.terms = terms
+        return v
 
     @classmethod
     def basis(cls, state, coeff=1) -> "FockVector":
-        return cls({state: Rat(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FockVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            v = out.get(s, Rat(0)) + c
-            if v:
-                out[s] = v
-            else:
-                out.pop(s, None)
-        v = FockVector()
-        v.terms = out
-        return v
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "FockVector":
-        c = Rat(c)
-        v = FockVector()
-        if c:
-            v.terms = {s: c * x for s, x in self.terms.items()}
-        return v
+        return cls({state: coeff})
 
     def add_term(self, state, coeff):
-        coeff = Rat(coeff)
-        if not coeff:
-            return
-        v = self.terms.get(state, Rat(0)) + coeff
+        coeff = exact(coeff)
+        v = self.terms.get(state, 0) + coeff
         if v:
             self.terms[state] = v
         else:
-            del self.terms[state]
-
-    def items(self):
-        return self.terms.items()
+            self.terms.pop(state, None)
 
     def coefficient(self, state) -> Rat:
         return self.terms.get(state, Rat(0))
@@ -195,19 +162,11 @@ def apply_mode_A(kind: str, n: int, v: FockVector) -> FockVector:
         act = _apply_psi_A
     else:
         raise ValueError("kind must be 'phi' or 'psi'")
-    out = FockVector()
-    for s, c in v.items():
-        for s2, sgn in act(n, s):
-            out.add_term(s2, c * sgn)
-    return out
+    return v.apply(lambda s: act(n, s))
 
 
 def apply_mode_B(n: int, v: FockVector) -> FockVector:
-    out = FockVector()
-    for s, c in v.items():
-        for s2, sgn in _apply_phi_B(n, s):
-            out.add_term(s2, c * sgn)
-    return out
+    return v.apply(lambda s: _apply_phi_B(n, s))
 
 
 def vacuum_component(v: FockVector) -> Rat:

@@ -1,9 +1,14 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""The linear-combination core and sparse multivariate polynomials over
+exact rationals.
 
-A polynomial carries a fixed, ordered variable alphabet (e.g.
-``("z1", "z2", "w1", "w2")``) and a sparse map from exponent tuples to
-``Fraction`` coefficients.  Everything downstream (rational functions,
-Laurent expansions, vacuum expectation values) is built on this type, so
+``Terms`` is a finite linear combination: a sparse map from keys to
+nonzero ``Fraction`` coefficients in a frame, the data two combinations
+must share to be added or compared.  It holds the one copy of the vector
+space arithmetic (sum, negation, scaling, equality, hashing) and of the
+linear extension ``apply`` of a map on keys; ``collect`` sums like keys
+and drops zeros.  A polynomial (``MultiPoly``, keyed by exponent tuples
+over its variable alphabet), a truncated Laurent series and a Fock vector
+are ``Terms``.  ``exact`` is the one gate for a caller's coefficient, so
 no floating point enters the system anywhere.
 """
 
@@ -11,32 +16,120 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Tuple
+from typing import Callable, Iterable, Tuple
 
 Rat = Fraction
 
 Expo = Tuple[int, ...]
 
 
-class MultiPoly:
-    """Sparse polynomial: dict from exponent tuples to nonzero Fractions."""
+def exact(c) -> Rat:
+    """A caller's coefficient as a Fraction: an int, a str or a Fraction
+    converts; a float, whose binary value is not what was written, raises."""
+    if isinstance(c, float):
+        raise TypeError(f"coefficient {c!r} is a float: give an int, a str or a Fraction")
+    return c if type(c) is Rat else Rat(c)
 
-    __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: Tuple[str, ...], terms: Mapping[Expo, Rat] | None = None):
+def collect(pairs: Iterable[tuple]) -> dict:
+    """Sum the coefficients of (key, coefficient) pairs per key; zero sums are dropped."""
+    out: dict = {}
+    for k, c in pairs:
+        s = out.get(k)
+        out[k] = c if s is None else s + c
+    return {k: c for k, c in out.items() if c}
+
+
+class Terms:
+    """A sparse linear combination: ``terms`` maps keys to nonzero
+    Fractions.  A subclass gives its ``frame()`` and ``_like(terms)``, the
+    combination in the same frame with the given (nonzero) terms."""
+
+    __slots__ = ("terms",)
+
+    def frame(self) -> tuple:
+        return ()
+
+    def _like(self, terms: dict):
+        raise NotImplementedError
+
+    def _check(self, other: "Terms"):
+        if type(other) is not type(self) or other.frame() != self.frame():
+            raise ValueError(f"{type(self).__name__} frames differ: only combinations "
+                             "in one frame add or compare")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.frame() == other.frame() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.frame(), frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            s = c if s is None else s + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = exact(c)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def apply(self, action: Callable[[object], Iterable[tuple]]):
+        """The linear extension of ``action``, which sends a key to
+        (key, coefficient) pairs."""
+        return self._like(collect((k2, c * x) for k, c in self.terms.items() for k2, x in action(k)))
+
+    def items(self):
+        return self.terms.items()
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
+
+
+class MultiPoly(Terms):
+    """Sparse polynomial: exponent tuples over a fixed, ordered variable
+    alphabet (e.g. ``("z1", "z2", "w1", "w2")``), the frame."""
+
+    __slots__ = ("alphabet",)
+
+    def __init__(self, alphabet: Tuple[str, ...], terms: dict | None = None):
         self.alphabet = tuple(alphabet)
         clean = {}
         if terms:
             n = len(self.alphabet)
             for e, c in terms.items():
                 if type(c) is not Rat:
-                    c = Rat(c)
+                    c = exact(c)
                 if not c:
                     continue
                 if len(e) != n:
                     raise ValueError(f"exponent {e} does not match alphabet of size {n}")
                 clean[tuple(e)] = c
         self.terms = clean
+
+    def frame(self):
+        return self.alphabet
+
+    def _like(self, terms):
+        return MultiPoly(self.alphabet, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -47,7 +140,7 @@ class MultiPoly:
     @classmethod
     def const(cls, alphabet, c):
         alphabet = tuple(alphabet)
-        return cls(alphabet, {(0,) * len(alphabet): Rat(c)})
+        return cls(alphabet, {(0,) * len(alphabet): c})
 
     @classmethod
     def var(cls, alphabet, name_or_index, power: int = 1):
@@ -67,47 +160,7 @@ class MultiPoly:
         ej[j] = 1
         return cls(alphabet, {tuple(ei): Rat(1), tuple(ej): Rat(sign)})
 
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
     # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "MultiPoly"):
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return MultiPoly(self.alphabet, out)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.alphabet, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
@@ -128,12 +181,6 @@ class MultiPoly:
                     del out[e]
         return MultiPoly(self.alphabet, out)
 
-    def scale(self, c) -> "MultiPoly":
-        c = Rat(c)
-        if c == 0:
-            return MultiPoly.zero(self.alphabet)
-        return MultiPoly(self.alphabet, {e: c * v for e, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
@@ -153,36 +200,18 @@ class MultiPoly:
         return max((e[i] for e in self.terms), default=0)
 
     def diff(self, i: int) -> "MultiPoly":
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            e2 = tuple(e2)
-            s = out.get(e2, Rat(0)) + c * e[i]
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        return MultiPoly(self.alphabet, out)
+        return self.apply(lambda e: ((e[:i] + (e[i] - 1,) + e[i + 1:], e[i]),) if e[i] else ())
 
     def substitute(self, i: int, j: int, sign: int) -> "MultiPoly":
         """Substitute z_i := sign*z_j (moves the exponent of i onto j)."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            k = e[i]
+
+        def move(e):
             e2 = list(e)
             e2[i] = 0
-            e2[j] += k
-            e2 = tuple(e2)
-            v = c * (sign ** k)
-            s = out.get(e2, Rat(0)) + v
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        return MultiPoly(self.alphabet, out)
+            e2[j] += e[i]
+            return ((tuple(e2), sign ** e[i]),)
+
+        return self.apply(move)
 
     def shift_var(self, i: int, k: int) -> "MultiPoly":
         """Multiply by z_i^k; requires the result to stay polynomial."""
@@ -264,9 +293,6 @@ class MultiPoly:
         return total
 
     # -- display -----------------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
 
     def __str__(self):
         from .textio import format_poly

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .poly import MultiPoly, Rat
+from .poly import MultiPoly, Rat, exact
 
 # atom encodings: ("var", i), ("diff", i, j), ("sum", i, j) with i < j
 PoleFactor = Tuple
@@ -160,7 +160,8 @@ class RationalFn:
         return RationalFn(self.num * other.num, den)
 
     def scale(self, c) -> "RationalFn":
-        if Rat(c) == 0:
+        c = exact(c)
+        if not c:
             return RationalFn.zero(self.alphabet)
         return RationalFn(self.num.scale(c), dict(self.den), reduce=False)
 

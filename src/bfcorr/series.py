@@ -17,17 +17,20 @@ from math import comb
 from operator import add
 from typing import Dict, Tuple
 
-from .poly import Rat
+from .poly import Rat, Terms, collect, exact
 from .ratfun import RationalFn
 
 Expo = Tuple[int, ...]
 
 
-class LaurentSeries:
-    """Truncated multivariate Laurent series for a fixed expansion region;
-    an ordering that repeats a variable names no region and raises."""
+class LaurentSeries(Terms):
+    """Truncated multivariate Laurent series: exponent tuples over the
+    ordering, whose order of variables names the expansion region, inside
+    the cutoff box.  The ordering and the cutoff are the frame; terms
+    outside the box are dropped on construction.  An ordering that repeats
+    a variable names no region and raises."""
 
-    __slots__ = ("ordering", "cutoff", "terms")
+    __slots__ = ("ordering", "cutoff")
 
     def __init__(self, ordering, cutoff: int, terms: Dict[Expo, Rat] | None = None):
         self.ordering = tuple(ordering)
@@ -39,52 +42,16 @@ class LaurentSeries:
             # the cutoff box: every exponent >= -cutoff, total degree in [-cutoff, cutoff]
             for e, c in terms.items():
                 if type(c) is not Rat:
-                    c = Rat(c)
+                    c = exact(c)
                 if c and min(e, default=0) >= -cutoff and -cutoff <= sum(e) <= cutoff:
                     clean[tuple(e)] = c
         self.terms = clean
 
-    def _check(self, other: "LaurentSeries"):
-        if self.ordering != other.ordering or self.cutoff != other.cutoff:
-            raise ValueError("series are comparable only with equal ordering and cutoff")
+    def frame(self):
+        return self.ordering, self.cutoff
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentSeries)
-            and self.ordering == other.ordering
-            and self.cutoff == other.cutoff
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ordering, self.cutoff, frozenset(self.terms.items())))
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return LaurentSeries(self.ordering, self.cutoff, out)
-
-    def __neg__(self):
-        return LaurentSeries(self.ordering, self.cutoff, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "LaurentSeries":
-        c = Rat(c)
-        if c == 0:
-            return LaurentSeries(self.ordering, self.cutoff, {})
-        return LaurentSeries(self.ordering, self.cutoff, {e: c * v for e, v in self.terms.items()})
+    def _like(self, terms):
+        return LaurentSeries(self.ordering, self.cutoff, terms)
 
     def restrict(self, cutoff: int) -> "LaurentSeries":
         if cutoff > self.cutoff:
@@ -98,9 +65,6 @@ class LaurentSeries:
                  if self.terms.get(e, Rat(0)) != other.terms.get(e, Rat(0))]
         return min(diffs) if diffs else None
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
-
     def __str__(self):
         from .textio import format_series
 
@@ -112,17 +76,7 @@ class LaurentSeries:
 
 def raw_mul(t1: Dict[Expo, Rat], t2: Dict[Expo, Rat]) -> Dict[Expo, Rat]:
     """Exact (untruncated) convolution of sparse exponent dicts."""
-    out: Dict[Expo, Rat] = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            e = tuple(map(add, e1, e2))
-            s = out.get(e)
-            s = c1 * c2 if s is None else s + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+    return collect((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in t1.items() for e2, c2 in t2.items())
 
 
 def geometric_terms(e: int, sigma: int, tmax: int):

@@ -82,7 +82,7 @@ def test_clifford_relations_type_A():
 def test_clifford_relations_type_B():
     for m in range(-4, 5):
         for n in range(-4, 5):
-            expected = 2 * (-1) ** m if m + n == 0 else 0
+            expected = (-2 if m % 2 else 2) if m + n == 0 else 0
             for s in states_B(8):
                 v = FockVector.basis(s)
                 got = apply_mode_B(m, apply_mode_B(n, v)) + apply_mode_B(n, apply_mode_B(m, v))
