@@ -56,7 +56,7 @@ from .fock import (
 )
 from .matrices import pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
-from .poly import MultiPoly, Rat, collect
+from .poly import MultiPoly, collect
 from .ratfun import RationalFn, diff_factor, residue_at, rf_equal, sum_factor
 from .series import LaurentSeries, expand
 from .textio import format_rational, format_series
@@ -264,18 +264,8 @@ def closed_form(model: str, kind: str, n: int) -> RationalFn:
     return pfaffian(m)
 
 
-def _int_terms(series: LaurentSeries) -> Dict[Tuple[int, ...], int]:
-    """A series' terms as integers; raises on a coefficient that is not one."""
-    out = {}
-    for e, c in series.terms.items():
-        if c.denominator != 1:
-            raise ValueError(f"entry coefficient {c} is not an integer")
-        out[e] = c.numerator
-    return out
-
-
 def _series_mac(acc: Dict, sign: int, a: Dict, b: Dict) -> Dict:
-    """acc += sign * a * b on integer exponent dicts, in place."""
+    """acc += sign * a * b on exponent dicts, in place."""
     get = acc.get
     for e1, c1 in a.items():
         c1 *= sign
@@ -290,14 +280,13 @@ def _series_mac(acc: Dict, sign: int, a: Dict, b: Dict) -> Dict:
 
 
 def _wick_series(spec: VevSpec) -> LaurentSeries:
-    """<0| word |0> by Wick's theorem: the Pfaffian over the integer
-    expansions of the word's two-point functions on the cutoff box."""
+    """<0| word |0> by Wick's theorem: the Pfaffian over the expansions of
+    the word's two-point functions on the cutoff box."""
     alpha, D = spec.variables, spec.cutoff
     m = [[None] * len(alpha) for _ in alpha]  # the expansion reads i < j only
     for i, j in _wick_pairs(spec):
-        m[i][j] = _int_terms(expand(_two_point(spec.model, alpha, i, j), alpha, D))
-    total = pf_expansion(m, {(0,) * len(alpha): 1}, dict, _series_mac)
-    return LaurentSeries(alpha, D, {e: Fraction(c) for e, c in total.items()})
+        m[i][j] = expand(_two_point(spec.model, alpha, i, j), alpha, D).terms
+    return LaurentSeries(alpha, D, pf_expansion(m, {(0,) * len(alpha): 1}, dict, _series_mac))
 
 
 def det_series(n: int, cutoff: int) -> LaurentSeries:
@@ -398,7 +387,7 @@ def _compare_series(report: IdentityReport, pairs: List[Tuple[str, str, LaurentS
         if not equal:
             e = lhs.first_difference(rhs)
             return _fail(report, f"{label_l} vs {label_r} at {_monomial_text(lhs.ordering, e)}: "
-                                 f"{lhs.terms.get(e, Rat(0))} vs {rhs.terms.get(e, Rat(0))}")
+                                 f"{lhs.terms.get(e, 0)} vs {rhs.terms.get(e, 0)}")
 
 
 # Pair builders of the series checks: (model, n, cutoff) -> the labelled
@@ -470,7 +459,7 @@ def _run_heisenberg_A(model, rep, p) -> None:
     rep.witnesses["relation"] = "[h_m, h_n] = m delta_{m+n,0} on energy2 <= %d" % grade
     for m in range(-mmax, mmax + 1):
         for n in range(-mmax, mmax + 1):
-            bad = mode_commutator(h, h, m, n, grade, Rat(m) if m + n == 0 else Rat(0))
+            bad = mode_commutator(h, h, m, n, grade, m if m + n == 0 else 0)
             if bad:
                 state, residual = bad[0]
                 return _fail(rep, f"(m,n)=({m},{n}) on {state}: residual {residual!r}")
@@ -483,7 +472,7 @@ def _run_heisenberg_B(model, rep, p) -> None:
     failures = []
     for m in range(-mmax, mmax + 1, 2):
         for n in range(-mmax, mmax + 1, 2):
-            bad = mode_commutator(h, h, m, n, grade, Fraction(m, 2) if m + n == 0 else Rat(0))
+            bad = mode_commutator(h, h, m, n, grade, Fraction(m, 2) if m + n == 0 else 0)
             if bad:
                 failures.append(f"(m,n)=({m},{n}) on {bad[0][0]}")
     for m in range(-mmax + 1, mmax, 2):  # even mode labels vanish identically
@@ -553,7 +542,7 @@ def _run_ope_residues(model, rep, p) -> None:
     window = grade + 2
     for label, a, b, pole, residue in (("B", phi_B(), phi_B(), 1, -2), ("A", phi_A(), psi_A(), 0, 1)):
         for k in range(-window, window + 1):
-            bad = mode_commutator(a, b, -1, k, grade, Rat(residue if k == pole else 0))
+            bad = mode_commutator(a, b, -1, k, grade, residue if k == pole else 0)
             if bad:
                 problems.append(f"type {label} mode residue fails at k={k} on {bad[0][0]}")
                 break

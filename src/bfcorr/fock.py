@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-from .poly import Rat, Terms, collect, exact
+from .poly import Terms, collect, exact
 
 
 class FermionStateA(NamedTuple):
@@ -42,7 +42,7 @@ def degree_B(s: FermionStateB) -> int:
 
 class FockVector(Terms):
     """Sparse linear combination of basis states (fermionic or bosonic)
-    with Fraction coefficients.  Its frame is empty: a mode, a field
+    with int or Fraction coefficients.  Its frame is empty: a mode, a field
     coefficient or a vertex operator acts on it as ``apply`` of its
     basis-state action."""
 
@@ -70,8 +70,8 @@ class FockVector(Terms):
         else:
             self.terms.pop(state, None)
 
-    def coefficient(self, state) -> Rat:
-        return self.terms.get(state, Rat(0))
+    def coefficient(self, state):
+        return self.terms.get(state, 0)
 
     def __repr__(self):
         if not self.terms:
@@ -169,22 +169,20 @@ def apply_mode_B(n: int, v: FockVector) -> FockVector:
     return v.apply(lambda s: _apply_phi_B(n, s))
 
 
-def vacuum_component(v: FockVector) -> Rat:
-    """Coefficient of the vacuum state: this is <0| v |0> = the VEV pairing."""
-    for s in v.terms:
-        if isinstance(s, FermionStateA):
-            return v.coefficient(VACUUM_A)
-        if isinstance(s, FermionStateB):
-            return v.coefficient(VACUUM_B)
-        break
-    from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B, BosonStateA, BosonStateB
+def vacuum_component(v: FockVector):
+    """Coefficient of the vacuum state: this is <0| v |0> = the VEV pairing.
+    The vacuum is that of the one space all states of ``v`` lie in; states
+    of two spaces raise, and the zero vector gives 0."""
+    from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B
 
-    for s in v.terms:
-        if isinstance(s, BosonStateA):
-            return v.coefficient(BOSON_VACUUM_A)
-        if isinstance(s, BosonStateB):
-            return v.coefficient(BOSON_VACUUM_B)
-    return Rat(0)
+    spaces = {type(s) for s in v.terms}
+    if len(spaces) > 1:
+        raise ValueError(f"vector has states of {len(spaces)} spaces: "
+                         f"{', '.join(sorted(c.__name__ for c in spaces))}")
+    if not spaces:
+        return 0
+    vacua = {type(s): s for s in (VACUUM_A, VACUUM_B, BOSON_VACUUM_A, BOSON_VACUUM_B)}
+    return v.coefficient(vacua[spaces.pop()])
 
 
 # -- basis enumeration and characters ----------------------------------------

@@ -2,14 +2,17 @@
 exact rationals.
 
 ``Terms`` is a finite linear combination: a sparse map from keys to
-nonzero ``Fraction`` coefficients in a frame, the data two combinations
-must share to be added or compared.  It holds the one copy of the vector
-space arithmetic (sum, negation, scaling, equality, hashing) and of the
-linear extension ``apply`` of a map on keys; ``collect`` sums like keys
-and drops zeros.  A polynomial (``MultiPoly``, keyed by exponent tuples
-over its variable alphabet), a truncated Laurent series and a Fock vector
-are ``Terms``.  ``exact`` is the one gate for a caller's coefficient, so
-no floating point enters the system anywhere.
+nonzero coefficients, each an int or a Fraction, in a frame, the data
+two combinations must share to be added or compared.  It holds the one
+copy of the vector space arithmetic (sum, negation, scaling, equality,
+hashing) and of the linear extension ``apply`` of a map on keys;
+``collect`` sums like keys and drops zeros.  A polynomial (``MultiPoly``,
+keyed by exponent tuples over its variable alphabet), a truncated
+Laurent series and a Fock vector are ``Terms``.  ``exact`` is the one
+gate for a caller's coefficient, so no floating point enters the system
+anywhere.  An int stays an int, so integer combinations never pay for
+Fraction arithmetic; since ``3 == Fraction(3)`` and their hashes agree,
+equality and hashing do not depend on which of the two a term holds.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ Rat = Fraction
 Expo = Tuple[int, ...]
 
 
-def exact(c) -> Rat:
-    """A caller's coefficient as a Fraction: an int, a str or a Fraction
-    converts; a float, whose binary value is not what was written, raises."""
+def exact(c):
+    """A caller's coefficient as an int or a Fraction: an int or a Fraction
+    is returned unchanged and a str converts to a Fraction; a float, whose
+    binary value is not what was written, raises."""
+    if type(c) is int or type(c) is Rat:
+        return c
     if isinstance(c, float):
         raise TypeError(f"coefficient {c!r} is a float: give an int, a str or a Fraction")
-    return c if type(c) is Rat else Rat(c)
+    return Rat(c)
 
 
 def collect(pairs: Iterable[tuple]) -> dict:
@@ -41,8 +47,8 @@ def collect(pairs: Iterable[tuple]) -> dict:
 
 
 class Terms:
-    """A sparse linear combination: ``terms`` maps keys to nonzero
-    Fractions.  A subclass gives its ``frame()`` and ``_like(terms)``, the
+    """A sparse linear combination: ``terms`` maps keys to nonzero ints
+    or Fractions.  A subclass gives its ``frame()`` and ``_like(terms)``, the
     combination in the same frame with the given (nonzero) terms."""
 
     __slots__ = ("terms",)
@@ -116,8 +122,7 @@ class MultiPoly(Terms):
         if terms:
             n = len(self.alphabet)
             for e, c in terms.items():
-                if type(c) is not Rat:
-                    c = exact(c)
+                c = exact(c)
                 if not c:
                     continue
                 if len(e) != n:
@@ -148,7 +153,7 @@ class MultiPoly(Terms):
         i = name_or_index if isinstance(name_or_index, int) else alphabet.index(name_or_index)
         e = [0] * len(alphabet)
         e[i] = power
-        return cls(alphabet, {tuple(e): Rat(1)})
+        return cls(alphabet, {tuple(e): 1})
 
     @classmethod
     def linear(cls, alphabet, i: int, j: int, sign: int):
@@ -158,20 +163,15 @@ class MultiPoly(Terms):
         ei[i] = 1
         ej = [0] * len(alphabet)
         ej[j] = 1
-        return cls(alphabet, {tuple(ei): Rat(1), tuple(ej): Rat(sign)})
+        return cls(alphabet, {tuple(ei): 1, tuple(ej): sign})
 
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        t1, t2 = self.terms, other.terms
-        if all(c.denominator == 1 for c in t1.values()) and all(c.denominator == 1 for c in t2.values()):
-            # integer coefficients: multiply numerators, one Fraction per output term
-            t1 = {e: c.numerator for e, c in t1.items()}
-            t2 = {e: c.numerator for e, c in t2.items()}
         out: dict = {}
-        for e1, c1 in t1.items():
-            for e2, c2 in t2.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 s = out.get(e)
                 s = c1 * c2 if s is None else s + c1 * c2
@@ -195,10 +195,6 @@ class MultiPoly(Terms):
 
     # -- structure ---------------------------------------------------------
 
-    def max_exponent(self, i: int) -> int:
-        """Largest exponent of variable i (0 for the zero polynomial)."""
-        return max((e[i] for e in self.terms), default=0)
-
     def diff(self, i: int) -> "MultiPoly":
         return self.apply(lambda e: ((e[:i] + (e[i] - 1,) + e[i + 1:], e[i]),) if e[i] else ())
 
@@ -212,74 +208,6 @@ class MultiPoly(Terms):
             return ((tuple(e2), sign ** e[i]),)
 
         return self.apply(move)
-
-    def shift_var(self, i: int, k: int) -> "MultiPoly":
-        """Multiply by z_i^k; requires the result to stay polynomial."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] + k < 0:
-                raise ValueError("negative exponent after shift")
-            e2 = list(e)
-            e2[i] += k
-            out[tuple(e2)] = c
-        return MultiPoly(self.alphabet, out)
-
-    def divmod_linear(self, i: int, j: int, sign: int):
-        """Divide by the linear form z_i + sign*z_j via synthetic division.
-
-        Returns (quotient, remainder) with remainder free of z_i
-        (remainder = self evaluated at z_i = -sign*z_j).
-        """
-        # coefficients of z_i^k, each a polynomial in the other variables
-        by_deg: dict = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            e2 = list(e)
-            e2[i] = 0
-            by_deg.setdefault(k, {})[tuple(e2)] = c
-        if not by_deg:
-            return MultiPoly.zero(self.alphabet), MultiPoly.zero(self.alphabet)
-        d = max(by_deg)
-        s = -sign  # root is at z_i = -sign*z_j
-
-        def shifted(term_map):
-            # multiply by s*z_j
-            out = {}
-            for e, c in term_map.items():
-                e2 = list(e)
-                e2[j] += 1
-                out[tuple(e2)] = c * s
-            return out
-
-        def added(a, b):
-            out = dict(a)
-            for e, c in b.items():
-                v = out.get(e)
-                v = c if v is None else v + c
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-            return out
-
-        quot: dict = {}
-        carry: dict = {}
-        for k in range(d, 0, -1):
-            b = added(by_deg.get(k, {}), shifted(carry))
-            for e, c in b.items():
-                if c:
-                    e2 = list(e)
-                    e2[i] = k - 1
-                    quot[tuple(e2)] = c
-            carry = b
-        rem = added(by_deg.get(0, {}), shifted(carry))
-        return MultiPoly(self.alphabet, quot), MultiPoly(self.alphabet, rem)
-
-    def divisible_by_var(self, i: int) -> bool:
-        return bool(self.terms) and all(e[i] >= 1 for e in self.terms)
-
-    def div_var(self, i: int) -> "MultiPoly":
-        return self.shift_var(i, -1)
 
     def evaluate(self, point: Iterable[Rat]) -> Rat:
         point = list(point)

@@ -5,6 +5,13 @@ atoms with positive exponents, so reduction to the unique canonical form
 is a divisibility test per atom instead of a multivariate gcd.  Atoms are
 normalized with i < j in alphabet order; any sign this forces is absorbed
 into the numerator.
+
+Divisibility rule: write the atom as z_i - s*z_j, with s = -sign for
+z_i + sign*z_j, and as z_i - 0*z_i for z_i.  It divides a polynomial p
+exactly when p vanishes at z_i = s*z_j, and the quotient then sends each
+z_i^m to sum_{k<m} z_i^k (s*z_j)^(m-1-k), because
+z_i^m - (s*z_j)^m = (z_i - s*z_j) * that sum.  For z_i this reads: z_i
+divides when every term holds z_i, and the quotient lowers its exponent.
 """
 
 from __future__ import annotations
@@ -49,16 +56,22 @@ def factor_poly(alphabet, atom: PoleFactor) -> MultiPoly:
 
 
 def _divide_if_possible(num: MultiPoly, atom: PoleFactor):
-    """Exact quotient num/atom, or None when the atom does not divide."""
-    if atom[0] == "var":
-        if num.divisible_by_var(atom[1]):
-            return num.div_var(atom[1])
+    """Exact quotient num/atom by the divisibility rule (module docstring),
+    or None when the atom does not divide."""
+    i = atom[1]
+    j, s = (i, 0) if atom[0] == "var" else (atom[2], 1 if atom[0] == "diff" else -1)
+    if num.substitute(i, j, s):
         return None
-    sign = -1 if atom[0] == "diff" else 1
-    quot, rem = num.divmod_linear(atom[1], atom[2], sign)
-    if rem.is_zero():
-        return quot
-    return None
+
+    def quotient(e):
+        m = e[i]
+        for k in range(m):
+            q = list(e)
+            q[i] = k
+            q[j] += m - 1 - k
+            yield tuple(q), s ** (m - 1 - k)
+
+    return num.apply(quotient)
 
 
 def common_denominator(a: Dict[PoleFactor, int], b: Dict[PoleFactor, int]) -> Dict[PoleFactor, int]:
@@ -300,7 +313,7 @@ def residue_at(f: RationalFn, i: int, point_sign: int, j: int, power: int = 0) -
     den = dict(g.den)
     del den[atom]
     # g = num/(atom^k * rest); atom = sgn*(z_i - s*z_j)
-    h = RationalFn(g.num.scale(Rat(sgn) ** k), den, reduce=False)
+    h = RationalFn(g.num.scale(sgn ** k), den, reduce=False)
     for _ in range(k - 1):
         h = h.diff(i)
     h = h.substitute(i, j, point_sign)

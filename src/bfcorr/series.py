@@ -12,7 +12,6 @@ variable while raising the trailing one).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import add
 from typing import Dict, Tuple
@@ -24,11 +23,12 @@ Expo = Tuple[int, ...]
 
 
 class LaurentSeries(Terms):
-    """Truncated multivariate Laurent series: exponent tuples over the
-    ordering, whose order of variables names the expansion region, inside
-    the cutoff box.  The ordering and the cutoff are the frame; terms
-    outside the box are dropped on construction.  An ordering that repeats
-    a variable names no region and raises."""
+    """Truncated multivariate Laurent series: int or Fraction coefficients
+    of exponent tuples over the ordering, whose order of variables names
+    the expansion region, inside the cutoff box.  The ordering and the
+    cutoff are the frame; terms outside the box are dropped on
+    construction.  An ordering that repeats a variable names no region and
+    raises."""
 
     __slots__ = ("ordering", "cutoff")
 
@@ -41,8 +41,7 @@ class LaurentSeries(Terms):
         if terms:
             # the cutoff box: every exponent >= -cutoff, total degree in [-cutoff, cutoff]
             for e, c in terms.items():
-                if type(c) is not Rat:
-                    c = exact(c)
+                c = exact(c)
                 if c and min(e, default=0) >= -cutoff and -cutoff <= sum(e) <= cutoff:
                     clean[tuple(e)] = c
         self.terms = clean
@@ -81,7 +80,7 @@ def raw_mul(t1: Dict[Expo, Rat], t2: Dict[Expo, Rat]) -> Dict[Expo, Rat]:
 
 def geometric_terms(e: int, sigma: int, tmax: int):
     """Tail coefficients of 1/(x + sigma*y)^e = x^-e sum_t c_t (y/x)^t."""
-    return [(t, Fraction(comb(e - 1 + t, t) * (-sigma) ** t)) for t in range(tmax + 1)]
+    return [(t, comb(e - 1 + t, t) * (-sigma) ** t) for t in range(tmax + 1)]
 
 
 def expand(f: RationalFn, ordering, cutoff: int) -> LaurentSeries:

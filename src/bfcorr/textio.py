@@ -36,8 +36,6 @@ def _terms_text(names, items) -> str:
     chunks = []
     for expo, coeff in items:
         mon = _monomial_text(names, expo)
-        if coeff.denominator == 1:  # integer fast path: no Fraction arithmetic
-            coeff = coeff.numerator
         mag = abs(coeff)
         if mon and mag == 1:
             body = mon

@@ -155,12 +155,6 @@ def test_pf_series_matches_matching_sum(points, cutoff):
     assert pf_series(points, cutoff) == _pf_series_oracle(points, cutoff)
 
 
-def test_series_entries_must_have_integer_coefficients():
-    assert correspondence._int_terms(LaurentSeries(("z",), 2, {(1,): Fraction(-3)})) == {(1,): -3}
-    with pytest.raises(ValueError, match="not an integer"):
-        correspondence._int_terms(LaurentSeries(("z",), 2, {(1,): Fraction(1, 2)}))
-
-
 def test_fermion_vev_equals_det_series_n2():
     assert vev_fermion(VevSpec.standard_A("fermion", 2, 7)) == det_series(2, 7)
 

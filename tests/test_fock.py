@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bfcorr.boson import BOSON_VACUUM_A, BOSON_VACUUM_B, BosonStateA, BosonStateB
 from bfcorr.fock import (
     VACUUM_A,
     VACUUM_B,
@@ -60,6 +61,25 @@ def test_vacuum_component_reads_coefficient():
     assert vacuum_component(apply_mode_A("phi", -1, apply_mode_A("psi", 0, VAC_A))) == 1
     assert vacuum_component(apply_mode_B(0, apply_mode_B(0, VAC_B))) == 1
     assert vacuum_component(FockVector()) == 0
+
+
+@pytest.mark.parametrize("vacuum, other", [
+    (VACUUM_A, FermionStateA((2,), ())),
+    (VACUUM_B, FermionStateB((3, 0))),
+    (BOSON_VACUUM_A, BosonStateA(1, ())),
+    (BOSON_VACUUM_B, BosonStateB(0, (1,))),
+], ids=["fermion-A", "fermion-B", "boson-A", "boson-B"])
+def test_vacuum_component_reads_the_vacuum_of_each_space(vacuum, other):
+    assert vacuum_component(FockVector({vacuum: 5, other: 2})) == 5
+    assert vacuum_component(FockVector.basis(other, 2)) == 0
+
+
+def test_vacuum_component_refuses_states_of_two_spaces():
+    v = FockVector.basis(VACUUM_B) + FockVector.basis(VACUUM_A, 2) + FockVector.basis(BOSON_VACUUM_A, 3)
+    with pytest.raises(ValueError, match="3 spaces"):
+        vacuum_component(v)
+    with pytest.raises(ValueError, match="2 spaces"):
+        vacuum_component(FockVector({VACUUM_A: 1, BOSON_VACUUM_A: 1}))
 
 
 def _anticommutator_A(kind1, m, kind2, n, v):

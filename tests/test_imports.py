@@ -1,5 +1,6 @@
-"""Every name a bfcorr module imports is used in that module, and every
-function, class and method it defines is named somewhere."""
+"""Every name a bfcorr module imports is used in that module, every
+function, class and method it defines is named somewhere, and no module
+writes a float."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,21 @@ def test_unused_definition_is_flagged():
               "def used():\n    return Box()\n\n"
               "def unused():\n    return used()\n")
     assert dead_definitions(source) == ["unread", "unused"]
+
+
+def float_uses(source: str) -> list:
+    """Lines of ``source`` with a float literal or a ``float(...)`` call."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_writes_no_float(path):
+    assert not float_uses(path.read_text()), f"{path.name} writes a float: all arithmetic is exact"
+
+
+def test_float_use_is_flagged():
+    source = ("x = 1\ny = 0.5\nz = float(x)\nw = 2e3 + 1j\n"
+              "ok = isinstance(x, float) and '0.5' and Fraction(1, 2)\n")
+    assert float_uses(source) == [2, 3, 4]

@@ -1,10 +1,11 @@
-"""Sparse polynomial arithmetic and the linear-factor division kernel."""
+"""Sparse polynomial arithmetic and the exact quotient by a pole atom."""
 
 from fractions import Fraction
 
 import pytest
 
 from bfcorr.poly import MultiPoly
+from bfcorr.ratfun import _divide_if_possible, diff_factor, factor_poly, sum_factor, var_factor
 
 AL = ("z", "w")
 
@@ -32,35 +33,44 @@ def test_pow_matches_repeated_mul():
     assert p ** 0 == MultiPoly.const(AL, 1)
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_divmod_linear_exact(sign):
-    # (z + sign*w) * (z^2 - 3w) splits with zero remainder
-    factor = MultiPoly.linear(AL, 0, 1, sign)
-    other = MultiPoly(AL, {(2, 0): 1, (0, 1): -3})
-    quot, rem = (factor * other).divmod_linear(0, 1, sign)
-    assert rem.is_zero()
-    assert quot == other
+AL3 = ("z", "w", "x")
+ATOMS = [var_factor(0), var_factor(2), diff_factor(0, 1)[0], sum_factor(0, 1),
+         diff_factor(1, 2)[0], sum_factor(0, 2)]
 
 
-def test_divmod_linear_remainder_is_evaluation():
-    # remainder of division by z - w equals the substitution z := w
-    p = MultiPoly(AL, {(2, 1): Fraction(3, 2), (1, 0): 1, (0, 2): -2})
-    _, rem = p.divmod_linear(0, 1, -1)
-    assert rem == p.substitute(0, 1, 1)
+def _random_poly(rng):
+    """Four random terms over AL3, with Fraction coefficients among them."""
+    return MultiPoly(AL3, {tuple(rng.randint(0, 3) for _ in AL3): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                           for _ in range(4)})
 
 
-def test_divmod_linear_random_reconstruction(rng):
-    for _ in range(50):
-        tmap = {
-            (rng.randint(0, 3), rng.randint(0, 3)): Fraction(rng.randint(-5, 5))
-            for _ in range(4)
-        }
-        p = MultiPoly(AL, tmap)
-        for sign in (1, -1):
-            quot, rem = p.divmod_linear(0, 1, sign)
-            recon = quot * MultiPoly.linear(AL, 0, 1, sign) + rem
-            assert recon == p
-            assert rem.max_exponent(0) == 0
+def _at_root(p, atom):
+    """p where the atom vanishes: z_i = 0, z_i = z_j (diff) or z_i = -z_j (sum)."""
+    if atom[0] == "var":
+        return MultiPoly(p.alphabet, {e: c for e, c in p.terms.items() if not e[atom[1]]})
+    return p.substitute(atom[1], atom[2], 1 if atom[0] == "diff" else -1)
+
+
+@pytest.mark.parametrize("atom", ATOMS, ids=lambda atom: "-".join(map(str, atom)))
+def test_exact_quotient_undoes_the_product(atom, rng):
+    factor = factor_poly(AL3, atom)
+    for _ in range(40):
+        q = _random_poly(rng)
+        assert _divide_if_possible(factor * q, atom) == q
+
+
+@pytest.mark.parametrize("atom", ATOMS, ids=lambda atom: "-".join(map(str, atom)))
+def test_exact_quotient_is_none_exactly_off_the_root(atom, rng):
+    factor = factor_poly(AL3, atom)
+    divides = set()
+    for _ in range(40):
+        for p in (_random_poly(rng), factor * _random_poly(rng)):
+            quot = _divide_if_possible(p, atom)
+            assert (quot is None) == bool(_at_root(p, atom))
+            if quot is not None:
+                assert quot * factor == p
+            divides.add(quot is not None)
+    assert divides == {True, False}
 
 
 def test_diff_and_eval():

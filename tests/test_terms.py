@@ -1,15 +1,17 @@
 """The linear-combination core shared by polynomials, Laurent series and
 Fock vectors: one arithmetic, one linear extension, one coefficient gate."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from bfcorr.correspondence import VevSpec, _wick_series, vev_fermion
 from bfcorr.fields import phi_B
 from bfcorr.fock import VACUUM_A, FockVector, _apply_phi_B, states_B
 from bfcorr.poly import MultiPoly, collect
-from bfcorr.ratfun import RationalFn
-from bfcorr.series import LaurentSeries
+from bfcorr.ratfun import RationalFn, sum_factor, var_factor
+from bfcorr.series import LaurentSeries, expand
 
 AL = ("z", "w")
 D = 3
@@ -20,16 +22,20 @@ def _coeff(rng):
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
-def _poly(rng):
-    return MultiPoly(AL, {(rng.randint(0, 3), rng.randint(0, 3)): _coeff(rng) for _ in range(4)})
+def _int_coeff(rng):
+    return rng.randint(-4, 4)
 
 
-def _series(rng):
-    return LaurentSeries(AL, D, {(rng.randint(-D, D), rng.randint(-D, D)): _coeff(rng) for _ in range(5)})
+def _poly(rng, coeff=_coeff):
+    return MultiPoly(AL, {(rng.randint(0, 3), rng.randint(0, 3)): coeff(rng) for _ in range(4)})
 
 
-def _vector(rng):
-    return FockVector((rng.choice(STATES), _coeff(rng)) for _ in range(4))
+def _series(rng, coeff=_coeff):
+    return LaurentSeries(AL, D, {(rng.randint(-D, D), rng.randint(-D, D)): coeff(rng) for _ in range(5)})
+
+
+def _vector(rng, coeff=_coeff):
+    return FockVector((rng.choice(STATES), coeff(rng)) for _ in range(4))
 
 
 def _exponent_map(e):
@@ -85,6 +91,40 @@ def test_apply_is_linear(kind, rng):
         a, b, c = make(rng), make(rng), _coeff(rng)
         assert (a + b).apply(action) == a.apply(action) + b.apply(action)
         assert a.scale(c).apply(action) == a.apply(action).scale(c)
+
+
+def _all_int(combination):
+    return all(type(c) is int for c in combination.terms.values())
+
+
+def test_int_coefficients_stay_int(kind, rng):
+    make, action = kind
+
+    def int_action(k):
+        return [(k2, x) for k2, x in action(k) if type(x) is int]
+
+    for _ in range(20):
+        a, b = make(rng, _int_coeff), make(rng, _int_coeff)
+        for c in (a, b, a + b, a - b, -a, a.scale(-3), a.apply(int_action)):
+            assert _all_int(c)
+        if isinstance(a, MultiPoly):
+            assert _all_int(a * b) and _all_int(a ** 3)
+
+
+def test_an_int_and_the_equal_fraction_give_equal_combinations(kind):
+    make, _ = kind
+    for seed in range(20):
+        a = make(random.Random(seed), _int_coeff)
+        b = make(random.Random(seed), lambda r: Fraction(_int_coeff(r)))
+        assert _all_int(a) and (b.is_zero() or not _all_int(b))
+        assert a == b and hash(a) == hash(b)
+
+
+def test_integer_expansions_and_vevs_keep_int_coefficients():
+    f = RationalFn(MultiPoly(AL, {(1, 0): 2, (0, 1): -1}), {sum_factor(0, 1): 2, var_factor(0): 1})
+    specs = [VevSpec.standard_A("fermion", 2, 3), VevSpec.standard_B("fermion", 4, 3)]
+    for series in [expand(f, AL, 4), *map(vev_fermion, specs), *map(_wick_series, specs)]:
+        assert series.terms and _all_int(series)
 
 
 def test_collect_sums_like_keys_and_drops_zeros():
