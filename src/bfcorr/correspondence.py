@@ -27,7 +27,6 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
 # vertex_A is bound here only for the benchmark's tracer test
@@ -56,7 +55,7 @@ from .fock import (
 )
 from .matrices import pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
-from .poly import MultiPoly, collect
+from .poly import MultiPoly, collect, mac
 from .ratfun import RationalFn, diff_factor, residue_at, rf_equal, sum_factor
 from .series import LaurentSeries, expand
 from .textio import format_rational, format_series
@@ -264,21 +263,6 @@ def closed_form(model: str, kind: str, n: int) -> RationalFn:
     return pfaffian(m)
 
 
-def _series_mac(acc: Dict, sign: int, a: Dict, b: Dict) -> Dict:
-    """acc += sign * a * b on exponent dicts, in place."""
-    get = acc.get
-    for e1, c1 in a.items():
-        c1 *= sign
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            v = get(e, 0) + c1 * c2
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-    return acc
-
-
 def _wick_series(spec: VevSpec) -> LaurentSeries:
     """<0| word |0> by Wick's theorem: the Pfaffian over the expansions of
     the word's two-point functions on the cutoff box."""
@@ -286,7 +270,7 @@ def _wick_series(spec: VevSpec) -> LaurentSeries:
     m = [[None] * len(alpha) for _ in alpha]  # the expansion reads i < j only
     for i, j in _wick_pairs(spec):
         m[i][j] = expand(_two_point(spec.model, alpha, i, j), alpha, D).terms
-    return LaurentSeries(alpha, D, pf_expansion(m, {(0,) * len(alpha): 1}, dict, _series_mac))
+    return LaurentSeries(alpha, D, pf_expansion(m, {(0,) * len(alpha): 1}, dict, mac))
 
 
 def det_series(n: int, cutoff: int) -> LaurentSeries:

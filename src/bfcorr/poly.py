@@ -6,7 +6,9 @@ nonzero coefficients, each an int or a Fraction, in a frame, the data
 two combinations must share to be added or compared.  It holds the one
 copy of the vector space arithmetic (sum, negation, scaling, equality,
 hashing) and of the linear extension ``apply`` of a map on keys;
-``collect`` sums like keys and drops zeros.  A polynomial (``MultiPoly``,
+``collect`` sums like keys and drops zeros.  ``mac`` is the one product
+of sparse exponent maps, a multiply-accumulate that ``MultiPoly.__mul__``
+and the Wick Pfaffian's series entries share.  A polynomial (``MultiPoly``,
 keyed by exponent tuples over its variable alphabet), a truncated
 Laurent series and a Fock vector are ``Terms``.  ``exact`` is the one
 gate for a caller's coefficient, so no floating point enters the system
@@ -44,6 +46,22 @@ def collect(pairs: Iterable[tuple]) -> dict:
         s = out.get(k)
         out[k] = c if s is None else s + c
     return {k: c for k, c in out.items() if c}
+
+
+def mac(acc: dict, sign: int, a: dict, b: dict) -> dict:
+    """acc += sign * a * b on sparse exponent maps, in place; zero sums are dropped."""
+    get = acc.get
+    for e1, c1 in a.items():
+        c1 *= sign
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            v = get(e)
+            v = c1 * c2 if v is None else v + c1 * c2
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+    return acc
 
 
 class Terms:
@@ -169,17 +187,7 @@ class MultiPoly(Terms):
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = out.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly(self.alphabet, out)
+        return MultiPoly(self.alphabet, mac({}, 1, self.terms, other.terms))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:

@@ -12,6 +12,11 @@ exactly when p vanishes at z_i = s*z_j, and the quotient then sends each
 z_i^m to sum_{k<m} z_i^k (s*z_j)^(m-1-k), because
 z_i^m - (s*z_j)^m = (z_i - s*z_j) * that sum.  For z_i this reads: z_i
 divides when every term holds z_i, and the quotient lowers its exponent.
+
+An atom is substituted and differentiated as its linear form
+``factor_poly(alphabet, atom)``: under z_i := sign*z_j the form becomes
+zero (a pole is hit) or c times one atom, and its z_i-derivative is the
+constant that the quotient rule needs.
 """
 
 from __future__ import annotations
@@ -190,7 +195,7 @@ class RationalFn:
         """Partial derivative with respect to variable i."""
         out = RationalFn(self.num.diff(i), dict(self.den))
         for atom, e in self.den.items():
-            dp = _atom_derivative(self.alphabet, atom, i)
+            dp = factor_poly(self.alphabet, atom).diff(i)
             if dp.is_zero():
                 continue
             den2 = dict(self.den)
@@ -199,45 +204,21 @@ class RationalFn:
         return out
 
     def substitute(self, i: int, j: int, sign: int) -> "RationalFn":
-        """Substitute z_i := sign*z_j; raises if a pole atom vanishes there."""
-        num = self.num.substitute(i, j, sign)
-        scale = Rat(1)
+        """Substitute z_i := sign*z_j; raises if a pole atom vanishes there.
+
+        Each atom's linear form becomes zero or c times one atom, which
+        takes the atom's place while the numerator is divided by c^e."""
         den: Dict[PoleFactor, int] = {}
-
-        def put(atom, e):
-            den[atom] = den.get(atom, 0) + e
-
+        scale = 1
         for atom, e in self.den.items():
-            if i not in atom[1:]:
-                put(atom, e)
-                continue
-            # coefficients of the linear form c_a z_a + c_b z_b
-            if atom[0] == "var":
-                coeffs = {atom[1]: 1}
-            elif atom[0] == "diff":
-                coeffs = {atom[1]: 1, atom[2]: -1}
-            else:
-                coeffs = {atom[1]: 1, atom[2]: 1}
-            new = {}
-            for v, c in coeffs.items():
-                t = j if v == i else v
-                c = c * (sign if v == i else 1)
-                new[t] = new.get(t, 0) + c
-            new = {v: c for v, c in new.items() if c}
-            if not new:
+            form = factor_poly(self.alphabet, atom).substitute(i, j, sign)
+            if not form:
                 raise ZeroDivisionError(f"pole atom {atom!r} vanishes at z_{i} = {sign}*z_{j}")
-            if len(new) == 1:
-                (v, c), = new.items()
-                put(("var", v), e)
-                scale /= Rat(c) ** e
-            else:
-                (a, ca), (b, cb) = sorted(new.items())
-                if cb == ca:
-                    put(("sum", a, b), e)
-                else:
-                    put(("diff", a, b), e)
-                scale /= Rat(ca) ** e
-        return RationalFn(num.scale(scale), den)
+            (a, c), *rest = sorted((x.index(1), c) for x, c in form.items())
+            atom = ("var", a) if not rest else ("sum" if rest[0][1] == c else "diff", a, rest[0][0])
+            den[atom] = den.get(atom, 0) + e
+            scale *= c ** e
+        return RationalFn(self.num.substitute(i, j, sign).scale(Fraction(1, scale)), den)
 
     def evaluate(self, point) -> Rat:
         """Evaluate at a rational point (raises ZeroDivisionError on a pole)."""
@@ -261,16 +242,6 @@ class RationalFn:
 
     def __repr__(self):
         return f"RationalFn({self.num!r}, {self.den!r})"
-
-
-def _atom_derivative(alphabet, atom: PoleFactor, i: int) -> MultiPoly:
-    if atom[0] == "var":
-        c = 1 if atom[1] == i else 0
-    elif atom[0] == "diff":
-        c = 1 if atom[1] == i else (-1 if atom[2] == i else 0)
-    else:
-        c = 1 if i in (atom[1], atom[2]) else 0
-    return MultiPoly.const(alphabet, c)
 
 
 def rf_reduce(f: RationalFn) -> RationalFn:

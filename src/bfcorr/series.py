@@ -4,10 +4,13 @@
 |z_1| >> ... >> |z_n| given by ``ordering``, truncated to the cutoff box:
 a monomial is kept iff every exponent is >= -D and its total degree lies
 in [-D, D].  The result is exact on the box: each denominator atom
-1/(z_a +- z_b) is expanded as a geometric series whose length is chosen
-so that no discarded tail term can re-enter the box (the bound is solved
-by induction along the ordering, since a factor tail lowers its leading
-variable while raising the trailing one).
+1/(z_a +- z_b) is expanded as a geometric series in z_b/z_a, and the
+factors run in the order of their leading variable.  A tail term lowers
+its leading variable and raises only a later one, so once the factors
+leading from z_a start, nothing raises z_a again: a term whose z_a
+exponent is x gets the tail terms t = 0 .. x - e + D of a factor
+1/(z_a +- z_b)^e, and none when x - e < -D.  Tails have degree 0, so the
+total degree is tested once, on the numerator, and the box drops the rest.
 """
 
 from __future__ import annotations
@@ -78,11 +81,6 @@ def raw_mul(t1: Dict[Expo, Rat], t2: Dict[Expo, Rat]) -> Dict[Expo, Rat]:
     return collect((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in t1.items() for e2, c2 in t2.items())
 
 
-def geometric_terms(e: int, sigma: int, tmax: int):
-    """Tail coefficients of 1/(x + sigma*y)^e = x^-e sum_t c_t (y/x)^t."""
-    return [(t, comb(e - 1 + t, t) * (-sigma) ** t) for t in range(tmax + 1)]
-
-
 def expand(f: RationalFn, ordering, cutoff: int) -> LaurentSeries:
     """Expansion i_{ordering} f truncated (exactly) to the cutoff box."""
     ordering = tuple(ordering)
@@ -118,69 +116,26 @@ def expand(f: RationalFn, ordering, cutoff: int) -> LaurentSeries:
             factors.append((pj, pi, sigma, e, sign))
     factors.sort(key=lambda fac: (fac[0], fac[1]))
 
-    base: Dict[Expo, Rat] = {}
+    # numerator terms over the ordering, shifted by the var atoms
+    degree = -sum(fac[3] for fac in factors)
+    placed = []
     for expo, c in f.num.terms.items():
-        e = [0] * nvars
+        e = list(var_shift)
         for k, x in enumerate(expo):
             if x:
                 e[pos[f.alphabet[k]]] += x
-        for k in range(nvars):
-            e[k] += var_shift[k]
-        total = sum(e) - sum(fac[3] for fac in factors)
-        if -cutoff <= total <= cutoff:
-            key = tuple(e)
-            s = base.get(key)
-            base[key] = c if s is None else s + c
-    base = {e: c for e, c in base.items() if c}
+        if -cutoff <= sum(e) + degree <= cutoff:
+            placed.append((tuple(e), c))
+    current = collect(placed)
 
-    if not base or not factors:
-        return LaurentSeries(ordering, cutoff, base)
-
-    num_max = [max(e[a] for e in base) for a in range(nvars)]
-
-    # per-factor tail bounds, solved forward along the ordering
-    tbound = [0] * len(factors)
-    for a in range(nvars):
-        leading = [k for k, fac in enumerate(factors) if fac[0] == a]
-        if not leading:
-            continue
-        slack = cutoff + num_max[a] - sum(factors[k][3] for k in leading)
-        slack += sum(tbound[k] for k, fac in enumerate(factors) if fac[1] == a)
-        bound = max(slack, 0)
-        for k in leading:
-            tbound[k] = bound
-
-    # future positive headroom per variable after factor k has been applied
-    future = [[0] * nvars for _ in range(len(factors) + 1)]
-    for k in range(len(factors) - 1, -1, -1):
-        row = list(future[k + 1])
-        row[factors[k][1]] += tbound[k]
-        future[k] = row
-
-    current = base
-    for k, (lead, trail, sigma, e, sign) in enumerate(factors):
-        tail = geometric_terms(e, sigma, tbound[k])
-        headroom = future[k + 1]
-        out: Dict[Expo, Rat] = {}
-        for expo, c in current.items():
-            for t, coeff in tail:
-                ve = list(expo)
-                ve[lead] -= e + t
-                ve[trail] += t
-                ok = True
-                for a in range(nvars):
-                    if ve[a] + headroom[a] < -cutoff:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                key = tuple(ve)
-                s = out.get(key)
-                s = c * coeff * sign if s is None else s + c * coeff * sign
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        current = out
+    # 1/(x + sigma*y)^e = x^-e sum_t C(e-1+t, t) (-sigma*y/x)^t; no later
+    # factor raises x, so the tail stops where x's exponent leaves the box
+    for lead, trail, sigma, e, sign in factors:
+        top = max((expo[lead] for expo in current), default=0) - e + cutoff
+        tail = [sign * (-sigma) ** t * comb(e - 1 + t, t) for t in range(top + 1)]
+        current = collect(
+            (expo[:lead] + (expo[lead] - e - t,) + expo[lead + 1:trail] + (expo[trail] + t,) + expo[trail + 1:],
+             c * tail[t])
+            for expo, c in current.items() for t in range(expo[lead] - e + cutoff + 1))
 
     return LaurentSeries(ordering, cutoff, current)

@@ -145,7 +145,7 @@ def _parse_terms(tk: _Tokens, names_seen: list) -> Dict[Tuple[str, int], Rat]:
                 raise ValueError("leading +")
         elif not first:
             raise ValueError("expected + or - between terms")
-        coeff = Fraction(sign)
+        coeff = sign
         have_coeff = False
         kind, val = tk.peek()
         if kind == "num":
@@ -156,7 +156,7 @@ def _parse_terms(tk: _Tokens, names_seen: list) -> Dict[Tuple[str, int], Rat]:
                 k2, v2 = tk.next()
                 if k2 != "num" or v2 == 0:
                     raise ValueError("expected a nonzero integer denominator")
-                coeff /= v2
+                coeff = Fraction(coeff, v2)
         factors: Dict[str, int] = {}
         need_name = False
         while True:
@@ -179,7 +179,7 @@ def _parse_terms(tk: _Tokens, names_seen: list) -> Dict[Tuple[str, int], Rat]:
         if not have_coeff:
             raise ValueError("empty term")
         key = tuple(sorted(factors.items()))
-        out[key] = out.get(key, Rat(0)) + coeff
+        out[key] = out.get(key, 0) + coeff
         first = False
 
 
@@ -201,7 +201,7 @@ def _exponents(terms, alphabet) -> Dict[Tuple[int, ...], Rat]:
         for name, k in key:
             e[_position(idx, name)] += k
         e = tuple(e)
-        tmap[e] = tmap.get(e, Rat(0)) + coeff
+        tmap[e] = tmap.get(e, 0) + coeff
     return tmap
 
 
@@ -273,7 +273,7 @@ def parse_rational(text: str, alphabet=None) -> RationalFn:
     num = _terms_to_poly(terms, alphabet)
     idx = {name: k for k, name in enumerate(alphabet)}
     den: Dict[PoleFactor, int] = {}
-    sign = Rat(1)
+    sign = 1
     for (name1, op, name2), e in den_atoms:
         i = _position(idx, name1)
         if op is None:
@@ -282,7 +282,7 @@ def parse_rational(text: str, alphabet=None) -> RationalFn:
             atom = sum_factor(i, _position(idx, name2))
         else:
             atom, s = diff_factor(i, _position(idx, name2))
-            sign *= Rat(s) ** e
+            sign *= s ** e
         den[atom] = den.get(atom, 0) + e
     return RationalFn(num.scale(sign), den)
 

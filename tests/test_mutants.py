@@ -1,0 +1,133 @@
+"""The mutant table: every check bites, and every mutant is caught.
+
+Each row is a named source mutation, an exact ``(file, old, new)`` text
+replacement that must match exactly once in ``src/bfcorr``, and the checks
+that must FAIL under it.  The test copies the package, applies the
+mutation and runs ``bfcorr.cli verify`` on the row's targets with
+``--quick`` in a subprocess.  Text mutation is needed because callers bind
+names at import (``correspondence`` imports ``_apply_phi_B``), so a
+monkeypatch would miss them.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bfcorr
+from bfcorr.correspondence import CHECKS
+
+SRC = Path(bfcorr.__file__).parent
+TARGET = {check.name: check.target for check in CHECKS}
+
+# (name, file, old, new, the checks that fail under it); the lists are the
+# complete failing sets of ``verify all --quick``
+MUTANTS = [
+    ("phi_B contraction sign", "fock.py",
+     "sign * 2 * (-1) ** n))", "-sign * 2 * (-1) ** n))",
+     ["ope-residues", "pf-formula-B", "supercommutativity-B",
+      "twisted-heisenberg-from-fermions-B", "vev-match-B"]),
+    ("phi_B creation sign", "fock.py",
+     "return out + [(FermionStateB(idx[:i] + (m,) + idx[i:]), sign)]",
+     "return out + [(FermionStateB(idx[:i] + (m,) + idx[i:]), -sign)]",
+     ["ope-residues", "twisted-heisenberg-from-fermions-B"]),
+    ("phi_A creation sign", "fock.py",
+     "return [(FermionStateA(phis, s.psis), (-1) ** pos)]",
+     "return [(FermionStateA(phis, s.psis), 1)]",
+     ["heisenberg-from-fermions-A"]),
+    ("phi_A contracting without passing the phi block", "fock.py",
+     "    partner = -1 - m\n    sign = (-1) ** len(s.phis)\n",
+     "    partner = -1 - m\n    sign = 1\n",
+     ["heisenberg-from-fermions-A", "ope-residues"]),
+    ("vertex_op_A without the z^charge shift", "boson.py",
+     "lambda s: (sign * s.charge, s.charge + sign)", "lambda s: (0, s.charge + sign)",
+     ["product-formula-A", "vev-match-A"]),
+    ("type B lowering scale 1 in place of 2", "boson.py",
+     "BosonStateB, True, 2, sign)", "BosonStateB, True, 1, sign)",
+     ["product-formula-B", "vev-match-B"]),
+    ("_apply_T as the identity", "fields.py",
+     "lambda k, s: [(t, -x) for t, x in row(k, s)] if k % 2 else row(k, s),",
+     "lambda k, s: row(k, s),",
+     ["hopf-relations", "twisted-heisenberg-from-fermions-B"]),
+    ("h_B scaled by 1/2 in place of 1/4", "fields.py",
+     ".scaled(Fraction(1, 4))", ".scaled(Fraction(1, 2))",
+     ["twisted-heisenberg-from-fermions-B"]),
+    ("odd_partition_count(7) off by one", "partitions.py",
+     "return _partition_table(n, True)[n]", "return _partition_table(n, True)[n] + (n == 7)",
+     ["character-B"]),
+    ("partition_count(7) off by one", "partitions.py",
+     "return _partition_table(n, False)[n]", "return _partition_table(n, False)[n] + (n == 7)",
+     ["character-A"]),
+    ("_product_form without the (z+w) poles", "correspondence.py",
+     "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = 1",
+     "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = sigma < 0",
+     ["product-formula-B", "schur-pfaffian"]),
+    ("type B two-point numerator sign", "correspondence.py",
+     "MultiPoly.linear(alpha, i, j, -1), {sum_factor(i, j): 1})",
+     "MultiPoly.linear(alpha, i, j, 1), {sum_factor(i, j): 1})",
+     ["ope-residues", "pf-formula-B", "schur-pfaffian", "supercommutativity-B", "vev-match-B"]),
+    ("type A two-point function doubled", "correspondence.py",
+     "RationalFn(MultiPoly.const(alpha, s), {atom: 1})",
+     "RationalFn(MultiPoly.const(alpha, 2 * s), {atom: 1})",
+     ["cauchy", "det-formula-A", "ope-residues", "supercommutativity-A"]),
+    ("expand's tail one term short", "series.py",
+     "for t in range(expo[lead] - e + cutoff + 1))", "for t in range(expo[lead] - e + cutoff))",
+     ["det-formula-A", "pf-formula-B", "product-formula-A", "product-formula-B",
+      "supercommutativity-A", "supercommutativity-B", "vev-match-B"]),
+    ("mac without its sign", "poly.py",
+     "        c1 *= sign\n", "",
+     ["det-formula-A"]),
+]
+
+# runs each target the way ``python -m bfcorr.cli verify <target> --quick
+# --format json --no-timing`` does, in one interpreter, after naming the
+# package file it imported
+_RUNNER = """
+import sys
+import bfcorr
+from bfcorr.cli import main
+print(bfcorr.__file__, file=sys.stderr)
+for target in sys.argv[1:]:
+    main(["verify", target, "--quick", "--format", "json", "--no-timing"])
+"""
+
+
+def _mutated_copy(root: Path, file: str, old: str, new: str) -> Path:
+    pkg = root / "bfcorr"
+    shutil.copytree(SRC, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    path = pkg / file
+    text = path.read_text()
+    assert text.count(old) == 1, f"{file}: the mutated text must occur exactly once"
+    path.write_text(text.replace(old, new))
+    return pkg
+
+
+def test_every_check_is_in_some_row():
+    named = {name for *_, fails in MUTANTS for name in fails}
+    assert set(TARGET) <= named
+    assert named <= set(TARGET)
+
+
+def test_every_mutant_is_caught_by_some_check():
+    for name, *_, fails in MUTANTS:
+        assert fails, name
+
+
+@pytest.mark.parametrize("name, file, old, new, fails", MUTANTS, ids=[row[0] for row in MUTANTS])
+def test_mutant_fails_its_checks(tmp_path, name, file, old, new, fails):
+    pkg = _mutated_copy(tmp_path, file, old, new)
+    env = {k: v for k, v in os.environ.items() if k != "BFCORR_CUTOFF"}
+    env.update(PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    targets = sorted({TARGET[check] for check in fails})
+    proc = subprocess.run([sys.executable, "-c", _RUNNER, *targets], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr.splitlines()[0] == str(pkg / "__init__.py"), proc.stderr
+    status = {}
+    for line in proc.stdout.splitlines():
+        report = json.loads(line)
+        status[report["check"]] = report["status"]
+    assert {check: status.get(check) for check in fails} == {check: "fail" for check in fails}, proc.stderr

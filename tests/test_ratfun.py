@@ -7,7 +7,8 @@ import pytest
 
 from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, residue_at, rf_equal, rf_reduce
-from conftest import random_ratfun, rf
+from bfcorr.series import LaurentSeries, expand
+from conftest import random_poly, random_ratfun, rf
 
 AL = ("z", "w")
 
@@ -116,3 +117,60 @@ def test_diff_quotient_rule():
 def test_alphabet_mismatch_raises():
     with pytest.raises(ValueError):
         rf("z", ("z", "w")) + rf("z", ("z", "v"))
+
+
+AL3 = ("z", "w", "v")
+
+
+def _random_ratfun3(rng):
+    """A random function over z, w, v with var, diff and sum poles."""
+    num = random_poly(rng, AL3)
+    if num.is_zero():
+        num = MultiPoly.const(AL3, 1)
+    den = {}
+    for kind in rng.sample(["var", "diff", "sum"] * 2, rng.randint(1, 4)):
+        i, j = sorted(rng.sample(range(3), 2))
+        atom = ("var", i) if kind == "var" else (kind, i, j)
+        den[atom] = den.get(atom, 0) + rng.randint(1, 2)
+    return RationalFn(num, den)
+
+
+def _atom_value(atom, q):
+    """A pole atom's linear form at the point q, written out by hand."""
+    if atom[0] == "var":
+        return q[atom[1]]
+    return q[atom[1]] + (q[atom[2]] if atom[0] == "sum" else -q[atom[2]])
+
+
+@pytest.mark.parametrize("i, j, sign", [(i, j, s) for i in range(3) for j in range(3) for s in (1, -1)])
+def test_substitute_agrees_with_evaluation(rng, i, j, sign):
+    for _ in range(15):
+        f = _random_ratfun3(rng)
+        points = [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in AL3] for _ in range(4)]
+        moved = [[sign * p[j] if k == i else x for k, x in enumerate(p)] for p in points]
+        if any(all(_atom_value(atom, q) == 0 for q in moved) for atom in f.den):
+            with pytest.raises(ZeroDivisionError):
+                f.substitute(i, j, sign)
+            continue
+        g = f.substitute(i, j, sign)
+        compared = 0
+        for p, q in zip(points, moved):
+            try:
+                value = f.evaluate(q)
+            except ZeroDivisionError:
+                continue
+            assert g.evaluate(p) == value
+            compared += 1
+        assert compared
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_diff_is_the_termwise_derivative_of_the_expansion(rng, i):
+    for _ in range(12):
+        f = _random_ratfun3(rng)
+        ordering = tuple(rng.sample(AL3, 3))
+        D = rng.randint(0, 4)
+        k = ordering.index(AL3[i])
+        derivative = {e[:k] + (e[k] - 1,) + e[k + 1:]: e[k] * c
+                      for e, c in expand(f, ordering, D + 1).terms.items()}
+        assert expand(f.diff(i), ordering, D) == LaurentSeries(ordering, D, derivative)

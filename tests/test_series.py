@@ -1,10 +1,12 @@
 """Region-ordered Laurent expansion: examples, exactness, ring laws."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn
 from bfcorr.series import LaurentSeries, expand, raw_mul
 from bfcorr.textio import parse_series
@@ -130,3 +132,61 @@ def test_three_variable_region_chain():
             if all(x >= -4 for x in e) and abs(sum(e)) <= 4:
                 expected[e] = Fraction(1)
     assert s.terms == expected
+
+
+def _brute_expand(f, ordering, cutoff, tail):
+    """expand by brute force: every pole atom's own geometric series, to
+    ``tail`` terms past its leading one, multiplied out with raw_mul and
+    then cut to the box."""
+    pos = [ordering.index(name) for name in f.alphabet]
+
+    def unit(k, x):
+        e = [0] * len(ordering)
+        e[pos[k]] = x
+        return tuple(e)
+
+    terms = {tuple(e[f.alphabet.index(name)] for name in ordering): c for e, c in f.num.terms.items()}
+    for atom, power in f.den.items():
+        if atom[0] == "var":
+            series = {unit(atom[1], -1): 1}
+        else:
+            # c_a z_a + c_b z_b with z_a leading: (1/c_a) z_a^-1 sum_t (-c_b z_b / (c_a z_a))^t
+            (a, ca), (b, cb) = sorted([(atom[1], 1), (atom[2], 1 if atom[0] == "sum" else -1)],
+                                      key=lambda v: pos[v[0]])
+            series = {tuple(map(sum, zip(unit(a, -1 - t), unit(b, t)))): Fraction(-cb, ca) ** t / ca
+                      for t in range(tail + 1)}
+        for _ in range(power):
+            terms = raw_mul(terms, series)
+    return LaurentSeries(ordering, cutoff, terms)
+
+
+def _random_near_degree_zero(rng, alphabet):
+    """A random function over ``alphabet`` with var, diff and sum poles,
+    whose numerator terms have degree within 1 of the denominator's, so
+    that most of its expansion lands in small boxes."""
+    n = len(alphabet)
+    den = {}
+    for power in [rng.randint(1, 2), 1, 1][:rng.randint(1, 3)]:
+        kind = rng.choice(["var", "diff", "sum"])
+        i, j = sorted(rng.sample(range(n), 2))
+        atom = ("var", i) if kind == "var" else (kind, i, j)
+        den[atom] = den.get(atom, 0) + power
+    num = {}
+    for _ in range(3):
+        e = [0] * n
+        for _ in range(max(sum(den.values()) + rng.randint(-1, 1), 0)):
+            e[rng.randrange(n)] += 1
+        num[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return RationalFn(MultiPoly(alphabet, num), den)
+
+
+@pytest.mark.parametrize("alphabet, count", [(("z", "w", "v"), 8), (("z", "w", "v", "u"), 3)])
+def test_expand_matches_brute_force_in_every_region(rng, alphabet, count):
+    for _ in range(count):
+        f = _random_near_degree_zero(rng, alphabet)
+        for ordering in itertools.permutations(alphabet):
+            D = rng.randint(0, 4)
+            T = D + 4
+            brute = _brute_expand(f, ordering, D, T)
+            assert _brute_expand(f, ordering, D, 2 * T) == brute  # the tails reach past the box
+            assert expand(f, ordering, D) == brute, (f, ordering, D)

@@ -106,6 +106,18 @@ def test_parse_rejects_a_zero_coefficient_denominator():
         parse_rational("(1/0) / ((z1-w1)^1)", AL)
 
 
+def test_integer_text_parses_to_int_coefficients():
+    rational = parse_rational("(z1^2 - 2*z1*w1 + w1^2) / ((z1-w1)^1 (z1+w1)^2)", AL)
+    unreduced = parse_rational("(z1 - 3*w1) / ((w1-z1)^1 (z1)^2)", AL)
+    poly = parse_poly("3*z1^2 - w1 + 7", AL)
+    series = parse_series("z1^-1 - 2*w1 + 5", AL, 3)
+    for terms in (rational.num, unreduced.num, poly, series):
+        assert terms.terms and all(type(c) is int for c in terms.terms.values())
+    assert parse_poly("3/2*z1", AL).terms == {(1, 0): Fraction(3, 2)}
+    with pytest.raises(ValueError):
+        parse_poly("1/0*z1", AL)
+
+
 # arbitrary text, and text over the grammar's own characters so that most
 # examples get past the tokenizer
 _TEXT = st.text(max_size=30) | st.text(alphabet=" ()+-*/^0123456789z1wq_", max_size=30)
