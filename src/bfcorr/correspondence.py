@@ -1,22 +1,23 @@
 """Vacuum expectation values on all four sides of the correspondences,
 their Wick and product forms, and the named identity checks.
 
-Both VEV engines apply the word right to left to the vacuum, one field
-per step, and keep the exponent prefixes apart.  The fermion sweep holds
-one {prefix: coefficient} table per basis state (a Clifford monomial
-reaches one state, so prefixes never merge), runs fock's basis-state
-Clifford actions over the modes of the cutoff box and drops the states
-the fields still to come cannot return to the vacuum; the boson sweep
-holds one {state: coefficient} table per prefix and runs each vertex
-operator on all (prefix, state) pairs at once (``boson.vertex_terms``,
-which sums the annihilation half's results before the creation half
-runs).  Any word has one Wick form, the Pfaffian of its paired two-point
-functions (``_wick_pairs``), and one product form (``_product_form``);
-the closed forms and the det/Pf series are these for the standard word.
-The series form runs ``matrices.pf_expansion`` on integer entrywise
-expansions (region expansion is a ring homomorphism, and each term of the
-expansion touches disjoint variable pairs, so entry truncation at the box
-bound is exact).
+``OPERATORS`` maps each (model, side) to its vacuum and the operator of
+each word symbol: the Clifford fields phi_A, psi_A, phi_B and Tphi =
+phi_B(-z) = (T phi_B)(z), or the vertex operators e^{+-alpha}(z) (type A)
+and e^alpha(+-z) (type B).  Both VEV engines apply a word's operators
+right to left to the vacuum and keep the exponent prefixes apart.  The
+fermion sweep holds one {prefix: coefficient} table per basis state (a
+Clifford monomial reaches one state, so prefixes never merge) and runs
+every field's rows over one mode range; the boson sweep holds one {state:
+coefficient} table per prefix and runs each vertex operator on all
+(prefix, state) pairs at once (``boson.vertex_terms``).  Any word has one
+Wick form, the Pfaffian of its paired two-point functions
+(``_wick_pairs``), and one product form (``_product_form``); the closed
+forms and the det/Pf series are these for the standard word, and the
+locality checks compare all four sides on every word.  The series form
+runs ``matrices.pf_expansion`` on integer entrywise expansions (region
+expansion is a ring homomorphism, and each term of the expansion touches
+disjoint variable pairs, so entry truncation at the box bound is exact).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Callable, Dict, List, Optional, Tuple
 
 # vertex_A is bound here only for the benchmark's tracer test
@@ -47,9 +48,6 @@ from .fock import (
     VACUUM_B,
     FermionStateA,
     FermionStateB,
-    _apply_phi_A,
-    _apply_phi_B,
-    _apply_psi_A,
     character_A,
     character_B,
 )
@@ -61,9 +59,15 @@ from .series import LaurentSeries, expand
 from .textio import format_rational, format_series
 
 
-# the field symbols of each (model, side); type B '-' is e^alpha(-z) = e^{-alpha}(z)
-_SYMBOLS = {("A", "fermion"): ("phi", "psi"), ("A", "boson"): ("+", "-"),
-            ("B", "fermion"): ("phi",), ("B", "boson"): ("+", "-")}
+# (model, side) -> (vacuum, {symbol: operator}), the two sides of a model
+# listing matching symbols in one order: type B 'Tphi' = phi(-z) is the
+# fermion image of '-' = e^alpha(-z) = e^{-alpha}(z)
+OPERATORS = {
+    ("A", "fermion"): (VACUUM_A, {"phi": phi_A(), "psi": psi_A()}),
+    ("B", "fermion"): (VACUUM_B, {"phi": phi_B(), "Tphi": act_hopf("T", phi_B())}),
+    ("A", "boson"): (BOSON_VACUUM_A, {"+": vertex_op_A(1), "-": vertex_op_A(-1)}),
+    ("B", "boson"): (BOSON_VACUUM_B, {"+": vertex_op_B(1), "-": vertex_op_B(-1)}),
+}
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,12 @@ class VevSpec:
     cutoff: int
 
     def __post_init__(self):
-        symbols = _SYMBOLS.get((self.model, self.side))
-        if symbols is None:
+        side = OPERATORS.get((self.model, self.side))
+        if side is None:
             raise ValueError(f"unknown model/side {self.model!r}/{self.side!r}")
         for sym, _ in self.word:
-            if sym not in symbols:
-                raise ValueError(f"type {self.model} {self.side} words take {symbols}, not {sym!r}")
+            if sym not in side[1]:
+                raise ValueError(f"type {self.model} {self.side} words take {tuple(side[1])}, not {sym!r}")
         if len(set(self.variables)) != len(self.word):
             raise ValueError("variables must be distinct")
 
@@ -117,39 +121,27 @@ class VevSpec:
 def vev_fermion(spec: VevSpec) -> LaurentSeries:
     """<0| word |0> as a Laurent series in the word-order expansion region.
 
-    The fields run right to left on the vacuum, over tables {basis state:
-    {exponent prefix: integer coefficient}}.  A Clifford monomial maps a
-    basis state to +-1 or +-2 times one basis state or to 0, so each prefix
-    sits in one state's table and prefixes never merge.  Each word step
-    runs fock's basis-state action of its field over the modes that a field
-    applied after it can still undo inside the box: a created mode m is
-    removed at exponent -1-m (type A) or -m (type B), which must be >=
-    -cutoff, so the modes run from cutoff-1 (A) or cutoff (B) down to
-    -cutoff.  A new state is kept only if the fields still to come can
-    remove all of its modes: its phi modes need as many psi fields and its
-    psi modes as many phi fields (type A), its modes as many fields (type
-    B).
+    The word's fields, read from OPERATORS, run right to left on the
+    vacuum over tables {basis state: {exponent prefix: integer coefficient}}.
+    Each is a unary Clifford field with denominator 1 (phi_A, psi_A, phi_B
+    or Tphi = phi_B(-z)), so a monomial maps a basis state to a multiple of
+    one basis state and prefixes never merge.  Every step runs its field's
+    row over one mode range, the box exponents -cutoff .. cutoff.  A field
+    adds or removes one mode, so a new state is kept only if its mode count
+    is at most the number of fields still to come.
     """
     if spec.side != "fermion":
         raise ValueError("spec.side must be 'fermion'")
-    D, word, is_a = spec.cutoff, spec.word, spec.model == "A"
-    vacuum = VACUUM_A if is_a else VACUUM_B
+    D, (vacuum, table) = spec.cutoff, OPERATORS[spec.model, spec.side]
+    fields = [table[sym] for sym, _ in spec.word]
     tables = {vacuum: {(): 1}}
-    for pos in range(len(word) - 1, -1, -1):
-        if is_a:
-            act = _apply_phi_A if word[pos][0] == "phi" else _apply_psi_A
-            top = D - 1
-            phis_left = sum(1 for t, _ in word[:pos] if t == "phi")
-            psis_left = pos - phis_left
-            keep = lambda t: len(t.phis) <= psis_left and len(t.psis) <= phis_left
-        else:
-            act, top = _apply_phi_B, D
-            keep = lambda t: len(t.indices) <= pos
+    for pos in range(len(fields) - 1, -1, -1):
+        row = fields[pos].row
         new: Dict = {}
         for s, prefixes in tables.items():
-            for m in range(top, -D - 1, -1):
-                for t, c in act(m, s):
-                    if keep(t):
+            for m in range(D, -D - 1, -1):
+                for t, c in row(m, s):
+                    if sum(map(len, t)) <= pos:
                         new.setdefault(t, {}).update({(m,) + p: c * v for p, v in prefixes.items()})
         tables = new
     return LaurentSeries(spec.variables, D, tables.get(vacuum))
@@ -177,25 +169,23 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
     lowered monomial) before the creation half runs, inside the cutoff box
     and the weight cap.
     """
-    D, word = spec.cutoff, spec.word
+    D, (vacuum, table) = spec.cutoff, OPERATORS[spec.model, spec.side]
+    ops = [table[sym] for sym, _ in spec.word]
     # net weight one operator can absorb: its exponent, shift + created -
     # lowered weight, is >= -D, so it lowers the weight by at most D + shift;
-    # the shift is sign * charge for type A and 0 for type B
-    absorbs = []  # indexed right to left
-    q = 0
-    for sym, _ in reversed(word):
-        sign = 1 if sym == "+" else -1
-        absorbs.append(D + (sign * q if spec.model == "A" else 0))
-        q += sign
+    # the shift is op.split's on the label state the operators to its right
+    # leave (sign * charge for type A, 0 for type B)
+    absorbs, state = [], vacuum  # indexed right to left
+    for op in reversed(ops):
+        shift, label = op.split(state)
+        absorbs.append(D + shift)
+        state = op.make(label, ())
 
-    vacuum = BOSON_VACUUM_A if spec.model == "A" else BOSON_VACUUM_B
     entries, den = {(): {vacuum: 1}}, 1  # prefix -> {state: numerator over den}
-    for pos in range(len(word) - 1, -1, -1):
-        sign = 1 if word[pos][0] == "+" else -1
-        op = vertex_op_A(sign) if spec.model == "A" else vertex_op_B(sign)
-        wmax = sum(absorbs[len(word) - pos:])
-        d, out = vertex_terms(op, [(prefix, s, c) for prefix, smap in entries.items()
-                                   for s, c in smap.items()], D, wmax)
+    for pos in range(len(ops) - 1, -1, -1):
+        wmax = sum(absorbs[len(ops) - pos:])
+        d, out = vertex_terms(ops[pos], [(prefix, s, c) for prefix, smap in entries.items()
+                                         for s, c in smap.items()], D, wmax)
         entries, den = {(ze,) + prefix: b for (prefix, ze), b in out.items() if b}, den * d
     terms = {prefix: Fraction(smap[vacuum], den) for prefix, smap in entries.items() if vacuum in smap}
     return LaurentSeries(spec.variables, D, terms)
@@ -265,11 +255,15 @@ def closed_form(model: str, kind: str, n: int) -> RationalFn:
 
 def _wick_series(spec: VevSpec) -> LaurentSeries:
     """<0| word |0> by Wick's theorem: the Pfaffian over the expansions of
-    the word's two-point functions on the cutoff box."""
+    the word's two-point functions on the cutoff box.  A type B pair of
+    phi and Tphi = phi(-z) takes K(x_i, -x_j) = 1/K."""
     alpha, D = spec.variables, spec.cutoff
     m = [[None] * len(alpha) for _ in alpha]  # the expansion reads i < j only
     for i, j in _wick_pairs(spec):
-        m[i][j] = expand(_two_point(spec.model, alpha, i, j), alpha, D).terms
+        kernel = _two_point(spec.model, alpha, i, j)
+        if spec.model == "B" and spec.word[i][0] != spec.word[j][0]:
+            kernel = kernel.substitute(j, j, -1)
+        m[i][j] = expand(kernel, alpha, D).terms
     return LaurentSeries(alpha, D, pf_expansion(m, {(0,) * len(alpha): 1}, dict, mac))
 
 
@@ -345,6 +339,13 @@ def _monomial_text(ordering, e) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _difference(label_l: str, label_r: str, lhs: LaurentSeries, rhs: LaurentSeries) -> str:
+    """Where two unequal series first differ, and their two coefficients there."""
+    e = lhs.first_difference(rhs)
+    return (f"{label_l} vs {label_r} at {_monomial_text(lhs.ordering, e)}: "
+            f"{lhs.terms.get(e, 0)} vs {rhs.terms.get(e, 0)}")
+
+
 def _compare_series(report: IdentityReport, pairs: List[Tuple[str, str, LaurentSeries, LaurentSeries]]):
     """Compare each pair in turn; an unequal or an empty pair fails the report.
 
@@ -369,9 +370,7 @@ def _compare_series(report: IdentityReport, pairs: List[Tuple[str, str, LaurentS
             return _fail(report, f"{label_l} vs {label_r}: no terms compared "
                                  f"(both series are 0 at cutoff {lhs.cutoff})")
         if not equal:
-            e = lhs.first_difference(rhs)
-            return _fail(report, f"{label_l} vs {label_r} at {_monomial_text(lhs.ordering, e)}: "
-                                 f"{lhs.terms.get(e, 0)} vs {rhs.terms.get(e, 0)}")
+            return _fail(report, _difference(label_l, label_r, lhs, rhs))
 
 
 # Pair builders of the series checks: (model, n, cutoff) -> the labelled
@@ -434,6 +433,44 @@ def _run_supercommutativity(model, rep, p) -> None:
         _fail(rep, "|z|>>|w| series is not the expansion of F")
     elif not analytic_continuation_check(s_wz, -F):
         _fail(rep, "|w|>>|z| series is not the expansion of -F")
+
+
+def _locality_words(model: str, n: int) -> List[Tuple[str, ...]]:
+    """The symbol sequences of the locality checks: every charge-neutral
+    sequence of n pairs (type A) or every phi/Tphi pattern of n points
+    (type B).  Renaming the variables takes any region order of a word to
+    one of these, so the set covers every ordering."""
+    plus, minus = OPERATORS[model, "fermion"][1]
+    if model == "A":
+        return sorted(set(permutations((plus,) * n + (minus,) * n)))
+    return list(product((plus, minus), repeat=n))
+
+
+def _run_locality(model, rep, p) -> None:
+    """Twisted locality on all four sides: for every word, with its
+    variables named in word order, the fermion VEV, the boson VEV of its
+    image, the Wick form and the expanded product form are one nonzero
+    series.  No series is formatted: a failure names the word, the two
+    sides and their first difference."""
+    D = p["cutoff"]
+    image = dict(zip(OPERATORS[model, "fermion"][1], OPERATORS[model, "boson"][1]))
+    words, compared = _locality_words(model, p["n"]), 0
+    rep.witnesses["words"] = str(len(words))
+    for symbols in words:
+        word = tuple((sym, f"z{k + 1}") for k, sym in enumerate(symbols))
+        spec = VevSpec(model, "fermion", word, D)
+        fermion = vev_fermion(spec)
+        text = " ".join(f"{sym}({var})" for sym, var in word)
+        if not fermion.terms:
+            return _fail(rep, f"{text}: no terms compared (the fermion VEV is 0 at cutoff {D})")
+        for label, other in (
+                ("boson_vev", vev_boson(VevSpec(model, "boson", tuple((image[s], v) for s, v in word), D))),
+                ("wick_form", _wick_series(spec)),
+                ("product_form", expand(_product_form(spec), spec.variables, D))):
+            if other != fermion:
+                return _fail(rep, f"{text}: {_difference('fermion_vev', label, fermion, other)}")
+        compared += 3 * len(fermion.terms)
+    rep.witnesses["coefficients"] = str(compared)
 
 
 def _run_heisenberg_A(model, rep, p) -> None:
@@ -620,6 +657,10 @@ CHECKS = (
           {"cutoff": DEFAULT_CUTOFF}, {}),
     Check("supercommutativity-B", "supercommutativity", "B", _run_supercommutativity,
           {"cutoff": DEFAULT_CUTOFF}, {}),
+    Check("locality-A", "locality", "A", _run_locality,
+          {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+    Check("locality-B", "locality", "B", _run_locality,
+          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 4}),
     Check("heisenberg-from-fermions-A", "heisenberg", "A", _run_heisenberg_A,
           {"mmax": 5, "grade": 12}, {"mmax": 3, "grade": 8}),
     Check("twisted-heisenberg-from-fermions-B", "heisenberg", "B", _run_heisenberg_B,

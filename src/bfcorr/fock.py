@@ -9,11 +9,19 @@ re-canonicalizes exactly via the Clifford relations
 
     [phi_m, psi_n]+ = delta_{m+n,-1}     (type A)
     [phi_m, phi_n]+ = 2(-1)^m delta_{m,-n}   (type B)
+
+phi and psi are one type A action (``_apply_A``), and both bases come from
+one strict-partition enumerator (``_strict_lists``) with a per-model mode
+cost: 2m+1 for the type A energy2, m for the type B degree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from bisect import bisect_left
+from collections import Counter
+from functools import partial
+from operator import neg
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .poly import Terms, collect, exact
 
@@ -31,9 +39,13 @@ VACUUM_A = FermionStateA((), ())
 VACUUM_B = FermionStateB(())
 
 
+def _energy2(m: int) -> int:
+    """The doubled energy of one type A mode: deg phi_m = deg psi_m = m + 1/2."""
+    return 2 * m + 1
+
+
 def energy2_A(s: FermionStateA) -> int:
-    """Doubled energy: deg phi_n = deg psi_n = n + 1/2."""
-    return sum(2 * m + 1 for m in s.phis) + sum(2 * n + 1 for n in s.psis)
+    return sum(map(_energy2, s.phis + s.psis))
 
 
 def degree_B(s: FermionStateB) -> int:
@@ -82,57 +94,39 @@ class FockVector(Terms):
 
 def state_text(s) -> str:
     """Debug form, e.g. ``phi[4,1] psi[2] |0>`` or ``phi[3,0] |0>``."""
-    if isinstance(s, FermionStateA):
-        parts = []
-        if s.phis:
-            parts.append("phi[" + ",".join(map(str, s.phis)) + "]")
-        if s.psis:
-            parts.append("psi[" + ",".join(map(str, s.psis)) + "]")
-        parts.append("|0>")
-        return " ".join(parts)
-    if isinstance(s, FermionStateB):
-        parts = []
-        if s.indices:
-            parts.append("phi[" + ",".join(map(str, s.indices)) + "]")
-        parts.append("|0>")
-        return " ".join(parts)
-    return repr(s)
+    if not isinstance(s, (FermionStateA, FermionStateB)):
+        return repr(s)
+    names = ("phi", "psi") if isinstance(s, FermionStateA) else ("phi",)
+    parts = [f"{name}[{','.join(map(str, modes))}]" for name, modes in zip(names, s) if modes]
+    return " ".join(parts + ["|0>"])
 
 
 # -- single-mode actions on basis states ------------------------------------
 
 
-def _apply_phi_A(m: int, s: FermionStateA) -> List[Tuple[FermionStateA, int]]:
+def _apply_A(own: int, m: int, s: FermionStateA) -> List[Tuple[FermionStateA, int]]:
+    """The one type A Clifford action, of phi_m (``own`` 0) or psi_m (1).
+
+    For m >= 0 the field creates mode m in its own block; for m < 0 it
+    removes the partner -1-m from the other block.  Either way the sign is
+    (-1)^(modes passed): the whole phi block when it acts on the psi block,
+    plus its place inside the block.
+    """
+    block, mode = (own, m) if m >= 0 else (1 - own, -1 - m)
+    modes = s[block]
+    if (mode in modes) == (m >= 0):
+        return []
+    place = bisect_left(modes, -mode, key=neg)  # blocks decrease: the modes above ``mode``
     if m >= 0:
-        if m in s.phis:
-            return []
-        pos = sum(1 for p in s.phis if p > m)
-        phis = s.phis[:pos] + (m,) + s.phis[pos:]
-        return [(FermionStateA(phis, s.psis), (-1) ** pos)]
-    # m < 0: passes the phi block, contracts psi_{-1-m} if present
-    partner = -1 - m
-    sign = (-1) ** len(s.phis)
-    for i, q in enumerate(s.psis):
-        if q == partner:
-            psis = s.psis[:i] + s.psis[i + 1:]
-            return [(FermionStateA(s.phis, psis), sign * (-1) ** i)]
-    return []
+        modes = modes[:place] + (mode,) + modes[place:]
+    else:
+        modes = modes[:place] + modes[place + 1:]
+    t = FermionStateA(modes, s.psis) if block == 0 else FermionStateA(s.phis, modes)
+    return [(t, (-1) ** (place + block * len(s.phis)))]
 
 
-def _apply_psi_A(m: int, s: FermionStateA) -> List[Tuple[FermionStateA, int]]:
-    if m >= 0:
-        if m in s.psis:
-            return []
-        sign = (-1) ** len(s.phis)
-        pos = sum(1 for q in s.psis if q > m)
-        psis = s.psis[:pos] + (m,) + s.psis[pos:]
-        return [(FermionStateA(s.phis, psis), sign * (-1) ** pos)]
-    partner = -1 - m
-    for i, p in enumerate(s.phis):
-        if p == partner:
-            phis = s.phis[:i] + s.phis[i + 1:]
-            return [(FermionStateA(phis, s.psis), (-1) ** i)]
-    return []
+_apply_phi_A = partial(_apply_A, 0)
+_apply_psi_A = partial(_apply_A, 1)
 
 
 def _apply_phi_B(m: int, s: FermionStateB) -> List[Tuple[FermionStateB, int]]:
@@ -156,13 +150,10 @@ def _apply_phi_B(m: int, s: FermionStateB) -> List[Tuple[FermionStateB, int]]:
 
 def apply_mode_A(kind: str, n: int, v: FockVector) -> FockVector:
     """Apply phi_n or psi_n (kind in {'phi', 'psi'}) to a type A vector."""
-    if kind == "phi":
-        act = _apply_phi_A
-    elif kind == "psi":
-        act = _apply_psi_A
-    else:
+    if kind not in ("phi", "psi"):
         raise ValueError("kind must be 'phi' or 'psi'")
-    return v.apply(lambda s: act(n, s))
+    own = int(kind == "psi")
+    return v.apply(lambda s: _apply_A(own, n, s))
 
 
 def apply_mode_B(n: int, v: FockVector) -> FockVector:
@@ -188,26 +179,23 @@ def vacuum_component(v: FockVector):
 # -- basis enumeration and characters ----------------------------------------
 
 
-def _strict_lists(budget: int, top: int) -> List[Tuple[int, ...]]:
-    """Strictly decreasing tuples of ints in [0, top] with sum(2m+1) <= budget."""
-    out = [()]
-    for first in range(min(top, (budget - 1) // 2), -1, -1):
-        for rest in _strict_lists(budget - (2 * first + 1), first - 1):
-            out.append((first,) + rest)
-    return out
-
-
-def _strict_lists_of_length(length: int, budget: int, top: int) -> List[Tuple[int, ...]]:
-    """The tuples of ``_strict_lists(budget, top)`` with ``length`` parts, in
-    its order.  L parts cost at least L^2 (the parts L-1, .., 0), which
-    bounds the first part and prunes the search."""
+def _strict_lists(budget: int, top: int, cost: Callable[[int], int],
+                  length: Optional[int] = None) -> List[Tuple[int, ...]]:
+    """Strictly decreasing tuples of ints in [0, top] whose parts cost
+    sum(cost(m)) <= budget, all of them or those with ``length`` parts: the
+    empty tuple first, then by first part, descending.  The one enumerator
+    of both models: a mode m costs 2m+1 (type A energy2) or m (type B
+    degree).  ``cost(m)`` must be at least m; the least cost of the parts
+    still to come (the parts rest-1, .., 0) bounds the first part."""
     if length == 0:
         return [()]
-    rest = length - 1
-    out = []
-    for first in range(min(top, (budget - rest * rest - 1) // 2), rest - 1, -1):
-        for tail in _strict_lists_of_length(rest, budget - (2 * first + 1), first - 1):
-            out.append((first,) + tail)
+    out, rest = ([()], 0) if length is None else ([], length - 1)
+    more = None if length is None else rest
+    least = sum(map(cost, range(rest)))
+    for first in range(min(top, budget - least), rest - 1, -1):
+        spare = budget - cost(first)
+        if spare >= least:
+            out.extend((first,) + tail for tail in _strict_lists(spare, first - 1, cost, more))
     return out
 
 
@@ -217,49 +205,35 @@ def states_A(max_energy2: int, charge=None) -> List[FermionStateA]:
     psis cost at least k^2 + (k - charge)^2."""
     if max_energy2 < 0:
         return []
-    top = (max_energy2 - 1) // 2 if max_energy2 >= 1 else -1
+    top = (max_energy2 - 1) // 2
     out = []
     if charge is None:
-        for phis in _strict_lists(max_energy2, top):
-            e1 = sum(2 * m + 1 for m in phis)
-            out.extend(FermionStateA(phis, psis) for psis in _strict_lists(max_energy2 - e1, top))
+        for phis in _strict_lists(max_energy2, top, _energy2):
+            e1 = sum(map(_energy2, phis))
+            out.extend(FermionStateA(phis, psis) for psis in _strict_lists(max_energy2 - e1, top, _energy2))
         return out
     k = max(0, charge)
     while k * k + (k - charge) ** 2 <= max_energy2:
-        for phis in _strict_lists_of_length(k, max_energy2 - (k - charge) ** 2, top):
-            e1 = sum(2 * m + 1 for m in phis)
+        for phis in _strict_lists(max_energy2 - (k - charge) ** 2, top, _energy2, k):
+            e1 = sum(map(_energy2, phis))
             out.extend(FermionStateA(phis, psis)
-                       for psis in _strict_lists_of_length(k - charge, max_energy2 - e1, top))
+                       for psis in _strict_lists(max_energy2 - e1, top, _energy2, k - charge))
         k += 1
-    return out
-
-
-def _strict_sum_lists(budget: int, top: int) -> List[Tuple[int, ...]]:
-    """Strictly decreasing tuples of ints in [0, top] with plain sum <= budget."""
-    out = [()]
-    for first in range(min(top, budget), -1, -1):
-        for rest in _strict_sum_lists(budget - first, first - 1):
-            out.append((first,) + rest)
     return out
 
 
 def states_B(max_degree: int) -> List[FermionStateB]:
     if max_degree < 0:
         return []
-    return [FermionStateB(t) for t in _strict_sum_lists(max_degree, max_degree)]
+    return [FermionStateB(t) for t in _strict_lists(max_degree, max_degree, lambda m: m)]
 
 
 def character_A(charge: int, max_energy2: int) -> List[Tuple[int, int]]:
     """Graded dimensions (energy2, dim) of the fixed-charge sector of F_A."""
-    counts: Dict[int, int] = {}
-    for s in states_A(max_energy2, charge):
-        counts[energy2_A(s)] = counts.get(energy2_A(s), 0) + 1
-    return sorted(counts.items())
+    return sorted(Counter(map(energy2_A, states_A(max_energy2, charge))).items())
 
 
 def character_B(max_degree: int) -> List[Tuple[int, int]]:
     """Graded dimensions (degree, dim) of F_B."""
-    counts: Dict[int, int] = {d: 0 for d in range(max_degree + 1)}
-    for s in states_B(max_degree):
-        counts[degree_B(s)] += 1
-    return sorted(counts.items())
+    counts = Counter(map(degree_B, states_B(max_degree)))
+    return [(d, counts[d]) for d in range(max_degree + 1)]

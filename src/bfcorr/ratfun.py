@@ -207,7 +207,8 @@ class RationalFn:
         """Substitute z_i := sign*z_j; raises if a pole atom vanishes there.
 
         Each atom's linear form becomes zero or c times one atom, which
-        takes the atom's place while the numerator is divided by c^e."""
+        takes the atom's place while the numerator is divided by c^e (a
+        c^e of +-1 divides as an int, keeping integer numerators ints)."""
         den: Dict[PoleFactor, int] = {}
         scale = 1
         for atom, e in self.den.items():
@@ -218,7 +219,8 @@ class RationalFn:
             atom = ("var", a) if not rest else ("sum" if rest[0][1] == c else "diff", a, rest[0][0])
             den[atom] = den.get(atom, 0) + e
             scale *= c ** e
-        return RationalFn(self.num.substitute(i, j, sign).scale(Fraction(1, scale)), den)
+        num = self.num.substitute(i, j, sign)
+        return RationalFn(num.scale(scale) if scale in (1, -1) else num.scale(Fraction(1, scale)), den)
 
     def evaluate(self, point) -> Rat:
         """Evaluate at a rational point (raises ZeroDivisionError on a pole)."""

@@ -175,9 +175,11 @@ def test_verify_all_applies_n_only_to_sized_checks():
                         "--format", "json", "--no-timing")
     assert code == 0
     params = {r["check"]: r["params"] for r in map(json.loads, out.strip().splitlines())}
-    assert len(params) == 16
+    assert len(params) == 18
     assert params["det-formula-A"]["n"] == 2
     assert params["vev-match-B"]["n"] == 4  # B sizes count points: 2n
+    assert params["locality-A"]["n"] == 2
+    assert params["locality-B"]["n"] == 4
     # the JSON "n" of these checks is their own --quick size (mmax, dmax), not --n
     assert params["heisenberg-from-fermions-A"]["n"] == 3
     assert params["character-B"]["n"] == 12
@@ -248,14 +250,16 @@ def test_empty_comparison_fails():
 
 
 # stdout sha256 and exit code of the verify runs the check table must keep,
-# recorded before the checks moved into one table
+# recorded before the checks moved into one table; the three ``verify all``
+# digests were re-recorded when locality-A/-B joined, with the other lines
+# of each output unchanged
 @pytest.mark.parametrize("argv,code,digest", [
     ("verify all --quick --no-timing", 0,
-     "8eac7d1b59ee1d158ad5cfe5e30a4c0c9974627d87d2a5139f366a1fd1335286"),
+     "cbd1f465ac504d9839a652287ee0ecfa66ba1bee373dbc15470127d095ce2592"),
     ("verify all --quick --no-timing --format json", 0,
-     "ae88588d369b3c9ecf1986a806e8914cf003bf46deb76f7193a325df01908bfb"),
+     "4a4eba3862f7bb70982f088961ce8d38fe24176f6d9537dac1a293508123b9a1"),
     ("verify all --quick --n 2 --cutoff 3 --format json --no-timing", 0,
-     "5aad677514618ff7161e239c30157f430c5834ef83e90d321e09ed1a2e5d25d3"),
+     "092b0f63590df3a041cca4bdf1ceebbdb7de9d960437d31f4555c4306c28187d"),
     ("verify heisenberg --model A --quick --no-timing", 0,
      "2aa0c1d1ce2db51a9a366a1ba5e02427103634c897d9d5d5b76c91c31562944c"),
     ("verify hopf --model B --quick --no-timing", 0,
@@ -307,11 +311,12 @@ def test_model_without_a_variant_is_a_usage_error(capsys):
 def test_full_size_verify_all_is_pinned():
     # stdout sha256 of the full-size run, recorded before the boson VEV
     # sweep split each vertex operator into its annihilation and creation
-    # halves; CI runs this test under PYTHONHASHSEED 0 and 77
+    # halves and re-recorded when locality-A/-B joined (the other lines are
+    # unchanged); CI runs this test under PYTHONHASHSEED 0 and 77
     code, out = run_cli("verify", "all", "--no-timing", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c33673c39f683f0085e54bb9321dd4e5f6782502d65d29a9b97a1af01ae97887")
+        "aa8c98fa66278c68e6fd5648b99cd315d8836e23e5b7dc860f459449e3fb5807")
 
 
 @pytest.mark.parametrize("model", ["A", "B"])
@@ -322,7 +327,7 @@ def test_verify_all_honours_model(model):
     assert code == 0
     names = [line.split()[1] for line in out.splitlines()]
     assert names == sorted(c.name for c in CHECKS if c.model in (model, "AB"))
-    assert len(names) == 9
+    assert len(names) == 10
 
 
 @pytest.mark.parametrize("env,argv,asked", [

@@ -328,6 +328,78 @@ def test_standard_order_product_misses_the_sign_of_a_reordered_word():
     assert got == -standard == expand(correspondence._product_form(spec), spec.variables, 4)
 
 
+@pytest.mark.parametrize("model,n,words", [("A", 2, 6), ("B", 4, 16)])
+def test_locality_passes_on_every_word(model, n, words):
+    rep = check_identity(f"locality-{model}", {"n": n, "cutoff": 4})
+    assert rep.passed, rep.witnesses
+    assert rep.witnesses["words"] == str(words)
+    assert int(rep.witnesses["coefficients"]) > 0
+
+
+def test_locality_word_sets_of_verify_locality_n_3():
+    assert len(correspondence._locality_words("A", 3)) == 20
+    assert len(correspondence._locality_words("B", 6)) == 64
+
+
+def test_locality_fails_on_the_product_form_in_sorted_symbol_order(monkeypatch):
+    # known false: sorting the word drops the sign of reordering it
+    product_form = correspondence._product_form
+
+    def sorted_order(spec):
+        word = tuple(sorted(spec.word, key=lambda field: field[0]))
+        return product_form(VevSpec(spec.model, spec.side, word, spec.cutoff))
+
+    monkeypatch.setattr(correspondence, "_product_form", sorted_order)
+    rep = check_identity("locality-A", {"n": 2, "cutoff": 4})
+    assert rep.status == "fail"
+    assert rep.witnesses["first_difference"].startswith(
+        "phi(z1) psi(z2) phi(z3) psi(z4): fermion_vev vs product_form at ")
+
+
+def test_locality_fails_on_a_mixed_pair_without_the_twist(monkeypatch):
+    # known false: phi(x_i) Tphi(x_j) paired by K(x_i, x_j), not K(x_i, -x_j)
+    wick_series = correspondence._wick_series
+
+    def untwisted(spec):
+        word = tuple(("phi", var) for _, var in spec.word)
+        return wick_series(VevSpec(spec.model, spec.side, word, spec.cutoff))
+
+    monkeypatch.setattr(correspondence, "_wick_series", untwisted)
+    rep = check_identity("locality-B", {"n": 4, "cutoff": 4})
+    assert rep.status == "fail"
+    assert rep.witnesses["first_difference"].startswith(
+        "phi(z1) phi(z2) phi(z3) Tphi(z4): fermion_vev vs wick_form at ")
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_locality_fails_on_an_expansion_in_the_reversed_region(model, monkeypatch):
+    # known false: the region |z_n| >> .. >> |z_1|, reported in word order
+    def reversed_region(f, ordering, cutoff):
+        s = expand(f, tuple(reversed(ordering)), cutoff)
+        return LaurentSeries(ordering, cutoff, {e[::-1]: c for e, c in s.terms.items()})
+
+    monkeypatch.setattr(correspondence, "expand", reversed_region)
+    rep = check_identity(f"locality-{model}", {"n": 2 if model == "A" else 4, "cutoff": 4})
+    assert rep.status == "fail"
+    assert "fermion_vev vs wick_form at " in rep.witnesses["first_difference"]
+
+
+@pytest.mark.parametrize("side, plain, twisted", [("fermion", "phi", "Tphi"), ("boson", "+", "-")])
+def test_twist_negates_the_odd_powers_of_its_variable(side, plain, twisted):
+    # phi(-z) = (T phi)(z) and e^alpha(-z): switching position i to the
+    # twisted field multiplies each term by (-1)^(e_i), e_i its power of z_i
+    cases = 0
+    for symbols in product((plain, twisted), repeat=4):
+        word = tuple((sym, f"z{k + 1}") for k, sym in enumerate(symbols))
+        got = vev(VevSpec("B", side, word, 5))
+        for i, (sym, var) in enumerate(word):
+            if sym == plain:
+                switched = vev(VevSpec("B", side, word[:i] + ((twisted, var),) + word[i + 1:], 5))
+                assert switched.terms == {e: c * (-1) ** e[i] for e, c in got.terms.items()}, (symbols, i)
+                cases += 1
+    assert cases == 32
+
+
 @pytest.mark.parametrize("model,side,word,message", [
     ("C", "fermion", (("phi", "z"),), "unknown model/side"),
     ("A", "bosons", (("+", "z"),), "unknown model/side"),

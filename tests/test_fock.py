@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -97,6 +98,55 @@ def test_clifford_relations_type_A():
                 assert _anticommutator_A("phi", m, "psi", n, v) == v.scale(expected)
                 assert _anticommutator_A("phi", m, "phi", n, v).is_zero()
                 assert _anticommutator_A("psi", m, "psi", n, v).is_zero()
+
+
+def test_type_A_basis_states_are_their_canonical_monomials():
+    # the sign convention: phi_{m1}..phi_{mk} psi_{n1}..psi_{nl} applied
+    # right to left to the vacuum is +1 times the basis state; re-signing
+    # the basis consistently keeps the Clifford relations but fails here
+    for s in states_A(10):
+        v = VAC_A
+        for kind, modes in (("psi", s.psis), ("phi", s.phis)):
+            for m in reversed(modes):
+                v = apply_mode_A(kind, m, v)
+        assert v == FockVector.basis(s), s
+
+
+def test_clifford_relations_type_A_on_every_state():
+    basis = states_A(8)
+    for m in range(-4, 5):
+        for n in range(-4, 5):
+            expected = 1 if m + n == -1 else 0
+            for s in basis:
+                v = FockVector.basis(s)
+                assert _anticommutator_A("phi", m, "psi", n, v) == v.scale(expected), (m, n, s)
+                assert _anticommutator_A("phi", m, "phi", n, v).is_zero(), (m, n, s)
+                assert _anticommutator_A("psi", m, "psi", n, v).is_zero(), (m, n, s)
+
+
+def _subsets(modes):
+    """Every strictly decreasing tuple of ``modes``."""
+    top = sorted(modes, reverse=True)
+    return [c for k in range(len(top) + 1) for c in combinations(top, k)]
+
+
+def _neg(parts):
+    return tuple(-p for p in parts)
+
+
+@pytest.mark.parametrize("g", range(13))
+def test_enumerators_are_brute_force_filters_in_order(g):
+    # every subset of the modes a budget allows, filtered and sorted by the
+    # keys of the enumeration order
+    modes = range((g + 1) // 2)  # 2m+1 <= g
+    both = [FermionStateA(a, b) for a in _subsets(modes) for b in _subsets(modes)
+            if energy2_A(FermionStateA(a, b)) <= g]
+    assert states_A(g) == sorted(both, key=lambda s: (_neg(s.phis), _neg(s.psis)))
+    for q in range(-3, 4):
+        sector = [s for s in both if len(s.phis) - len(s.psis) == q]
+        assert states_A(g, q) == sorted(sector, key=lambda s: (len(s.phis), _neg(s.phis), _neg(s.psis)))
+    strict = [FermionStateB(t) for t in _subsets(range(g + 1)) if sum(t) <= g]
+    assert states_B(g) == sorted(strict, key=lambda s: _neg(s.indices))
 
 
 def test_clifford_relations_type_B():

@@ -5,8 +5,8 @@ replacement that must match exactly once in ``src/bfcorr``, and the checks
 that must FAIL under it.  The test copies the package, applies the
 mutation and runs ``bfcorr.cli verify`` on the row's targets with
 ``--quick`` in a subprocess.  Text mutation is needed because callers bind
-names at import (``correspondence`` imports ``_apply_phi_B``), so a
-monkeypatch would miss them.
+names at import (``fields`` imports ``_apply_phi_B``), so a monkeypatch
+would miss them.
 """
 
 import json
@@ -29,30 +29,31 @@ TARGET = {check.name: check.target for check in CHECKS}
 MUTANTS = [
     ("phi_B contraction sign", "fock.py",
      "sign * 2 * (-1) ** n))", "-sign * 2 * (-1) ** n))",
-     ["ope-residues", "pf-formula-B", "supercommutativity-B",
+     ["locality-B", "ope-residues", "pf-formula-B", "supercommutativity-B",
       "twisted-heisenberg-from-fermions-B", "vev-match-B"]),
     ("phi_B creation sign", "fock.py",
      "return out + [(FermionStateB(idx[:i] + (m,) + idx[i:]), sign)]",
      "return out + [(FermionStateB(idx[:i] + (m,) + idx[i:]), -sign)]",
-     ["ope-residues", "twisted-heisenberg-from-fermions-B"]),
-    ("phi_A creation sign", "fock.py",
-     "return [(FermionStateA(phis, s.psis), (-1) ** pos)]",
-     "return [(FermionStateA(phis, s.psis), 1)]",
-     ["heisenberg-from-fermions-A"]),
-    ("phi_A contracting without passing the phi block", "fock.py",
-     "    partner = -1 - m\n    sign = (-1) ** len(s.phis)\n",
-     "    partner = -1 - m\n    sign = 1\n",
-     ["heisenberg-from-fermions-A", "ope-residues"]),
+     ["locality-B", "ope-residues", "twisted-heisenberg-from-fermions-B"]),
+    ("type A sign without the passed phi block", "fock.py",
+     "(-1) ** (place + block * len(s.phis))", "(-1) ** place",
+     ["locality-A", "ope-residues"]),
+    ("type A sign without the place in the block", "fock.py",
+     "(-1) ** (place + block * len(s.phis))", "(-1) ** (block * len(s.phis))",
+     ["det-formula-A", "heisenberg-from-fermions-A", "locality-A", "ope-residues", "vev-match-A"]),
     ("vertex_op_A without the z^charge shift", "boson.py",
      "lambda s: (sign * s.charge, s.charge + sign)", "lambda s: (0, s.charge + sign)",
-     ["product-formula-A", "vev-match-A"]),
+     ["locality-A", "product-formula-A", "vev-match-A"]),
     ("type B lowering scale 1 in place of 2", "boson.py",
      "BosonStateB, True, 2, sign)", "BosonStateB, True, 1, sign)",
-     ["product-formula-B", "vev-match-B"]),
+     ["locality-B", "product-formula-B", "vev-match-B"]),
+    ("vertex_op_B ignoring its sign: e^alpha(-z) acts as e^alpha(z)", "boson.py",
+     "BosonStateB, True, 2, sign)", "BosonStateB, True, 2, 1)",
+     ["locality-B"]),
     ("_apply_T as the identity", "fields.py",
      "lambda k, s: [(t, -x) for t, x in row(k, s)] if k % 2 else row(k, s),",
      "lambda k, s: row(k, s),",
-     ["hopf-relations", "twisted-heisenberg-from-fermions-B"]),
+     ["hopf-relations", "locality-B", "twisted-heisenberg-from-fermions-B"]),
     ("h_B scaled by 1/2 in place of 1/4", "fields.py",
      ".scaled(Fraction(1, 4))", ".scaled(Fraction(1, 2))",
      ["twisted-heisenberg-from-fermions-B"]),
@@ -65,22 +66,27 @@ MUTANTS = [
     ("_product_form without the (z+w) poles", "correspondence.py",
      "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = 1",
      "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = sigma < 0",
-     ["product-formula-B", "schur-pfaffian"]),
+     ["locality-B", "product-formula-B", "schur-pfaffian"]),
     ("type B two-point numerator sign", "correspondence.py",
      "MultiPoly.linear(alpha, i, j, -1), {sum_factor(i, j): 1})",
      "MultiPoly.linear(alpha, i, j, 1), {sum_factor(i, j): 1})",
-     ["ope-residues", "pf-formula-B", "schur-pfaffian", "supercommutativity-B", "vev-match-B"]),
+     ["locality-B", "ope-residues", "pf-formula-B", "schur-pfaffian", "supercommutativity-B",
+      "vev-match-B"]),
     ("type A two-point function doubled", "correspondence.py",
      "RationalFn(MultiPoly.const(alpha, s), {atom: 1})",
      "RationalFn(MultiPoly.const(alpha, 2 * s), {atom: 1})",
-     ["cauchy", "det-formula-A", "ope-residues", "supercommutativity-A"]),
+     ["cauchy", "det-formula-A", "locality-A", "ope-residues", "supercommutativity-A"]),
+    ("_wick_pairs pairing only a phi before a psi", "correspondence.py",
+     """if spec.model == "B" or spec.word[i][0] != spec.word[j][0]]""",
+     """if spec.model == "B" or (spec.word[i][0], spec.word[j][0]) == ("phi", "psi")]""",
+     ["locality-A"]),
     ("expand's tail one term short", "series.py",
      "for t in range(expo[lead] - e + cutoff + 1))", "for t in range(expo[lead] - e + cutoff))",
-     ["det-formula-A", "pf-formula-B", "product-formula-A", "product-formula-B",
-      "supercommutativity-A", "supercommutativity-B", "vev-match-B"]),
+     ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "product-formula-A",
+      "product-formula-B", "supercommutativity-A", "supercommutativity-B", "vev-match-B"]),
     ("mac without its sign", "poly.py",
      "        c1 *= sign\n", "",
-     ["det-formula-A"]),
+     ["det-formula-A", "locality-A", "locality-B"]),
 ]
 
 # runs each target the way ``python -m bfcorr.cli verify <target> --quick

@@ -108,6 +108,17 @@ def test_substitute_maps_atoms():
         f.substitute(0, 1, 1)
 
 
+def test_substitute_keeps_integer_numerators():
+    # an atom rescaled by c^e = +-1 divides the numerator as an int: z := w
+    # takes (z + 2w)/((z + v) w) to 3/(w + v), and the mixed type B kernel
+    # (a + b)/(a - b) of the locality checks keeps int coefficients too
+    g = rf("(z + 2*w) / ((z+v)^1 (w)^1)", ("z", "w", "v")).substitute(0, 1, 1)
+    assert [(c, type(c)) for c in g.num.terms.values()] == [(3, int)]
+    kernel = rf("(a - b) / ((a+b)^1)", ("a", "b")).substitute(1, 1, -1)
+    assert kernel == rf("(a + b) / ((a-b)^1)", ("a", "b"))
+    assert {type(c) for c in kernel.num.terms.values()} == {int}
+
+
 def test_diff_quotient_rule():
     f = rf("(1) / ((z-w)^1)", AL)
     df = f.diff(0)
