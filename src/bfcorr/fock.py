@@ -180,22 +180,23 @@ def vacuum_component(v: FockVector):
 
 
 def _strict_lists(budget: int, top: int, cost: Callable[[int], int],
-                  length: Optional[int] = None) -> List[Tuple[int, ...]]:
+                  length: Optional[int] = None, least: Optional[int] = None) -> List[Tuple[int, ...]]:
     """Strictly decreasing tuples of ints in [0, top] whose parts cost
     sum(cost(m)) <= budget, all of them or those with ``length`` parts: the
     empty tuple first, then by first part, descending.  The one enumerator
     of both models: a mode m costs 2m+1 (type A energy2) or m (type B
-    degree).  ``cost(m)`` must be at least m; the least cost of the parts
-    still to come (the parts rest-1, .., 0) bounds the first part."""
+    degree).  ``cost(m)`` must be at least m; ``least``, the least cost of
+    the parts still to come (rest-1, .., 0), bounds the first part."""
     if length == 0:
         return [()]
     out, rest = ([()], 0) if length is None else ([], length - 1)
     more = None if length is None else rest
-    least = sum(map(cost, range(rest)))
+    least = sum(map(cost, range(rest))) if least is None else least
+    below = least - cost(rest - 1) if rest else 0
     for first in range(min(top, budget - least), rest - 1, -1):
         spare = budget - cost(first)
         if spare >= least:
-            out.extend((first,) + tail for tail in _strict_lists(spare, first - 1, cost, more))
+            out.extend((first,) + tail for tail in _strict_lists(spare, first - 1, cost, more, below))
     return out
 
 

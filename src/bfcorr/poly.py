@@ -20,7 +20,7 @@ equality and hashing do not depend on which of the two a term holds.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Iterable, Tuple
 
 Rat = Fraction
@@ -125,7 +125,7 @@ class Terms:
         return self.terms.items()
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
+        return sorted(self.terms.items(), key=itemgetter(0), reverse=True)
 
 
 class MultiPoly(Terms):

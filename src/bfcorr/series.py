@@ -40,14 +40,12 @@ class LaurentSeries(Terms):
         if len(set(self.ordering)) != len(self.ordering):
             raise ValueError(f"ordering repeats a variable: {', '.join(self.ordering)}")
         self.cutoff = cutoff = int(cutoff)
-        clean = {}
-        if terms:
-            # the cutoff box: every exponent >= -cutoff, total degree in [-cutoff, cutoff]
-            for e, c in terms.items():
-                c = exact(c)
-                if c and min(e, default=0) >= -cutoff and -cutoff <= sum(e) <= cutoff:
-                    clean[tuple(e)] = c
-        self.terms = clean
+        terms = terms or {}
+        if not set(map(type, terms.values())) <= {int, Rat}:
+            terms = {tuple(e): exact(c) for e, c in terms.items()}
+        # the cutoff box: every exponent >= -cutoff, total degree in [-cutoff, cutoff]
+        self.terms = {tuple(e): c for e, c in terms.items()
+                      if c and min(e or (0,)) >= -cutoff and -cutoff <= sum(e) <= cutoff}
 
     def frame(self):
         return self.ordering, self.cutoff

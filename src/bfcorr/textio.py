@@ -6,52 +6,62 @@ explicit ``*`` and ``^`` (coefficients as exact ``p/q``); denominators
 are printed as factored atoms, e.g.::
 
     (z1^2 - 2*z1*w1 + w1^2) / ((z1-w1)^1 (z1+w1)^2)
+
+A sum is written in one pass: each variable has a table from exponent to
+text (``""`` for 0, the name for 1, ``name^e`` otherwise) and the sum one
+from coefficient to sign and magnitude prefix (``"+ "``, ``"- 3/2*"``),
+filled on first use, so a term costs a lookup per variable and a join;
+the constant term and the first term's sign are fixed once, after it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
+from operator import getitem
 from typing import Dict, Tuple
 
-from .poly import MultiPoly, Rat
+from .poly import MultiPoly, Rat, Terms
 from .ratfun import PoleFactor, RationalFn, diff_factor, sum_factor, var_factor
 from .series import LaurentSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\^|\*|/|\+|-|\(|\)))")
 
 
-def _monomial_text(names, expo) -> str:
-    parts = []
-    for name, e in zip(names, expo):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+class _Texts(dict):
+    """A table of texts, each made by ``make`` from its key on first use."""
+
+    def __init__(self, make, known=()):
+        super().__init__(known)
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
 
 
-def _terms_text(names, items) -> str:
-    if not items:
+def _prefix(c) -> str:
+    mag = abs(c)
+    return ("+ " if c > 0 else "- ") + ("" if mag == 1 else f"{mag}*")
+
+
+def _terms_text(names, t: Terms) -> str:
+    if not t:
         return "0"
-    chunks = []
-    for expo, coeff in items:
-        mon = _monomial_text(names, expo)
-        mag = abs(coeff)
-        if mon and mag == 1:
-            body = mon
-        elif mon:
-            body = f"{mag}*{mon}"
-        else:
-            body = str(mag)
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"{'+' if coeff > 0 else '-'} {body}")
+    powers = [_Texts(partial("{}^{}".format, name), {0: "", 1: name}) for name in names]
+    prefix = _Texts(_prefix)
+    chunks = [prefix[c] + "*".join(filter(None, map(getitem, powers, e))) for e, c in t.sorted_terms()]
+    const = t.terms.get((0,) * len(names))
+    if const is not None:
+        # the one chunk that is a bare prefix: every other chunk ends in its monomial
+        chunks[chunks.index(prefix[const])] = prefix[const][:2] + str(abs(const))
+    chunks[0] = chunks[0][2:] if chunks[0][0] == "+" else "-" + chunks[0][2:]
     return " ".join(chunks)
 
 
 def format_poly(p: MultiPoly) -> str:
-    return _terms_text(p.alphabet, p.sorted_terms())
+    return _terms_text(p.alphabet, p)
 
 
 def _atom_text(alphabet, atom: PoleFactor) -> str:
@@ -71,7 +81,7 @@ def format_rational(f: RationalFn) -> str:
 
 
 def format_series(s: LaurentSeries) -> str:
-    return _terms_text(s.ordering, s.sorted_terms())
+    return _terms_text(s.ordering, s)
 
 
 class _Tokens:

@@ -284,9 +284,9 @@ def _composed_fermion_vev(spec):
 
 @pytest.mark.parametrize("cutoff", range(1, 6))
 def test_fermion_sweep_matches_composed_modes(cutoff):
-    # the sweep runs each field over [-D, D-1] (A) or [-D, D] (B) only and
-    # drops states the fields to their left cannot remove; the composition
-    # here does neither
+    # the sweep runs each field over the box exponents [-D, D] only, for
+    # both models, and drops states the fields to their left cannot remove;
+    # the composition here does neither
     for model, word in _FERMION_WORDS:
         spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
         got = vev_fermion(spec)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -190,3 +191,41 @@ def test_expand_matches_brute_force_in_every_region(rng, alphabet, count):
             brute = _brute_expand(f, ordering, D, T)
             assert _brute_expand(f, ordering, D, 2 * T) == brute  # the tails reach past the box
             assert expand(f, ordering, D) == brute, (f, ordering, D)
+
+
+class _ListExponents(Mapping):
+    """Terms whose exponents come out as lists, as a caller's parser might give them."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        return dict((tuple(e), c) for e, c in self.pairs)[tuple(key)]
+
+    def __iter__(self):
+        return iter([list(e) for e, _ in self.pairs])
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+def test_series_constructor_gates_every_coefficient():
+    # a float is refused wherever it sits, also on a monomial the box drops
+    for e in [(0, 0), (-9, 0), (5, 5)]:
+        with pytest.raises(TypeError):
+            LaurentSeries(AL, 3, {(1, 0): 1, e: 0.5})
+    # a str converts, a zero (also one a str converts to) is dropped, ints stay ints
+    s = LaurentSeries(AL, 3, {(1, 0): "3/2", (0, 1): "0", (0, 0): 0, (-1, 0): 2, (2, 0): Fraction(0)})
+    assert s.terms == {(1, 0): Fraction(3, 2), (-1, 0): 2}
+    assert type(s.terms[(-1, 0)]) is int
+    assert all(type(c) is int for c in LaurentSeries(AL, 3, {(1, 0): 1, (0, -1): -4}).terms.values())
+    # the box: an exponent below -cutoff or a total degree outside [-cutoff, cutoff] is dropped
+    s = LaurentSeries(AL, 3, {(-4, 4): 1, (2, 2): 1, (-2, -2): 1, (3, 0): 1, (-3, 0): 1})
+    assert s.terms == {(3, 0): 1, (-3, 0): 1}
+    # exponents given as lists become tuples
+    s = LaurentSeries(AL, 3, _ListExponents([((1, -1), 2), ((0, 0), "1/3")]))
+    assert s.terms == {(1, -1): 2, (0, 0): Fraction(1, 3)}
+    assert all(type(e) is tuple for e in s.terms)
+    assert list(LaurentSeries(AL, 3, _ListExponents([((1, -1), 2)])).terms) == [(1, -1)]
+    # the empty ordering holds only the constant
+    assert LaurentSeries((), 0, {(): 5}).terms == {(): 5}

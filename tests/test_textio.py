@@ -130,3 +130,62 @@ def test_parsers_return_or_raise_value_error(text, alphabet):
         parse_rational(text, alphabet)
     with suppress(ValueError):
         parse_series(text, AL, 3)
+
+
+def _reference_text(names, t) -> str:
+    """The term-by-term formatter the table-driven one must match byte for byte."""
+    items = sorted(t.terms.items(), key=lambda item: item[0], reverse=True)
+    if not items:
+        return "0"
+    chunks = []
+    for expo, coeff in items:
+        parts = []
+        for name, e in zip(names, expo):
+            if e == 0:
+                continue
+            parts.append(name if e == 1 else f"{name}^{e}")
+        mon = "*".join(parts)
+        mag = abs(coeff)
+        if mon and mag == 1:
+            body = mon
+        elif mon:
+            body = f"{mag}*{mon}"
+        else:
+            body = str(mag)
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"{'+' if coeff > 0 else '-'} {body}")
+    return " ".join(chunks)
+
+
+_COEFFS = [1, -1, 2, -3, 7, Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-1, 4), Fraction(5)]
+
+
+def _random_terms(rng, nvars, low, size):
+    return {tuple(rng.randint(low, 3) for _ in range(nvars)): rng.choice(_COEFFS)
+            for _ in range(rng.randint(0, size))}
+
+
+def test_formatting_matches_the_reference_formatter():
+    rng = random.Random(18)
+    names = ("z1", "z2", "w1")
+    for k in range(300):
+        terms = _random_terms(rng, 3, -3, 12)
+        if k % 3 == 0:
+            terms[(0, 0, 0)] = rng.choice(_COEFFS)
+        if k % 5 == 0 and terms:
+            # a negative leading term
+            terms[max(terms)] = -abs(terms[max(terms)])
+        s = LaurentSeries(names, 9, terms)
+        assert format_series(s) == _reference_text(names, s)
+        assert s.sorted_terms() == sorted(s.terms.items(), key=lambda item: item[0], reverse=True)
+        p = MultiPoly(names, {e: c for e, c in _random_terms(rng, 3, 0, 12).items()})
+        assert format_poly(p) == _reference_text(names, p)
+        f = random_ratfun(rng, alphabet=names[:2])
+        num = _reference_text(names[:2], f.num)
+        text = format_rational(f)
+        assert text.startswith(f"({num}) / (") if f.den else text == num
+    assert format_series(LaurentSeries(names, 3, {})) == _reference_text(names, LaurentSeries(names, 3)) == "0"
+    assert format_series(LaurentSeries(names, 3, {(0, 0, 0): -1})) == "-1"
+    assert format_series(LaurentSeries(names, 3, {(0, 0, 0): Fraction(-3, 2), (0, 0, 1): 1})) == "w1 - 3/2"
