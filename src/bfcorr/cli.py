@@ -11,10 +11,17 @@ runs the table's smaller sizes and caps the cutoff at ``QUICK_CUTOFF``,
 with a note on stderr when a cutoff asked for by ``--cutoff`` or
 BFCORR_CUTOFF is lowered.
 
+Each command takes only the options it reads: ``--format`` everywhere,
+``--cutoff`` for ``verify``, ``vev`` and ``expand``, ``--seed`` for
+``verify``, ``vev`` and ``character``, ``--no-timing`` for ``verify`` and
+``vev``.  The default cutoff can be overridden with the BFCORR_CUTOFF
+environment variable (an integer >= 1).
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
-error, including a cutoff or size no check can use.  The default cutoff
-can be overridden with the BFCORR_CUTOFF environment variable (an integer
->= 1).
+error, including a cutoff or size no check can use.  ``main`` is the one
+place a ValueError (bad input, found by ``_validate`` or by the command
+itself, e.g. an ``expand`` expression that does not parse) becomes an
+``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -58,15 +65,16 @@ def _env_cutoff() -> int | None:
 def _validate(args) -> None:
     """Resolve and check the sizes of a command: the one place they are
     validated, so that no check runs (and passes) at a size it cannot use."""
-    asked = args.cutoff if args.cutoff is not None else _env_cutoff()
-    args.cutoff = DEFAULT_CUTOFF if asked is None else asked
-    if args.cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {args.cutoff}")
-    if getattr(args, "quick", False) and args.cutoff > QUICK_CUTOFF:
-        if asked is not None:
-            print(f"note: --quick runs at cutoff {QUICK_CUTOFF}, not the requested {asked}",
-                  file=sys.stderr)
-        args.cutoff = QUICK_CUTOFF
+    if "cutoff" in vars(args):
+        asked = args.cutoff if args.cutoff is not None else _env_cutoff()
+        args.cutoff = DEFAULT_CUTOFF if asked is None else asked
+        if args.cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {args.cutoff}")
+        if getattr(args, "quick", False) and args.cutoff > QUICK_CUTOFF:
+            if asked is not None:
+                print(f"note: --quick runs at cutoff {QUICK_CUTOFF}, not the requested {asked}",
+                      file=sys.stderr)
+            args.cutoff = QUICK_CUTOFF
     n = getattr(args, "n", None)
     if n is not None:
         if n < 1:
@@ -165,12 +173,7 @@ def _run_character(args) -> int:
 def _run_expand(args) -> int:
     cutoff = args.cutoff
     ordering = [v.strip() for v in args.order.split(",") if v.strip()]
-    try:
-        f = parse_rational(args.expr, ordering)
-        series = expand(f, ordering, cutoff)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    series = expand(parse_rational(args.expr, ordering), ordering, cutoff)
     if args.format == "json":
         print(json.dumps({"command": "expand", "expr": args.expr,
                           "ordering": ordering, "cutoff": cutoff,
@@ -188,11 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--cutoff", type=int, default=None, help=f"series cutoff D (default {DEFAULT_CUTOFF} or $BFCORR_CUTOFF)")
+    def common(p, cutoff=True, seed=True, timing=True):
+        if cutoff:
+            p.add_argument("--cutoff", type=int, default=None,
+                           help=f"series cutoff D (default {DEFAULT_CUTOFF} or $BFCORR_CUTOFF)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0, help="recorded in reports for reproducibility")
-        p.add_argument("--no-timing", action="store_true", help="report elapsed_ms as 0 for byte-stable output")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="recorded in reports for reproducibility")
+        if timing:
+            p.add_argument("--no-timing", action="store_true", help="report elapsed_ms as 0 for byte-stable output")
 
     v = sub.add_parser("verify", help="run a named identity check (or all)")
     v.add_argument("target", choices=VERIFY_TARGETS)
@@ -215,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--model", choices=("A", "B"), required=True)
     c.add_argument("--charge", type=int, default=None, help="charge sector (model A only, default 0)")
     c.add_argument("--max", type=int, default=12, help="top energy (A) or degree (B)")
-    common(c)
+    common(c, cutoff=False, timing=False)
     c.set_defaults(func=_run_character)
 
     e = sub.add_parser("expand", help="expand a rational function in a region ordering")
     e.add_argument("--expr", required=True,
                    help="e.g. '(1) / ((z-w)^1)' or 'z^2 - 2*z*w + w^2'")
     e.add_argument("--order", required=True, help="comma-separated variables, largest first")
-    common(e)
+    common(e, seed=False, timing=False)
     e.set_defaults(func=_run_expand)
     return parser
 

@@ -509,19 +509,35 @@ def _run_heisenberg_B(model, rep, p) -> None:
         _fail(rep, failures[0])
 
 
+# the most states a character enumerates, and the largest |charge| of a type
+# A sector (its lowest state has |charge| modes, one recursion level each)
+MAX_CHARACTER_STATES = 10 ** 6
+MAX_CHARGE = 500
+
+
 def character_oracle(model: str, charge: int, dmax: int):
     """Graded dimensions and their partition oracle: F_A at ``charge`` up to
     energy2 charge^2 + 2*dmax, where energy2 charge^2 + 2d has dimension
     p(d), or F_B up to degree dmax, where degree d has dimension 2 * (odd
     partitions of d).  Returns (grade label, top grade, {grade: dim},
-    {grade: oracle dim})."""
-    if model == "A":
-        q2 = charge * charge
-        top = q2 + 2 * dmax
-        return ("energy2", top, dict(character_A(charge, top)),
-                {q2 + 2 * d: partition_count(d) for d in range(dmax + 1)})
-    return ("degree", dmax, dict(character_B(dmax)),
-            {d: 2 * odd_partition_count(d) for d in range(dmax + 1)})
+    {grade: oracle dim}).  Before enumerating, a type A |charge| above
+    MAX_CHARGE or an oracle count above MAX_CHARACTER_STATES (summed only
+    until it passes) raises ValueError."""
+    where = f"model {model}" + (f", charge {charge}" if model == "A" else "") + f", max {dmax}"
+    if model == "A" and abs(charge) > MAX_CHARGE:
+        raise ValueError(f"character of {where}: |charge| must be <= {MAX_CHARGE}")
+    oracle, count = {}, 0
+    for d in range(dmax + 1):
+        oracle[d] = partition_count(d) if model == "A" else 2 * odd_partition_count(d)
+        count += oracle[d]
+        if count > MAX_CHARACTER_STATES:
+            raise ValueError(f"character of {where} has over {count} states by grade {d}, "
+                             f"more than the {MAX_CHARACTER_STATES} it enumerates")
+    if model == "B":
+        return "degree", dmax, dict(character_B(dmax)), oracle
+    q2 = charge * charge
+    top = q2 + 2 * dmax
+    return "energy2", top, dict(character_A(charge, top)), {q2 + 2 * d: n for d, n in oracle.items()}
 
 
 def _run_character(model, rep, p) -> None:

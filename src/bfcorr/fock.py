@@ -54,9 +54,10 @@ def degree_B(s: FermionStateB) -> int:
 
 class FockVector(Terms):
     """Sparse linear combination of basis states (fermionic or bosonic)
-    with int or Fraction coefficients.  Its frame is empty: a mode, a field
-    coefficient or a vertex operator acts on it as ``apply`` of its
-    basis-state action."""
+    with int or Fraction coefficients.  Its frame is its states' class: one
+    space, or none for the zero vector, which adds to a vector of any.  A
+    mode, a field coefficient or a vertex operator acts on it as ``apply``
+    of its basis-state action."""
 
     __slots__ = ()
 
@@ -64,6 +65,18 @@ class FockVector(Terms):
         """From a dict or from (state, coefficient) pairs; like states are summed."""
         pairs = terms.items() if isinstance(terms, dict) else terms or ()
         self.terms = collect((s, exact(c)) for s, c in pairs)
+        self._check(self)
+
+    def frame(self) -> frozenset:
+        return frozenset(map(type, self.terms))
+
+    def _check(self, other):
+        if type(other) is not FockVector:
+            super()._check(other)
+        spaces = self.frame() | other.frame()
+        if len(spaces) > 1:
+            raise ValueError(f"vector has states of {len(spaces)} spaces: "
+                             f"{', '.join(sorted(c.__name__ for c in spaces))}")
 
     def _like(self, terms):
         v = FockVector.__new__(FockVector)
@@ -75,6 +88,7 @@ class FockVector(Terms):
         return cls({state: coeff})
 
     def add_term(self, state, coeff):
+        self._check(FockVector.basis(state))
         coeff = exact(coeff)
         v = self.terms.get(state, 0) + coeff
         if v:
@@ -162,18 +176,13 @@ def apply_mode_B(n: int, v: FockVector) -> FockVector:
 
 def vacuum_component(v: FockVector):
     """Coefficient of the vacuum state: this is <0| v |0> = the VEV pairing.
-    The vacuum is that of the one space all states of ``v`` lie in; states
-    of two spaces raise, and the zero vector gives 0."""
+    The vacuum is that of the space of ``v``; the zero vector gives 0."""
     from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B
 
-    spaces = {type(s) for s in v.terms}
-    if len(spaces) > 1:
-        raise ValueError(f"vector has states of {len(spaces)} spaces: "
-                         f"{', '.join(sorted(c.__name__ for c in spaces))}")
-    if not spaces:
-        return 0
     vacua = {type(s): s for s in (VACUUM_A, VACUUM_B, BOSON_VACUUM_A, BOSON_VACUUM_B)}
-    return v.coefficient(vacua[spaces.pop()])
+    for space in v.frame():
+        return v.coefficient(vacua[space])
+    return 0
 
 
 # -- basis enumeration and characters ----------------------------------------

@@ -7,6 +7,17 @@ are printed as factored atoms, e.g.::
 
     (z1^2 - 2*z1*w1 + w1^2) / ((z1-w1)^1 (z1+w1)^2)
 
+It is read from one token stream, by one function per rule::
+
+    sum      := ['-'] term (('+'|'-') term)*
+    term     := num ['/' num] ['*' factors] | factors
+    factors  := name ['^' ['-'] num] ('*' name ['^' ['-'] num])*
+    rational := '(' sum ')' ['/' '(' atom* ')'] | sum
+    atom     := '(' name [('+'|'-') name] ')' ['^' ['-'] num]
+
+with a nonzero coefficient denominator and a positive atom exponent.
+``parse_rational`` reads a rational, ``parse_poly`` and ``parse_series`` a sum.
+
 A sum is written in one pass: each variable has a table from exponent to
 text (``""`` for 0, the name for 1, ``name^e`` otherwise) and the sum one
 from coefficient to sign and magnitude prefix (``"+ "``, ``"- 3/2*"``),
@@ -26,7 +37,7 @@ from .poly import MultiPoly, Rat, Terms
 from .ratfun import PoleFactor, RationalFn, diff_factor, sum_factor, var_factor
 from .series import LaurentSeries
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\^|\*|/|\+|-|\(|\)))")
+_TOKEN = re.compile(r"\s*(?:(?P<integer>\d+)|(?P<variable>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>[-+*/^()]))")
 
 
 class _Texts(dict):
@@ -85,243 +96,139 @@ def format_series(s: LaurentSeries) -> str:
 
 
 class _Tokens:
-    def __init__(self, text: str):
-        self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ValueError(f"bad token at: {text[pos:pos + 20]!r}")
-                break
-            num, name, sym = m.groups()
-            if num is not None:
-                self.toks.append(("num", int(num)))
-            elif name is not None:
-                self.toks.append(("name", name))
-            else:
-                self.toks.append(("sym", sym))
+    """A text's (kind, value) tokens, read front to back, then ("end", "end
+    of input"), and the alphabet its variables are read in: ``alphabet``,
+    or the text's variables in order of first appearance."""
+
+    def __init__(self, text: str, alphabet=None):
+        self.toks, self.i, pos = [], 0, 0
+        while m := _TOKEN.match(text, pos):
+            value = m[m.lastgroup]
+            self.toks.append((m.lastgroup, int(value) if m.lastgroup == "integer" else value))
             pos = m.end()
-        self.i = 0
+        if text[pos:].strip():
+            raise ValueError(f"expected a number, a variable or one of -+*/^() at: {text[pos:pos + 20]!r}")
+        self.toks.append(("end", "end of input"))
+        names = (v for k, v in self.toks if k == "variable")
+        self.alphabet = tuple(dict.fromkeys(names) if alphabet is None else alphabet)
+        self.index = {name: k for k, name in enumerate(self.alphabet)}
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def next(self):
-        t = self.peek()
-        self.i += 1
-        return t
+    def take(self, kind, value=None):
+        """Consume the next token and return its value if it matches; else None."""
+        k, v = self.toks[self.i]
+        if k == kind and value in (None, v):
+            self.i += 1
+            return v
+        return None
 
     def expect(self, kind, value=None):
-        k, v = self.next()
-        if k != kind or (value is not None and v != value):
-            raise ValueError(f"expected {value or kind}, got {v!r}")
-        return v
+        got = self.take(kind, value)
+        if got is None:
+            raise ValueError(f"expected {value or kind}, got {self.toks[self.i][1]!r}")
+        return got
 
-    def accept(self, kind, value=None) -> bool:
-        k, v = self.peek()
-        if k == kind and (value is None or v == value):
-            self.i += 1
-            return True
-        return False
-
-    def done(self) -> bool:
-        return self.i >= len(self.toks)
+    def end(self, what: str) -> None:
+        if self.toks[self.i][0] != "end":
+            raise ValueError(f"expected the end of the {what}, got {self.toks[self.i][1]!r}")
 
 
-def _parse_exponent(tk: _Tokens) -> int:
-    neg = tk.accept("sym", "-")
-    k, v = tk.next()
-    if k != "num":
-        raise ValueError("expected integer exponent after ^")
-    return -v if neg else v
-
-
-def _parse_terms(tk: _Tokens, names_seen: list) -> Dict[Tuple[str, int], Rat]:
-    """Sum of monomial terms -> dict from ((name, exp), ...) to coefficient."""
-    out: Dict = {}
-    first = True
-    while True:
-        kind, val = tk.peek()
-        if kind is None or (kind == "sym" and val == ")"):
-            if first:
-                raise ValueError("empty expression")
-            return out
-        sign = 1
-        if tk.accept("sym", "-"):
-            sign = -1
-        elif tk.accept("sym", "+"):
-            if first:
-                raise ValueError("leading +")
-        elif not first:
-            raise ValueError("expected + or - between terms")
-        coeff = sign
-        have_coeff = False
-        kind, val = tk.peek()
-        if kind == "num":
-            tk.next()
-            coeff *= val
-            have_coeff = True
-            if tk.accept("sym", "/"):
-                k2, v2 = tk.next()
-                if k2 != "num" or v2 == 0:
-                    raise ValueError("expected a nonzero integer denominator")
-                coeff = Fraction(coeff, v2)
-        factors: Dict[str, int] = {}
-        need_name = False
-        while True:
-            if (have_coeff or factors) and not need_name:
-                if not tk.accept("sym", "*"):
-                    break
-                need_name = True
-            kind, val = tk.peek()
-            if kind != "name":
-                if need_name:
-                    raise ValueError("expected variable after *")
-                break
-            tk.next()
-            e = _parse_exponent(tk) if tk.accept("sym", "^") else 1
-            factors[val] = factors.get(val, 0) + e
-            if val not in names_seen:
-                names_seen.append(val)
-            need_name = False
-            have_coeff = True
-        if not have_coeff:
-            raise ValueError("empty term")
-        key = tuple(sorted(factors.items()))
-        out[key] = out.get(key, 0) + coeff
-        first = False
-
-
-def _position(idx: Dict[str, int], name: str) -> int:
-    """The index of ``name`` in the alphabet ``idx``; a name outside it
-    raises ValueError."""
-    if name not in idx:
+def _variable(tk: _Tokens) -> int:
+    """The next token, a variable, as its place in the alphabet."""
+    name = tk.expect("variable")
+    if name not in tk.index:
         raise ValueError(f"unknown variable {name}")
-    return idx[name]
+    return tk.index[name]
 
 
-def _exponents(terms, alphabet) -> Dict[Tuple[int, ...], Rat]:
-    """Parsed terms as {exponent tuple over ``alphabet``: coefficient}; a
-    name outside the alphabet raises ValueError."""
-    idx = {name: k for k, name in enumerate(alphabet)}
-    tmap: Dict = {}
-    for key, coeff in terms.items():
-        e = [0] * len(alphabet)
-        for name, k in key:
-            e[_position(idx, name)] += k
-        e = tuple(e)
-        tmap[e] = tmap.get(e, 0) + coeff
-    return tmap
+def _exponent(tk: _Tokens) -> int:
+    return -tk.expect("integer") if tk.take("symbol", "-") else tk.expect("integer")
 
 
-def _terms_to_poly(terms, alphabet) -> MultiPoly:
-    tmap = _exponents(terms, alphabet)
-    if any(x < 0 for e in tmap for x in e):
+def _factors(tk: _Tokens) -> Tuple[int, ...]:
+    e = [0] * len(tk.alphabet)
+    while True:
+        i = _variable(tk)
+        e[i] += _exponent(tk) if tk.take("symbol", "^") else 1
+        if not tk.take("symbol", "*"):
+            return tuple(e)
+
+
+def _term(tk: _Tokens):
+    coeff = tk.take("integer")
+    if coeff is None:
+        return _factors(tk), 1
+    if tk.take("symbol", "/"):
+        den = tk.expect("integer")
+        if not den:
+            raise ValueError("expected a nonzero integer denominator")
+        coeff = Fraction(coeff, den)
+    return (_factors(tk) if tk.take("symbol", "*") else (0,) * len(tk.alphabet)), coeff
+
+
+def _sum(tk: _Tokens) -> Dict[Tuple[int, ...], Rat]:
+    """A sum as {exponent tuple: coefficient}, zero sums kept."""
+    out: Dict = {}
+    op = tk.take("symbol", "-") or "+"
+    while op:
+        e, coeff = _term(tk)
+        out[e] = out.get(e, 0) + (coeff if op == "+" else -coeff)
+        op = tk.take("symbol", "+") or tk.take("symbol", "-")
+    return out
+
+
+def _whole_sum(tk: _Tokens, what: str) -> Dict[Tuple[int, ...], Rat]:
+    terms = _sum(tk)
+    tk.end(what)
+    return terms
+
+
+def _atom(tk: _Tokens) -> Tuple[PoleFactor, int, int]:
+    """A pole atom as (factor, sign of the written atom to the factor, exponent)."""
+    tk.expect("symbol", "(")
+    i = _variable(tk)
+    op = tk.take("symbol", "+") or tk.take("symbol", "-")
+    j = op and _variable(tk)
+    tk.expect("symbol", ")")
+    e = _exponent(tk) if tk.take("symbol", "^") else 1
+    if e <= 0:
+        raise ValueError("pole exponent must be positive")
+    if op == "-":
+        atom, sign = diff_factor(i, j)
+        return atom, sign ** e, e
+    return (sum_factor(i, j) if op else var_factor(i)), 1, e
+
+
+def _poly(alphabet, terms) -> MultiPoly:
+    if any(x < 0 for e in terms for x in e):
         raise ValueError("negative exponent in a polynomial")
-    return MultiPoly(alphabet, tmap)
+    return MultiPoly(alphabet, terms)
 
 
 def parse_poly(text: str, alphabet=None) -> MultiPoly:
-    tk = _Tokens(text)
-    names: list = []
-    terms = _parse_terms(tk, names)
-    if not tk.done():
-        raise ValueError("trailing input after polynomial")
-    return _terms_to_poly(terms, tuple(alphabet) if alphabet else tuple(names))
+    tk = _Tokens(text, alphabet or None)
+    return _poly(tk.alphabet, _whole_sum(tk, "polynomial"))
 
 
 def parse_rational(text: str, alphabet=None) -> RationalFn:
     """Parse ``(num) / ((a-b)^e ...)`` or a bare polynomial."""
-    top = _split_top_level(text)
-    if len(top) == 1:
-        num_text, den_text = top[0], None
-    elif len(top) == 2:
-        num_text, den_text = top
-    else:
-        raise ValueError("more than one top-level '/'")
-
-    tk = _Tokens(num_text)
-    names: list = []
-    wrapped = tk.accept("sym", "(")
-    terms = _parse_terms(tk, names)
-    if wrapped:
-        tk.expect("sym", ")")
-    if not tk.done():
-        raise ValueError("trailing input in numerator")
-
-    den_atoms = []
-    if den_text is not None:
-        dtk = _Tokens(den_text)
-        dtk.expect("sym", "(")
-        while not dtk.accept("sym", ")"):
-            dtk.expect("sym", "(")
-            name1 = dtk.expect("name")
-            if name1 not in names:
-                names.append(name1)
-            if dtk.accept("sym", ")"):
-                pair = (name1, None, None)
-            else:
-                k, op = dtk.next()
-                if k != "sym" or op not in "+-":
-                    raise ValueError("expected + or - inside pole factor")
-                name2 = dtk.expect("name")
-                if name2 not in names:
-                    names.append(name2)
-                dtk.expect("sym", ")")
-                pair = (name1, op, name2)
-            e = 1
-            if dtk.accept("sym", "^"):
-                e = _parse_exponent(dtk)
-                if e <= 0:
-                    raise ValueError("pole exponent must be positive")
-            den_atoms.append((pair, e))
-        if not dtk.done():
-            raise ValueError("trailing input in denominator")
-
-    alphabet = tuple(alphabet) if alphabet else tuple(names)
-    num = _terms_to_poly(terms, alphabet)
-    idx = {name: k for k, name in enumerate(alphabet)}
+    tk = _Tokens(text, alphabet or None)
     den: Dict[PoleFactor, int] = {}
     sign = 1
-    for (name1, op, name2), e in den_atoms:
-        i = _position(idx, name1)
-        if op is None:
-            atom = var_factor(i)
-        elif op == "+":
-            atom = sum_factor(i, _position(idx, name2))
-        else:
-            atom, s = diff_factor(i, _position(idx, name2))
-            sign *= s ** e
-        den[atom] = den.get(atom, 0) + e
-    return RationalFn(num.scale(sign), den)
+    if tk.take("symbol", "("):
+        terms = _sum(tk)
+        tk.expect("symbol", ")")
+        if tk.take("symbol", "/"):
+            tk.expect("symbol", "(")
+            while not tk.take("symbol", ")"):
+                atom, s, e = _atom(tk)
+                den[atom] = den.get(atom, 0) + e
+                sign *= s
+    else:
+        terms = _sum(tk)
+    tk.end("rational function")
+    return RationalFn(_poly(tk.alphabet, terms).scale(sign), den)
 
 
 def parse_series(text: str, ordering, cutoff: int) -> LaurentSeries:
-    tk = _Tokens(text)
-    names: list = []
-    terms = _parse_terms(tk, names)
-    if not tk.done():
-        raise ValueError("trailing input after series")
-    ordering = tuple(ordering)
-    return LaurentSeries(ordering, cutoff, _exponents(terms, ordering))
-
-
-def _split_top_level(text: str):
-    """Split on the fraction bar: a depth-zero '/' right after a ')'.
-
-    Coefficient slashes (e.g. ``3/2*z``) never follow a closing paren,
-    so only the numerator/denominator bar matches.
-    """
-    depth = 0
-    last = ""
-    for k, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0 and last == ")":
-            return [text[:k], text[k + 1:]]
-        if not ch.isspace():
-            last = ch
-    return [text]
+    tk = _Tokens(text, tuple(ordering))
+    return LaurentSeries(tk.alphabet, cutoff, _whole_sum(tk, "series"))

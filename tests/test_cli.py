@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
@@ -227,6 +228,46 @@ def test_character_max_zero_is_accepted():
     assert out.splitlines()[1].split() == ["0", "1", "1"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    # 1.09M states by energy2 400 + 2*49
+    (["--model", "A", "--charge", "20", "--max", "460"], "model A, charge 20, max 460 has over 1091745 states"),
+    # the lowest state has 990 modes: one recursion level each
+    (["--model", "A", "--charge", "990", "--max", "0"], "|charge| must be <= 500"),
+    (["--model", "A", "--charge", "-501", "--max", "0"], "|charge| must be <= 500"),
+    (["--model", "B", "--max", "1000000000"], "model B, max 1000000000 has over 1005644 states"),
+])
+def test_character_refuses_a_sector_too_large_to_enumerate(argv, message, capsys):
+    t0 = time.perf_counter()
+    code, out = run_cli("character", *argv)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert message in capsys.readouterr().err
+
+
+def test_character_runs_below_its_bounds():
+    code, out = run_cli("character", "--model", "A", "--max", "30", "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert code == 0 and sum(row["dim"] for row in rows) == 28629
+    assert run_cli("character", "--model", "A", "--charge", "-500", "--max", "2")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["character", "--model", "B", "--cutoff", "3"],
+    ["character", "--model", "B", "--no-timing"],
+    ["expand", "--expr", "z", "--order", "z", "--seed", "1"],
+    ["expand", "--expr", "z", "--order", "z", "--no-timing"],
+])
+def test_commands_take_only_the_options_they_read(argv):
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_character_ignores_the_environment_cutoff(monkeypatch):
+    monkeypatch.setenv("BFCORR_CUTOFF", "0")
+    assert run_cli("character", "--model", "B", "--max", "4")[0] == 0
+
+
 # sha256 of the JSON stdout, recorded before det_series/pf_series moved onto
 # the shared expansions of bfcorr.matrices; sizes beyond the benchmark's
 @pytest.mark.parametrize("argv,digest", [
@@ -380,15 +421,16 @@ def _command(name, *options):
     return st.tuples(*options).map(lambda opts: [name] + [x for opt in opts for x in opt])
 
 
-# --cutoff is always given: at the default, 10, 4 type A pairs take minutes
-_COMMON = (_given("--cutoff", st.integers(-1, 4)), _option("--format", st.sampled_from(["text", "json"])),
-           st.sampled_from([[], ["--no-timing"]]))
+# each command gets only the options it takes; --cutoff is always given:
+# at the default, 10, 4 type A pairs take minutes
+_CUTOFF = _given("--cutoff", st.integers(-1, 4))
+_FORMAT = _option("--format", st.sampled_from(["text", "json"]))
 _ARGV = st.one_of(
-    _command("expand", _given("--expr", _EXPR), _given("--order", _ORDER), *_COMMON),
+    _command("expand", _given("--expr", _EXPR), _given("--order", _ORDER), _CUTOFF, _FORMAT),
     _command("vev", _given("--model", st.sampled_from("AB")), _given("--side", st.sampled_from(["fermion", "boson"])),
-             _given("--points", st.integers(-1, 4)), *_COMMON),
+             _given("--points", st.integers(-1, 4)), _CUTOFF, _FORMAT, st.sampled_from([[], ["--no-timing"]])),
     _command("character", _given("--model", st.sampled_from("AB")), _option("--charge", st.integers(-20, 20)),
-             _option("--max", st.integers(-1, 6)), *_COMMON),
+             _option("--max", st.integers(-1, 6)), _FORMAT),
 )
 
 

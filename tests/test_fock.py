@@ -75,12 +75,26 @@ def test_vacuum_component_reads_the_vacuum_of_each_space(vacuum, other):
     assert vacuum_component(FockVector.basis(other, 2)) == 0
 
 
-def test_vacuum_component_refuses_states_of_two_spaces():
-    v = FockVector.basis(VACUUM_B) + FockVector.basis(VACUUM_A, 2) + FockVector.basis(BOSON_VACUUM_A, 3)
-    with pytest.raises(ValueError, match="3 spaces"):
-        vacuum_component(v)
+def test_a_vector_refuses_states_of_two_spaces():
+    with pytest.raises(ValueError, match="2 spaces: FermionStateA, FermionStateB"):
+        FockVector.basis(VACUUM_B) + FockVector.basis(VACUUM_A, 2)
+    with pytest.raises(ValueError, match="2 spaces: BosonStateA, FermionStateA"):
+        FockVector({VACUUM_A: 1, BOSON_VACUUM_A: 1})
     with pytest.raises(ValueError, match="2 spaces"):
-        vacuum_component(FockVector({VACUUM_A: 1, BOSON_VACUUM_A: 1}))
+        FockVector.basis(BOSON_VACUUM_B) - FockVector.basis(BOSON_VACUUM_A)
+    v = FockVector.basis(VACUUM_A)
+    with pytest.raises(ValueError, match="2 spaces"):
+        v.add_term(VACUUM_B, 3)
+    assert v == FockVector.basis(VACUUM_A)
+    assert FockVector.basis(VACUUM_A) != FockVector.basis(VACUUM_B)
+
+
+@pytest.mark.parametrize("vacuum", [VACUUM_A, VACUUM_B, BOSON_VACUUM_A, BOSON_VACUUM_B])
+def test_the_zero_vector_adds_to_a_vector_of_any_space(vacuum):
+    v = FockVector.basis(vacuum, 2)
+    assert v.frame() == {type(vacuum)} and (v - v).frame() == FockVector().frame() == frozenset()
+    assert FockVector() + v == v + FockVector() == v
+    assert vacuum_component(v - v) == 0 and vacuum_component(v + FockVector()) == 2
 
 
 def _anticommutator_A(kind1, m, kind2, n, v):

@@ -1,5 +1,6 @@
 """Lossless round trips for the textual serialization."""
 
+import hashlib
 import random
 from contextlib import suppress
 from fractions import Fraction
@@ -189,3 +190,85 @@ def test_formatting_matches_the_reference_formatter():
     assert format_series(LaurentSeries(names, 3, {})) == _reference_text(names, LaurentSeries(names, 3)) == "0"
     assert format_series(LaurentSeries(names, 3, {(0, 0, 0): -1})) == "-1"
     assert format_series(LaurentSeries(names, 3, {(0, 0, 0): Fraction(-3, 2), (0, 0, 1): 1})) == "w1 - 3/2"
+
+
+# The language the parsers accept, pinned: a fixed corpus of grammar-built
+# sums, rational functions and pole lists (about 30% with one character
+# replaced) and random strings over the grammar's characters, each through
+# every parser; a line per call holds the formatted result with its
+# alphabet or ordering, or "ValueError".
+_PIN_CHARS = " ()+-*/^0123456789zwq_1"
+_PIN_NAMES = ("z1", "w1") * 6 + ("q",)
+
+
+def _pin_term(rng):
+    coeff = rng.choice(["", "", "", "", "2", "2", "3/2", "7/4", "0", "007"] * 3 + ["1/0"])
+    names = rng.sample(_PIN_NAMES, rng.randint(0 if coeff else 1, 2))
+    powers = [name + rng.choice(["", "", "", "^2", "^0", "^3"] * 4 + ["^-1"]) for name in names]
+    return "*".join(filter(None, [coeff] + powers))
+
+
+def _pin_sum(rng):
+    terms = [rng.choice(["", "", "-"]) + _pin_term(rng)]
+    terms += [rng.choice("+-") + " " + _pin_term(rng) for _ in range(rng.randint(0, 2))]
+    return rng.choice([" ", ""]).join(terms)
+
+
+def _pin_poles(rng):
+    atoms = []
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(_PIN_NAMES, 2)
+        body = rng.choice([a, f"{a}-{b}", f"{a}+{b}", f"{a}-{b}"])
+        atoms.append(f"({body})" + rng.choice(["", "^1", "^2", "^3"] * 3 + ["^0", "^-1"]))
+    return "(" + " ".join(atoms) + ")"
+
+
+_PIN_SHAPES = ("{sum}", "{sum}", "({sum})", "({sum}) / {poles}", "({sum}) / {poles}", "{poles}")
+
+
+def _pin_corpus():
+    rng = random.Random(19)
+    made = []
+    for shape in (rng.choice(_PIN_SHAPES) for _ in range(6000)):
+        # the sum is drawn before the poles
+        made.append(shape.format(sum=_pin_sum(rng) if "{sum}" in shape else None,
+                                 poles=_pin_poles(rng) if "{poles}" in shape else None))
+    for k, text in enumerate(made):
+        if text and rng.random() < 0.3:
+            at = rng.randrange(len(text))
+            made[k] = text[:at] + rng.choice(_PIN_CHARS) + text[at + 1:]
+    return made + ["".join(rng.choices(_PIN_CHARS, k=rng.randint(0, 16))) for _ in range(1000)]
+
+
+def _rational_record(text):
+    f = parse_rational(text)
+    return f"{format_rational(f)} | {f.alphabet}"
+
+
+def _series_record(text):
+    s = parse_series(text, AL, 3)
+    return f"{format_series(s)} | {s.ordering}"
+
+
+_PIN_CALLS = {
+    "rational": _rational_record,
+    "rational_AL": lambda t: format_rational(parse_rational(t, AL)),
+    "poly": lambda t: format_poly(parse_poly(t, AL)),
+    "series": _series_record,
+}
+
+
+def test_parsers_accept_the_parent_language():
+    lines, accepted = [], dict.fromkeys(_PIN_CALLS, 0)
+    for text in _pin_corpus():
+        for name, call in _PIN_CALLS.items():
+            try:
+                out = call(text)
+                accepted[name] += 1
+            except ValueError:
+                out = "ValueError"
+            lines.append(f"{name} {text!r}: {out}")
+    assert min(accepted.values()) >= 1000  # the pin covers acceptance as well as rejection
+    assert accepted == {"rational": 3073, "rational_AL": 2274, "poly": 1216, "series": 1277}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "4892e8042ff4f72c32ce1342c0a171a1fc9f95cc6fd9a965212ec051bccb1b0c")
