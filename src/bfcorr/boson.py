@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, lcm, prod
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .fock import FockVector
+from .partitions import _partition_table
 
 Monomial = Tuple[Tuple[int, int], ...]  # ((variable index, exponent), ...) ascending
 
@@ -175,10 +177,13 @@ class Vertex(NamedTuple):
     sign: int
 
 
-def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None) -> Tuple[int, Dict]:
+def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
+                 guard: Callable[[int], None] | None = None) -> Tuple[int, Dict]:
     """``op`` on a list of terms (key, state, integer numerator), per key
     and z-exponent in [-cutoff, cutoff], keeping output monomials of weight
-    <= wmax (None: no cap).
+    <= wmax (None: no cap).  ``guard``, if given, is called once with the
+    number of creation updates the call is about to make, the rows of the
+    creation tables summed over every span; it may raise to refuse them.
 
     The charge factor and annihilation exponential run first, and their
     rows are summed per key and (z-exponent, new label, lowered monomial,
@@ -223,6 +228,9 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None) -> Tuple[int,
             jmax = max(jmax, top)
     over = [factorial(jmax) // factorial(j) for j in range(jmax + 1)]
     make, odd, sign = op.make, op.odd, op.sign
+    if guard is not None:  # _creation_table(j, odd) has a row per partition of j
+        upto = [0, *accumulate(_partition_table(jmax, odd))]
+        guard(sum(upto[top + 1] - upto[bottom] for *_, bottom, top in spans))
     raised = {}  # (label, lowered monomial, j) -> rows (state, signed r)
     out: Dict[tuple, dict] = {}
     for key, z1, label, mon1, g, bottom, top in spans:

@@ -43,6 +43,7 @@ from .fock import (
     _apply_phi_A,
     _apply_phi_B,
     _apply_psi_A,
+    _bits,
     states_A,
     states_B,
 )
@@ -163,18 +164,18 @@ def _candidates(families: Tuple[str, str], ksum: int, s) -> List[int]:
     fa, fb = families
     cand = set(range(0, max(ksum, -1) + 1 if fa != "phiB" else max(ksum, 0) + 1))
     if fa == "phiB":
-        for n in s.indices:
+        for n in _bits(s[0]):
             if ksum + n >= 0:
                 cand.add(ksum + n)
             cand.add(-n)
     else:
-        phis, psis = s.phis, s.psis
+        phis, psis = s  # the masks
         if fb == "phiA":
             phis, psis = psis, phis  # mirror roles for :psi phi:
-        for q in psis:
+        for q in _bits(psis):
             if ksum + 1 + q >= 0:
                 cand.add(ksum + 1 + q)
-        for p in phis:
+        for p in _bits(phis):
             cand.add(-1 - p)
     return sorted(cand)
 

@@ -10,6 +10,15 @@ re-canonicalizes exactly via the Clifford relations
     [phi_m, psi_n]+ = delta_{m+n,-1}     (type A)
     [phi_m, phi_n]+ = 2(-1)^m delta_{m,-n}   (type B)
 
+A state is stored as int bitmasks: a type A state is the pair (phi mask,
+psi mask), bit m of the first set for phi_m and of the second for psi_m,
+and a type B state the one mask of its phi's.  Both are tuples of masks,
+so they hash and compare at C speed; ``phis``, ``psis`` and ``indices``
+give the decreasing mode tuples, which the constructors take.  A mode
+action is a bit test and an xor, and its sign is (-1) to the number of
+modes it passes, a popcount: the modes above it in its block, plus the
+whole phi block when a type A field acts on the psi block.
+
 phi and psi are one type A action (``_apply_A``), and both bases come from
 one strict-partition enumerator (``_strict_lists``) with a per-model mode
 cost: 2m+1 for the type A energy2, m for the type B degree.
@@ -17,23 +26,69 @@ cost: 2m+1 for the type A energy2, m for the type B degree.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from functools import partial
-from operator import neg
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .poly import Terms, collect, exact
 
 
-class FermionStateA(NamedTuple):
-    phis: Tuple[int, ...]
-    psis: Tuple[int, ...]
+def _bits(mask: int) -> Tuple[int, ...]:
+    """The modes of a mask, decreasing."""
+    modes = []
+    while mask:
+        top = mask.bit_length() - 1
+        modes.append(top)
+        mask ^= 1 << top
+    return tuple(modes)
 
 
-class FermionStateB(NamedTuple):
-    indices: Tuple[int, ...]
+def _mask(modes: Iterable[int]) -> int:
+    """The mask of a strictly decreasing tuple of modes >= 0."""
+    modes = tuple(modes)
+    if any(a <= b for a, b in zip(modes, modes[1:])) or min(modes, default=0) < 0:
+        raise ValueError(f"modes must strictly decrease and be >= 0, not {modes}")
+    return sum(1 << m for m in modes)
 
+
+class FermionStateA(tuple):
+    """phi_{phis} psi_{psis} |0>, stored as its (phi mask, psi mask)."""
+
+    __slots__ = ()
+
+    def __new__(cls, phis: Tuple[int, ...], psis: Tuple[int, ...]):
+        return tuple.__new__(cls, (_mask(phis), _mask(psis)))
+
+    def __getnewargs__(self):
+        return self.phis, self.psis
+
+    def __repr__(self):
+        return f"FermionStateA(phis={self.phis!r}, psis={self.psis!r})"
+
+    phis = property(lambda s: _bits(s[0]))
+    psis = property(lambda s: _bits(s[1]))
+
+
+class FermionStateB(tuple):
+    """phi_{indices} |0>, stored as the 1-tuple of its mask."""
+
+    __slots__ = ()
+
+    def __new__(cls, indices: Tuple[int, ...]):
+        return tuple.__new__(cls, (_mask(indices),))
+
+    def __getnewargs__(self):
+        return (self.indices,)
+
+    def __repr__(self):
+        return f"FermionStateB(indices={self.indices!r})"
+
+    indices = property(lambda s: _bits(s[0]))
+
+
+# from masks, skipping the mode-tuple constructors
+_state_A = partial(tuple.__new__, FermionStateA)
+_state_B = partial(tuple.__new__, FermionStateB)
 
 VACUUM_A = FermionStateA((), ())
 VACUUM_B = FermionStateB(())
@@ -44,12 +99,16 @@ def _energy2(m: int) -> int:
     return 2 * m + 1
 
 
+def _energy2_mask(mask: int) -> int:
+    return sum(map(_energy2, _bits(mask)))
+
+
 def energy2_A(s: FermionStateA) -> int:
-    return sum(map(_energy2, s.phis + s.psis))
+    return _energy2_mask(s[0]) + _energy2_mask(s[1])
 
 
 def degree_B(s: FermionStateB) -> int:
-    return sum(s.indices)
+    return sum(_bits(s[0]))
 
 
 class FockVector(Terms):
@@ -111,7 +170,7 @@ def state_text(s) -> str:
     if not isinstance(s, (FermionStateA, FermionStateB)):
         return repr(s)
     names = ("phi", "psi") if isinstance(s, FermionStateA) else ("phi",)
-    parts = [f"{name}[{','.join(map(str, modes))}]" for name, modes in zip(names, s) if modes]
+    parts = [f"{name}[{','.join(map(str, _bits(mask)))}]" for name, mask in zip(names, s) if mask]
     return " ".join(parts + ["|0>"])
 
 
@@ -124,19 +183,16 @@ def _apply_A(own: int, m: int, s: FermionStateA) -> List[Tuple[FermionStateA, in
     For m >= 0 the field creates mode m in its own block; for m < 0 it
     removes the partner -1-m from the other block.  Either way the sign is
     (-1)^(modes passed): the whole phi block when it acts on the psi block,
-    plus its place inside the block.
+    plus its place inside the block, the modes above ``mode``.
     """
     block, mode = (own, m) if m >= 0 else (1 - own, -1 - m)
-    modes = s[block]
-    if (mode in modes) == (m >= 0):
+    mask = s[block]
+    if (mask >> mode & 1) == (m >= 0):
         return []
-    place = bisect_left(modes, -mode, key=neg)  # blocks decrease: the modes above ``mode``
-    if m >= 0:
-        modes = modes[:place] + (mode,) + modes[place:]
-    else:
-        modes = modes[:place] + modes[place + 1:]
-    t = FermionStateA(modes, s.psis) if block == 0 else FermionStateA(s.phis, modes)
-    return [(t, (-1) ** (place + block * len(s.phis)))]
+    place = (mask >> mode + 1).bit_count()
+    mask ^= 1 << mode
+    t = _state_A((mask, s[1]) if block == 0 else (s[0], mask))
+    return [(t, (-1) ** (place + block * s[0].bit_count()))]
 
 
 _apply_phi_A = partial(_apply_A, 0)
@@ -144,22 +200,19 @@ _apply_psi_A = partial(_apply_A, 1)
 
 
 def _apply_phi_B(m: int, s: FermionStateB) -> List[Tuple[FermionStateB, int]]:
-    out = []
-    sign = 1
-    idx = s.indices
-    for i, n in enumerate(idx):
-        if m > n:
-            return out + [(FermionStateB(idx[:i] + (m,) + idx[i:]), sign)]
-        if m == n:
-            if m == 0:
-                out.append((FermionStateB(idx[:i] + idx[i + 1:]), sign))
-            return out  # phi_m^2 = delta_{m,0}
-        if n == -m:  # (-1) ** n, not ** m: n >= 0 keeps the sign an int
-            out.append((FermionStateB(idx[:i] + idx[i + 1:]), sign * 2 * (-1) ** n))
-        sign = -sign
+    """phi_m: for m >= 0 it creates mode m (phi_m^2 = delta_{m,0}, so
+    phi_0 removes a present mode 0); for m < 0 it contracts a present
+    -m, with the factor 2(-1)^m of the pairing.  The sign counts the
+    modes above."""
+    (mask,) = s
     if m >= 0:
-        out.append((FermionStateB(idx + (m,)), sign))
-    return out
+        if m and mask >> m & 1:
+            return []
+        return [(_state_B((mask ^ 1 << m,)), (-1) ** (mask >> m + 1).bit_count())]
+    n = -m
+    if not mask >> n & 1:
+        return []
+    return [(_state_B((mask ^ 1 << n,)), 2 * (-1) ** (n + (mask >> n + 1).bit_count()))]
 
 
 def apply_mode_A(kind: str, n: int, v: FockVector) -> FockVector:
@@ -189,23 +242,24 @@ def vacuum_component(v: FockVector):
 
 
 def _strict_lists(budget: int, top: int, cost: Callable[[int], int],
-                  length: Optional[int] = None, least: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """Strictly decreasing tuples of ints in [0, top] whose parts cost
-    sum(cost(m)) <= budget, all of them or those with ``length`` parts: the
-    empty tuple first, then by first part, descending.  The one enumerator
-    of both models: a mode m costs 2m+1 (type A energy2) or m (type B
-    degree).  ``cost(m)`` must be at least m; ``least``, the least cost of
-    the parts still to come (rest-1, .., 0), bounds the first part."""
+                  length: Optional[int] = None, least: Optional[int] = None) -> List[int]:
+    """The masks of the strictly decreasing tuples of ints in [0, top] whose
+    parts cost sum(cost(m)) <= budget, all of them or those with ``length``
+    parts: the empty tuple first, then by first part, descending.  The one
+    enumerator of both models: a mode m costs 2m+1 (type A energy2) or m
+    (type B degree).  ``cost(m)`` must be at least m; ``least``, the least
+    cost of the parts still to come (rest-1, .., 0), bounds the first part."""
     if length == 0:
-        return [()]
-    out, rest = ([()], 0) if length is None else ([], length - 1)
+        return [0]
+    out, rest = ([0], 0) if length is None else ([], length - 1)
     more = None if length is None else rest
     least = sum(map(cost, range(rest))) if least is None else least
     below = least - cost(rest - 1) if rest else 0
     for first in range(min(top, budget - least), rest - 1, -1):
         spare = budget - cost(first)
         if spare >= least:
-            out.extend((first,) + tail for tail in _strict_lists(spare, first - 1, cost, more, below))
+            bit = 1 << first
+            out.extend(bit | tail for tail in _strict_lists(spare, first - 1, cost, more, below))
     return out
 
 
@@ -219,15 +273,14 @@ def states_A(max_energy2: int, charge=None) -> List[FermionStateA]:
     out = []
     if charge is None:
         for phis in _strict_lists(max_energy2, top, _energy2):
-            e1 = sum(map(_energy2, phis))
-            out.extend(FermionStateA(phis, psis) for psis in _strict_lists(max_energy2 - e1, top, _energy2))
+            out.extend(_state_A((phis, psis))
+                       for psis in _strict_lists(max_energy2 - _energy2_mask(phis), top, _energy2))
         return out
     k = max(0, charge)
     while k * k + (k - charge) ** 2 <= max_energy2:
         for phis in _strict_lists(max_energy2 - (k - charge) ** 2, top, _energy2, k):
-            e1 = sum(map(_energy2, phis))
-            out.extend(FermionStateA(phis, psis)
-                       for psis in _strict_lists(max_energy2 - e1, top, _energy2, k - charge))
+            out.extend(_state_A((phis, psis))
+                       for psis in _strict_lists(max_energy2 - _energy2_mask(phis), top, _energy2, k - charge))
         k += 1
     return out
 
@@ -235,7 +288,7 @@ def states_A(max_energy2: int, charge=None) -> List[FermionStateA]:
 def states_B(max_degree: int) -> List[FermionStateB]:
     if max_degree < 0:
         return []
-    return [FermionStateB(t) for t in _strict_lists(max_degree, max_degree, lambda m: m)]
+    return [_state_B((mask,)) for mask in _strict_lists(max_degree, max_degree, lambda m: m)]
 
 
 def character_A(charge: int, max_energy2: int) -> List[Tuple[int, int]]:

@@ -17,6 +17,9 @@ from bfcorr.boson import (
     mon_weight,
     vertex_A,
     vertex_B,
+    vertex_op_A,
+    vertex_op_B,
+    vertex_terms,
 )
 from bfcorr.fock import FockVector
 from bfcorr.partitions import odd_partition_count, partition_count
@@ -270,3 +273,14 @@ def test_creation_tables_have_one_row_per_partition():
             assert all(mon_weight(m) == j for m in mons)
             if odd:
                 assert all(n % 2 for m in mons for n, _ in m)
+
+
+@pytest.mark.parametrize("op", [vertex_op_A(1), vertex_op_A(-1), vertex_op_B(1), vertex_op_B(-1)])
+@pytest.mark.parametrize("wmax", [None, 4])
+def test_vertex_terms_counts_its_creation_updates(op, wmax):
+    # on one state every creation update lands on its own output term, so
+    # the count given to the guard is exactly the number of terms made
+    counts = []
+    vacuum = BOSON_VACUUM_A if op.make is BosonStateA else BOSON_VACUUM_B
+    _, out = vertex_terms(op, [((), vacuum, 1)], 8, wmax, counts.append)
+    assert counts == [sum(map(len, out.values()))] and counts[0] > 5

@@ -244,6 +244,18 @@ def test_character_refuses_a_sector_too_large_to_enumerate(argv, message, capsys
     assert message in capsys.readouterr().err
 
 
+def test_boson_vev_refuses_a_step_past_its_bound(capsys):
+    # at the default cutoff this VEV grew past 700 MiB; it is refused at its
+    # third step, whose count is taken before the step runs
+    t0 = time.perf_counter()
+    code, out = run_cli("vev", "--model", "A", "--side", "boson", "--points", "4")
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.strip() == (
+        "error: type A boson VEV of 8 vertex operators at z1, z2, z3, z4, w1, w2, w3, w4, cutoff 10: "
+        "step 3 of 8 would make 1122486 creation updates, more than 1000000")
+
+
 def test_character_runs_below_its_bounds():
     code, out = run_cli("character", "--model", "A", "--max", "30", "--format", "json")
     rows = json.loads(out)["rows"]

@@ -197,9 +197,9 @@ def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
 def test_boson_vev_is_computed_once_per_spec(monkeypatch):
     calls = []
 
-    def counted(op, terms, cutoff, wmax):
+    def counted(op, terms, cutoff, wmax, guard):
         calls.append(op)
-        return vertex_terms(op, terms, cutoff, wmax)
+        return vertex_terms(op, terms, cutoff, wmax, guard)
 
     vertex_terms = correspondence.vertex_terms
     monkeypatch.setattr(correspondence, "vertex_terms", counted)
@@ -211,6 +211,32 @@ def test_boson_vev_is_computed_once_per_spec(monkeypatch):
     again = vev_boson(spec)
     assert len(calls) == made
     assert again == expand(rf("(1) / ((a-b)^1)", ("a", "b")), ("a", "b"), 3)
+
+
+def test_boson_vev_refuses_a_step_past_its_bound(monkeypatch):
+    # each step's creation updates are counted before they are made; the
+    # bound refuses the largest step of a spec and no smaller one
+    counts = []
+
+    def recording(op, terms, cutoff, wmax, guard):
+        return vertex_terms(op, terms, cutoff, wmax, lambda count: counts.append(count) or guard(count))
+
+    vertex_terms = correspondence.vertex_terms
+    monkeypatch.setattr(correspondence, "vertex_terms", recording)
+    spec = VevSpec.standard_A("boson", 2, 5)
+    correspondence._boson_series.cache_clear()
+    want = vev_boson(spec)
+    peak = max(counts)
+    step = counts.index(peak) + 1
+    assert len(counts) == 4 and 0 < counts[0] < peak
+    correspondence._boson_series.cache_clear()
+    monkeypatch.setattr(correspondence, "MAX_STEP_UPDATES", peak - 1)
+    with pytest.raises(ValueError) as exc:
+        vev_boson(spec)
+    assert str(exc.value) == (f"type A boson VEV of 4 vertex operators at z1, z2, w1, w2, cutoff 5: "
+                              f"step {step} of 4 would make {peak} creation updates, more than {peak - 1}")
+    monkeypatch.setattr(correspondence, "MAX_STEP_UPDATES", peak)
+    assert vev_boson(spec) == want
 
 
 # every ordering of ++-- (type A), every +- pattern of 4 points (type B,

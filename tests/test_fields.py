@@ -330,3 +330,46 @@ def test_heisenberg_checks_enumerate_their_basis_once(name, params, space, monke
     fields.graded_basis.cache_clear()
     assert correspondence.check_identity(name, params).passed
     assert calls == [f"states_{space}"]
+
+
+@pytest.mark.parametrize("field, grade, central", [
+    (act_hopf("D", heisenberg_field_A()), 8, True),
+    (act_hopf("D", twisted_heisenberg_field_B()), 8, True),
+    (normal_ordered_quadratic(phi_A(), act_hopf("D", psi_A())), 8, False),
+    (normal_ordered_quadratic(phi_B(), act_hopf("DT", phi_B())), 6, False),
+], ids=["D h_A", "D h_B", ":phi D psi:", ":phi_B D T phi_B:"])
+def test_mirror_pairs_negate_and_the_diagonal_is_empty(field, grade, central):
+    # why the Heisenberg checks compute only m < n: for an even field the
+    # residual of (n, m) is minus that of (m, n), state by state, and (m, m)
+    # leaves nothing; this holds for the quadratic fields with D too, whose
+    # brackets are not multiples of the identity
+    assert field.parity == 0
+    labels = range(-4, 5)
+    residuals = noncentral = 0
+    for m in labels:
+        assert mode_commutator(field, field, m, m, grade) == []
+        for n in labels:
+            if m < n:
+                forward = mode_commutator(field, field, m, n, grade)
+                mirror = mode_commutator(field, field, n, m, grade)
+                assert [s for s, _ in mirror] == [s for s, _ in forward]
+                assert all(r == -q for (_, r), (_, q) in zip(mirror, forward)), (m, n)
+                residuals += len(forward)
+                noncentral += sum(r != FockVector.basis(s, r.coefficient(s)) for s, r in forward)
+    assert residuals and bool(noncentral) != central
+
+
+@pytest.mark.parametrize("name, labels", [
+    ("heisenberg-from-fermions-A", range(-3, 4)),
+    ("twisted-heisenberg-from-fermions-B", range(-3, 4, 2)),
+])
+def test_heisenberg_checks_compute_each_pair_once(name, labels, monkeypatch):
+    calls = []
+
+    def recording(a, b, m, n, *rest):
+        calls.append((m, n))
+        return mode_commutator(a, b, m, n, *rest)
+
+    monkeypatch.setattr(correspondence, "mode_commutator", recording)
+    assert correspondence.check_identity(name, {"mmax": 3, "grade": 6}).passed
+    assert calls == [(m, n) for m in labels for n in labels if m < n]

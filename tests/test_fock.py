@@ -1,8 +1,13 @@
 """Clifford mode actions on the fermionic Fock spaces and characters."""
 
+import copy
+import hashlib
+import pickle
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
+from operator import neg
 
 import pytest
 
@@ -13,6 +18,8 @@ from bfcorr.fock import (
     FermionStateA,
     FermionStateB,
     FockVector,
+    _apply_A,
+    _apply_phi_B,
     apply_mode_A,
     apply_mode_B,
     character_A,
@@ -288,3 +295,87 @@ def test_state_text():
 
 def test_energy_grading():
     assert energy2_A(FermionStateA((2, 0), (1,))) == 5 + 1 + 3
+
+
+def test_states_keep_their_mode_tuple_views():
+    s, b = FermionStateA((4, 1), (2,)), FermionStateB((3, 0))
+    assert (s.phis, s.psis, b.indices) == ((4, 1), (2,), (3, 0))
+    assert repr(s) == "FermionStateA(phis=(4, 1), psis=(2,))"
+    assert repr(b) == "FermionStateB(indices=(3, 0))"
+    assert repr(VACUUM_A) == "FermionStateA(phis=(), psis=())"
+    assert FermionStateA(phis=(4, 1), psis=(2,)) == s and hash(FermionStateA((4, 1), (2,))) == hash(s)
+    assert FermionStateA((1,), ()) != FermionStateA((), (1,)) and FermionStateB((1,)) != FermionStateA((1,), ())
+    for state in (s, b, VACUUM_A, VACUUM_B):
+        assert pickle.loads(pickle.dumps(state)) == copy.copy(state) == state
+        assert type(copy.deepcopy(state)) is type(state)
+
+
+@pytest.mark.parametrize("modes", [(1, 4), (2, 2), (3, -1), (-1,)])
+def test_states_refuse_mode_tuples_that_are_not_canonical(modes):
+    with pytest.raises(ValueError, match="strictly decrease"):
+        FermionStateA(modes, ())
+    with pytest.raises(ValueError, match="strictly decrease"):
+        FermionStateA((), modes)
+    with pytest.raises(ValueError, match="strictly decrease"):
+        FermionStateB(modes)
+
+
+# The tuple-based Clifford actions the bitmask ones replaced, kept as the
+# oracle: states are mode tuples, decreasing.
+
+def _oracle_A(own, m, phis, psis):
+    s = (phis, psis)
+    block, mode = (own, m) if m >= 0 else (1 - own, -1 - m)
+    modes = s[block]
+    if (mode in modes) == (m >= 0):
+        return []
+    place = bisect_left(modes, -mode, key=neg)
+    if m >= 0:
+        modes = modes[:place] + (mode,) + modes[place:]
+    else:
+        modes = modes[:place] + modes[place + 1:]
+    t = (modes, psis) if block == 0 else (phis, modes)
+    return [(t, (-1) ** (place + block * len(phis)))]
+
+
+def _oracle_phi_B(m, idx):
+    out = []
+    sign = 1
+    for i, n in enumerate(idx):
+        if m > n:
+            return out + [(idx[:i] + (m,) + idx[i:], sign)]
+        if m == n:
+            if m == 0:
+                out.append((idx[:i] + idx[i + 1:], sign))
+            return out
+        if n == -m:
+            out.append((idx[:i] + idx[i + 1:], sign * 2 * (-1) ** n))
+        sign = -sign
+    if m >= 0:
+        out.append((idx + (m,), sign))
+    return out
+
+
+def test_clifford_actions_match_the_tuple_oracle():
+    for s in states_A(14):
+        for own in (0, 1):
+            for m in range(-9, 10):
+                got = [((t.phis, t.psis), c) for t, c in _apply_A(own, m, s)]
+                assert got == _oracle_A(own, m, s.phis, s.psis), (own, m, s)
+    for s in states_B(14):
+        for m in range(-9, 10):
+            got = [(t.indices, c) for t, c in _apply_phi_B(m, s)]
+            assert got == _oracle_phi_B(m, s.indices), (m, s)
+
+
+def test_enumeration_order_is_pinned():
+    # sha256 over the enumerated lists as mode tuples, recorded from the
+    # tuple-based enumerator: the basis order is part of every residual
+    # list and witness
+    digest = hashlib.sha256()
+    for g in range(40):
+        for charge in (None, *range(-4, 5)):
+            digest.update(repr([(s.phis, s.psis) for s in states_A(g, charge)]).encode())
+    for g in range(25):
+        digest.update(repr([s.indices for s in states_B(g)]).encode())
+    assert digest.hexdigest() == "54f75b0d4cc1e3f2f87a0ffdbad24d8f813e6f7d589e0749275aa04dd8ac0242"

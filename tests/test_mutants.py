@@ -28,19 +28,22 @@ TARGET = {check.name: check.target for check in CHECKS}
 # complete failing sets of ``verify all --quick``
 MUTANTS = [
     ("phi_B contraction sign", "fock.py",
-     "sign * 2 * (-1) ** n))", "-sign * 2 * (-1) ** n))",
+     "2 * (-1) ** (n + ", "-2 * (-1) ** (n + ",
      ["locality-B", "ope-residues", "pf-formula-B", "supercommutativity-B",
       "twisted-heisenberg-from-fermions-B", "vev-match-B"]),
+    # the creation sign counting the modes below m in place of those above
     ("phi_B creation sign", "fock.py",
-     "return out + [(FermionStateB(idx[:i] + (m,) + idx[i:]), sign)]",
-     "return out + [(FermionStateB(idx[:i] + (m,) + idx[i:]), -sign)]",
+     "(-1) ** (mask >> m + 1).bit_count())]", "(-1) ** (mask & (1 << m) - 1).bit_count())]",
      ["locality-B", "ope-residues", "twisted-heisenberg-from-fermions-B"]),
     ("type A sign without the passed phi block", "fock.py",
-     "(-1) ** (place + block * len(s.phis))", "(-1) ** place",
+     "(-1) ** (place + block * s[0].bit_count())", "(-1) ** place",
      ["locality-A", "ope-residues"]),
     ("type A sign without the place in the block", "fock.py",
-     "(-1) ** (place + block * len(s.phis))", "(-1) ** (block * len(s.phis))",
+     "(-1) ** (place + block * s[0].bit_count())", "(-1) ** (block * s[0].bit_count())",
      ["det-formula-A", "heisenberg-from-fermions-A", "locality-A", "ope-residues", "vev-match-A"]),
+    ("even fields anticommute", "fields.py",
+     "sign = 1 if (a.parity and b.parity) else -1", "sign = 1 if (a.parity and b.parity) else 1",
+     ["heisenberg-from-fermions-A", "twisted-heisenberg-from-fermions-B"]),
     ("vertex_op_A without the z^charge shift", "boson.py",
      "lambda s: (sign * s.charge, s.charge + sign)", "lambda s: (0, s.charge + sign)",
      ["locality-A", "product-formula-A", "vev-match-A"]),
