@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, lcm, prod
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from .fock import FockVector
 from .partitions import _partition_table
@@ -101,24 +101,6 @@ def heis_apply_B(n: int, v: FockVector) -> FockVector:
 # -- vertex operators ---------------------------------------------------------
 
 
-def _weighted_compositions(weight: int, parts: List[int]):
-    """All exponent dicts over ``parts`` with sum(part*mult) == weight."""
-    if weight == 0:
-        yield {}
-        return
-    if not parts:
-        return
-    p, rest = parts[0], parts[1:]
-    for mult in range(weight // p, -1, -1):
-        for tail in _weighted_compositions(weight - p * mult, rest):
-            if mult:
-                d = dict(tail)
-                d[p] = mult
-                yield d
-            else:
-                yield tail
-
-
 @lru_cache(maxsize=None)
 def _creation_table(weight: int, odd: bool) -> Tuple[Tuple[Monomial, int, int], ...]:
     """The z^weight part of exp(sum_n x_n z^n), n odd when ``odd``.
@@ -128,26 +110,47 @@ def _creation_table(weight: int, odd: bool) -> Tuple[Tuple[Monomial, int, int], 
     over the common denominator weight!.  The table does not depend on
     the state the exponential acts on.
     """
-    parts = list(range(1, weight + 1, 2 if odd else 1))
-    top = factorial(weight)
-    return tuple((tuple(sorted(comp.items())), sum(comp.values()) & 1,
-                  top // prod(map(factorial, comp.values())))
-                 for comp in _weighted_compositions(weight, parts))
+    step = 2 if odd else 1
+    fact = [factorial(m) for m in range(weight + 1)]
+
+    def rows(rest: int, p: int):
+        """(monomial, number of parts, prod mult!) per partition of ``rest``
+        into parts >= p, the multiplicity of each part from high to low."""
+        if rest == 0:
+            return [((), 0, 1)]
+        if p > rest:
+            return []
+        out = []
+        for mult in range(rest // p, -1, -1):
+            for mon, parts, den in rows(rest - p * mult, p + step):
+                out.append((((p, mult),) + mon, parts + mult, den * fact[mult]) if mult
+                           else (mon, parts, den))
+        return out
+
+    top = fact[weight]
+    return tuple((mon, parts & 1, top // den) for mon, parts, den in rows(weight, 1))
 
 
-def _lowering_table(mon: Monomial, factor: int):
-    """exp(factor * sum_n (1/n) d/dx_n z^-n) on ``mon``.
+def _lowering_table(mon: Monomial, factor: int, cap: int | None = None):
+    """exp(factor * sum_n (1/n) d/dx_n z^-n) on ``mon``, keeping the rows
+    whose lowered monomial has weight <= ``cap`` (None: every row).
 
     Returns (prod_n n^e_n, rows): one row (z-exponent, lowered monomial,
     weight) per choice of l_n <= e_n; the coefficient of the row is
     weight / prod_n n^e_n, weight = prod_n C(e_n, l_n) factor^l_n
-    n^(e_n - l_n).
+    n^(e_n - l_n).  The lowered weight, sum_n n (e_n - l_n) = the weight
+    of the variables taken so far plus the z-exponent, only grows as the
+    variables are taken in turn, so a partial row above the cap is cut
+    before it branches.
     """
-    rows = [(0, (), 1)]
+    rows = [(0, (), 1)] if cap is None or cap >= 0 else []
+    taken = 0
     for n, e in reversed(mon):
+        taken += n * e
         rows = [(zl - n * l, ((n, e - l),) + low if l < e else low,
                  w * comb(e, l) * factor ** l * n ** (e - l))
-                for zl, low, w in rows for l in range(e + 1)]
+                for zl, low, w in rows for l in range(e + 1)
+                if cap is None or taken + zl - n * l <= cap]
     return prod(n ** e for n, e in mon), tuple(rows)
 
 
@@ -185,11 +188,16 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
     number of creation updates the call is about to make, the rows of the
     creation tables summed over every span; it may raise to refuse them.
 
-    The charge factor and annihilation exponential run first, and their
-    rows are summed per key and (z-exponent, new label, lowered monomial,
-    its weight); lowered monomials above ``wmax`` are dropped, since the
-    creation exponential only adds weight.  The creation exponential then
-    runs once per sum.  Returns (d, out): ``out`` maps (key, z-exponent) to
+    The charge factor and annihilation exponential run first.  Each
+    lowering table is built only up to ``wmax``, since the creation
+    exponential only adds weight, and a row whose z-exponent no created
+    part can bring into the box is dropped.  Each distinct lowered part
+    (z-exponent, new label, lowered monomial) gets a small int the first
+    time a state's rows reach it, and the rows are summed per key on those
+    ints.  The creation exponential then runs once per sum, summed per key
+    and z-exponent on small ints given to each distinct output (label,
+    monomial); each output state is built once, when the buckets are
+    handed back.  Returns (d, out): ``out`` maps (key, z-exponent) to
     {state: integer numerator} over d times the common denominator of
     ``terms``.  A bucket may be empty.
     """
@@ -197,10 +205,14 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
     tables = {}
     for _, s, _ in terms:
         if s.mon not in tables:
-            tables[s.mon] = _lowering_table(s.mon, factor)
+            tables[s.mon] = _lowering_table(s.mon, factor, wmax)
     d = lcm(*(den for den, _ in tables.values()))
-    rows_of = {}  # state -> ((z-exponent, label, lowered monomial, weight), numerator over d)
-    lowered: Dict[tuple, int] = {}
+
+    low_ids: Dict[tuple, int] = {}  # (z-exponent, label, lowered monomial) -> id
+    lows = []  # id -> (z-exponent, id of (label, lowered monomial), lowest j, highest j)
+    part_ids: Dict[tuple, int] = {}  # (label, lowered monomial) -> id
+    rows_of = {}  # state -> [(lowered id, numerator over d)]
+    lowered: Dict[tuple, Dict[int, int]] = {}  # key -> {lowered id: sum}
     for key, s, c in terms:
         rows = rows_of.get(s)
         if rows is None:
@@ -208,49 +220,63 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
             den, table = tables[s.mon]
             g = d // den
             w0 = mon_weight(s.mon)
-            rows = rows_of[s] = [((shift + zl, label, mon1, w0 + zl), g * w)
-                                 for zl, mon1, w in table if wmax is None or w0 + zl <= wmax]
-        for low, w in rows:
-            k = (key, low)
-            v = lowered.get(k, 0) + c * w
+            rows = rows_of[s] = []
+            for zl, mon1, w in table:
+                # a created part of weight j moves z1 to z1 + j, which must stay in the box
+                z1 = shift + zl
+                top = cutoff - z1 if wmax is None else min(cutoff - z1, wmax - w0 - zl)
+                bottom = max(0, -cutoff - z1)
+                if bottom <= top:
+                    i = low_ids.setdefault((z1, label, mon1), len(lows))
+                    if i == len(lows):
+                        lows.append((z1, part_ids.setdefault((label, mon1), len(part_ids)), bottom, top))
+                    rows.append((i, g * w))
+        acc = lowered.get(key)
+        if acc is None:
+            acc = lowered[key] = {}
+        for i, w in rows:
+            v = acc.get(i, 0) + c * w
             if v:
-                lowered[k] = v
+                acc[i] = v
             else:
-                del lowered[k]
+                del acc[i]
 
-    # a created part of weight j moves z1 to z1 + j, which must stay in the box
-    spans, jmax = [], 0
-    for (key, (z1, label, mon1, w1)), g in lowered.items():
-        top = cutoff - z1 if wmax is None else min(cutoff - z1, wmax - w1)
-        bottom = max(0, -cutoff - z1)
-        if bottom <= top:
-            spans.append((key, z1, label, mon1, g, bottom, top))
-            jmax = max(jmax, top)
+    jmax = max((lows[i][3] for acc in lowered.values() for i in acc), default=0)
     over = [factorial(jmax) // factorial(j) for j in range(jmax + 1)]
     make, odd, sign = op.make, op.odd, op.sign
     if guard is not None:  # _creation_table(j, odd) has a row per partition of j
         upto = [0, *accumulate(_partition_table(jmax, odd))]
-        guard(sum(upto[top + 1] - upto[bottom] for *_, bottom, top in spans))
-    raised = {}  # (label, lowered monomial, j) -> rows (state, signed r)
+        guard(sum(upto[lows[i][3] + 1] - upto[lows[i][2]] for acc in lowered.values() for i in acc))
+    parts = list(part_ids)
+    raised = {}  # (part id, j) -> rows (output id, signed r)
+    out_ids: Dict[tuple, int] = {}  # (label, monomial) -> id
     out: Dict[tuple, dict] = {}
-    for key, z1, label, mon1, g, bottom, top in spans:
-        for j in range(bottom, top + 1):
-            f = g * over[j]
-            bucket = out.get((key, z1 + j))
-            if bucket is None:
-                bucket = out[key, z1 + j] = {}
-            rows = raised.get((label, mon1, j))
-            if rows is None:
-                rows = raised[label, mon1, j] = [
-                    (make(label, _mon_mul(mon1, mon2)), sign * r if parts_odd else r)
-                    for mon2, parts_odd, r in _creation_table(j, odd)]
-            for state, r in rows:
-                v = bucket.get(state, 0) + f * r
-                if v:
-                    bucket[state] = v
-                else:
-                    del bucket[state]
-    return d * over[0], out
+    for key, acc in lowered.items():
+        buckets: Dict[int, Dict[int, int]] = {}  # z-exponent -> {output id: numerator}
+        for i, g in acc.items():
+            z1, p, bottom, top = lows[i]
+            for j in range(bottom, top + 1):
+                f = g * over[j]
+                bucket = buckets.get(z1 + j)
+                if bucket is None:
+                    bucket = buckets[z1 + j] = {}
+                rows = raised.get((p, j))
+                if rows is None:
+                    label, mon1 = parts[p]
+                    rows = raised[p, j] = [
+                        (out_ids.setdefault((label, _mon_mul(mon1, mon2)), len(out_ids)),
+                         sign * r if parts_odd else r)
+                        for mon2, parts_odd, r in _creation_table(j, odd)]
+                for o, r in rows:
+                    v = bucket.get(o, 0) + f * r
+                    if v:
+                        bucket[o] = v
+                    else:
+                        del bucket[o]
+        for ze, bucket in buckets.items():
+            out[key, ze] = bucket
+    states = [make(label, mon) for label, mon in out_ids]
+    return d * over[0], {k: {states[o]: v for o, v in bucket.items()} for k, bucket in out.items()}
 
 
 def vertex_op_A(sign: int) -> Vertex:

@@ -159,11 +159,17 @@ def vev_boson(spec: VevSpec) -> LaurentSeries:
     return LaurentSeries(series.ordering, series.cutoff, series.terms)
 
 
-# the most creation updates one boson sweep step may make, a few seconds and
-# about 100 MiB: the standard type A word of 3 pairs at cutoff 8 peaks at
-# 705,228, and 4 pairs at cutoff 10 would make 1,122,486 in its third step
-# and 23,724,612 in its fourth
+# the most creation updates one boson sweep step may make, about 1 s and
+# 50 MiB (Python 3.11 on one Xeon core): the standard type A word of 3 pairs
+# at cutoff 8 peaks at 705,228, and 4 pairs at cutoff 10 would make 1,122,486
+# in its third step and 23,724,612 in its fourth
 MAX_STEP_UPDATES = 10 ** 6
+# the most (prefix, state) terms one boson sweep step may take in, each
+# counted once per exponent of its prefix: the standard type A word of 3
+# pairs at cutoff 8 takes in 74,232 terms of prefix length 4 (296,928), while
+# type B at 30 points and cutoff 1 doubles its terms every step and would take
+# in 65,536 of prefix length 16 (1,048,576) at step 17
+MAX_STEP_TERMS = 10 ** 6
 
 
 @lru_cache(maxsize=8)
@@ -172,11 +178,14 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
     checks such as product-formula and vev-match ask for the same one.
 
     Each word step runs ``vertex_terms`` on all (prefix, state) pairs at
-    once: the annihilation half is summed per (prefix, z-exponent, label,
-    lowered monomial) before the creation half runs, inside the cutoff box
-    and the weight cap.  A step that would make more than
-    ``MAX_STEP_UPDATES`` creation updates raises ValueError before it makes
-    them; the cutoff is never lowered in its place.
+    once: the annihilation half, its lowering tables built only up to the
+    weight cap, is summed per prefix on small ints interned for each
+    (z-exponent, label, lowered monomial), and the creation half per
+    (prefix, z-exponent) on ints interned for each output state, inside the
+    cutoff box and the weight cap.  Two bounds refuse a spec with ValueError
+    before a step runs: the step's (prefix, state) terms times their prefix
+    length may not pass ``MAX_STEP_TERMS``, and its creation updates may not
+    pass ``MAX_STEP_UPDATES``.  The cutoff is never lowered in their place.
     """
     D, (vacuum, table) = spec.cutoff, OPERATORS[spec.model, spec.side]
     ops = [table[sym] for sym, _ in spec.word]
@@ -190,19 +199,22 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
         absorbs.append(D + shift)
         state = op.make(label, ())
 
+    def refuse(step: int, what: str) -> None:
+        raise ValueError(f"type {spec.model} boson VEV of {len(ops)} vertex operators at "
+                         f"{', '.join(spec.variables)}, cutoff {D}: step {step} of {len(ops)} {what}")
+
     def guard(count: int, step: int) -> None:
         if count > MAX_STEP_UPDATES:
-            raise ValueError(
-                f"type {spec.model} boson VEV of {len(ops)} vertex operators at "
-                f"{', '.join(spec.variables)}, cutoff {D}: step {step} of {len(ops)} would make "
-                f"{count} creation updates, more than {MAX_STEP_UPDATES}")
+            refuse(step, f"would make {count} creation updates, more than {MAX_STEP_UPDATES}")
 
     entries, den = {(): {vacuum: 1}}, 1  # prefix -> {state: numerator over den}
-    for pos in range(len(ops) - 1, -1, -1):
-        wmax = sum(absorbs[len(ops) - pos:])
-        d, out = vertex_terms(ops[pos], [(prefix, s, c) for prefix, smap in entries.items()
-                                         for s, c in smap.items()], D, wmax,
-                              partial(guard, step=len(ops) - pos))
+    for step, op in enumerate(reversed(ops), 1):
+        terms = [(prefix, s, c) for prefix, smap in entries.items() for s, c in smap.items()]
+        if len(terms) * (step - 1) > MAX_STEP_TERMS:
+            refuse(step, f"would take in {len(terms)} terms of prefix length {step - 1}, "
+                         f"{len(terms) * (step - 1)} in all, more than {MAX_STEP_TERMS}")
+        wmax = sum(absorbs[step:])
+        d, out = vertex_terms(op, terms, D, wmax, partial(guard, step=step))
         entries, den = {(ze,) + prefix: b for (prefix, ze), b in out.items() if b}, den * d
     terms = {prefix: Fraction(smap[vacuum], den) for prefix, smap in entries.items() if vacuum in smap}
     return LaurentSeries(spec.variables, D, terms)

@@ -131,9 +131,15 @@ def expand(f: RationalFn, ordering, cutoff: int) -> LaurentSeries:
     for lead, trail, sigma, e, sign in factors:
         top = max((expo[lead] for expo in current), default=0) - e + cutoff
         tail = [sign * (-sigma) ** t * comb(e - 1 + t, t) for t in range(top + 1)]
-        current = collect(
-            (expo[:lead] + (expo[lead] - e - t,) + expo[lead + 1:trail] + (expo[trail] + t,) + expo[trail + 1:],
-             c * tail[t])
-            for expo, c in current.items() for t in range(expo[lead] - e + cutoff + 1))
+        acc: Dict[Expo, Rat] = {}
+        get = acc.get
+        for expo, c in current.items():
+            head, x, middle, y, rest = (expo[:lead], expo[lead] - e, expo[lead + 1:trail], expo[trail],
+                                        expo[trail + 1:])
+            for t in range(x + cutoff + 1):
+                k = head + (x - t,) + middle + (y + t,) + rest
+                s = get(k)
+                acc[k] = c * tail[t] if s is None else s + c * tail[t]
+        current = {k: c for k, c in acc.items() if c}
 
     return LaurentSeries(ordering, cutoff, current)

@@ -1,6 +1,7 @@
 """Heisenberg module actions and truncated vertex operators."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -12,6 +13,7 @@ from bfcorr.boson import (
     boson_state_text,
     energy2_boson_A,
     _creation_table,
+    _lowering_table,
     heis_apply_A,
     heis_apply_B,
     mon_weight,
@@ -273,6 +275,53 @@ def test_creation_tables_have_one_row_per_partition():
             assert all(mon_weight(m) == j for m in mons)
             if odd:
                 assert all(n % 2 for m in mons for n, _ in m)
+
+
+@pytest.mark.parametrize("odd,factor", [(False, -1), (False, 1), (True, -2), (True, 2)])
+def test_lowering_tables_are_cut_exactly_at_the_cap(odd, factor):
+    # the cap only drops the rows whose lowered monomial is too heavy; the
+    # denominator and the order of the rows kept do not change
+    for mon in _monomials(8, odd):
+        den, rows = _lowering_table(mon, factor)
+        assert len(rows) == prod(e + 1 for _, e in mon)
+        for cap in (None, -1, *range(9)):
+            want = tuple(row for row in rows if cap is None or mon_weight(row[1]) <= cap)
+            assert _lowering_table(mon, factor, cap) == (den, want), (mon, cap)
+
+
+def _per_term_sum(op, terms, cutoff, wmax):
+    """vertex_terms run on one state at a time, summed per key as
+    fractions; zero sums and empty buckets are dropped."""
+    total = {}
+    for key, state, c in terms:
+        d, out = vertex_terms(op, [((), state, c)], cutoff, wmax)
+        for (_, ze), bucket in out.items():
+            for s, n in bucket.items():
+                total.setdefault((key, ze), {}).setdefault(s, 0)
+                total[key, ze][s] += Fraction(n, d)
+    return {k: {s: c for s, c in b.items() if c} for k, b in total.items() if any(b.values())}
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+@pytest.mark.parametrize("wmax", [None, 3])
+def test_vertex_terms_is_linear_across_keys(model, wmax):
+    # one call on a list that mixes labels, keys and two terms that cancel
+    # equals the sum of one call per term
+    if model == "A":
+        ops, labels, mons = [vertex_op_A(1), vertex_op_A(-1)], (-1, 0, 1), _monomials(3)
+        make = BosonStateA
+    else:
+        ops, labels, mons = [vertex_op_B(1), vertex_op_B(-1)], (0, 1), _monomials(5, odd=True)
+        make = BosonStateB
+    terms = [(key, make(label, mon), (-1) ** k * (k + 1))
+             for k, (key, label, mon) in enumerate(
+                 (key, label, mon) for key in ((), (2,), (-1, 3)) for label in labels for mon in mons[::2])]
+    terms += [((2,), make(labels[-1], mons[1]), 7), ((2,), make(labels[-1], mons[1]), -7)]
+    for op in ops:
+        d, out = vertex_terms(op, terms, 4, wmax)
+        got = {k: {s: Fraction(n, d) for s, n in b.items()} for k, b in out.items() if b}
+        assert got and got == _per_term_sum(op, terms, 4, wmax)
+        assert all(n for b in out.values() for n in b.values())
 
 
 @pytest.mark.parametrize("op", [vertex_op_A(1), vertex_op_A(-1), vertex_op_B(1), vertex_op_B(-1)])

@@ -256,6 +256,19 @@ def test_boson_vev_refuses_a_step_past_its_bound(capsys):
         "step 3 of 8 would make 1122486 creation updates, more than 1000000")
 
 
+def test_boson_vev_refuses_a_step_that_takes_in_too_many_terms(capsys):
+    # type B at cutoff 1 doubles its (prefix, state) terms every step; it is
+    # refused before its 17th step, not after growing past 600 MiB
+    t0 = time.perf_counter()
+    code, out = run_cli("vev", "--model", "B", "--side", "boson", "--points", "30", "--cutoff", "1")
+    assert time.perf_counter() - t0 < 10
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.strip() == (
+        "error: type B boson VEV of 30 vertex operators at "
+        + ", ".join(f"z{i}" for i in range(1, 31)) + ", cutoff 1: "
+        "step 17 of 30 would take in 65536 terms of prefix length 16, 1048576 in all, more than 1000000")
+
+
 def test_character_runs_below_its_bounds():
     code, out = run_cli("character", "--model", "A", "--max", "30", "--format", "json")
     rows = json.loads(out)["rows"]

@@ -239,6 +239,41 @@ def test_boson_vev_refuses_a_step_past_its_bound(monkeypatch):
     assert vev_boson(spec) == want
 
 
+@pytest.mark.parametrize("spec,names", [(VevSpec.standard_A("boson", 2, 5), "type A boson VEV of 4 vertex "
+                                         "operators at z1, z2, w1, w2, cutoff 5"),
+                                        (VevSpec.standard_B("boson", 6, 2), "type B boson VEV of 6 vertex "
+                                         "operators at z1, z2, z3, z4, z5, z6, cutoff 2")])
+def test_boson_vev_refuses_to_take_in_too_many_terms(monkeypatch, spec, names):
+    # the terms a step takes in, times their prefix length, are counted
+    # before the step runs; the bound refuses the largest step of a spec,
+    # at that step, and no smaller one
+    taken = []
+
+    def recording(op, terms, cutoff, wmax, guard):
+        taken.append((len(terms), len(terms[0][0])))
+        return vertex_terms(op, terms, cutoff, wmax, guard)
+
+    vertex_terms = correspondence.vertex_terms
+    monkeypatch.setattr(correspondence, "vertex_terms", recording)
+    correspondence._boson_series.cache_clear()
+    want = vev_boson(spec)
+    held = [n * k for n, k in taken]
+    peak = max(held)
+    step = held.index(peak) + 1
+    n, k = taken[step - 1]
+    assert [length for _, length in taken] == list(range(len(spec.word))) and 0 < held[1] < peak
+    correspondence._boson_series.cache_clear()
+    monkeypatch.setattr(correspondence, "MAX_STEP_TERMS", peak - 1)
+    taken.clear()
+    with pytest.raises(ValueError) as exc:
+        vev_boson(spec)
+    assert len(taken) == step - 1
+    assert str(exc.value) == (f"{names}: step {step} of {len(spec.word)} would take in {n} terms of prefix "
+                              f"length {k}, {peak} in all, more than {peak - 1}")
+    monkeypatch.setattr(correspondence, "MAX_STEP_TERMS", peak)
+    assert vev_boson(spec) == want
+
+
 # every ordering of ++-- (type A), every +- pattern of 4 points (type B,
 # '-' is e^alpha(-z)) and two type A words of nonzero charge
 _ORACLE_WORDS = ([("A", w) for w in sorted(set(permutations("++--")))]

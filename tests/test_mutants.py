@@ -84,7 +84,7 @@ MUTANTS = [
      """if spec.model == "B" or (spec.word[i][0], spec.word[j][0]) == ("phi", "psi")]""",
      ["locality-A"]),
     ("expand's tail one term short", "series.py",
-     "for t in range(expo[lead] - e + cutoff + 1))", "for t in range(expo[lead] - e + cutoff))",
+     "for t in range(x + cutoff + 1):", "for t in range(x + cutoff):",
      ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "product-formula-A",
       "product-formula-B", "supercommutativity-A", "supercommutativity-B", "vev-match-B"]),
     ("mac without its sign", "poly.py",
