@@ -4,20 +4,23 @@ their Wick and product forms, and the named identity checks.
 ``OPERATORS`` maps each (model, side) to its vacuum and the operator of
 each word symbol: the Clifford fields phi_A, psi_A, phi_B and Tphi =
 phi_B(-z) = (T phi_B)(z), or the vertex operators e^{+-alpha}(z) (type A)
-and e^alpha(+-z) (type B).  Both VEV engines apply a word's operators
-right to left to the vacuum and keep the exponent prefixes apart.  The
-fermion sweep holds one {prefix: coefficient} table per basis state (a
-Clifford monomial reaches one state, so prefixes never merge) and runs
-every field's rows over one mode range; the boson sweep holds one {state:
-coefficient} table per prefix and runs each vertex operator on all
-(prefix, state) pairs at once (``boson.vertex_terms``).  Any word has one
-Wick form, the Pfaffian of its paired two-point functions
-(``_wick_pairs``), and one product form (``_product_form``); the closed
-forms and the det/Pf series are these for the standard word, and the
-locality checks compare all four sides on every word.  The series form
-runs ``matrices.pf_expansion`` on integer entrywise expansions (region
-expansion is a ring homomorphism, and each term of the expansion touches
-disjoint variable pairs, so entry truncation at the box bound is exact).
+and e^alpha(+-z) (type B).  Both VEV engines keep the exponents of the
+word's positions apart.  The fermion sweep meets in the middle: the right
+half of the word runs on the vacuum into one {exponents: coefficient}
+table per middle basis state s, the left half gives <0| left half |s>,
+memoized per (length, state), and every left entry joins every right
+entry of its s (a Clifford monomial reaches one state, so no two share a
+key); every field's rows run over one mode range.  The boson sweep
+applies the word right to left, holds one {state: coefficient} table per
+prefix and runs each vertex operator on all (prefix, state) pairs at once
+(``boson.vertex_terms``).  Any word has one Wick form, the Pfaffian of
+its paired two-point functions (``_wick_pairs``), and one product form
+(``_product_form``); the closed forms and the det/Pf series are these for
+the standard word, and the locality checks compare all four sides on
+every word.  The series form runs ``matrices.pf_expansion`` on integer
+entrywise expansions (region expansion is a ring homomorphism, and each
+term of the expansion touches disjoint variable pairs, so entry
+truncation at the box bound is exact).
 """
 
 from __future__ import annotations
@@ -121,30 +124,60 @@ class VevSpec:
 def vev_fermion(spec: VevSpec) -> LaurentSeries:
     """<0| word |0> as a Laurent series in the word-order expansion region.
 
-    The word's fields, read from OPERATORS, run right to left on the
-    vacuum over tables {basis state: {exponent prefix: integer coefficient}}.
-    Each is a unary Clifford field with denominator 1 (phi_A, psi_A, phi_B
-    or Tphi = phi_B(-z)), so a monomial maps a basis state to a multiple of
-    one basis state and prefixes never merge.  Every step runs its field's
-    row over one mode range, the box exponents -cutoff .. cutoff.  A field
-    adds or removes one mode, so a new state is kept only if its mode count
-    is at most the number of fields still to come.
+    The word's fields X_0 .. X_{n-1}, read from OPERATORS, are unary
+    Clifford fields with denominator 1 (phi_A, psi_A, phi_B or Tphi =
+    phi_B(-z)), so a monomial maps a basis state to a multiple of one basis
+    state.  Each runs its row over one mode range, the box exponents
+    -cutoff .. cutoff.  The word meets in the middle at h = n // 2:
+
+    - the right half runs X_{n-1} .. X_h on the vacuum, right to left, over
+      tables {middle state s: {exponents of positions h .. n-1: coefficient}};
+    - the left half is L(k, s) = <0| X_0 .. X_{k-1} |s> as {exponents of
+      positions 0 .. k-1: coefficient}, memoized per (k, s);
+    - the join puts every entry of L(h, s) before every entry of s's table
+      and multiplies their coefficients.
+
+    X_j adds or removes one mode and j fields stand to its left, so a state
+    X_j reaches is kept only if its mode count is at most j, on both
+    halves.  A full exponent tuple fixes every intermediate state, so no two
+    entries of a table or of the join share a key and nothing is summed.
     """
     if spec.side != "fermion":
         raise ValueError("spec.side must be 'fermion'")
     D, (vacuum, table) = spec.cutoff, OPERATORS[spec.model, spec.side]
-    fields = [table[sym] for sym, _ in spec.word]
-    tables = {vacuum: {(): 1}}
-    for pos in range(len(fields) - 1, -1, -1):
-        row = fields[pos].row
+    rows = [table[sym].row for sym, _ in spec.word]
+    modes = range(D, -D - 1, -1)
+
+    def step(j, s):
+        """(m, t, c): X_j's row on s at every mode m, to the states t kept."""
+        row = rows[j]
+        return [(m, t, c) for m in modes for t, c in row(m, s) if sum(map(int.bit_count, t)) <= j]
+
+    h = len(rows) // 2
+    right = {vacuum: {(): 1}}
+    for j in range(len(rows) - 1, h - 1, -1):
         new: Dict = {}
-        for s, prefixes in tables.items():
-            for m in range(D, -D - 1, -1):
-                for t, c in row(m, s):
-                    if sum(map(int.bit_count, t)) <= pos:
-                        new.setdefault(t, {}).update({(m,) + p: c * v for p, v in prefixes.items()})
-        tables = new
-    return LaurentSeries(spec.variables, D, tables.get(vacuum))
+        for s, suffixes in right.items():
+            for m, t, c in step(j, s):
+                new.setdefault(t, {}).update({(m,) + p: c * v for p, v in suffixes.items()})
+        right = new
+
+    @lru_cache(maxsize=None)
+    def left(k, s):
+        if not k:
+            return {(): 1} if s == vacuum else {}
+        out = {}
+        for m, t, c in step(k - 1, s):
+            out.update({p + (m,): a * c for p, a in left(k - 1, t).items()})
+        return out
+
+    terms = {p + q: a * v for s, suffixes in right.items() for p, a in left(h, s).items()
+             for q, v in suffixes.items()}
+    # free both halves first, so that only the terms and their copy in the
+    # series are held at once
+    del right
+    left.cache_clear()
+    return LaurentSeries(spec.variables, D, terms)
 
 
 def vev_boson(spec: VevSpec) -> LaurentSeries:
@@ -248,7 +281,13 @@ def _product_form(spec: VevSpec) -> RationalFn:
     """The boson side of <0| word |0>: prod_{i<j} K(x_i, x_j)^{e_i e_j} in
     word order, with K = x_i - x_j (type A) or (x_i - x_j)/(x_i + x_j)
     (type B).  e_i e_j = +1 exactly when the two symbols agree; for type B
-    that is because e^alpha(-z) = e^{-alpha}(z) and K(-x_i, x_j) = 1/K."""
+    that is because e^alpha(-z) = e^{-alpha}(z) and K(-x_i, x_j) = 1/K.
+
+    The form is built canonical, so it is not reduced: every factor is the
+    irreducible linear form x_i - x_j or x_i + x_j of one pair i < j, no two
+    factors are associates, and each form goes to the numerator or to the
+    denominator, never to both, so by unique factorization no pole atom
+    divides the numerator."""
     alpha = spec.variables
     num, den = MultiPoly.const(alpha, 1), {}
     for i, j in combinations(range(len(alpha)), 2):
@@ -259,7 +298,7 @@ def _product_form(spec: VevSpec) -> RationalFn:
                 num = num * MultiPoly.linear(alpha, i, j, sigma)
             else:
                 den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = 1
-    return RationalFn(num, den)
+    return RationalFn(num, den, reduce=False)
 
 
 def closed_form(model: str, kind: str, n: int) -> RationalFn:

@@ -15,6 +15,7 @@ total degree is tested once, on the numerator, and the box drops the rest.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 from operator import add
 from typing import Dict, Tuple
@@ -43,9 +44,14 @@ class LaurentSeries(Terms):
         terms = terms or {}
         if not set(map(type, terms.values())) <= {int, Rat}:
             terms = {tuple(e): exact(c) for e, c in terms.items()}
-        # the cutoff box: every exponent >= -cutoff, total degree in [-cutoff, cutoff]
-        self.terms = {tuple(e): c for e, c in terms.items()
-                      if c and min(e or (0,)) >= -cutoff and -cutoff <= sum(e) <= cutoff}
+        # the cutoff box: every exponent >= -cutoff, total degree in
+        # [-cutoff, cutoff]; terms are filtered one by one only when the
+        # whole-dict test fails
+        if _in_box(terms, cutoff):
+            self.terms = dict(terms)
+        else:
+            self.terms = {tuple(e): c for e, c in terms.items()
+                          if c and min(e or (0,)) >= -cutoff and -cutoff <= sum(e) <= cutoff}
 
     def frame(self):
         return self.ordering, self.cutoff
@@ -72,6 +78,16 @@ class LaurentSeries(Terms):
 
     def __repr__(self):
         return f"LaurentSeries({self.ordering}, {self.cutoff}, {self.terms!r})"
+
+
+def _in_box(terms: dict, cutoff: int) -> bool:
+    """True iff every key is a tuple inside the cutoff box and every
+    coefficient is nonzero, tested over all terms at once in C."""
+    keys = terms.keys()
+    if not set(map(type, keys)) <= {tuple} or min(chain.from_iterable(keys), default=0) < -cutoff:
+        return False
+    degrees = set(map(sum, keys))
+    return -cutoff <= min(degrees, default=0) and max(degrees, default=0) <= cutoff and all(terms.values())
 
 
 def raw_mul(t1: Dict[Expo, Rat], t2: Dict[Expo, Rat]) -> Dict[Expo, Rat]:

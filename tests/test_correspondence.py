@@ -22,7 +22,7 @@ from bfcorr.correspondence import (
 from bfcorr.fields import Field, phi_A, phi_B, twisted_heisenberg_field_B
 from bfcorr.fock import VACUUM_A, VACUUM_B, FockVector, apply_mode_A, apply_mode_B
 from bfcorr.poly import MultiPoly
-from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
+from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, rf_reduce, sum_factor
 from bfcorr.series import LaurentSeries, expand, raw_mul
 from bfcorr.textio import format_series
 from conftest import rf
@@ -345,9 +345,10 @@ def _composed_fermion_vev(spec):
 
 @pytest.mark.parametrize("cutoff", range(1, 6))
 def test_fermion_sweep_matches_composed_modes(cutoff):
-    # the sweep runs each field over the box exponents [-D, D] only, for
-    # both models, and drops states the fields to their left cannot remove;
-    # the composition here does neither
+    # both halves of the sweep run each field over the box exponents
+    # [-D, D] only, for both models, and drop a state reached by the field
+    # at position j if it holds more than j modes, more than the fields to
+    # its left can remove; the composition here does neither
     for model, word in _FERMION_WORDS:
         spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
         got = vev_fermion(spec)
@@ -356,6 +357,57 @@ def test_fermion_sweep_matches_composed_modes(cutoff):
         # a type A pair has total degree -1, so two pairs leave the box at D=1
         neutral = model == "B" or word.count("phi") == word.count("psi")
         assert got.is_zero() == (not neutral or (model == "A" and cutoff == 1)), (model, word)
+
+
+def _one_directional_fermion_terms(spec):
+    """<0| word |0> by one sweep right to left from the vacuum, over tables
+    {state: {exponent prefix: coefficient}}, each field run over the box
+    exponents and a state reached by the field at position j kept only if
+    it holds at most j modes; the raw terms, before the cutoff box."""
+    D, (vacuum, table) = spec.cutoff, correspondence.OPERATORS[spec.model, spec.side]
+    fields = [table[sym] for sym, _ in spec.word]
+    tables = {vacuum: {(): 1}}
+    for pos in range(len(fields) - 1, -1, -1):
+        row, new = fields[pos].row, {}
+        for s, prefixes in tables.items():
+            for m in range(D, -D - 1, -1):
+                for t, c in row(m, s):
+                    if sum(map(int.bit_count, t)) <= pos:
+                        new.setdefault(t, {}).update({(m,) + p: c * v for p, v in prefixes.items()})
+        tables = new
+    return tables.get(vacuum, {})
+
+
+# every locality word, the empty word, one field and odd lengths
+_SWEEP_WORDS = ([("A", w) for n in (2, 3) for w in correspondence._locality_words("A", n)]
+                + [("B", w) for n in (4, 6) for w in correspondence._locality_words("B", n)]
+                + [("A", ()), ("B", ()), ("A", ("phi",)), ("A", ("psi",)), ("B", ("phi",)),
+                   ("B", ("Tphi",)), ("A", ("psi", "phi", "phi")), ("A", ("phi", "psi", "psi", "phi", "psi")),
+                   ("B", ("phi", "Tphi", "phi")), ("B", ("Tphi",) * 5)])
+
+
+@pytest.mark.parametrize("cutoff", range(1, 6))
+def test_fermion_sweep_matches_the_one_directional_sweep(cutoff):
+    # the halves meet in the middle; every term and its int type must be
+    # those of the sweep from the vacuum alone
+    for model, word in _SWEEP_WORDS:
+        spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
+        got = vev_fermion(spec).terms
+        raw = _one_directional_fermion_terms(spec)
+        assert got == {e: c for e, c in raw.items() if -cutoff <= sum(e) <= cutoff}, (model, word)
+        assert all(type(c) is int for c in got.values()), (model, word)
+    assert vev_fermion(VevSpec("B", "fermion", (), cutoff)).terms == {(): 1}
+
+
+@pytest.mark.parametrize("model, sizes", [("A", (2, 3)), ("B", (4, 6))])
+def test_product_form_is_built_reduced(model, sizes):
+    # _product_form skips the reduction: reducing it must change nothing
+    for n in sizes:
+        for word in correspondence._locality_words(model, n):
+            spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), 0)
+            form = correspondence._product_form(spec)
+            reduced = rf_reduce(form)
+            assert (reduced.num, reduced.den) == (form.num, form.den), word
 
 
 # longer words: the composed oracle is cheap only for 6 type B points at

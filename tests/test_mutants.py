@@ -70,6 +70,10 @@ MUTANTS = [
      "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = 1",
      "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = sigma < 0",
      ["locality-B", "product-formula-B", "schur-pfaffian"]),
+    ("the join drops the left coefficient", "correspondence.py",
+     "{p + q: a * v for", "{p + q: v for",
+     ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "supercommutativity-B",
+      "vev-match-A", "vev-match-B"]),
     ("type B two-point numerator sign", "correspondence.py",
      "MultiPoly.linear(alpha, i, j, -1), {sum_factor(i, j): 1})",
      "MultiPoly.linear(alpha, i, j, 1), {sum_factor(i, j): 1})",

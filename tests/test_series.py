@@ -229,3 +229,43 @@ def test_series_constructor_gates_every_coefficient():
     assert list(LaurentSeries(AL, 3, _ListExponents([((1, -1), 2)])).terms) == [(1, -1)]
     # the empty ordering holds only the constant
     assert LaurentSeries((), 0, {(): 5}).terms == {(): 5}
+
+
+def _box_per_term(terms, cutoff):
+    """The cutoff box applied term by term: tuple keys, nonzero
+    coefficients, every exponent >= -cutoff and total degree in
+    [-cutoff, cutoff]."""
+    return {tuple(e): c for e, c in terms.items()
+            if c and min(e or (0,)) >= -cutoff and -cutoff <= sum(e) <= cutoff}
+
+
+def test_series_constructor_keeps_the_per_term_box(rng):
+    # the constructor tests the box once over all terms and filters term by
+    # term only when that fails; both ways must give the per-term rule's
+    # terms, with the same coefficient types
+    for trial in range(400):
+        nvars, cutoff = rng.randrange(0, 4), rng.randrange(0, 5)
+        ordering = ("z", "w", "v")[:nvars]
+        terms = {}
+        for _ in range(rng.randrange(0, 12)):
+            e = tuple(rng.randrange(-cutoff, cutoff + 1) for _ in range(nvars))
+            if -cutoff <= sum(e) <= cutoff:
+                terms[e] = rng.choice([1, -3, 7, Fraction(2, 3), Fraction(-5, 4)])
+        flaw, pad = trial % 7, (0,) * (nvars - 1)
+        if flaw == 1 and nvars:  # an exponent below the box, at a degree inside it if it can be
+            terms[(-cutoff - 1,) + (1,) * (nvars - 1)] = 1
+        elif flaw == 4 and nvars:  # a degree above the box
+            terms[(cutoff + 1,) + pad] = 2
+        elif flaw == 5 and nvars > 1:  # a degree below the box, every exponent inside it
+            terms[(-cutoff, -1) + pad[1:]] = 3
+        elif flaw == 2 and terms:  # a zero coefficient
+            terms[next(iter(terms))] = rng.choice([0, Fraction(0)])
+        elif flaw == 3 and terms:  # list keys
+            terms = _ListExponents(list(terms.items()))
+        got = LaurentSeries(ordering, cutoff, terms).terms
+        want = _box_per_term(terms, cutoff)
+        assert got == want, (ordering, cutoff, dict(terms.items()))
+        assert [type(e) for e in got] == [tuple] * len(got)
+        assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+    assert LaurentSeries((), 0, {(): 4}).terms == {(): 4}
+    assert LaurentSeries((), 0, {(): 0}).terms == {}
