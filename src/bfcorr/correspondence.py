@@ -20,7 +20,8 @@ the standard word, and the locality checks compare all four sides on
 every word.  The series form runs ``matrices.pf_expansion`` on integer
 entrywise expansions (region expansion is a ring homomorphism, and each
 term of the expansion touches disjoint variable pairs, so entry
-truncation at the box bound is exact).
+truncation at the box bound is exact).  Each check's runner records its
+witnesses, then returns ``_fail`` at its first failure.
 """
 
 from __future__ import annotations
@@ -541,48 +542,32 @@ def _run_locality(model, rep, p) -> None:
     rep.witnesses["coefficients"] = str(compared)
 
 
-def _run_heisenberg_A(model, rep, p) -> None:
-    """[h_m, h_n] = m delta_{m+n,0} for -mmax <= m < n <= mmax.  One
-    ``mode_commutator`` call composes both products h_m h_n and h_n h_m on
-    every basis state, so the mirror pair (n, m) would recompute them, and
-    its residual, as the bracket and the right side are both antisymmetric,
-    is exactly the negation of the one for (m, n); the diagonal m = n
-    subtracts a product from itself and compares nothing."""
+def _run_heisenberg(model, rep, p) -> None:
+    """[h_m, h_n] = c m delta_{m+n,0} for -mmax <= m < n <= mmax: c = 1 on F_A;
+    c = 1/2 and only odd labels on F_B, whose even modes h_m must vanish.
+    Each pair is bracketed once: one ``mode_commutator`` call composes both
+    products on every basis state, the mirror pair (n, m) has the negated
+    residual, as both sides are antisymmetric, and m = n compares nothing."""
     mmax, grade = p["mmax"], p["grade"]
     rep.params.setdefault("n", mmax)  # JSON reports carry mmax as n
-    h = heisenberg_field_A()
-    rep.witnesses["relation"] = "[h_m, h_n] = m delta_{m+n,0} on energy2 <= %d" % grade
-    for m in range(-mmax, mmax + 1):
-        for n in range(m + 1, mmax + 1):
-            bad = mode_commutator(h, h, m, n, grade, m if m + n == 0 else 0)
-            if bad:
-                state, residual = bad[0]
-                return _fail(rep, f"(m,n)=({m},{n}) on {state}: residual {residual!r}")
-
-
-def _run_heisenberg_B(model, rep, p) -> None:
-    """[h_m, h_n] = (m/2) delta_{m+n,0} for odd -mmax <= m < n <= mmax,
-    each pair once as in ``_run_heisenberg_A``, and h_m = 0 for even m."""
-    mmax, grade = p["mmax"], p["grade"]
-    rep.params.setdefault("n", mmax)  # JSON reports carry mmax as n
-    h = twisted_heisenberg_field_B()
-    failures = []
-    for m in range(-mmax, mmax + 1, 2):
-        for n in range(m + 2, mmax + 1, 2):
-            bad = mode_commutator(h, h, m, n, grade, Fraction(m, 2) if m + n == 0 else 0)
-            if bad:
-                failures.append(f"(m,n)=({m},{n}) on {bad[0][0]}")
-    for m in range(-mmax + 1, mmax, 2):  # even mode labels vanish identically
+    modes = range(-mmax, mmax + 1)
+    if model == "A":
+        h, c, labels = heisenberg_field_A(), 1, modes
+        rep.witnesses["relation"] = "[h_m, h_n] = m delta_{m+n,0} on energy2 <= %d" % grade
+    else:
+        h, c, labels = twisted_heisenberg_field_B(), Fraction(1, 2), [m for m in modes if m % 2]
+        rep.witnesses["relation"] = ("[h_m, h_n] = (m/2) delta_{m+n,0} for odd m, n and h_even = 0 "
+                                     "on degree <= %d" % grade)
+    for m, n in combinations(labels, 2):
+        bad = mode_commutator(h, h, m, n, grade, c * m if m + n == 0 else 0)
+        if bad:
+            state, residual = bad[0]
+            return _fail(rep, f"(m,n)=({m},{n}) on {state}: residual {residual!r}")
+    for m in sorted(set(modes).difference(labels)):  # the even type B labels
         k = h.mode_zpow(m)
-        for s in graded_basis("B", grade):
+        for s in graded_basis(h.space, grade):
             if any(x for _, x in h.row(k, s)):
-                failures.append(f"h_{m} != 0 on {s}")
-                break
-    rep.witnesses["relation"] = (
-        "[h_m, h_n] = (m/2) delta_{m+n,0} for odd m, n and h_even = 0 on degree <= %d" % grade
-    )
-    if failures:
-        _fail(rep, failures[0])
+                return _fail(rep, f"h_{m} != 0 on {s}")
 
 
 # the most states a character enumerates, and the largest |charge| of a type
@@ -630,25 +615,19 @@ def _run_character(model, rep, p) -> None:
 
 def _run_ope_residues(model, rep, p) -> None:
     grade = p["grade"]
-    problems = []
-
     fa = _two_point("A", ("z", "w"), 0, 1)  # 1/(z-w)
     res_a = residue_at(fa, 0, 1, 1, 0)
     rep.witnesses["type_A_residue"] = _rational_witness(res_a)
-    if not (res_a == RationalFn.const(fa.alphabet, 1)):
-        problems.append("Res_{z=w} of the type A two-point function is not 1")
-
     fb = _two_point("B", ("z", "w"), 0, 1)  # (z-w)/(z+w)
     res_b = residue_at(fb, 0, -1, 1, 0)
     rep.witnesses["type_B_residue"] = _rational_witness(res_b)
-    minus_2w = RationalFn.from_poly(MultiPoly.var(fb.alphabet, 1).scale(-2))
-    if not (res_b == minus_2w):
-        problems.append("Res_{z=-w} of the type B two-point function is not -2w")
-    else:
-        shifted = MultiPoly(fb.alphabet, {(e[0], e[1] - 1): c for e, c in res_b.num.terms.items()})
-        if not (shifted == MultiPoly.const(fb.alphabet, -2)):
-            problems.append("w^{-1} shift of the type B residue is not the constant -2")
-        rep.witnesses["shifted_residue"] = str(-2)
+    is_minus_2w = res_b == RationalFn.from_poly(MultiPoly.var(fb.alphabet, 1).scale(-2))
+    if is_minus_2w:
+        rep.witnesses["shifted_residue"] = "-2"  # the w^{-1} shift of -2w
+    if not (res_a == RationalFn.const(fa.alphabet, 1)):
+        return _fail(rep, "Res_{z=w} of the type A two-point function is not 1")
+    if not is_minus_2w:
+        return _fail(rep, "Res_{z=-w} of the type B two-point function is not -2w")
 
     # mode level: the z^{-1} coefficient of the (anti)commutator series is the
     # residue of the rational two-point operator, localized at its only pole
@@ -657,15 +636,12 @@ def _run_ope_residues(model, rep, p) -> None:
         for k in range(-window, window + 1):
             bad = mode_commutator(a, b, -1, k, grade, residue if k == pole else 0)
             if bad:
-                problems.append(f"type {label} mode residue fails at k={k} on {bad[0][0]}")
-                break
-    if problems:
-        _fail(rep, problems[0])
+                return _fail(rep, f"type {label} mode residue fails at k={k} on {bad[0][0]}")
 
 
 def _run_hopf(model, rep, p) -> None:
     window, grade = p["window"], p["grade"]
-    problems = []
+    rep.witnesses["relations"] = "T^2 = 1, DT = -TD, vacuum regularity, creation values"
     cases = [
         (phi_A(), VACUUM_A, FermionStateA((0,), ())),
         (psi_A(), VACUUM_A, FermionStateA((), (0,))),
@@ -678,25 +654,20 @@ def _run_hopf(model, rep, p) -> None:
         for k in range(-window, window + 1):
             for s in basis:
                 if collect(tt.row(k, s)) != collect(base.row(k, s)):
-                    problems.append(f"T^2 != id for {base.name} at z^{k}")
-                    break
+                    return _fail(rep, f"T^2 != id for {base.name} at z^{k}")
                 if collect([*dt.row(k, s), *td.row(k, s)]):
-                    problems.append(f"DT != -TD for {base.name} at z^{k}")
-                    break
+                    return _fail(rep, f"DT != -TD for {base.name} at z^{k}")
         # vacuum and modified creation: a(z)|0> is regular at z=0 and its
         # value there is the projected state pi_f(a)
         for k in range(-window, 0):
             if collect(base.row(k, vacuum)):
-                problems.append(f"{base.name}(z)|0> has a negative z-power {k}")
+                return _fail(rep, f"{base.name}(z)|0> has a negative z-power {k}")
         if collect(base.row(0, vacuum)) != {created: base.den}:
-            problems.append(f"{base.name}(z)|0> at z=0 is not the projected state")
+            return _fail(rep, f"{base.name}(z)|0> at z=0 is not the projected state")
     # T phi_B projects where phi_B does
     tphi = act_hopf("T", phi_B())
     if collect(tphi.row(0, VACUUM_B)) != {FermionStateB((0,)): tphi.den}:
-        problems.append("T phi_B creation value differs from phi_B")
-    if problems:
-        _fail(rep, problems[0])
-    rep.witnesses["relations"] = "T^2 = 1, DT = -TD, vacuum regularity, creation values"
+        return _fail(rep, "T phi_B creation value differs from phi_B")
 
 
 # -- the check table ------------------------------------------------------------
@@ -753,9 +724,9 @@ CHECKS = (
           {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
     Check("locality-B", "locality", "B", _run_locality,
           {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 4}),
-    Check("heisenberg-from-fermions-A", "heisenberg", "A", _run_heisenberg_A,
+    Check("heisenberg-from-fermions-A", "heisenberg", "A", _run_heisenberg,
           {"mmax": 5, "grade": 12}, {"mmax": 3, "grade": 8}),
-    Check("twisted-heisenberg-from-fermions-B", "heisenberg", "B", _run_heisenberg_B,
+    Check("twisted-heisenberg-from-fermions-B", "heisenberg", "B", _run_heisenberg,
           {"mmax": 7, "grade": 10}, {"mmax": 5, "grade": 8}),
     Check("character-A", "character", "A", _run_character,
           {"dmax": 12, "charge": 0}, {"dmax": 8, "charge": 0}),

@@ -9,6 +9,8 @@ import bfcorr.correspondence as correspondence
 import bfcorr.fields as fields
 from bfcorr.boson import BOSON_VACUUM_A, BOSON_VACUUM_B, vertex_A, vertex_B
 from bfcorr.correspondence import (
+    CHECKS,
+    MIN_SIZES,
     VevSpec,
     analytic_continuation_check,
     check_identity,
@@ -657,6 +659,26 @@ def test_twisted_heisenberg_fails_on_nonzero_even_rows(monkeypatch):
     assert rep.witnesses["first_difference"] == "h_-2 != 0 on FermionStateB(indices=())"
 
 
+def test_ope_residues_stop_at_the_type_A_residue(monkeypatch):
+    # doubling only the type A kernel fails the first comparison; the type B
+    # residue and its shift are recorded before it
+    two_point = correspondence._two_point
+
+    def doubled_A(model, alpha, i, j):
+        kernel = two_point(model, alpha, i, j)
+        return RationalFn(kernel.num.scale(2), kernel.den) if model == "A" else kernel
+
+    monkeypatch.setattr(correspondence, "_two_point", doubled_A)
+    rep = check_identity("ope-residues", {"grade": 2})
+    assert rep.status == "fail"
+    assert rep.witnesses == {
+        "type_A_residue": "2",
+        "type_B_residue": "-2*w",
+        "shifted_residue": "-2",
+        "first_difference": "Res_{z=w} of the type A two-point function is not 1",
+    }
+
+
 def test_supercommutativity_fails_on_a_symmetric_kernel(monkeypatch):
     # 1/(x_i + x_j) is swap-symmetric, so F(w, z) = -F(z, w) must fail
     def symmetric(model, alpha, i, j):
@@ -729,6 +751,32 @@ def test_sizes_at_their_minimum_pass(name, params):
     assert check_identity(name, params).passed
 
 
+def _size_grid(check):
+    """The sizes of ``check`` from each MIN_SIZES value up to that value + 2,
+    except that type B words have 2, 4 or 6 points, a type A word of n pairs
+    runs only at cutoffs >= n (below, it has no terms), and locality keeps
+    its 2 pairs or 4 points."""
+    axes = {}
+    for key in check.sizes:
+        if key == "n" and check.target == "locality":
+            axes[key] = [2 if check.model == "A" else 4]
+        elif key == "n" and check.model == "B":
+            axes[key] = [2, 4, 6]
+        elif key in MIN_SIZES:
+            axes[key] = range(MIN_SIZES[key], MIN_SIZES[key] + 3)
+    grid = [dict(zip(axes, values)) for values in product(*axes.values())]
+    return [p for p in grid if not (check.model == "A" and "cutoff" in p and p.get("n", 0) > p["cutoff"])]
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=[check.name for check in CHECKS])
+def test_sizes_up_to_two_above_their_minimum_pass(check):
+    # the explicit minimum cases above pin MIN_SIZES; this sweep, which starts
+    # from MIN_SIZES, covers every row and the sizes just above
+    for params in _size_grid(check):
+        rep = check_identity(check.name, params)
+        assert rep.passed, (params, rep.witnesses.get("first_difference"))
+
+
 # one case per rejected name: a misspelt size, a size another check has,
 # and a name that is no size at all
 @pytest.mark.parametrize("name,params,bad", [
@@ -744,8 +792,6 @@ def test_unknown_parameter_names_are_rejected(name, params, bad):
 
 def test_every_check_takes_cutoff_and_seed():
     # the CLI passes both to every check, next to the check's own sizes
-    from bfcorr.correspondence import CHECKS
-
     for check in CHECKS:
         rep = check_identity(check.name, {**check.quick, "cutoff": 3, "seed": 5})
         assert rep.passed and rep.params["seed"] == 5, check.name
@@ -757,7 +803,7 @@ def test_type_b_checks_need_an_even_number_of_points():
 
 
 def test_missing_sizes_come_from_the_check_table():
-    from bfcorr.correspondence import CHECKS, DEFAULT_CUTOFF
+    from bfcorr.correspondence import DEFAULT_CUTOFF
 
     sizes = {c.name: c.sizes for c in CHECKS}
     assert sizes["product-formula-B"] == {"n": 4, "cutoff": DEFAULT_CUTOFF}

@@ -283,14 +283,18 @@ def test_mode_commutator_residuals_are_pinned():
         assert repr(got[0][1]) == vacuum_text
 
 
-def test_heisenberg_failure_witness_text(monkeypatch):
+@pytest.mark.parametrize("name, field, text", [
+    ("heisenberg-from-fermions-A", heisenberg_field_A,
+     "(m,n)=(-1,1) on FermionStateA(phis=(), psis=()): residual FockVector(-3*|0>)"),
+    ("twisted-heisenberg-from-fermions-B", twisted_heisenberg_field_B,
+     "(m,n)=(-1,1) on FermionStateB(indices=()): residual FockVector(-3/2*|0>)"),
+], ids=["A", "B"])
+def test_heisenberg_failure_witness_text(name, field, text, monkeypatch):
     # doubling h quadruples its bracket, so the first pair in loop order fails
-    monkeypatch.setattr(correspondence, "heisenberg_field_A",
-                        lambda: heisenberg_field_A().scaled(2))
-    rep = correspondence.check_identity("heisenberg-from-fermions-A", {"mmax": 1, "grade": 4})
+    monkeypatch.setattr(correspondence, field.__name__, lambda: field().scaled(2))
+    rep = correspondence.check_identity(name, {"mmax": 1, "grade": 4})
     assert rep.status == "fail"
-    assert rep.witnesses["first_difference"] == (
-        "(m,n)=(-1,1) on FermionStateA(phis=(), psis=()): residual FockVector(-3*|0>)")
+    assert rep.witnesses["first_difference"] == text
 
 
 def _clifford_bracket(pair, m, n):
@@ -364,6 +368,18 @@ def test_mirror_pairs_negate_and_the_diagonal_is_empty(field, grade, central):
     ("twisted-heisenberg-from-fermions-B", range(-3, 4, 2)),
 ])
 def test_heisenberg_checks_compute_each_pair_once(name, labels, monkeypatch):
+    assert _bracketed_pairs(monkeypatch, name, 3) == [(m, n) for m in labels for n in labels if m < n]
+
+
+def test_twisted_heisenberg_at_even_mmax_brackets_only_odd_labels(monkeypatch):
+    # mmax 4 adds the even labels -4 and 4, which must vanish, not be bracketed
+    labels = range(-3, 4, 2)
+    assert _bracketed_pairs(monkeypatch, "twisted-heisenberg-from-fermions-B", 4) == [
+        (m, n) for m in labels for n in labels if m < n]
+
+
+def _bracketed_pairs(monkeypatch, name, mmax):
+    """The (m, n) of each ``mode_commutator`` call of the passing check."""
     calls = []
 
     def recording(a, b, m, n, *rest):
@@ -371,5 +387,5 @@ def test_heisenberg_checks_compute_each_pair_once(name, labels, monkeypatch):
         return mode_commutator(a, b, m, n, *rest)
 
     monkeypatch.setattr(correspondence, "mode_commutator", recording)
-    assert correspondence.check_identity(name, {"mmax": 3, "grade": 6}).passed
-    assert calls == [(m, n) for m in labels for n in labels if m < n]
+    assert correspondence.check_identity(name, {"mmax": mmax, "grade": 6}).passed
+    return calls

@@ -2,11 +2,11 @@
 
 Each row is a named source mutation, an exact ``(file, old, new)`` text
 replacement that must match exactly once in ``src/bfcorr``, and the checks
-that must FAIL under it.  The test copies the package, applies the
-mutation and runs ``bfcorr.cli verify`` on the row's targets with
-``--quick`` in a subprocess.  Text mutation is needed because callers bind
-names at import (``fields`` imports ``_apply_phi_B``), so a monkeypatch
-would miss them.
+that FAIL under it, all of them.  The test copies the package, applies the
+mutation, runs ``bfcorr.cli verify all --quick`` in a subprocess and
+compares the set of failing checks with the row's.  Text mutation is needed
+because callers bind names at import (``fields`` imports ``_apply_phi_B``),
+so a monkeypatch would miss them.
 """
 
 import json
@@ -22,7 +22,7 @@ import bfcorr
 from bfcorr.correspondence import CHECKS
 
 SRC = Path(bfcorr.__file__).parent
-TARGET = {check.name: check.target for check in CHECKS}
+NAMES = {check.name for check in CHECKS}
 
 # (name, file, old, new, the checks that fail under it); the lists are the
 # complete failing sets of ``verify all --quick``
@@ -57,6 +57,12 @@ MUTANTS = [
      "lambda k, s: [(t, -x) for t, x in row(k, s)] if k % 2 else row(k, s),",
      "lambda k, s: row(k, s),",
      ["hopf-relations", "locality-B", "twisted-heisenberg-from-fermions-B"]),
+    ("type A Heisenberg constant -1 in place of 1", "correspondence.py",
+     "heisenberg_field_A(), 1,", "heisenberg_field_A(), -1,",
+     ["heisenberg-from-fermions-A"]),
+    ("type B Heisenberg constant 1/4 in place of 1/2", "correspondence.py",
+     "Fraction(1, 2)", "Fraction(1, 4)",
+     ["twisted-heisenberg-from-fermions-B"]),
     ("h_B scaled by 1/2 in place of 1/4", "fields.py",
      ".scaled(Fraction(1, 4))", ".scaled(Fraction(1, 2))",
      ["twisted-heisenberg-from-fermions-B"]),
@@ -96,16 +102,14 @@ MUTANTS = [
      ["det-formula-A", "locality-A", "locality-B"]),
 ]
 
-# runs each target the way ``python -m bfcorr.cli verify <target> --quick
-# --format json --no-timing`` does, in one interpreter, after naming the
-# package file it imported
+# runs ``python -m bfcorr.cli verify all --quick --format json --no-timing``
+# after naming the package file it imported
 _RUNNER = """
 import sys
 import bfcorr
 from bfcorr.cli import main
 print(bfcorr.__file__, file=sys.stderr)
-for target in sys.argv[1:]:
-    main(["verify", target, "--quick", "--format", "json", "--no-timing"])
+main(["verify", "all", "--quick", "--format", "json", "--no-timing"])
 """
 
 
@@ -121,8 +125,8 @@ def _mutated_copy(root: Path, file: str, old: str, new: str) -> Path:
 
 def test_every_check_is_in_some_row():
     named = {name for *_, fails in MUTANTS for name in fails}
-    assert set(TARGET) <= named
-    assert named <= set(TARGET)
+    assert NAMES <= named
+    assert named <= NAMES
 
 
 def test_every_mutant_is_caught_by_some_check():
@@ -135,12 +139,12 @@ def test_mutant_fails_its_checks(tmp_path, name, file, old, new, fails):
     pkg = _mutated_copy(tmp_path, file, old, new)
     env = {k: v for k, v in os.environ.items() if k != "BFCORR_CUTOFF"}
     env.update(PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
-    targets = sorted({TARGET[check] for check in fails})
-    proc = subprocess.run([sys.executable, "-c", _RUNNER, *targets], env=env,
+    proc = subprocess.run([sys.executable, "-c", _RUNNER], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.stderr.splitlines()[0] == str(pkg / "__init__.py"), proc.stderr
     status = {}
     for line in proc.stdout.splitlines():
         report = json.loads(line)
         status[report["check"]] = report["status"]
-    assert {check: status.get(check) for check in fails} == {check: "fail" for check in fails}, proc.stderr
+    assert set(status) == NAMES, proc.stderr
+    assert sorted(check for check, s in status.items() if s == "fail") == sorted(fails), proc.stderr
