@@ -59,15 +59,6 @@ def mon_set(mon: Monomial, v: int, e: int) -> Monomial:
     return tuple(items)
 
 
-def boson_state_text(s) -> str:
-    """Debug form, e.g. ``e^2a * x1^3 x5^1``."""
-    head = f"e^{s.charge}a" if isinstance(s, BosonStateA) else f"e^{s.parity}a"
-    if not s.mon:
-        return head
-    tail = " ".join(f"x{v}^{e}" for v, e in s.mon)
-    return f"{head} * {tail}"
-
-
 # -- Heisenberg actions -------------------------------------------------------
 
 

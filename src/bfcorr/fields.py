@@ -1,6 +1,6 @@
 """Field objects: operator-valued series given by their rows, the Hopf
 generator actions D = d/dz and T_{-1}: z -> -z, quadratic normal ordered
-products, and the Heisenberg fields built from fermions.
+products, the Heisenberg fields built from fermions and ``residuals``.
 
 A Field is its rows.  The row of z^k at a basis state s,
 ``field.row(k, s)``, lists (state, numerator) pairs: integer numerators
@@ -15,6 +15,10 @@ ordered product composes the rows of its two factors and subtracts the
 vacuum pairing read off the same rows, so no ``Fraction`` is made while
 rows are built or composed.  ``coeff(k)`` is the linear extension of the
 rows of z^k to FockVectors, ``v.apply(row at k)`` over ``den``.
+
+Every operator identity is one rule, ``residuals``: a sum c * word of row
+compositions, run on each basis state up to a grade.  ``mode_commutator`` is
+the bracket combination; h_even = 0, T^2 = 1 and DT = -TD are sums too.
 
 ``mode(n)`` is ``coeff`` at the z-power ``mode_zpow(n)``, the field's one
 mode-label map, which D, T and scaling keep: PositivePower a(z) = sum a_n
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fock import (
@@ -57,10 +62,8 @@ from .poly import Rat, exact
 Operator = Callable[[FockVector], FockVector]
 Row = Sequence[Tuple[object, int]]
 
-POSITIVE = "positive"   # a(z) = sum_n a_n z^n
-STANDARD = "standard"   # a(z) = sum_n a_(n) z^{-n-1}
-
-_ZPOW = {POSITIVE: lambda n: n, STANDARD: lambda n: -n - 1}
+# the mode-label maps of a(z) = sum_n a_n z^n and a(z) = sum_n a_(n) z^{-n-1}
+_POSITIVE, _STANDARD = (lambda n: n), (lambda n: -n - 1)
 
 
 class Field:
@@ -95,13 +98,6 @@ class Field:
         """Operator for mode label n."""
         return self.coeff(self.mode_zpow(n))
 
-    def with_convention(self, convention: str) -> "Field":
-        """The same field with the mode labels of ``convention``."""
-        if convention not in _ZPOW:
-            raise ValueError("unknown convention")
-        return Field(self.name, self.space, self.parity, _ZPOW[convention],
-                     self.row, self.den, self.clifford)
-
     def scaled(self, c) -> "Field":
         c = exact(c)
         p, q = c.numerator, c.denominator
@@ -113,15 +109,15 @@ class Field:
 
 
 def phi_A() -> Field:
-    return Field("phi", "A", 1, _ZPOW[POSITIVE], _apply_phi_A, clifford=("phiA", 0))
+    return Field("phi", "A", 1, _POSITIVE, _apply_phi_A, clifford=("phiA", 0))
 
 
 def psi_A() -> Field:
-    return Field("psi", "A", 1, _ZPOW[POSITIVE], _apply_psi_A, clifford=("psiA", 0))
+    return Field("psi", "A", 1, _POSITIVE, _apply_psi_A, clifford=("psiA", 0))
 
 
 def phi_B() -> Field:
-    return Field("phi", "B", 1, _ZPOW[POSITIVE], _apply_phi_B, clifford=("phiB", 0))
+    return Field("phi", "B", 1, _POSITIVE, _apply_phi_B, clifford=("phiB", 0))
 
 
 # -- Hopf algebra action ------------------------------------------------------
@@ -215,7 +211,7 @@ def normal_ordered_quadratic(a: Field, b: Field) -> Field:
         return got
 
     return Field(f":{a.name}{b.name}:", a.space, (a.parity + b.parity) % 2,
-                 _ZPOW[STANDARD], row, a.den * b.den)
+                 _STANDARD, row, a.den * b.den)
 
 
 def heisenberg_field_A() -> Field:
@@ -237,35 +233,53 @@ def graded_basis(space: str, grade: int) -> Tuple:
     return tuple(states_A(grade) if space == "A" else states_B(grade))
 
 
-def mode_commutator(a: Field, b: Field, m: int, n: int, grade_bound: int,
-                    expected: Rat = Rat(0)) -> List[Tuple[object, FockVector]]:
-    """Residual of (a_m b_n -/+ b_n a_m) - expected*Id on the graded subspace.
-
-    Uses the anticommutator for odd*odd and the commutator otherwise.  Both
-    products are composed from rows, whose integer numerators over
-    den = a.den * b.den are compared with expected * den.  Returns the
-    nonzero residuals in basis order, as FockVectors with Fraction
-    coefficients (empty list = identity holds).
-    """
-    if a.space != b.space:
-        raise ValueError("fields act on different spaces")
-    sign = 1 if (a.parity and b.parity) else -1
-    arow, brow = a.row, b.row
-    ka, kb = a.mode_zpow(m), b.mode_zpow(n)
-    den = a.den * b.den
-    diagonal = exact(expected) * den
-    if diagonal.denominator == 1:
-        diagonal = diagonal.numerator
+def residuals(space: str, grade: int, combination) -> List[Tuple[object, FockVector]]:
+    """Residuals of sum c * word over (c, word) in ``combination`` on the
+    basis states of ``space`` up to ``grade``: (state, sum as a FockVector)
+    where the sum is not zero, in basis order (empty list = identity holds).
+    A word ((field, z-power), ...) composes rows rightmost first, every
+    field acting on ``space``; the empty word is the identity.  Terms are
+    integer numerators over one common denominator until a residual."""
+    terms = []
+    for c, word in combination:
+        if any(f.space != space for f, _ in word):
+            raise ValueError("fields act on different spaces")
+        c = exact(c)
+        terms.append((c.numerator, c.denominator * prod(f.den for f, _ in word), word))
+    den = lcm(*(d for _, d, _ in terms))
+    # empty words start the accumulator; any other word runs its rightmost row
+    # on the state, composes the middle ones and adds its leftmost straight in
+    diagonal, words = 0, []
+    for p, d, word in terms:
+        if word:
+            rows = [(f.row, k) for f, k in reversed(word)]
+            if len(rows) == 1:  # a lone letter runs after the unit row
+                rows.insert(0, (lambda k, s: ((s, 1),), 0))
+            words.append((p * (den // d), rows[0], rows[1:-1], rows[-1]))
+        else:
+            diagonal += p * (den // d)
     bad = []
-    for s in graded_basis(a.space, grade_bound):
-        acc: Dict = {s: -diagonal}
-        for t, x in brow(kb, s):
-            for u, y in arow(ka, t):
-                acc[u] = acc.get(u, 0) + x * y
-        for t, x in arow(ka, s):
-            x *= sign
-            for u, y in brow(kb, t):
-                acc[u] = acc.get(u, 0) + x * y
+    for s in graded_basis(space, grade):
+        acc: Dict = {s: diagonal}
+        for x, (row, k), middle, (lrow, lk) in words:
+            vec = row(k, s)
+            for mrow, mk in middle:
+                vec = [(u, y * z) for t, y in vec for u, z in mrow(mk, t)]
+            for t, y in vec:
+                y *= x
+                for u, z in lrow(lk, t):
+                    acc[u] = acc.get(u, 0) + y * z
         if any(acc.values()):
             bad.append((s, FockVector({u: Rat(x) / den for u, x in acc.items()})))
     return bad
+
+
+def mode_commutator(a: Field, b: Field, m: int, n: int, grade_bound: int,
+                    expected: Rat = Rat(0)) -> List[Tuple[object, FockVector]]:
+    """Residuals of (a_m b_n -/+ b_n a_m) - expected*Id on the graded
+    subspace: ``residuals`` of the bracket combination, with the
+    anticommutator for odd*odd and the commutator otherwise."""
+    sign = 1 if (a.parity and b.parity) else -1
+    ka, kb = a.mode_zpow(m), b.mode_zpow(n)
+    return residuals(a.space, grade_bound,
+                     [(1, ((a, ka), (b, kb))), (sign, ((b, kb), (a, ka))), (-exact(expected), ())])

@@ -10,7 +10,6 @@ from bfcorr.boson import (
     BOSON_VACUUM_B,
     BosonStateA,
     BosonStateB,
-    boson_state_text,
     energy2_boson_A,
     _creation_table,
     _lowering_table,
@@ -181,11 +180,6 @@ def test_vertex_annihilation_part():
         FockVector.basis(BosonStateA(0, ((1, 2),))).scale(Fraction(-1, 2))
         + FockVector.basis(BosonStateA(0, ((2, 1),))).scale(-1)
     )
-
-
-def test_boson_state_text():
-    assert boson_state_text(BosonStateA(2, ((1, 3), (5, 1)))) == "e^2a * x1^3 x5^1"
-    assert boson_state_text(BosonStateB(1, ())) == "e^1a"
 
 
 # -- vertex operators against exponentials built from Heisenberg modes -------

@@ -15,6 +15,7 @@ from bfcorr.fields import (
     phi_A,
     phi_B,
     psi_A,
+    residuals,
     twisted_heisenberg_field_B,
 )
 from bfcorr.fock import (
@@ -78,16 +79,6 @@ def test_t_negates_odd_modes():
         assert got == phi_B().coeff(n)(VAC_B).scale((-1) ** n)
 
 
-def test_convention_round_trip():
-    f = phi_A()
-    back = f.with_convention("standard").with_convention("positive")
-    for n in range(-4, 5):
-        assert back.mode(n)(VAC_A) == f.mode(n)(VAC_A)
-    std = f.with_convention("standard")
-    for n in range(-4, 5):
-        assert std.mode(n)(VAC_A) == f.coeff(-n - 1)(VAC_A)
-
-
 def test_label_map_is_kept_by_D_T_and_scaling():
     # h_B's mode h_m sits at z^{-m}; D, T and scalars change rows, not labels
     h = twisted_heisenberg_field_B()
@@ -95,22 +86,17 @@ def test_label_map_is_kept_by_D_T_and_scaling():
     for f in (h, act_hopf("T", h), act_hopf("D", h), act_hopf("DT", h), h.scaled(3)):
         assert [f.mode_zpow(m) for m in labels] == [3, 2, 0, -1, -4], f.name
     assert act_hopf("T", h).mode(1)(VAC_B) == act_hopf("T", h).coeff(-1)(VAC_B)
-    std = act_hopf("T", h).with_convention("standard")
-    assert [std.mode_zpow(n) for n in labels] == [2, 1, -1, -2, -5]
-    assert [h.with_convention("positive").mode_zpow(n) for n in labels] == list(labels)
-    with pytest.raises(ValueError):
-        h.with_convention("twisted")
 
 
 def test_field_property_window():
     # standard modes a_(n) vanish for n large on any fixed graded vector:
     # for phi_A, a_(n) = phi_{-n-1} needs a psi partner of index <= grade
-    f = phi_A().with_convention("standard")
+    f = phi_A()
     for s in states_A(8):
         v = FockVector.basis(s)
         top = max(s.psis, default=-1)
         for n in range(top + 1, top + 6):
-            assert f.mode(n)(v).is_zero()
+            assert f.coeff(-n - 1)(v).is_zero()
 
 
 def test_normal_ordering_kills_vacuum_pairing():
@@ -323,7 +309,7 @@ def test_clifford_anticommutators_property(pair, m, n):
     ("twisted-heisenberg-from-fermions-B", {"mmax": 7, "grade": 10}, "B"),
 ])
 def test_heisenberg_checks_enumerate_their_basis_once(name, params, space, monkeypatch):
-    # full sizes: 121 (type A) and 64 (type B) mode commutators share one basis
+    # full sizes: 55 (type A) and 28 (type B) mode commutators share one basis
     import bfcorr.fields as fields
 
     calls = []
@@ -389,3 +375,55 @@ def _bracketed_pairs(monkeypatch, name, mmax):
     monkeypatch.setattr(correspondence, "mode_commutator", recording)
     assert correspondence.check_identity(name, {"mmax": mmax, "grade": 6}).passed
     return calls
+
+
+# -- residuals: one rule for every operator identity ---------------------------
+
+
+def test_a_word_composes_its_rows_rightmost_first():
+    # a three-letter word and a Fraction multiple of the identity, against
+    # the composed FockVector operators state by state
+    h, phi = twisted_heisenberg_field_B(), phi_B()
+    word = ((phi, 2), (h, -1), (phi, -3))
+    got = dict(residuals("B", 4, [(Fraction(2, 3), word), (Fraction(1, 2), ())]))
+    assert got
+    for s in states_B(4):
+        v = FockVector.basis(s)
+        want = phi.coeff(2)(h.coeff(-1)(phi.coeff(-3)(v))).scale(Fraction(2, 3)) + v.scale(Fraction(1, 2))
+        assert got.get(s, FockVector()) == want, s
+
+
+def test_fields_of_another_space_are_rejected():
+    with pytest.raises(ValueError, match="fields act on different spaces"):
+        mode_commutator(phi_A(), phi_B(), 0, 0, 2)
+    # every field of every word is checked, not only the first
+    h = heisenberg_field_A()
+    with pytest.raises(ValueError, match="fields act on different spaces"):
+        residuals("A", 2, [(1, ((h, 0), (phi_A(), 0))), (1, ((h, 0), (phi_B(), 0)))])
+
+
+def _fermion_shift_failures(h, f, sign, ns, ks):
+    """How many (n, k) fail [h_n, f_k] = sign * f_{k-n} at grade 8."""
+    return sum(bool(residuals(h.space, 8, [(1, ((h, h.mode_zpow(n)), (f, k))),
+                                           (-1, ((f, k), (h, h.mode_zpow(n)))),
+                                           (-sign, ((f, k - n),))]))
+               for n in ns for k in ks)
+
+
+_NONZERO = [n for n in range(-3, 4) if n]
+
+
+@pytest.mark.parametrize("h, f, sign, ns, ks, flipped", [
+    (heisenberg_field_A, phi_A, 1, _NONZERO, range(-5, 6), 57),
+    (heisenberg_field_A, psi_A, -1, _NONZERO, range(-5, 6), 57),
+    (twisted_heisenberg_field_B, phi_B, 1, range(-5, 6, 2), range(-6, 7), 74),
+    (twisted_heisenberg_field_B, lambda: act_hopf("T", phi_B()), -1, range(-5, 6, 2), range(-6, 7), 74),
+], ids=["phi_A", "psi_A", "phi_B", "T phi_B"])
+def test_heisenberg_modes_shift_the_fermions(h, f, sign, ns, ks, flipped):
+    # [h_n, phi(z)] = z^n phi(z) and the partner field takes -z^n: 66 (type
+    # A) or 78 (type B, odd n) cases all hold, and with the sign flipped
+    # most fail, so this relation sees the sign of h where [h, h] cannot
+    h, f = h(), f()
+    assert len(ns) * len(ks) == (66 if h.space == "A" else 78)
+    assert _fermion_shift_failures(h, f, sign, ns, ks) == 0
+    assert _fermion_shift_failures(h, f, -sign, ns, ks) == flipped
