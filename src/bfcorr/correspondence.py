@@ -1,27 +1,26 @@
-"""Vacuum expectation values on all four sides of the correspondences,
-their Wick and product forms, and the named identity checks.
+"""Vacuum expectation values on both sides of the correspondences, their
+Wick and product forms, and the named identity checks.
 
 ``OPERATORS`` maps each (model, side) to its vacuum and the operator of
 each word symbol: the Clifford fields phi_A, psi_A, phi_B and Tphi =
 phi_B(-z) = (T phi_B)(z), or the vertex operators e^{+-alpha}(z) (type A)
 and e^alpha(+-z) (type B).  Both VEV engines keep the exponents of the
-word's positions apart.  The fermion sweep meets in the middle: the right
-half of the word runs on the vacuum into one {exponents: coefficient}
-table per middle basis state s, the left half gives <0| left half |s>,
-memoized per (length, state), and every left entry joins every right
-entry of its s (a Clifford monomial reaches one state, so no two share a
-key); every field's rows run over one mode range.  The boson sweep
-applies the word right to left, holds one {state: coefficient} table per
-prefix and runs each vertex operator on all (prefix, state) pairs at once
-(``boson.vertex_terms``).  Any word has one Wick form, the Pfaffian of
-its paired two-point functions (``_wick_pairs``), and one product form
-(``_product_form``); the closed forms and the det/Pf series are these for
-the standard word, and the locality checks compare all four sides on
-every word.  The series form runs ``matrices.pf_expansion`` on integer
-entrywise expansions (region expansion is a ring homomorphism, and each
-term of the expansion touches disjoint variable pairs, so entry
-truncation at the box bound is exact).  Each check's runner records its
-witnesses, then returns ``_fail`` at its first failure.
+word's positions apart: the fermion sweep meets in the middle
+(``vev_fermion``), and the boson sweep runs each vertex operator on all
+(prefix, state) pairs at once (``_boson_series``).
+
+``_sides`` gives the four sides of <0| word |0> for a fermion word, in
+comparison order: ``fermion_vev``, the fermion sweep; ``boson_vev``, the
+boson sweep on the word's image, each fermion symbol mapped to the boson
+symbol at its place in OPERATORS; ``wick_form``, the Pfaffian of the
+word's paired two-point functions (``_wick_pairs``), which
+``matrices.pf_expansion`` runs on integer entrywise expansions (region
+expansion is a ring homomorphism, and each term of the expansion touches
+disjoint variable pairs, so entry truncation at the box bound is exact);
+and ``product_form``, the expanded ``_product_form``.  Each series row of
+CHECKS names the sides it compares on the standard word, with their
+witness labels; the locality rows compare all four on every word.  A
+runner records its witnesses, then returns ``_fail`` at its first failure.
 """
 
 from __future__ import annotations
@@ -442,35 +441,26 @@ def _compare_series(report: IdentityReport, pairs: List[Tuple[str, str, LaurentS
             return _fail(report, _difference(label_l, label_r, lhs, rhs))
 
 
-# Pair builders of the series checks: (model, n, cutoff) -> the labelled
-# series pairs to compare.  They call the engines by module-level name, so
-# a caller that swaps those names sees every call.
+def _sides(spec: VevSpec) -> Dict[str, Callable[[], LaurentSeries]]:
+    """The four sides of <0| word |0> for a fermion spec, in comparison
+    order, as thunks that look their engines up by module-level name when
+    called, so a caller that swaps those names sees every call."""
+    image = dict(zip(OPERATORS[spec.model, "fermion"][1], OPERATORS[spec.model, "boson"][1]))
+    boson = VevSpec(spec.model, "boson", tuple((image[s], v) for s, v in spec.word), spec.cutoff)
+    return {"fermion_vev": lambda: vev_fermion(spec),
+            "boson_vev": lambda: vev_boson(boson),
+            "wick_form": lambda: _wick_series(spec),
+            "product_form": lambda: expand(_product_form(spec), spec.variables, spec.cutoff)}
 
 
-def _mode_pairs(model, n, D):
-    lhs = vev_fermion(VevSpec.standard(model, "fermion", n, D))
-    if model == "A":
-        return [("mode_series", "determinant_series", lhs, det_series(n, D))]
-    return [("mode_series", "pfaffian_series", lhs, pf_series(n, D))]
-
-
-def _product_pairs(model, n, D):
-    spec = VevSpec.standard(model, "boson", n, D)
-    return [("vertex_series", "product_series", vev_boson(spec),
-             expand(_product_form(spec), spec.variables, D))]
-
-
-def _vev_match_pairs(model, n, D):
-    fer = vev_fermion(VevSpec.standard(model, "fermion", n, D))
-    pairs = [("fermion_series", "boson_series", fer, vev_boson(VevSpec.standard(model, "boson", n, D)))]
-    if model == "B":
-        pairs.append(("fermion_series", "pfaffian_series", fer, pf_series(n, D)))
-    return pairs
-
-
-def _series_check(pairs):
-    """Runner of a series check: compare the pairs ``pairs`` builds."""
-    return lambda model, rep, p: _compare_series(rep, pairs(model, p["n"], p["cutoff"]))
+def _series_check(first, *others):
+    """Runner of a series check on the standard word: its side ``first``
+    against each side of ``others``, every side a (side, witness label)."""
+    def run(model, rep, p):
+        sides = _sides(VevSpec.standard(model, "fermion", p["n"], p["cutoff"]))
+        lhs = sides[first[0]]()
+        _compare_series(rep, [(first[1], label, lhs, sides[side]()) for side, label in others])
+    return run
 
 
 def _run_closed_forms(model, rep, p) -> None:
@@ -517,29 +507,34 @@ def _locality_words(model: str, n: int) -> List[Tuple[str, ...]]:
 
 def _run_locality(model, rep, p) -> None:
     """Twisted locality on all four sides: for every word, with its
-    variables named in word order, the fermion VEV, the boson VEV of its
-    image, the Wick form and the expanded product form are one nonzero
+    variables named in word order, the four ``_sides`` are one nonzero
     series.  No series is formatted: a failure names the word, the two
     sides and their first difference."""
     D = p["cutoff"]
-    image = dict(zip(OPERATORS[model, "fermion"][1], OPERATORS[model, "boson"][1]))
     words, compared = _locality_words(model, p["n"]), 0
     rep.witnesses["words"] = str(len(words))
     for symbols in words:
-        word = tuple((sym, f"z{k + 1}") for k, sym in enumerate(symbols))
-        spec = VevSpec(model, "fermion", word, D)
-        fermion = vev_fermion(spec)
-        text = " ".join(f"{sym}({var})" for sym, var in word)
+        spec = VevSpec(model, "fermion", tuple((sym, f"z{k + 1}") for k, sym in enumerate(symbols)), D)
+        (first, fermion_vev), *others = _sides(spec).items()
+        fermion = fermion_vev()
+        text = " ".join(f"{sym}({var})" for sym, var in spec.word)
         if not fermion.terms:
             return _fail(rep, f"{text}: no terms compared (the fermion VEV is 0 at cutoff {D})")
-        for label, other in (
-                ("boson_vev", vev_boson(VevSpec(model, "boson", tuple((image[s], v) for s, v in word), D))),
-                ("wick_form", _wick_series(spec)),
-                ("product_form", expand(_product_form(spec), spec.variables, D))):
-            if other != fermion:
-                return _fail(rep, f"{text}: {_difference('fermion_vev', label, fermion, other)}")
-        compared += 3 * len(fermion.terms)
+        for label, side in others:
+            if (other := side()) != fermion:
+                return _fail(rep, f"{text}: {_difference(first, label, fermion, other)}")
+        compared += len(others) * len(fermion.terms)
     rep.witnesses["coefficients"] = str(compared)
+
+
+def _heisenberg(model: str, mmax: int):
+    """The model's Heisenberg field built from fermions, the constant c of
+    [h_m, h_-m] = c m and its mode labels in -mmax..mmax: all of them on
+    F_A, the odd ones on F_B."""
+    modes = range(-mmax, mmax + 1)
+    if model == "A":
+        return heisenberg_field_A(), 1, modes
+    return twisted_heisenberg_field_B(), Fraction(1, 2), [m for m in modes if m % 2]
 
 
 def _run_heisenberg(model, rep, p) -> None:
@@ -550,21 +545,42 @@ def _run_heisenberg(model, rep, p) -> None:
     residual, as both sides are antisymmetric, and m = n compares nothing."""
     mmax, grade = p["mmax"], p["grade"]
     rep.params.setdefault("n", mmax)  # JSON reports carry mmax as n
-    modes = range(-mmax, mmax + 1)
+    h, c, labels = _heisenberg(model, mmax)
     if model == "A":
-        h, c, labels = heisenberg_field_A(), 1, modes
         rep.witnesses["relation"] = "[h_m, h_n] = m delta_{m+n,0} on energy2 <= %d" % grade
     else:
-        h, c, labels = twisted_heisenberg_field_B(), Fraction(1, 2), [m for m in modes if m % 2]
         rep.witnesses["relation"] = ("[h_m, h_n] = (m/2) delta_{m+n,0} for odd m, n and h_even = 0 "
                                      "on degree <= %d" % grade)
     for m, n in combinations(labels, 2):
         if bad := mode_commutator(h, h, m, n, grade, c * m if m + n == 0 else 0):
             state, residual = bad[0]
             return _fail(rep, f"(m,n)=({m},{n}) on {state}: residual {residual!r}")
-    for m in sorted(set(modes).difference(labels)):  # the even type B labels
+    for m in [m for m in range(-mmax, mmax + 1) if m not in labels]:  # the even type B labels
         if bad := residuals(h.space, grade, [(1, ((h, h.mode_zpow(m)),))]):
             return _fail(rep, f"h_{m} != 0 on {bad[0][0]}")
+
+
+def _run_heisenberg_fermions(model, rep, p) -> None:
+    """h acts on the fermions: [h_n, f_k] = sign f_{k-n} for the nonzero
+    labels n of ``_heisenberg`` and -window <= k <= window, where f is the
+    first fermion field of OPERATORS (phi, sign 1) or the second (psi on
+    F_A, Tphi on F_B, sign -1).  Unlike [h_m, h_n], which is quadratic in
+    h, this relation sees the sign of h."""
+    window, grade = p["window"], p["grade"]
+    h, _, labels = _heisenberg(model, p["mmax"])
+    (plus, f), (minus, g) = OPERATORS[model, "fermion"][1].items()
+    where = "on energy2" if model == "A" else "for odd n on degree"
+    rep.witnesses["relation"] = (f"[h_n, {plus}_k] = {plus}_{{k-n}}, [h_n, {minus}_k] = -{minus}_{{k-n}} "
+                                 f"{where} <= {grade}")
+    cases = [(n, k, sign, sym, field) for n in labels if n for k in range(-window, window + 1)
+             for sign, sym, field in ((1, plus, f), (-1, minus, g))]
+    rep.witnesses["cases"] = str(len(cases))
+    for n, k, sign, sym, field in cases:
+        hn = (h, h.mode_zpow(n))
+        if bad := residuals(h.space, grade, [(1, (hn, (field, k))), (-1, ((field, k), hn)),
+                                             (-sign, ((field, k - n),))]):
+            state, residual = bad[0]
+            return _fail(rep, f"[h_{n}, {sym}_{k}] on {state}: residual {residual!r}")
 
 
 # the most states a character enumerates, and the largest |charge| of a type
@@ -697,17 +713,24 @@ class Check:
 CHECKS = (
     Check("cauchy", "cauchy", "A", _run_closed_forms, {"n": 3}, {"n": 2}),
     Check("schur-pfaffian", "schur-pfaffian", "B", _run_closed_forms, {"n": 4}, {"n": 2}),
-    Check("vev-match-A", "vev-match", "A", _series_check(_vev_match_pairs),
+    Check("vev-match-A", "vev-match", "A",
+          _series_check(("fermion_vev", "fermion_series"), ("boson_vev", "boson_series")),
           {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
-    Check("vev-match-B", "vev-match", "B", _series_check(_vev_match_pairs),
+    Check("vev-match-B", "vev-match", "B",
+          _series_check(("fermion_vev", "fermion_series"), ("boson_vev", "boson_series"),
+                        ("wick_form", "pfaffian_series")),
           {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
-    Check("det-formula-A", "det-formula", "A", _series_check(_mode_pairs),
+    Check("det-formula-A", "det-formula", "A",
+          _series_check(("fermion_vev", "mode_series"), ("wick_form", "determinant_series")),
           {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
-    Check("pf-formula-B", "pf-formula", "B", _series_check(_mode_pairs),
+    Check("pf-formula-B", "pf-formula", "B",
+          _series_check(("fermion_vev", "mode_series"), ("wick_form", "pfaffian_series")),
           {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
-    Check("product-formula-A", "product-formula", "A", _series_check(_product_pairs),
+    Check("product-formula-A", "product-formula", "A",
+          _series_check(("boson_vev", "vertex_series"), ("product_form", "product_series")),
           {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
-    Check("product-formula-B", "product-formula", "B", _series_check(_product_pairs),
+    Check("product-formula-B", "product-formula", "B",
+          _series_check(("boson_vev", "vertex_series"), ("product_form", "product_series")),
           {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
     Check("supercommutativity-A", "supercommutativity", "A", _run_supercommutativity,
           {"cutoff": DEFAULT_CUTOFF}, {}),
@@ -721,6 +744,10 @@ CHECKS = (
           {"mmax": 5, "grade": 12}, {"mmax": 3, "grade": 8}),
     Check("twisted-heisenberg-from-fermions-B", "heisenberg", "B", _run_heisenberg,
           {"mmax": 7, "grade": 10}, {"mmax": 5, "grade": 8}),
+    Check("heisenberg-fermions-A", "heisenberg-fermions", "A", _run_heisenberg_fermions,
+          {"mmax": 3, "window": 6, "grade": 10}, {"mmax": 3, "window": 5, "grade": 8}),
+    Check("heisenberg-fermions-B", "heisenberg-fermions", "B", _run_heisenberg_fermions,
+          {"mmax": 5, "window": 6, "grade": 10}, {"mmax": 5, "window": 5, "grade": 8}),
     Check("character-A", "character", "A", _run_character,
           {"dmax": 12, "charge": 0}, {"dmax": 8, "charge": 0}),
     Check("character-B", "character", "B", _run_character, {"dmax": 20}, {"dmax": 12}),

@@ -162,8 +162,8 @@ def test_explicit_cutoff_wins_over_environment(monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("target", ["heisenberg", "character", "hopf", "ope-residues",
-                                    "supercommutativity"])
+@pytest.mark.parametrize("target", ["heisenberg", "heisenberg-fermions", "character", "hopf",
+                                    "ope-residues", "supercommutativity"])
 def test_n_is_rejected_where_no_check_takes_it(target, capsys):
     code, out = run_cli("verify", target, "--n", "3", "--quick")
     assert code == 2
@@ -176,13 +176,15 @@ def test_verify_all_applies_n_only_to_sized_checks():
                         "--format", "json", "--no-timing")
     assert code == 0
     params = {r["check"]: r["params"] for r in map(json.loads, out.strip().splitlines())}
-    assert len(params) == 18
+    assert len(params) == 20
     assert params["det-formula-A"]["n"] == 2
     assert params["vev-match-B"]["n"] == 4  # B sizes count points: 2n
     assert params["locality-A"]["n"] == 2
     assert params["locality-B"]["n"] == 4
     # the JSON "n" of these checks is their own --quick size (mmax, dmax), not --n
     assert params["heisenberg-from-fermions-A"]["n"] == 3
+    # heisenberg-fermions-A/-B carry no n: their mmax is not an --n size
+    assert params["heisenberg-fermions-A"]["n"] is None
     assert params["character-B"]["n"] == 12
 
 
@@ -317,15 +319,16 @@ def test_empty_comparison_fails():
 
 # stdout sha256 and exit code of the verify runs the check table must keep,
 # recorded before the checks moved into one table; the three ``verify all``
-# digests were re-recorded when locality-A/-B joined, with the other lines
-# of each output unchanged
+# digests were re-recorded when locality-A/-B joined and again when
+# heisenberg-fermions-A/-B joined, with the other lines of each output
+# unchanged
 @pytest.mark.parametrize("argv,code,digest", [
     ("verify all --quick --no-timing", 0,
-     "cbd1f465ac504d9839a652287ee0ecfa66ba1bee373dbc15470127d095ce2592"),
+     "c8b168696eae2074148521b1070536768239826a6c76c3e15abbcf38746b25cf"),
     ("verify all --quick --no-timing --format json", 0,
-     "4a4eba3862f7bb70982f088961ce8d38fe24176f6d9537dac1a293508123b9a1"),
+     "671fb3d4a19101ab55f0bb2f33a06b0c0e4dd5488cbf0e985a74c8bd23a0b4ea"),
     ("verify all --quick --n 2 --cutoff 3 --format json --no-timing", 0,
-     "092b0f63590df3a041cca4bdf1ceebbdb7de9d960437d31f4555c4306c28187d"),
+     "ee8c253b8fd0d3a3399794d5f6c8a801d5a341de85b3e4f11958db274db5d5c2"),
     ("verify heisenberg --model A --quick --no-timing", 0,
      "2aa0c1d1ce2db51a9a366a1ba5e02427103634c897d9d5d5b76c91c31562944c"),
     ("verify hopf --model B --quick --no-timing", 0,
@@ -377,12 +380,13 @@ def test_model_without_a_variant_is_a_usage_error(capsys):
 def test_full_size_verify_all_is_pinned():
     # stdout sha256 of the full-size run, recorded before the boson VEV
     # sweep split each vertex operator into its annihilation and creation
-    # halves and re-recorded when locality-A/-B joined (the other lines are
-    # unchanged); CI runs this test under PYTHONHASHSEED 0 and 77
+    # halves and re-recorded when locality-A/-B joined and when
+    # heisenberg-fermions-A/-B joined (the other lines are unchanged); CI runs
+    # this test under PYTHONHASHSEED 0 and 77
     code, out = run_cli("verify", "all", "--no-timing", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "aa8c98fa66278c68e6fd5648b99cd315d8836e23e5b7dc860f459449e3fb5807")
+        "5492bf87931b519c4af3f6753d44f08c357e776bb18e8db731b720d562f50c6f")
 
 
 @pytest.mark.parametrize("model", ["A", "B"])
@@ -393,7 +397,7 @@ def test_verify_all_honours_model(model):
     assert code == 0
     names = [line.split()[1] for line in out.splitlines()]
     assert names == sorted(c.name for c in CHECKS if c.model in (model, "AB"))
-    assert len(names) == 10
+    assert len(names) == 11
 
 
 @pytest.mark.parametrize("env,argv,asked", [

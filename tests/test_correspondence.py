@@ -499,6 +499,66 @@ def test_locality_fails_on_an_expansion_in_the_reversed_region(model, monkeypatc
     assert "fermion_vev vs wick_form at " in rep.witnesses["first_difference"]
 
 
+def test_sides_come_in_comparison_order():
+    sides = correspondence._sides(VevSpec.standard("B", "fermion", 2, 3))
+    assert list(sides) == ["fermion_vev", "boson_vev", "wick_form", "product_form"]
+    fermion, *others = (side() for side in sides.values())
+    assert fermion.terms and others == [fermion] * 3
+
+
+# a negated engine fails exactly the series rows that compare its side, and
+# each failure starts with the witness labels of the two sides it compared
+_SERIES_ROWS = ["det-formula-A", "pf-formula-B", "product-formula-A", "product-formula-B",
+                "vev-match-A", "vev-match-B"]
+
+
+@pytest.mark.parametrize("engine, failing", [
+    ("_wick_series", {"det-formula-A": "mode_series vs determinant_series at ",
+                      "pf-formula-B": "mode_series vs pfaffian_series at ",
+                      "vev-match-B": "fermion_series vs pfaffian_series at "}),
+    ("vev_boson", {"product-formula-A": "vertex_series vs product_series at ",
+                   "product-formula-B": "vertex_series vs product_series at ",
+                   "vev-match-A": "fermion_series vs boson_series at ",
+                   "vev-match-B": "fermion_series vs boson_series at "}),
+])
+def test_series_rows_name_the_broken_side(engine, failing, monkeypatch):
+    broken = getattr(correspondence, engine)
+    monkeypatch.setattr(correspondence, engine, lambda spec: broken(spec).scale(-1))
+    for name in _SERIES_ROWS:
+        rep = check_identity(name, {"n": 2 if name.endswith("A") else 4, "cutoff": 4})
+        if name in failing:
+            assert rep.status == "fail", name
+            assert rep.witnesses["first_difference"].startswith(failing[name]), name
+        else:
+            assert rep.passed, name
+
+
+@pytest.mark.parametrize("model, n", [("A", 2), ("B", 4)])
+def test_vev_match_reuses_the_boson_vev_of_product_formula(model, n, monkeypatch):
+    # both rows ask for the boson VEV of one standard spec, computed once
+    calls = []
+
+    def counted(op, terms, cutoff, wmax, guard):
+        calls.append(op)
+        return vertex_terms(op, terms, cutoff, wmax, guard)
+
+    vertex_terms = correspondence.vertex_terms
+    monkeypatch.setattr(correspondence, "vertex_terms", counted)
+    correspondence._boson_series.cache_clear()
+    assert check_identity(f"product-formula-{model}", {"n": n, "cutoff": 5}).passed
+    assert calls
+    calls.clear()
+    assert check_identity(f"vev-match-{model}", {"n": n, "cutoff": 5}).passed
+    assert not calls
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_heisenberg_fermions_runs_156_cases(model):
+    rep = check_identity(f"heisenberg-fermions-{model}")
+    assert rep.passed, rep.witnesses.get("first_difference")
+    assert rep.witnesses["cases"] == "156"
+
+
 @pytest.mark.parametrize("side, plain, twisted", [("fermion", "phi", "Tphi"), ("boson", "+", "-")])
 def test_twist_negates_the_odd_powers_of_its_variable(side, plain, twisted):
     # phi(-z) = (T phi)(z) and e^alpha(-z): switching position i to the

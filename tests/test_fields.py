@@ -274,9 +274,14 @@ def test_mode_commutator_residuals_are_pinned():
      "(m,n)=(-1,1) on FermionStateA(phis=(), psis=()): residual FockVector(-3*|0>)"),
     ("twisted-heisenberg-from-fermions-B", twisted_heisenberg_field_B,
      "(m,n)=(-1,1) on FermionStateB(indices=()): residual FockVector(-3/2*|0>)"),
-], ids=["A", "B"])
+    ("heisenberg-fermions-A", heisenberg_field_A,
+     "[h_-1, phi_-3] on FermionStateA(phis=(), psis=(1,)): residual FockVector(1*|0>)"),
+    ("heisenberg-fermions-B", twisted_heisenberg_field_B,
+     "[h_-1, phi_-5] on FermionStateB(indices=(4,)): residual FockVector(2*|0>)"),
+], ids=["A", "B", "fermions-A", "fermions-B"])
 def test_heisenberg_failure_witness_text(name, field, text, monkeypatch):
-    # doubling h quadruples its bracket, so the first pair in loop order fails
+    # doubling h quadruples its bracket and doubles its action on a fermion,
+    # so the first pair or case in loop order that sees it fails
     monkeypatch.setattr(correspondence, field.__name__, lambda: field().scaled(2))
     rep = correspondence.check_identity(name, {"mmax": 1, "grade": 4})
     assert rep.status == "fail"

@@ -29,18 +29,19 @@ NAMES = {check.name for check in CHECKS}
 MUTANTS = [
     ("phi_B contraction sign", "fock.py",
      "2 * (-1) ** (n + ", "-2 * (-1) ** (n + ",
-     ["locality-B", "ope-residues", "pf-formula-B", "supercommutativity-B",
-      "twisted-heisenberg-from-fermions-B", "vev-match-B"]),
+     ["heisenberg-fermions-B", "locality-B", "ope-residues", "pf-formula-B",
+      "supercommutativity-B", "twisted-heisenberg-from-fermions-B", "vev-match-B"]),
     # the creation sign counting the modes below m in place of those above
     ("phi_B creation sign", "fock.py",
      "(-1) ** (mask >> m + 1).bit_count())]", "(-1) ** (mask & (1 << m) - 1).bit_count())]",
-     ["locality-B", "ope-residues", "twisted-heisenberg-from-fermions-B"]),
+     ["heisenberg-fermions-B", "locality-B", "ope-residues", "twisted-heisenberg-from-fermions-B"]),
     ("type A sign without the passed phi block", "fock.py",
      "(-1) ** (place + block * s[0].bit_count())", "(-1) ** place",
-     ["locality-A", "ope-residues"]),
+     ["heisenberg-fermions-A", "locality-A", "ope-residues"]),
     ("type A sign without the place in the block", "fock.py",
      "(-1) ** (place + block * s[0].bit_count())", "(-1) ** (block * s[0].bit_count())",
-     ["det-formula-A", "heisenberg-from-fermions-A", "locality-A", "ope-residues", "vev-match-A"]),
+     ["det-formula-A", "heisenberg-fermions-A", "heisenberg-from-fermions-A", "locality-A",
+      "ope-residues", "vev-match-A"]),
     ("even fields anticommute", "fields.py",
      "sign = 1 if (a.parity and b.parity) else -1", "sign = 1 if (a.parity and b.parity) else 1",
      ["heisenberg-from-fermions-A", "twisted-heisenberg-from-fermions-B"]),
@@ -56,7 +57,7 @@ MUTANTS = [
     ("_apply_T as the identity", "fields.py",
      "lambda k, s: [(t, -x) for t, x in row(k, s)] if k % 2 else row(k, s),",
      "lambda k, s: row(k, s),",
-     ["hopf-relations", "locality-B", "twisted-heisenberg-from-fermions-B"]),
+     ["heisenberg-fermions-B", "hopf-relations", "locality-B", "twisted-heisenberg-from-fermions-B"]),
     ("type A Heisenberg constant -1 in place of 1", "correspondence.py",
      "heisenberg_field_A(), 1,", "heisenberg_field_A(), -1,",
      ["heisenberg-from-fermions-A"]),
@@ -65,13 +66,25 @@ MUTANTS = [
      ["twisted-heisenberg-from-fermions-B"]),
     ("h_B scaled by 1/2 in place of 1/4", "fields.py",
      ".scaled(Fraction(1, 4))", ".scaled(Fraction(1, 2))",
-     ["twisted-heisenberg-from-fermions-B"]),
+     ["heisenberg-fermions-B", "twisted-heisenberg-from-fermions-B"]),
+    # h negated: [h_m, h_n] is quadratic in h, so only h acting on the
+    # fermions sees it
+    ("h_A as :psi phi:", "fields.py",
+     "normal_ordered_quadratic(phi_A(), psi_A())", "normal_ordered_quadratic(psi_A(), phi_A())",
+     ["heisenberg-fermions-A"]),
+    ("h_B scaled by -1/4", "fields.py",
+     ".scaled(Fraction(1, 4))", ".scaled(Fraction(-1, 4))",
+     ["heisenberg-fermions-B"]),
     ("odd_partition_count(7) off by one", "partitions.py",
      "return _partition_table(n, True)[n]", "return _partition_table(n, True)[n] + (n == 7)",
      ["character-B"]),
     ("partition_count(7) off by one", "partitions.py",
      "return _partition_table(n, False)[n]", "return _partition_table(n, False)[n] + (n == 7)",
      ["character-A"]),
+    # the standard type B word is all phi, so its image is unchanged
+    ("_sides mapping every fermion symbol to the first boson symbol", "correspondence.py",
+     "(image[s], v)", "(next(iter(image.values())), v)",
+     ["locality-A", "locality-B", "product-formula-A", "vev-match-A"]),
     ("_product_form without the (z+w) poles", "correspondence.py",
      "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = 1",
      "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = sigma < 0",
