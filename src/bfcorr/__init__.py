@@ -32,15 +32,12 @@ from .fock import (
     FermionStateA,
     FermionStateB,
     FockVector,
-    apply_mode_A,
-    apply_mode_B,
     character_A,
     character_B,
-    vacuum_component,
 )
-from .matrices import determinant, pfaffian
+from .matrices import pfaffian
 from .poly import MultiPoly, Rat
-from .ratfun import RationalFn, residue_at, rf_equal, rf_reduce
+from .ratfun import RationalFn, residue_at, rf_equal
 from .series import LaurentSeries, expand
 
 __version__ = "0.1.0"
@@ -49,10 +46,9 @@ __all__ = [
     "BosonStateA", "BosonStateB", "CHECK_NAMES", "FermionStateA", "FermionStateB",
     "Field", "FockVector", "IdentityReport", "LaurentSeries",
     "MultiPoly", "Rat", "RationalFn", "VevSpec", "act_hopf",
-    "analytic_continuation_check", "apply_mode_A", "apply_mode_B", "character_A",
-    "character_B", "check_identity", "closed_form", "determinant", "expand",
-    "heis_apply_A", "heis_apply_B", "heisenberg_field_A", "mode_commutator",
-    "normal_ordered_quadratic", "pfaffian", "phi_A", "phi_B", "psi_A",
-    "residue_at", "rf_equal", "rf_reduce", "twisted_heisenberg_field_B",
-    "vacuum_component", "vertex_A", "vertex_B", "vev", "vev_boson", "vev_fermion",
+    "analytic_continuation_check", "character_A", "character_B", "check_identity",
+    "closed_form", "expand", "heis_apply_A", "heis_apply_B", "heisenberg_field_A",
+    "mode_commutator", "normal_ordered_quadratic", "pfaffian", "phi_A", "phi_B", "psi_A",
+    "residue_at", "rf_equal", "twisted_heisenberg_field_B",
+    "vertex_A", "vertex_B", "vev", "vev_boson", "vev_fermion",
 ]

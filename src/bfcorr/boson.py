@@ -39,11 +39,6 @@ def mon_weight(mon: Monomial) -> int:
     return sum(v * e for v, e in mon)
 
 
-def energy2_boson_A(s: BosonStateA) -> int:
-    """Doubled energy: 2*monomial weight plus the lattice term charge^2."""
-    return 2 * mon_weight(s.mon) + s.charge * s.charge
-
-
 def mon_get(mon: Monomial, v: int) -> int:
     for var, e in mon:
         if var == v:

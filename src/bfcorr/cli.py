@@ -155,8 +155,8 @@ def _run_vev(args) -> int:
 
 
 def _run_character(args) -> int:
-    label, _, table, oracle = character_oracle(args.model, args.charge, args.max)
-    rows = [{label: g, "dim": dim, "oracle": oracle.get(g)} for g, dim in table.items()]
+    label, rows = character_oracle(args.model, args.charge, args.max)
+    rows = [{label: g, "dim": dim, "oracle": want} for g, dim, want in rows]
     if args.format == "json":
         payload = {"command": "character", "model": args.model, "rows": rows,
                    "params": {"charge": args.charge,
@@ -166,7 +166,7 @@ def _run_character(args) -> int:
         print(f"{label:>8}  dim  oracle")
         for row in rows:
             print(f"{row[label]:>8}  {row['dim']:>3}  {row['oracle']}")
-    ok = all(row["dim"] == row["oracle"] for row in rows if row["oracle"] is not None)
+    ok = all(row["dim"] == row["oracle"] for row in rows)
     return 0 if ok else 1
 
 

@@ -593,10 +593,12 @@ def character_oracle(model: str, charge: int, dmax: int):
     """Graded dimensions and their partition oracle: F_A at ``charge`` up to
     energy2 charge^2 + 2*dmax, where energy2 charge^2 + 2d has dimension
     p(d), or F_B up to degree dmax, where degree d has dimension 2 * (odd
-    partitions of d).  Returns (grade label, top grade, {grade: dim},
-    {grade: oracle dim}).  Before enumerating, a type A |charge| above
-    MAX_CHARGE or an oracle count above MAX_CHARACTER_STATES (summed only
-    until it passes) raises ValueError."""
+    partitions of d).  Returns (grade label, rows): one row (grade, dim,
+    oracle dim) per grade that the table or the oracle holds, ascending,
+    with 0 on the side that lacks it; the oracle holds all its dmax + 1
+    grades, so a table that lost one fails.  Before enumerating, a type A
+    |charge| above MAX_CHARGE or an oracle count above MAX_CHARACTER_STATES
+    (summed only until it passes) raises ValueError."""
     where = f"model {model}" + (f", charge {charge}" if model == "A" else "") + f", max {dmax}"
     if model == "A" and abs(charge) > MAX_CHARGE:
         raise ValueError(f"character of {where}: |charge| must be <= {MAX_CHARGE}")
@@ -608,31 +610,34 @@ def character_oracle(model: str, charge: int, dmax: int):
             raise ValueError(f"character of {where} has over {count} states by grade {d}, "
                              f"more than the {MAX_CHARACTER_STATES} it enumerates")
     if model == "B":
-        return "degree", dmax, dict(character_B(dmax)), oracle
-    q2 = charge * charge
-    top = q2 + 2 * dmax
-    return "energy2", top, dict(character_A(charge, top)), {q2 + 2 * d: n for d, n in oracle.items()}
+        label, table = "degree", dict(character_B(dmax))
+    else:
+        q2 = charge * charge
+        top = q2 + 2 * dmax
+        label, table = "energy2", dict(character_A(charge, top))
+        oracle = {q2 + 2 * d: n for d, n in oracle.items()}
+    return label, [(g, table.get(g, 0), oracle.get(g, 0)) for g in sorted(table.keys() | oracle.keys())]
 
 
 def _run_character(model, rep, p) -> None:
     dmax = p["dmax"]
     rep.params.setdefault("n", dmax)  # JSON reports carry dmax as n
-    label, top, table, expected = character_oracle(model, p.get("charge", 0), dmax)
+    label, rows = character_oracle(model, p.get("charge", 0), dmax)
     oracle = "partitions" if model == "A" else "2*odd partitions"
-    rep.witnesses["dimensions"] = str(sorted(table.items()))
-    rep.witnesses["oracle"] = str(sorted(expected.items()))
-    for g in range(top + 1):
-        if table.get(g, 0) != expected.get(g, 0):
-            return _fail(rep, f"{label}={g}: dim {table.get(g, 0)} vs {oracle} {expected.get(g, 0)}")
+    rep.witnesses["dimensions"] = str([(g, dim) for g, dim, _ in rows])
+    rep.witnesses["oracle"] = str([(g, want) for g, _, want in rows])
+    for g, dim, want in rows:
+        if dim != want:
+            return _fail(rep, f"{label}={g}: dim {dim} vs {oracle} {want}")
 
 
 def _run_ope_residues(model, rep, p) -> None:
     grade = p["grade"]
     fa = _two_point("A", ("z", "w"), 0, 1)  # 1/(z-w)
-    res_a = residue_at(fa, 0, 1, 1, 0)
+    res_a = residue_at(fa, 0, 1, 1)
     rep.witnesses["type_A_residue"] = _rational_witness(res_a)
     fb = _two_point("B", ("z", "w"), 0, 1)  # (z-w)/(z+w)
-    res_b = residue_at(fb, 0, -1, 1, 0)
+    res_b = residue_at(fb, 0, -1, 1)
     rep.witnesses["type_B_residue"] = _rational_witness(res_b)
     is_minus_2w = res_b == RationalFn.from_poly(MultiPoly.var(fb.alphabet, 1).scale(-2))
     if is_minus_2w:

@@ -146,15 +146,6 @@ class FockVector(Terms):
     def basis(cls, state, coeff=1) -> "FockVector":
         return cls({state: coeff})
 
-    def add_term(self, state, coeff):
-        self._check(FockVector.basis(state))
-        coeff = exact(coeff)
-        v = self.terms.get(state, 0) + coeff
-        if v:
-            self.terms[state] = v
-        else:
-            self.terms.pop(state, None)
-
     def coefficient(self, state):
         return self.terms.get(state, 0)
 
@@ -225,17 +216,6 @@ def apply_mode_A(kind: str, n: int, v: FockVector) -> FockVector:
 
 def apply_mode_B(n: int, v: FockVector) -> FockVector:
     return v.apply(lambda s: _apply_phi_B(n, s))
-
-
-def vacuum_component(v: FockVector):
-    """Coefficient of the vacuum state: this is <0| v |0> = the VEV pairing.
-    The vacuum is that of the space of ``v``; the zero vector gives 0."""
-    from .boson import BOSON_VACUUM_A, BOSON_VACUUM_B
-
-    vacua = {type(s): s for s in (VACUUM_A, VACUUM_B, BOSON_VACUUM_A, BOSON_VACUUM_B)}
-    for space in v.frame():
-        return v.coefficient(vacua[space])
-    return 0
 
 
 # -- basis enumeration and characters ----------------------------------------

@@ -217,17 +217,6 @@ class MultiPoly(Terms):
 
         return self.apply(move)
 
-    def evaluate(self, point: Iterable[Rat]) -> Rat:
-        point = list(point)
-        total = Rat(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
-
     # -- display -----------------------------------------------------------
 
     def __str__(self):

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .poly import MultiPoly, Rat, exact
+from .poly import MultiPoly, exact
 
 # atom encodings: ("var", i), ("diff", i, j), ("sum", i, j) with i < j
 PoleFactor = Tuple
@@ -167,9 +167,6 @@ class RationalFn:
     def __neg__(self) -> "RationalFn":
         return RationalFn(-self.num, dict(self.den), reduce=False)
 
-    def __sub__(self, other: "RationalFn") -> "RationalFn":
-        return self + (-other)
-
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         self._check(other)
         den = dict(self.den)
@@ -182,14 +179,6 @@ class RationalFn:
         if not c:
             return RationalFn.zero(self.alphabet)
         return RationalFn(self.num.scale(c), dict(self.den), reduce=False)
-
-    def __pow__(self, n: int) -> "RationalFn":
-        if n < 0:
-            raise ValueError("negative power")
-        out = RationalFn.const(self.alphabet, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def diff(self, i: int) -> "RationalFn":
         """Partial derivative with respect to variable i."""
@@ -222,21 +211,6 @@ class RationalFn:
         num = self.num.substitute(i, j, sign)
         return RationalFn(num.scale(scale) if scale in (1, -1) else num.scale(Fraction(1, scale)), den)
 
-    def evaluate(self, point) -> Rat:
-        """Evaluate at a rational point (raises ZeroDivisionError on a pole)."""
-        point = list(point)
-        val = self.num.evaluate(point)
-        for atom, e in self.den.items():
-            d = factor_poly(self.alphabet, atom).evaluate(point)
-            val /= d ** e
-        return val
-
-    def denominator_poly(self) -> MultiPoly:
-        out = MultiPoly.const(self.alphabet, 1)
-        for atom, e in self.den.items():
-            out = out * factor_poly(self.alphabet, atom) ** e
-        return out
-
     def __str__(self):
         from .textio import format_rational
 
@@ -244,11 +218,6 @@ class RationalFn:
 
     def __repr__(self):
         return f"RationalFn({self.num!r}, {self.den!r})"
-
-
-def rf_reduce(f: RationalFn) -> RationalFn:
-    """Return the canonical reduced representative (idempotent)."""
-    return RationalFn(f.num, dict(f.den))
 
 
 def rf_equal(f: RationalFn, g: RationalFn) -> bool:
@@ -262,31 +231,26 @@ def rf_equal(f: RationalFn, g: RationalFn) -> bool:
     return lift(f.num, f.den, den) == lift(g.num, g.den, den)
 
 
-def residue_at(f: RationalFn, i: int, point_sign: int, j: int, power: int = 0) -> RationalFn:
-    """Res_{z_i = point_sign*z_j} of f*(z_i - point_sign*z_j)^power.
+def residue_at(f: RationalFn, i: int, point_sign: int, j: int) -> RationalFn:
+    """Res_{z_i = point_sign*z_j} of f.
 
-    Returns the zero function when no pole remains at the point.  Higher
-    order poles are handled by the derivative formula
+    Returns the zero function when f has no pole at the point.  A pole of
+    order k is handled by the derivative formula
     Res = (1/(k-1)!) d^{k-1}/dz_i^{k-1} [f*(z_i - s z_j)^k] at z_i = s z_j.
     """
     if point_sign not in (1, -1):
         raise ValueError("point must be +z_j or -z_j")
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    alphabet = f.alphabet
     if point_sign == 1:
         atom, sgn = diff_factor(i, j)
     else:
         atom, sgn = sum_factor(i, j), 1
-    lin = RationalFn.from_poly(factor_poly(alphabet, atom).scale(sgn))
-    g = f * lin ** power
-    k = g.den.get(atom, 0)
+    k = f.den.get(atom, 0)
     if k == 0:
-        return RationalFn.zero(alphabet)
-    den = dict(g.den)
+        return RationalFn.zero(f.alphabet)
+    den = dict(f.den)
     del den[atom]
-    # g = num/(atom^k * rest); atom = sgn*(z_i - s*z_j)
-    h = RationalFn(g.num.scale(sgn ** k), den, reduce=False)
+    # f = num/(atom^k * rest); atom = sgn*(z_i - s*z_j)
+    h = RationalFn(f.num.scale(sgn ** k), den, reduce=False)
     for _ in range(k - 1):
         h = h.diff(i)
     h = h.substitute(i, j, point_sign)

@@ -59,11 +59,6 @@ class LaurentSeries(Terms):
     def _like(self, terms):
         return LaurentSeries(self.ordering, self.cutoff, terms)
 
-    def restrict(self, cutoff: int) -> "LaurentSeries":
-        if cutoff > self.cutoff:
-            raise ValueError("cannot restrict to a larger cutoff")
-        return LaurentSeries(self.ordering, cutoff, self.terms)
-
     def first_difference(self, other: "LaurentSeries"):
         """Lexicographically first monomial where the two series differ."""
         self._check(other)

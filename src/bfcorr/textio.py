@@ -16,7 +16,7 @@ It is read from one token stream, by one function per rule::
     atom     := '(' name [('+'|'-') name] ')' ['^' ['-'] num]
 
 with a nonzero coefficient denominator and a positive atom exponent.
-``parse_rational`` reads a rational, ``parse_poly`` and ``parse_series`` a sum.
+``parse_rational`` reads a rational and ``parse_series`` a sum.
 
 A sum is written in one pass: each variable has a table from exponent to
 text (``""`` for 0, the name for 1, ``name^e`` otherwise) and the sum one
@@ -176,12 +176,6 @@ def _sum(tk: _Tokens) -> Dict[Tuple[int, ...], Rat]:
     return out
 
 
-def _whole_sum(tk: _Tokens, what: str) -> Dict[Tuple[int, ...], Rat]:
-    terms = _sum(tk)
-    tk.end(what)
-    return terms
-
-
 def _atom(tk: _Tokens) -> Tuple[PoleFactor, int, int]:
     """A pole atom as (factor, sign of the written atom to the factor, exponent)."""
     tk.expect("symbol", "(")
@@ -202,11 +196,6 @@ def _poly(alphabet, terms) -> MultiPoly:
     if any(x < 0 for e in terms for x in e):
         raise ValueError("negative exponent in a polynomial")
     return MultiPoly(alphabet, terms)
-
-
-def parse_poly(text: str, alphabet=None) -> MultiPoly:
-    tk = _Tokens(text, alphabet or None)
-    return _poly(tk.alphabet, _whole_sum(tk, "polynomial"))
 
 
 def parse_rational(text: str, alphabet=None) -> RationalFn:
@@ -231,4 +220,6 @@ def parse_rational(text: str, alphabet=None) -> RationalFn:
 
 def parse_series(text: str, ordering, cutoff: int) -> LaurentSeries:
     tk = _Tokens(text, tuple(ordering))
-    return LaurentSeries(tk.alphabet, cutoff, _whole_sum(tk, "series"))
+    terms = _sum(tk)
+    tk.end("series")
+    return LaurentSeries(tk.alphabet, cutoff, terms)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,6 +12,11 @@ from bfcorr.textio import parse_rational
 def rf(text, alphabet):
     """Shorthand: build a RationalFn from its textual form."""
     return parse_rational(text, alphabet)
+
+
+def poly_value(p, point):
+    """The polynomial p at a rational point, summed term by term."""
+    return sum((c * prod(x ** k for x, k in zip(point, e)) for e, c in p.terms.items()), Fraction(0))
 
 
 def random_poly(rng, alphabet, max_deg=2, terms=3):

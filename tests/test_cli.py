@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfcorr import correspondence
 from bfcorr.cli import main
 
 REPORT_SCHEMA = {
@@ -228,6 +229,20 @@ def test_character_max_zero_is_accepted():
     code, out = run_cli("character", "--model", "A", "--max", "0")
     assert code == 0
     assert out.splitlines()[1].split() == ["0", "1", "1"]
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_an_empty_character_table_fails_both_paths(model, monkeypatch):
+    # both compare every grade the oracle holds, so a table that lost its
+    # grades fails instead of comparing nothing
+    monkeypatch.setattr(correspondence, f"character_{model}", lambda *args: [])
+    report = correspondence.check_identity(f"character-{model}", {"dmax": 4})
+    assert not report.passed
+    label, oracle = ("energy2", "partitions 1") if model == "A" else ("degree", "2*odd partitions 2")
+    assert report.witnesses["first_difference"] == f"{label}=0: dim 0 vs {oracle}"
+    code, out = run_cli("character", "--model", model, "--max", "4", "--format", "json")
+    assert code == 1
+    assert {row["dim"] for row in json.loads(out)["rows"]} == {0}
 
 
 @pytest.mark.parametrize("argv, message", [

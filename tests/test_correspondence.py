@@ -24,7 +24,7 @@ from bfcorr.correspondence import (
 from bfcorr.fields import Field, phi_A, phi_B, twisted_heisenberg_field_B
 from bfcorr.fock import VACUUM_A, VACUUM_B, FockVector, apply_mode_A, apply_mode_B
 from bfcorr.poly import MultiPoly
-from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, rf_reduce, sum_factor
+from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
 from bfcorr.series import LaurentSeries, expand, raw_mul
 from bfcorr.textio import format_series
 from conftest import rf
@@ -193,7 +193,7 @@ def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
     full = vev(spec(side, size, cutoff))
     assert not full.is_zero()
     for d in range(cutoff):
-        assert full.restrict(d) == vev(spec(side, size, d)), d
+        assert LaurentSeries(full.ordering, d, full.terms) == vev(spec(side, size, d)), d
 
 
 def test_boson_vev_is_computed_once_per_spec(monkeypatch):
@@ -239,6 +239,25 @@ def test_boson_vev_refuses_a_step_past_its_bound(monkeypatch):
                               f"step {step} of 4 would make {peak} creation updates, more than {peak - 1}")
     monkeypatch.setattr(correspondence, "MAX_STEP_UPDATES", peak)
     assert vev_boson(spec) == want
+
+
+@pytest.mark.parametrize("D", [3, 5])
+def test_boson_sweep_caps_each_step_by_what_the_rest_can_absorb(monkeypatch, D):
+    # e^a(z1) e^a(z2) e^-a(w1) e^-a(w2), applied right to left from charge 0,
+    # meets charges 0, -1, -2, -1 and so shifts 0, 1, -2, -1: an operator
+    # absorbs at most D + shift of weight, and a step's cap is the sum over
+    # the operators still to come
+    caps = []
+
+    def recording(op, terms, cutoff, wmax, guard):
+        caps.append(wmax)
+        return vertex_terms(op, terms, cutoff, wmax, guard)
+
+    vertex_terms = correspondence.vertex_terms
+    monkeypatch.setattr(correspondence, "vertex_terms", recording)
+    correspondence._boson_series.cache_clear()
+    vev_boson(VevSpec.standard_A("boson", 2, D))
+    assert caps == [3 * D - 2, 2 * D - 3, D - 1, 0]
 
 
 @pytest.mark.parametrize("spec,names", [(VevSpec.standard_A("boson", 2, 5), "type A boson VEV of 4 vertex "
@@ -408,7 +427,7 @@ def test_product_form_is_built_reduced(model, sizes):
         for word in correspondence._locality_words(model, n):
             spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), 0)
             form = correspondence._product_form(spec)
-            reduced = rf_reduce(form)
+            reduced = RationalFn(form.num, dict(form.den))
             assert (reduced.num, reduced.den) == (form.num, form.den), word
 
 

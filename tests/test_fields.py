@@ -26,7 +26,6 @@ from bfcorr.fock import (
     apply_mode_B,
     states_A,
     states_B,
-    vacuum_component,
 )
 
 VAC_A = FockVector.basis(VACUUM_A)
@@ -105,19 +104,19 @@ def test_normal_ordering_kills_vacuum_pairing():
     # j = k = 0 (type B); 0 otherwise
     for j in range(-5, 6):
         for k in range(-5, 6):
-            raw = vacuum_component(apply_mode_A("phi", j, apply_mode_A("psi", k, VAC_A)))
+            raw = apply_mode_A("phi", j, apply_mode_A("psi", k, VAC_A)).coefficient(VACUUM_A)
             pair = Fraction(1) if (k >= 0 and j + k == -1) else Fraction(0)
             assert raw - pair == 0
-            raw = vacuum_component(apply_mode_B(j, apply_mode_B(k, VAC_B)))
+            raw = apply_mode_B(j, apply_mode_B(k, VAC_B)).coefficient(VACUUM_B)
             pair = 2 * (-1) ** k if (j == -k and k > 0) else int(j == k == 0)
             assert raw == pair, (j, k)
     # normal ordering subtracts them: <0| :a b:_K |0> = 0 for every K
-    for field, vac in ((heisenberg_field_A(), VAC_A),
-                       (normal_ordered_quadratic(psi_A(), phi_A()), VAC_A),
-                       (normal_ordered_quadratic(phi_B(), phi_B()), VAC_B),
-                       (twisted_heisenberg_field_B(), VAC_B)):
+    for field, vacuum in ((heisenberg_field_A(), VACUUM_A),
+                          (normal_ordered_quadratic(psi_A(), phi_A()), VACUUM_A),
+                          (normal_ordered_quadratic(phi_B(), phi_B()), VACUUM_B),
+                          (twisted_heisenberg_field_B(), VACUUM_B)):
         for K in range(-8, 9):
-            assert vacuum_component(field.coeff(K)(vac)) == 0, (field.name, K)
+            assert field.coeff(K)(FockVector.basis(vacuum)).coefficient(vacuum) == 0, (field.name, K)
 
 
 def test_heisenberg_field_A_basic_brackets():
@@ -193,19 +192,19 @@ def _quadratic_oracle(x, y, scalar, K, v, vacuum):
     total = FockVector()
     for beta in range(-reach, reach + 1):
         alpha = K - beta
-        pair = vacuum_component(x(alpha, y(beta, vacuum)))
+        pair = x(alpha, y(beta, FockVector.basis(vacuum))).coefficient(vacuum)
         term = x(alpha, y(beta, v)) - v.scale(pair)
         total = total + term.scale(scalar(beta))
     return total
 
 
 QUADRATICS = [
-    ("h_A", heisenberg_field_A, _phi_a, _psi_a, lambda beta: 1, VAC_A),
+    ("h_A", heisenberg_field_A, _phi_a, _psi_a, lambda beta: 1, VACUUM_A),
     (":psi phi:", lambda: normal_ordered_quadratic(psi_A(), phi_A()), _psi_a, _phi_a,
-     lambda beta: 1, VAC_A),
+     lambda beta: 1, VACUUM_A),
     # h_B = (1/4) :phi(z) phi(-z):, so phi_beta carries (-1)^beta
     ("h_B", twisted_heisenberg_field_B, apply_mode_B, apply_mode_B,
-     lambda beta: Fraction(-1 if beta % 2 else 1, 4), VAC_B),
+     lambda beta: Fraction(-1 if beta % 2 else 1, 4), VACUUM_B),
 ]
 
 
@@ -248,7 +247,7 @@ def test_derivative_of_a_quadratic_shifts_and_scales_its_rows():
     for k in range(-4, 5):
         for s in states_A(4):
             v = FockVector.basis(s)
-            want = _quadratic_oracle(_phi_a, _psi_a, lambda beta: 1, k + 1, v, VAC_A)
+            want = _quadratic_oracle(_phi_a, _psi_a, lambda beta: 1, k + 1, v, VACUUM_A)
             assert dh.coeff(k)(v) == want.scale(k + 1)
 
 

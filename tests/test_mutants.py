@@ -78,6 +78,10 @@ MUTANTS = [
     ("odd_partition_count(7) off by one", "partitions.py",
      "return _partition_table(n, True)[n]", "return _partition_table(n, True)[n] + (n == 7)",
      ["character-B"]),
+    # the type A table then ends below its sector's ground state
+    ("character range below the sector", "correspondence.py",
+     "top = q2 + 2 * dmax", "top = q2 - 2 * dmax",
+     ["character-A"]),
     ("partition_count(7) off by one", "partitions.py",
      "return _partition_table(n, False)[n]", "return _partition_table(n, False)[n] + (n == 7)",
      ["character-A"]),

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bfcorr.poly import MultiPoly
-from bfcorr.ratfun import RationalFn
+from bfcorr.ratfun import RationalFn, factor_poly
 from bfcorr.series import LaurentSeries, expand, raw_mul
 from bfcorr.textio import parse_series
 from conftest import random_ratfun, rf
@@ -92,10 +92,18 @@ def test_expand_is_multiplicative_to_cutoff(rng):
         assert _mul_to_cutoff(f, g, AL, 5) == direct
 
 
+def _denominator(f):
+    """The product of f's pole atoms, multiplied out."""
+    out = MultiPoly.const(f.alphabet, 1)
+    for atom, e in f.den.items():
+        out = out * factor_poly(f.alphabet, atom) ** e
+    return out
+
+
 @pytest.mark.parametrize("text", ["(1) / ((z-w)^1)", "(1) / ((z+w)^1)", "(1) / ((z)^1)"])
 def test_expand_times_inverse_is_one(text):
     f = rf(text, AL)
-    inv = RationalFn(f.denominator_poly())
+    inv = RationalFn(_denominator(f))
     one = expand(rf("1", AL), AL, 6)
     assert _mul_to_cutoff(f, inv, AL, 6) == one
 
@@ -111,7 +119,8 @@ def test_series_addition_and_comparability():
 def test_restrict_matches_direct_expansion(rng):
     for _ in range(20):
         f = random_ratfun(rng)
-        assert expand(f, AL, 7).restrict(4) == expand(f, AL, 4)
+        wide = expand(f, AL, 7)
+        assert LaurentSeries(wide.ordering, 4, wide.terms) == expand(f, AL, 4)
 
 
 def test_first_difference_is_lexicographic_minimum():

@@ -175,8 +175,5 @@ def test_a_float_coefficient_is_refused(build):
 def test_an_exact_coefficient_keeps_its_value():
     assert FockVector.basis(VACUUM_A, Fraction(1, 10)).terms == {VACUUM_A: Fraction(1, 10)}
     assert MultiPoly.const(AL, "1/10") == MultiPoly.const(AL, Fraction(1, 10))
-    v = FockVector()
-    with pytest.raises(TypeError):
-        v.add_term(VACUUM_A, 0.5)
-    v.add_term(VACUUM_A, Fraction(1, 2))
-    assert v == FockVector.basis(VACUUM_A, Fraction(1, 2))
+    halves = FockVector([(VACUUM_A, Fraction(1, 4)), (VACUUM_A, "1/4")])
+    assert halves.terms == {VACUUM_A: Fraction(1, 2)}
