@@ -282,12 +282,8 @@ def _product_form(spec: VevSpec) -> RationalFn:
     word order, with K = x_i - x_j (type A) or (x_i - x_j)/(x_i + x_j)
     (type B).  e_i e_j = +1 exactly when the two symbols agree; for type B
     that is because e^alpha(-z) = e^{-alpha}(z) and K(-x_i, x_j) = 1/K.
-
-    The form is built canonical, so it is not reduced: every factor is the
-    irreducible linear form x_i - x_j or x_i + x_j of one pair i < j, no two
-    factors are associates, and each form goes to the numerator or to the
-    denominator, never to both, so by unique factorization no pole atom
-    divides the numerator."""
+    Each linear form x_i +- x_j goes to the numerator or to the
+    denominator, never to both."""
     alpha = spec.variables
     num, den = MultiPoly.const(alpha, 1), {}
     for i, j in combinations(range(len(alpha)), 2):
@@ -298,7 +294,7 @@ def _product_form(spec: VevSpec) -> RationalFn:
                 num = num * MultiPoly.linear(alpha, i, j, sigma)
             else:
                 den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = 1
-    return RationalFn(num, den, reduce=False)
+    return RationalFn(num, den)
 
 
 def closed_form(model: str, kind: str, n: int) -> RationalFn:

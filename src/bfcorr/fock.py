@@ -114,9 +114,10 @@ def degree_B(s: FermionStateB) -> int:
 class FockVector(Terms):
     """Sparse linear combination of basis states (fermionic or bosonic)
     with int or Fraction coefficients.  Its frame is its states' class: one
-    space, or none for the zero vector, which adds to a vector of any.  A
-    mode, a field coefficient or a vertex operator acts on it as ``apply``
-    of its basis-state action."""
+    space, or none for the zero vector, which adds to a vector of any.
+    Every basis-state class is a tuple subclass; a state of any other class
+    is refused.  A mode, a field coefficient or a vertex operator acts on
+    it as ``apply`` of its basis-state action."""
 
     __slots__ = ()
 
@@ -136,6 +137,8 @@ class FockVector(Terms):
         if len(spaces) > 1:
             raise ValueError(f"vector has states of {len(spaces)} spaces: "
                              f"{', '.join(sorted(c.__name__ for c in spaces))}")
+        if not all(issubclass(space, tuple) for space in spaces):
+            raise ValueError(f"not a basis state: {', '.join(sorted(c.__name__ for c in spaces))}")
 
     def _like(self, terms):
         v = FockVector.__new__(FockVector)

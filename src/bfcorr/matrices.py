@@ -9,17 +9,16 @@ so the expansion serves rational-function matrices here and integer
 Laurent series in ``correspondence``.
 
 Matrices stay tiny at desk scale (<= 8x8), so exactness wins over
-asymptotics.  ``determinant`` and ``pfaffian`` run the expansion on
-unreduced (numerator, factored denominator) pairs, lifting each sum to
-the common factored denominator, and reduce once at the end.
+asymptotics.  ``determinant`` and ``pfaffian`` run the expansion over
+``RationalFn``, whose sums lift to the common factored denominator and
+are never reduced.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Sequence
 
-from .poly import MultiPoly
-from .ratfun import RationalFn, common_denominator, lift
+from .ratfun import RationalFn
 
 
 def det_expansion(m: Sequence[Sequence], one, zero: Callable, mac: Callable):
@@ -60,25 +59,11 @@ def pf_expansion(m: Sequence[Sequence], one, zero: Callable, mac: Callable):
 
 
 def _rational(expansion: Callable, m: Sequence[Sequence[RationalFn]]) -> RationalFn:
-    """Run ``expansion`` on rational-function entries, accumulating unreduced
-    (numerator, factored denominator) pairs and reducing once at the end."""
+    """Run ``expansion`` on rational-function entries."""
     alphabet = m[0][0].alphabet
-
-    def mac(acc, sign, a: RationalFn, b):
-        total_num, total_den = acc
-        sub_num, sub_den = b
-        num = a.num * sub_num
-        den = dict(a.den)
-        for atom, e in sub_den.items():
-            den[atom] = den.get(atom, 0) + e
-        merged = common_denominator(total_den, den)
-        num = lift(num, den, merged)
-        return lift(total_num, total_den, merged) + (num if sign > 0 else -num), merged
-
     entries = [[None if x.is_zero() else x for x in row] for row in m]
-    num, den = expansion(entries, (MultiPoly.const(alphabet, 1), {}),
-                         lambda: (MultiPoly.zero(alphabet), {}), mac)
-    return RationalFn(num, den)
+    return expansion(entries, RationalFn.const(alphabet, 1), lambda: RationalFn.zero(alphabet),
+                     lambda acc, sign, a, b: acc + (a * b if sign > 0 else -(a * b)))
 
 
 def _check_square(m: Sequence[Sequence]) -> None:

@@ -1,17 +1,11 @@
 """Rational functions with pole loci restricted to z_i, z_i - z_j, z_i + z_j.
 
 The denominator is never expanded: it is a multiset of irreducible pole
-atoms with positive exponents, so reduction to the unique canonical form
-is a divisibility test per atom instead of a multivariate gcd.  Atoms are
-normalized with i < j in alphabet order; any sign this forces is absorbed
-into the numerator.
-
-Divisibility rule: write the atom as z_i - s*z_j, with s = -sign for
-z_i + sign*z_j, and as z_i - 0*z_i for z_i.  It divides a polynomial p
-exactly when p vanishes at z_i = s*z_j, and the quotient then sends each
-z_i^m to sum_{k<m} z_i^k (s*z_j)^(m-1-k), because
-z_i^m - (s*z_j)^m = (z_i - s*z_j) * that sum.  For z_i this reads: z_i
-divides when every term holds z_i, and the quotient lowers its exponent.
+atoms with positive exponents.  Atoms are normalized with i < j in
+alphabet order; any sign this forces is absorbed into the numerator.  A
+function keeps the numerator and atoms it was built with, even where an
+atom divides the numerator: equality cross-multiplies, and expansion,
+substitution and residues are exact on any form of a function.
 
 An atom is substituted and differentiated as its linear form
 ``factor_poly(alphabet, atom)``: under z_i := sign*z_j the form becomes
@@ -60,25 +54,6 @@ def factor_poly(alphabet, atom: PoleFactor) -> MultiPoly:
     raise ValueError(f"unknown pole atom {atom!r}")
 
 
-def _divide_if_possible(num: MultiPoly, atom: PoleFactor):
-    """Exact quotient num/atom by the divisibility rule (module docstring),
-    or None when the atom does not divide."""
-    i = atom[1]
-    j, s = (i, 0) if atom[0] == "var" else (atom[2], 1 if atom[0] == "diff" else -1)
-    if num.substitute(i, j, s):
-        return None
-
-    def quotient(e):
-        m = e[i]
-        for k in range(m):
-            q = list(e)
-            q[i] = k
-            q[j] += m - 1 - k
-            yield tuple(q), s ** (m - 1 - k)
-
-    return num.apply(quotient)
-
-
 def common_denominator(a: Dict[PoleFactor, int], b: Dict[PoleFactor, int]) -> Dict[PoleFactor, int]:
     """The least common factored denominator: each atom at its larger exponent."""
     return {atom: max(a.get(atom, 0), b.get(atom, 0)) for atom in {**a, **b}}
@@ -94,18 +69,17 @@ def lift(num: MultiPoly, den: Dict[PoleFactor, int], target: Dict[PoleFactor, in
 
 
 class RationalFn:
-    """numerator / product of pole atoms, kept in reduced canonical form."""
+    """numerator / product of pole atoms, kept as built: an atom may divide
+    the numerator."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: Dict[PoleFactor, int] | None = None, reduce: bool = True):
+    def __init__(self, num: MultiPoly, den: Dict[PoleFactor, int] | None = None):
         self.num = num
         self.den = {a: e for a, e in (den or {}).items() if e}
         for a, e in self.den.items():
             if e < 0:
                 raise ValueError("negative denominator exponent")
-        if reduce:
-            self._reduce()
 
     @property
     def alphabet(self):
@@ -113,29 +87,15 @@ class RationalFn:
 
     @classmethod
     def from_poly(cls, num: MultiPoly) -> "RationalFn":
-        return cls(num, {}, reduce=False)
+        return cls(num)
 
     @classmethod
     def const(cls, alphabet, c) -> "RationalFn":
-        return cls(MultiPoly.const(alphabet, c), {}, reduce=False)
+        return cls(MultiPoly.const(alphabet, c))
 
     @classmethod
     def zero(cls, alphabet) -> "RationalFn":
-        return cls(MultiPoly.zero(alphabet), {}, reduce=False)
-
-    def _reduce(self):
-        if self.num.is_zero():
-            self.den = {}
-            return
-        for atom in list(self.den):
-            while self.den.get(atom, 0) > 0:
-                quot = _divide_if_possible(self.num, atom)
-                if quot is None:
-                    break
-                self.num = quot
-                self.den[atom] -= 1
-            if self.den.get(atom) == 0:
-                del self.den[atom]
+        return cls(MultiPoly.zero(alphabet))
 
     # -- predicates ----------------------------------------------------
 
@@ -143,15 +103,7 @@ class RationalFn:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        # canonical form is unique, so structural equality is exact equality
-        return (
-            isinstance(other, RationalFn)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, frozenset(self.den.items())))
+        return isinstance(other, RationalFn) and rf_equal(self, other)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -165,7 +117,7 @@ class RationalFn:
         return RationalFn(lift(self.num, self.den, den) + lift(other.num, other.den, den), den)
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, dict(self.den), reduce=False)
+        return RationalFn(-self.num, dict(self.den))
 
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         self._check(other)
@@ -178,7 +130,7 @@ class RationalFn:
         c = exact(c)
         if not c:
             return RationalFn.zero(self.alphabet)
-        return RationalFn(self.num.scale(c), dict(self.den), reduce=False)
+        return RationalFn(self.num.scale(c), dict(self.den))
 
     def diff(self, i: int) -> "RationalFn":
         """Partial derivative with respect to variable i."""
@@ -193,7 +145,8 @@ class RationalFn:
         return out
 
     def substitute(self, i: int, j: int, sign: int) -> "RationalFn":
-        """Substitute z_i := sign*z_j; raises if a pole atom vanishes there.
+        """Substitute z_i := sign*z_j; raises if a pole atom vanishes there,
+        also where the numerator vanishes with it (a removable pole).
 
         Each atom's linear form becomes zero or c times one atom, which
         takes the atom's place while the numerator is divided by c^e (a
@@ -234,9 +187,12 @@ def rf_equal(f: RationalFn, g: RationalFn) -> bool:
 def residue_at(f: RationalFn, i: int, point_sign: int, j: int) -> RationalFn:
     """Res_{z_i = point_sign*z_j} of f.
 
-    Returns the zero function when f has no pole at the point.  A pole of
-    order k is handled by the derivative formula
+    Returns the zero function when f has no pole atom at the point.  A
+    pole of order k is handled by the derivative formula
     Res = (1/(k-1)!) d^{k-1}/dz_i^{k-1} [f*(z_i - s z_j)^k] at z_i = s z_j.
+    k is read off ``f.den``, so where the atom divides the numerator it
+    overstates the true order, and the formula stays exact: it holds for
+    any k at least the true order.
     """
     if point_sign not in (1, -1):
         raise ValueError("point must be +z_j or -z_j")
@@ -250,7 +206,7 @@ def residue_at(f: RationalFn, i: int, point_sign: int, j: int) -> RationalFn:
     den = dict(f.den)
     del den[atom]
     # f = num/(atom^k * rest); atom = sgn*(z_i - s*z_j)
-    h = RationalFn(f.num.scale(sgn ** k), den, reduce=False)
+    h = RationalFn(f.num.scale(sgn ** k), den)
     for _ in range(k - 1):
         h = h.diff(i)
     h = h.substitute(i, j, point_sign)

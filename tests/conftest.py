@@ -19,6 +19,19 @@ def poly_value(p, point):
     return sum((c * prod(x ** k for x, k in zip(point, e)) for e, c in p.terms.items()), Fraction(0))
 
 
+def in_lowest_terms(f):
+    """True iff no pole atom of f divides its numerator.  The atom z_i -
+    s*z_j (z_i - 0*z_i for z_i) divides a polynomial exactly when the
+    polynomial vanishes at z_i = s*z_j, so the test is one substitution per
+    atom."""
+    for atom in f.den:
+        i = atom[1]
+        j, s = (i, 0) if atom[0] == "var" else (atom[2], 1 if atom[0] == "diff" else -1)
+        if not f.num.substitute(i, j, s):
+            return False
+    return True
+
+
 def random_poly(rng, alphabet, max_deg=2, terms=3):
     tmap = {}
     for _ in range(terms):

@@ -27,7 +27,7 @@ from bfcorr.poly import MultiPoly
 from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
 from bfcorr.series import LaurentSeries, expand, raw_mul
 from bfcorr.textio import format_series
-from conftest import rf
+from conftest import in_lowest_terms, rf
 
 
 def test_two_point_A_is_geometric_series():
@@ -422,13 +422,34 @@ def test_fermion_sweep_matches_the_one_directional_sweep(cutoff):
 
 @pytest.mark.parametrize("model, sizes", [("A", (2, 3)), ("B", (4, 6))])
 def test_product_form_is_built_reduced(model, sizes):
-    # _product_form skips the reduction: reducing it must change nothing
+    # nothing reduces a form, so each linear form x_i +- x_j must go to the
+    # numerator or to the denominator, never to both
     for n in sizes:
         for word in correspondence._locality_words(model, n):
             spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), 0)
             form = correspondence._product_form(spec)
-            reduced = RationalFn(form.num, dict(form.den))
-            assert (reduced.num, reduced.den) == (form.num, form.den), word
+            assert form.den and in_lowest_terms(form), word
+
+
+@pytest.mark.parametrize("name, params", [("cauchy", {}), ("cauchy", {"n": 4}), ("schur-pfaffian", {}),
+                                          ("schur-pfaffian", {"n": 6}), ("supercommutativity-A", {}),
+                                          ("supercommutativity-B", {}), ("ope-residues", {})])
+def test_printed_rational_functions_are_in_lowest_terms(monkeypatch, name, params):
+    # nothing reduces a RationalFn, so every one a report prints must be
+    # built in lowest terms: no pole atom divides its numerator
+    printed = []
+    witness = correspondence._rational_witness
+    monkeypatch.setattr(correspondence, "_rational_witness", lambda f: printed.append(f) or witness(f))
+    assert check_identity(name, params).passed
+    assert printed and all(in_lowest_terms(f) for f in printed), [str(f) for f in printed]
+
+
+def test_a_form_with_a_pair_on_both_sides_is_not_in_lowest_terms():
+    AL = ("z", "w")
+    assert in_lowest_terms(rf("(z - w) / ((z+w)^1)", AL))
+    assert not in_lowest_terms(rf("(z^2 - w^2) / ((z+w)^1)", AL))
+    assert not in_lowest_terms(rf("(z*w - w^2) / ((z)^1 (z-w)^1)", AL))
+    assert not in_lowest_terms(rf("(z^2) / ((z)^1)", AL))
 
 
 # longer words: the composed oracle is cheap only for 6 type B points at

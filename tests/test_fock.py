@@ -91,6 +91,17 @@ def test_a_vector_refuses_states_of_two_spaces():
     assert FockVector.basis(VACUUM_A) != FockVector.basis(VACUUM_B)
 
 
+@pytest.mark.parametrize("state", [FockVector.basis(VACUUM_A), "vacuum", 0, frozenset()],
+                         ids=["vector", "str", "int", "frozenset"])
+def test_a_vector_refuses_what_is_not_a_basis_state(state):
+    # every basis-state class is a tuple subclass; a vector of anything else
+    # would fail only when a mode acts on it
+    with pytest.raises(ValueError, match="not a basis state"):
+        FockVector.basis(state)
+    with pytest.raises(ValueError, match="not a basis state"):
+        FockVector([(state, 1)])
+
+
 @pytest.mark.parametrize("vacuum", [VACUUM_A, VACUUM_B, BOSON_VACUUM_A, BOSON_VACUUM_B])
 def test_the_zero_vector_adds_to_a_vector_of_any_space(vacuum):
     v = FockVector.basis(vacuum, 2)

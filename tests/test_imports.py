@@ -25,6 +25,7 @@ KEPT_FOR = {
     "heis_apply_B": "ROADMAP item 1: sigma_h applies the boson h_{-n} to the type B vacua",
     "basis": "ROADMAP items 1 and 9: FockVector.basis starts sigma at a basis state",
     "coefficient": "ROADMAP items 1 and 9: FockVector.coefficient reads sigma's coefficients",
+    "mode": "ROADMAP items 1 and 9: Field.mode gives the field modes that sigma intertwines",
     "parse_series": "test oracle: the one reader of negative exponents, the inverse of format_series",
 }
 
@@ -65,32 +66,36 @@ def test_unused_import_is_flagged():
 
 
 def _named(tree: ast.AST) -> set:
-    """Identifiers ``tree`` names: as a variable, an attribute, an import or
-    a string (``getattr``, ``monkeypatch.setattr`` and the tracer name
-    functions by string)."""
+    """Identifiers ``tree`` names, as ("name", identifier) where a bare
+    variable names it and as ("attr", identifier) where an attribute, an
+    import or a string does (``getattr``, ``monkeypatch.setattr`` and the
+    tracer name functions by string)."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names.add(("name", node.id))
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names.add(("attr", node.attr))
         elif isinstance(node, ast.alias):
-            names.update(node.name.split("."))
-            names.add(node.asname)
+            names.update(("attr", name) for name in (*node.name.split("."), node.asname))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
+            names.add(("attr", node.value))
     return names
 
 
 def dead_definitions(source: str, named_elsewhere=frozenset()) -> list:
     """Functions, classes and non-dunder methods defined in ``source`` that
-    neither ``source`` names nor ``named_elsewhere`` holds."""
+    neither ``source`` names nor ``named_elsewhere`` holds.  A method counts
+    as named only as an attribute or a string: a local variable of the same
+    name does not call it."""
     tree = ast.parse(source)
     named = _named(tree) | named_elsewhere
-    defined = {node.name for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-    return sorted(name for name in defined
-                  if name not in named and not (name.startswith("__") and name.endswith("__")))
+    methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+    return sorted({node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not (node.name.startswith("__") and node.name.endswith("__"))
+                   and ("attr", node.name) not in named
+                   and (node in methods or ("name", node.name) not in named)})
 
 
 def named_in_use(sources: dict) -> set:
@@ -122,6 +127,10 @@ def test_unused_definition_is_flagged():
     for path in (ROOT / "tests" / "test_box.py", SRC / "__init__.py"):
         assert dead_definitions(source, named_in_use({path: caller})) == ["unread", "unused"]
     assert dead_definitions(source, named_in_use({SRC / "other.py": caller})) == ["unread"]
+    # a method is called only as an attribute or by its string; a local
+    # variable of the same name does not keep it
+    for use, dead in (("mode = Box()", ["mode"]), ("Box().mode()", []), ("getattr(Box(), 'mode')", [])):
+        assert dead_definitions(f"class Box:\n    def mode(self):\n        pass\n\n{use}\n") == dead, use
 
 
 def float_uses(source: str) -> list:

@@ -1,12 +1,13 @@
-"""Sparse polynomial arithmetic and the exact quotient by a pole atom."""
+"""Sparse polynomial arithmetic, and quotients by a pole atom kept as built."""
 
 from fractions import Fraction
 
 import pytest
 
 from bfcorr.poly import MultiPoly
-from bfcorr.ratfun import _divide_if_possible, diff_factor, factor_poly, sum_factor, var_factor
-from conftest import poly_value
+from bfcorr.ratfun import RationalFn, diff_factor, factor_poly, sum_factor, var_factor
+from bfcorr.series import expand
+from conftest import in_lowest_terms, poly_value
 
 AL = ("z", "w")
 
@@ -52,25 +53,39 @@ def _at_root(p, atom):
     return p.substitute(atom[1], atom[2], 1 if atom[0] == "diff" else -1)
 
 
+def _expansion(f, ordering):
+    """f's expansion in the region of ``ordering``, its exponents over AL3,
+    on a box that holds every term of the polynomials below."""
+    series = expand(f, ordering, 10)
+    return {tuple(e[ordering.index(name)] for name in AL3): c for e, c in series.terms.items()}
+
+
 @pytest.mark.parametrize("atom", ATOMS, ids=lambda atom: "-".join(map(str, atom)))
 def test_exact_quotient_undoes_the_product(atom, rng):
+    # (atom * q) / atom equals q and expands as q in either region order
     factor = factor_poly(AL3, atom)
     for _ in range(40):
         q = _random_poly(rng)
-        assert _divide_if_possible(factor * q, atom) == q
+        quotient = RationalFn(factor * q, {atom: 1})
+        assert quotient == RationalFn.from_poly(q)
+        for ordering in (AL3, AL3[::-1]):
+            assert _expansion(quotient, ordering) == q.terms
 
 
 @pytest.mark.parametrize("atom", ATOMS, ids=lambda atom: "-".join(map(str, atom)))
 def test_exact_quotient_is_none_exactly_off_the_root(atom, rng):
+    # p/atom is a polynomial exactly when p vanishes where the atom does, the
+    # root test of in_lowest_terms; off the root p/atom has a true pole, so
+    # its expansions in opposite region orders differ, or hold z_i^-1
     factor = factor_poly(AL3, atom)
     divides = set()
     for _ in range(40):
         for p in (_random_poly(rng), factor * _random_poly(rng)):
-            quot = _divide_if_possible(p, atom)
-            assert (quot is None) == bool(_at_root(p, atom))
-            if quot is not None:
-                assert quot * factor == p
-            divides.add(quot is not None)
+            f = RationalFn(p, {atom: 1})
+            here, there = (_expansion(f, ordering) for ordering in (AL3, AL3[::-1]))
+            polynomial = here == there and all(x >= 0 for e in here for x in e)
+            assert polynomial == (not in_lowest_terms(f)) == (not _at_root(p, atom))
+            divides.add(polynomial)
     assert divides == {True, False}
 
 

@@ -1,30 +1,37 @@
-"""Reduced rational functions with restricted pole loci, and residues."""
+"""Rational functions with restricted pole loci, kept as built, and residues."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
 
 from bfcorr.poly import MultiPoly, collect
-from bfcorr.ratfun import RationalFn, diff_factor, residue_at, sum_factor
+from bfcorr.ratfun import RationalFn, diff_factor, factor_poly, residue_at, sum_factor
 from bfcorr.series import LaurentSeries, expand
 from conftest import poly_value, random_poly, random_ratfun, rf
 
 AL = ("z", "w")
 
 
-def test_reduce_cancels_common_factor():
+def test_equality_cancels_a_common_factor():
+    # equality cross-multiplies: a form whose atoms divide its numerator
+    # equals its lowest terms, and differs from any other function
     assert rf("(z^2 - w^2) / ((z+w)^1)", AL) == rf("z - w", AL)
-
-
-def test_reduce_full_cancellation():
     assert rf("(z^2 - w^2) / ((z-w)^1 (z+w)^1)", AL) == rf("1", AL)
+    assert rf("(z^2 - w^2) / ((z+w)^1)", AL) != rf("z + w", AL)
+    assert rf("(z^2 - w^2) / ((z+w)^2)", AL) != rf("z - w", AL)
 
 
-def test_reduce_leaves_reduced_input():
-    f = rf("(z - w) / ((z+w)^1)", AL)
-    assert RationalFn(f.num, dict(f.den)) == f
+def test_a_function_keeps_the_form_it_was_built_with():
+    f = rf("(z^2 - w^2) / ((z-w)^1 (z+w)^1)", AL)
+    assert (f.num, f.den) == (rf("z^2 - w^2", AL).num, {("diff", 0, 1): 1, ("sum", 0, 1): 1})
+    # a product keeps both sides' atoms; a sum keeps the common denominator
+    g = rf("(z - w) / ((z+w)^1)", AL) * rf("(z + w) / ((z-w)^1)", AL)
+    assert (g.num, g.den) == (f.num, f.den)
+    h = rf("(1) / ((z-w)^1)", AL) + rf("(-1) / ((z-w)^1)", AL)
+    assert h.is_zero() and h.den == {("diff", 0, 1): 1}
 
 
 def test_add_common_denominator():
@@ -78,29 +85,14 @@ def test_residue_higher_order_pole():
     assert residue_at(f * rf("z - w", AL), 0, 1, 1) == rf("w", AL)
 
 
-def test_reduce_idempotent_and_value_preserving(rng):
-    points = [
-        (Fraction(3), Fraction(1, 2)),
-        (Fraction(5), Fraction(2)),
-        (Fraction(-7, 2), Fraction(1, 3)),
-        (Fraction(11), Fraction(-4)),
-        (Fraction(9, 4), Fraction(8)),
-    ]
-    for _ in range(25):
-        f = random_ratfun(rng)
-        unreduced = RationalFn(
-            f.num * MultiPoly.linear(AL, 0, 1, 1),
-            {**f.den, ("sum", 0, 1): f.den.get(("sum", 0, 1), 0) + 1},
-            reduce=False,
-        )
-        red = RationalFn(unreduced.num, dict(unreduced.den))
-        assert RationalFn(red.num, dict(red.den)) == red
-        for p in points:
-            try:
-                lhs = _value(unreduced, p)
-            except ZeroDivisionError:
-                continue
-            assert lhs == _value(red, p)
+def test_residue_on_unreduced_input():
+    # the pole order is read off den, so (z-w)/(z-w)^2 counts a double pole
+    # at z = w where the true pole is simple; the derivative formula holds
+    # for any order at least the true one
+    assert residue_at(rf("(z - w) / ((z-w)^2)", AL), 0, 1, 1) == rf("1", AL)
+    assert residue_at(rf("(z + w) / ((z+w)^2)", AL), 0, -1, 1) == rf("1", AL)
+    assert residue_at(rf("(z - w) / ((z-w)^1)", AL), 0, 1, 1).is_zero()
+    assert residue_at(rf("(w*z^2 - w^3) / ((z-w)^2 (z+w)^1)", AL), 0, 1, 1) == rf("w", AL)
 
 
 def test_substitute_maps_atoms():
@@ -197,3 +189,21 @@ def test_diff_is_the_termwise_derivative_of_the_expansion(rng, i):
         derivative = {e[:k] + (e[k] - 1,) + e[k + 1:]: e[k] * c
                       for e, c in expand(f, ordering, D + 1).terms.items()}
         assert expand(f.diff(i), ordering, D) == LaurentSeries(ordering, D, derivative)
+
+
+def test_expand_ignores_a_common_factor(rng):
+    # p*q/(den*q) and p/den expand alike, for q a power of any atom kind, in
+    # every region order and at two cutoffs
+    compared = 0
+    for _ in range(20):
+        f = _random_ratfun3(rng)
+        for kind in ("var", "diff", "sum"):
+            i, j = sorted(rng.sample(range(3), 2))
+            atom, e = (("var", i) if kind == "var" else (kind, i, j)), rng.randint(1, 2)
+            g = RationalFn(f.num * factor_poly(AL3, atom) ** e, {**f.den, atom: f.den.get(atom, 0) + e})
+            for ordering in permutations(AL3):
+                for cutoff in (1, 3):
+                    want = expand(f, ordering, cutoff)
+                    assert expand(g, ordering, cutoff) == want, (f, atom, e, ordering, cutoff)
+                    compared += bool(want.terms)
+    assert compared > 300
