@@ -56,7 +56,7 @@ from .fock import (
 )
 from .matrices import pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
-from .poly import MultiPoly, collect, mac
+from .poly import MultiPoly, collect, mac, pack, unpack
 from .ratfun import RationalFn, diff_factor, residue_at, rf_equal, sum_factor
 from .series import LaurentSeries, expand
 from .textio import format_rational, format_series
@@ -320,15 +320,26 @@ def closed_form(model: str, kind: str, n: int) -> RationalFn:
 def _wick_series(spec: VevSpec) -> LaurentSeries:
     """<0| word |0> by Wick's theorem: the Pfaffian over the expansions of
     the word's two-point functions on the cutoff box.  A type B pair of
-    phi and Tphi = phi(-z) takes K(x_i, -x_j) = 1/K."""
+    phi and Tphi = phi(-z) takes K(x_i, -x_j) = 1/K.
+
+    The expansion runs on packed exponents (``poly.pack``) of width
+    D.bit_length() + 1.  A term of the Pfaffian is a product of kernel
+    terms on disjoint pairs of positions, so each of its entries is the
+    exponent of one kernel term.  A kernel is homogeneous of degree -1
+    (type A) or 0 (type B) in its two variables, and ``expand`` keeps
+    each exponent >= -D, so the other one is <= D: every entry lies in
+    [-D, D], inside the digit range [-2^(width-1), 2^(width-1)) since
+    D < 2^D.bit_length()."""
     alpha, D = spec.variables, spec.cutoff
+    width = D.bit_length() + 1
     m = [[None] * len(alpha) for _ in alpha]  # the expansion reads i < j only
     for i, j in _wick_pairs(spec):
         kernel = _two_point(spec.model, alpha, i, j)
         if spec.model == "B" and spec.word[i][0] != spec.word[j][0]:
             kernel = kernel.substitute(j, j, -1)
-        m[i][j] = expand(kernel, alpha, D).terms
-    return LaurentSeries(alpha, D, pf_expansion(m, {(0,) * len(alpha): 1}, dict, mac))
+        m[i][j] = {pack(e, width): c for e, c in expand(kernel, alpha, D).items()}
+    pf = pf_expansion(m, {pack((0,) * len(alpha), width): 1}, dict, mac)
+    return LaurentSeries(alpha, D, unpack(pf, len(alpha), width))
 
 
 def det_series(n: int, cutoff: int) -> LaurentSeries:

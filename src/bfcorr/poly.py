@@ -6,15 +6,25 @@ nonzero coefficients, each an int or a Fraction, in a frame, the data
 two combinations must share to be added or compared.  It holds the one
 copy of the vector space arithmetic (sum, negation, scaling, equality,
 hashing) and of the linear extension ``apply`` of a map on keys;
-``collect`` sums like keys and drops zeros.  ``mac`` is the one product
-of sparse exponent maps, a multiply-accumulate that ``MultiPoly.__mul__``
-and the Wick Pfaffian's series entries share.  A polynomial (``MultiPoly``,
+``collect`` sums like keys and drops zeros.  A polynomial (``MultiPoly``,
 keyed by exponent tuples over its variable alphabet), a truncated
 Laurent series and a Fock vector are ``Terms``.  ``exact`` is the one
 gate for a caller's coefficient, so no floating point enters the system
 anywhere.  An int stays an int, so integer combinations never pay for
 Fraction arithmetic; since ``3 == Fraction(3)`` and their hashes agree,
 equality and hashing do not depend on which of the two a term holds.
+
+A long product of sparse exponent maps runs on packed keys: ``pack``
+writes an exponent tuple as one int of fixed-width balanced digits, entry
+k the k-th digit from the bottom, so packing is linear and the key of a
+product of monomials is the sum of their keys.  ``mac``, the Wick
+Pfaffian's multiply-accumulate, adds keys, and ``unpack`` reads a packed
+map back into tuple keys through two tables of half-tuples, the first
+n//2 entries and the rest, each filled on first use.  The width is the
+caller's: it must hold every entry of every key, which only the caller
+can bound.  ``MultiPoly.__mul__`` multiplies tuples in place, because
+its products are many and small and packing each one costs more than
+it saves.
 """
 
 from __future__ import annotations
@@ -48,19 +58,66 @@ def collect(pairs: Iterable[tuple]) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+class Table(dict):
+    """A dict whose missing values ``make`` builds from their keys on first use."""
+
+    def __init__(self, make, known=()):
+        super().__init__(known)
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def pack(e: Expo, width: int) -> int:
+    """The exponent tuple ``e`` as one int, entry k its k-th digit in base
+    2^width from the bottom; a digit may be negative, so the map is linear
+    on all tuples, and ``unpack`` inverts it on entries in
+    [-2^(width-1), 2^(width-1))."""
+    key = 0
+    for x in reversed(e):
+        key = (key << width) + x
+    return key
+
+
+def unpack(packed: dict, n: int, width: int) -> dict:
+    """{pack(e, width): c} as {e: c} for n-tuples ``e`` whose entries lie
+    in [-2^(width-1), 2^(width-1)).  Raising every digit by 2^(width-1)
+    puts each in [0, 2^width), so no carry crosses a digit and the low
+    n//2 digits and the rest are read apart, each through a table of
+    half-tuples."""
+    low_n = n // 2
+    half, digit = 1 << (width - 1), (1 << width) - 1
+    bias = pack((half,) * n, width)
+    shift = width * low_n
+    mask = (1 << shift) - 1
+
+    def digits(count):
+        return Table(lambda u: tuple(((u >> width * k) & digit) - half for k in range(count)))
+
+    low, high = digits(low_n), digits(n - low_n)
+    out = {}
+    for key, c in packed.items():
+        u = key + bias
+        out[low[u & mask] + high[u >> shift]] = c
+    return out
+
+
 def mac(acc: dict, sign: int, a: dict, b: dict) -> dict:
-    """acc += sign * a * b on sparse exponent maps, in place; zero sums are dropped."""
+    """acc += sign * a * b on sparse maps keyed by packed exponents, in
+    place; zero sums are dropped."""
     get = acc.get
-    for e1, c1 in a.items():
+    for k1, c1 in a.items():
         c1 *= sign
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            v = get(e)
+        for k2, c2 in b.items():
+            k = k1 + k2
+            v = get(k)
             v = c1 * c2 if v is None else v + c1 * c2
             if v:
-                acc[e] = v
+                acc[k] = v
             else:
-                del acc[e]
+                del acc[k]
     return acc
 
 
@@ -187,7 +244,18 @@ class MultiPoly(Terms):
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        return MultiPoly(self.alphabet, mac({}, 1, self.terms, other.terms))
+        acc: dict = {}
+        get = acc.get
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                v = get(e)
+                v = c1 * c2 if v is None else v + c1 * c2
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
+        return MultiPoly(self.alphabet, acc)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:

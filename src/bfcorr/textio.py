@@ -18,11 +18,13 @@ It is read from one token stream, by one function per rule::
 with a nonzero coefficient denominator and a positive atom exponent.
 ``parse_rational`` reads a rational and ``parse_series`` a sum.
 
-A sum is written in one pass: each variable has a table from exponent to
-text (``""`` for 0, the name for 1, ``name^e`` otherwise) and the sum one
-from coefficient to sign and magnitude prefix (``"+ "``, ``"- 3/2*"``),
-filled on first use, so a term costs a lookup per variable and a join;
-the constant term and the first term's sign are fixed once, after it.
+A sum is written in one pass.  A monomial's exponent tuple is split into
+its first n//2 entries and the rest, and each half has a table from its
+entries to their factors, each after a ``*`` (``"*z1^2*z2"``, ``""`` for
+all zeros); the sum has one from coefficient to sign and magnitude prefix
+(``"+ "``, ``"- 3/2*"``).  The tables are filled on first use, so a term
+costs two half lookups and a join; the constant term and the first
+term's sign are fixed once, after it.
 """
 
 from __future__ import annotations
@@ -30,26 +32,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from operator import getitem
 from typing import Dict, Tuple
 
-from .poly import MultiPoly, Rat, Terms
+from .poly import MultiPoly, Rat, Table, Terms
 from .ratfun import PoleFactor, RationalFn, diff_factor, sum_factor, var_factor
 from .series import LaurentSeries
 
 _TOKEN = re.compile(r"\s*(?:(?P<integer>\d+)|(?P<variable>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>[-+*/^()]))")
-
-
-class _Texts(dict):
-    """A table of texts, each made by ``make`` from its key on first use."""
-
-    def __init__(self, make, known=()):
-        super().__init__(known)
-        self.make = make
-
-    def __missing__(self, key):
-        text = self[key] = self.make(key)
-        return text
 
 
 def _prefix(c) -> str:
@@ -57,12 +46,19 @@ def _prefix(c) -> str:
     return ("+ " if c > 0 else "- ") + ("" if mag == 1 else f"{mag}*")
 
 
+def _half_text(names, e) -> str:
+    """The factors of a monomial over ``names``, each after a "*"."""
+    return "".join(f"*{name}" if x == 1 else f"*{name}^{x}" for name, x in zip(names, e) if x)
+
+
 def _terms_text(names, t: Terms) -> str:
     if not t:
         return "0"
-    powers = [_Texts(partial("{}^{}".format, name), {0: "", 1: name}) for name in names]
-    prefix = _Texts(_prefix)
-    chunks = [prefix[c] + "*".join(filter(None, map(getitem, powers, e))) for e, c in t.sorted_terms()]
+    h = len(names) // 2
+    low = Table(partial(_half_text, names[:h]))
+    high = Table(partial(_half_text, names[h:]))
+    prefix = Table(_prefix)
+    chunks = [prefix[c] + (low[e[:h]] + high[e[h:]])[1:] for e, c in t.sorted_terms()]
     const = t.terms.get((0,) * len(names))
     if const is not None:
         # the one chunk that is a bare prefix: every other chunk ends in its monomial

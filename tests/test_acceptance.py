@@ -7,7 +7,6 @@ tolerances to tune.
 
 import random
 import time
-from fractions import Fraction
 from itertools import permutations
 
 from bfcorr.correspondence import (

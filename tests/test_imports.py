@@ -1,4 +1,4 @@
-"""Every name a bfcorr module imports is used in that module, every
+"""Every name a bfcorr or test module imports is used in that module, every
 function, class and method it defines is named by the package or the
 benchmark (a test does not count), and no module writes a float."""
 
@@ -54,7 +54,8 @@ def unused_imports(source: str) -> list:
     return sorted(name for name in imported if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: p.stem)
 def test_module_has_no_unused_imports(path):
     unused = set(unused_imports(path.read_text())) - KEPT.get(path.stem, set())
     assert not unused, f"{path.name} imports unused names: {sorted(unused)}"

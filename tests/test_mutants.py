@@ -117,6 +117,10 @@ MUTANTS = [
     ("mac without its sign", "poly.py",
      "        c1 *= sign\n", "",
      ["det-formula-A", "locality-A", "locality-B"]),
+    # an exponent of +-D then wraps into a neighbouring digit
+    ("the Wick series' packed width one bit short", "correspondence.py",
+     "width = D.bit_length() + 1", "width = D.bit_length()",
+     ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "vev-match-B"]),
 ]
 
 # runs ``python -m bfcorr.cli verify all --quick --format json --no-timing``

@@ -1,10 +1,14 @@
-"""Sparse polynomial arithmetic, and quotients by a pole atom kept as built."""
+"""Sparse polynomial arithmetic, quotients by a pole atom kept as built,
+and the packed exponent codec."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bfcorr.poly import MultiPoly
+from bfcorr.poly import MultiPoly, pack, unpack
 from bfcorr.ratfun import RationalFn, diff_factor, factor_poly, sum_factor, var_factor
 from bfcorr.series import expand
 from conftest import in_lowest_terms, poly_value
@@ -98,3 +102,30 @@ def test_diff_and_eval():
 def test_exponent_length_checked():
     with pytest.raises(ValueError):
         MultiPoly(AL, {(1,): 1})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), width=st.integers(1, 6), n=st.integers(0, 9))
+def test_unpack_inverts_pack(data, width, n):
+    # every entry of the digit range, both of its ends included
+    entry = st.integers(-(1 << (width - 1)), (1 << (width - 1)) - 1)
+    terms = data.draw(st.dictionaries(st.tuples(*[entry] * n), st.integers(-3, 3).filter(bool), max_size=6))
+    assert unpack({pack(e, width): c for e, c in terms.items()}, n, width) == terms
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_a_packed_sum_unpacks_to_the_entrywise_sum(n, rng):
+    # the Wick series' case: two exponents on disjoint positions, entries in
+    # [-D, D], width D.bit_length() + 1; odd n splits its halves unevenly
+    # and n = 1 leaves the first half empty
+    for D in range(9):
+        width = D.bit_length() + 1
+        for _ in range(30):
+            owner = [rng.randrange(2) for _ in range(n)]
+            a, b = (tuple(rng.choice((-D, D, rng.randint(-D, D))) if o == side else 0 for o in owner)
+                    for side in (0, 1))
+            total = tuple(map(add, a, b))
+            assert pack(a, width) + pack(b, width) == pack(total, width)
+            assert unpack({pack(a, width) + pack(b, width): 1}, n, width) == {total: 1}
+        for edge in ((-D,) * n, (D,) * n):
+            assert unpack({pack(edge, width): 1}, n, width) == {edge: 1}

@@ -1,7 +1,6 @@
 """Region-ordered Laurent expansion: examples, exactness, ring laws."""
 
 import itertools
-import random
 from collections.abc import Mapping
 from fractions import Fraction
 

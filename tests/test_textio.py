@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfcorr.poly import MultiPoly
-from bfcorr.ratfun import RationalFn, diff_factor, sum_factor, var_factor
+from bfcorr.ratfun import RationalFn, sum_factor, var_factor
 from bfcorr.series import LaurentSeries, expand
 from bfcorr.textio import (
     format_poly,
@@ -167,25 +167,35 @@ def _random_terms(rng, nvars, low, size):
             for _ in range(rng.randint(0, size))}
 
 
+# a monomial is written as its first n//2 factors and the rest: 1 variable
+# leaves the first half empty, 3 and 5 split unevenly, 8 is the size of the
+# largest benchmark series
+_ALPHABETS = [("z1", "z2", "w1"), ("z1",), ("z1", "w1"), ("z1", "z2", "z3", "w1", "w2"),
+              tuple(f"z{i}" for i in range(1, 9))]
+
+
 def test_formatting_matches_the_reference_formatter():
     rng = random.Random(18)
-    names = ("z1", "z2", "w1")
-    for k in range(300):
-        terms = _random_terms(rng, 3, -3, 12)
-        if k % 3 == 0:
-            terms[(0, 0, 0)] = rng.choice(_COEFFS)
-        if k % 5 == 0 and terms:
-            # a negative leading term
-            terms[max(terms)] = -abs(terms[max(terms)])
-        s = LaurentSeries(names, 9, terms)
-        assert format_series(s) == _reference_text(names, s)
-        assert s.sorted_terms() == sorted(s.terms.items(), key=lambda item: item[0], reverse=True)
-        p = MultiPoly(names, {e: c for e, c in _random_terms(rng, 3, 0, 12).items()})
-        assert format_poly(p) == _reference_text(names, p)
-        f = random_ratfun(rng, alphabet=names[:2])
-        num = _reference_text(names[:2], f.num)
-        text = format_rational(f)
-        assert text.startswith(f"({num}) / (") if f.den else text == num
+    for names in _ALPHABETS:
+        n = len(names)
+        for k in range(300):
+            terms = _random_terms(rng, n, -3, 12)
+            if k % 3 == 0:
+                terms[(0,) * n] = rng.choice(_COEFFS)
+            if k % 5 == 0 and terms:
+                # a negative leading term
+                terms[max(terms)] = -abs(terms[max(terms)])
+            s = LaurentSeries(names, 9, terms)
+            assert format_series(s) == _reference_text(names, s)
+            assert s.sorted_terms() == sorted(s.terms.items(), key=lambda item: item[0], reverse=True)
+            p = MultiPoly(names, {e: c for e, c in _random_terms(rng, n, 0, 12).items()})
+            assert format_poly(p) == _reference_text(names, p)
+            if n > 1:
+                f = random_ratfun(rng, alphabet=names[:2])
+                num = _reference_text(names[:2], f.num)
+                text = format_rational(f)
+                assert text.startswith(f"({num}) / (") if f.den else text == num
+    names = _ALPHABETS[0]
     assert format_series(LaurentSeries(names, 3, {})) == _reference_text(names, LaurentSeries(names, 3)) == "0"
     assert format_series(LaurentSeries(names, 3, {(0, 0, 0): -1})) == "-1"
     assert format_series(LaurentSeries(names, 3, {(0, 0, 0): Fraction(-3, 2), (0, 0, 1): 1})) == "w1 - 3/2"
