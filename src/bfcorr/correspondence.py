@@ -9,6 +9,14 @@ word's positions apart: the fermion sweep meets in the middle
 (``vev_fermion``), and the boson sweep runs each vertex operator on all
 (prefix, state) pairs at once (``_boson_series``).
 
+Every series is keyed by packed ints (``poly.Codec``), and the engines
+build their keys packed: position k's exponent m adds m * 2^(w(n-1-k)),
+entry 0 the most significant digit, where w = (nD).bit_length() + 1 for n
+positions at cutoff D.  An engine entry lies in [-D, D] and a box entry
+in [-D, nD], both inside the digit range [-2^(w-1), 2^(w-1)), so no digit
+carries into another.  Keys order as their tuples do lexicographically,
+so witness texts and first differences are those of tuple keys.
+
 ``_sides`` gives the four sides of <0| word |0> for a fermion word, in
 comparison order: ``fermion_vev``, the fermion sweep; ``boson_vev``, the
 boson sweep on the word's image, each fermion symbol mapped to the boson
@@ -56,7 +64,7 @@ from .fock import (
 )
 from .matrices import pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
-from .poly import MultiPoly, collect, mac, pack, unpack
+from .poly import MultiPoly, codec, collect, mac
 from .ratfun import RationalFn, diff_factor, residue_at, rf_equal, sum_factor
 from .series import LaurentSeries, expand
 from .textio import format_rational, format_series
@@ -131,11 +139,16 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
     -cutoff .. cutoff.  The word meets in the middle at h = n // 2:
 
     - the right half runs X_{n-1} .. X_h on the vacuum, right to left, over
-      tables {middle state s: {exponents of positions h .. n-1: coefficient}};
-    - the left half is L(k, s) = <0| X_0 .. X_{k-1} |s> as {exponents of
-      positions 0 .. k-1: coefficient}, memoized per (k, s);
-    - the join puts every entry of L(h, s) before every entry of s's table
-      and multiplies their coefficients.
+      tables {middle state s: {packed exponents of positions h .. n-1:
+      coefficient}};
+    - the left half is L(k, s) = <0| X_0 .. X_{k-1} |s> as {packed exponents
+      of positions 0 .. k-1: coefficient}, memoized per (k, s);
+    - the join adds every key of L(h, s) to every key of s's table and
+      multiplies their coefficients.
+
+    A field's mode m at position j adds m times the position's weight in
+    the frame's codec, so a key is the packed exponent tuple with zeros at
+    the positions not yet run.
 
     X_j adds or removes one mode and j fields stand to its left, so a state
     X_j reaches is kept only if its mode count is at most j, on both
@@ -153,22 +166,24 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
         row = rows[j]
         return [(m, t, c) for m in modes for t, c in row(m, s) if sum(map(int.bit_count, t)) <= j]
 
-    h = len(rows) // 2
-    right = {vacuum: {(): 1}}
+    h, weights = len(rows) // 2, codec(len(rows), D).weights
+    right = {vacuum: {0: 1}}
     for j in range(len(rows) - 1, h - 1, -1):
         new: Dict = {}
         for s, suffixes in right.items():
             for m, t, c in step(j, s):
-                new.setdefault(t, {}).update({(m,) + p: c * v for p, v in suffixes.items()})
+                m *= weights[j]
+                new.setdefault(t, {}).update({m + p: c * v for p, v in suffixes.items()})
         right = new
 
     @lru_cache(maxsize=None)
     def left(k, s):
         if not k:
-            return {(): 1} if s == vacuum else {}
+            return {0: 1} if s == vacuum else {}
         out = {}
         for m, t, c in step(k - 1, s):
-            out.update({p + (m,): a * c for p, a in left(k - 1, t).items()})
+            m *= weights[k - 1]
+            out.update({p + m: a * c for p, a in left(k - 1, t).items()})
         return out
 
     terms = {p + q: a * v for s, suffixes in right.items() for p, a in left(h, s).items()
@@ -215,10 +230,13 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
     weight cap, is summed per prefix on small ints interned for each
     (z-exponent, label, lowered monomial), and the creation half per
     (prefix, z-exponent) on ints interned for each output state, inside the
-    cutoff box and the weight cap.  Two bounds refuse a spec with ValueError
-    before a step runs: the step's (prefix, state) terms times their prefix
-    length may not pass ``MAX_STEP_TERMS``, and its creation updates may not
-    pass ``MAX_STEP_UPDATES``.  The cutoff is never lowered in their place.
+    cutoff box and the weight cap.  A prefix is the packed key of the
+    z-exponents of the operators run so far, and a step extends it by its
+    z-exponent, in [-D, D], times its position's weight.  Two bounds refuse
+    a spec with ValueError before a step runs: the step's (prefix, state)
+    terms times their prefix length may not pass ``MAX_STEP_TERMS``, and its
+    creation updates may not pass ``MAX_STEP_UPDATES``.  The cutoff is never
+    lowered in their place.
     """
     D, (vacuum, table) = spec.cutoff, OPERATORS[spec.model, spec.side]
     ops = [table[sym] for sym, _ in spec.word]
@@ -240,7 +258,8 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
         if count > MAX_STEP_UPDATES:
             refuse(step, f"would make {count} creation updates, more than {MAX_STEP_UPDATES}")
 
-    entries, den = {(): {vacuum: 1}}, 1  # prefix -> {state: numerator over den}
+    weights = codec(len(ops), D).weights
+    entries, den = {0: {vacuum: 1}}, 1  # packed prefix -> {state: numerator over den}
     for step, op in enumerate(reversed(ops), 1):
         terms = [(prefix, s, c) for prefix, smap in entries.items() for s, c in smap.items()]
         if len(terms) * (step - 1) > MAX_STEP_TERMS:
@@ -248,7 +267,8 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
                          f"{len(terms) * (step - 1)} in all, more than {MAX_STEP_TERMS}")
         wmax = sum(absorbs[step:])
         d, out = vertex_terms(op, terms, D, wmax, partial(guard, step=step))
-        entries, den = {(ze,) + prefix: b for (prefix, ze), b in out.items() if b}, den * d
+        weight = weights[-step]
+        entries, den = {ze * weight + prefix: b for (prefix, ze), b in out.items() if b}, den * d
     terms = {prefix: Fraction(smap[vacuum], den) for prefix, smap in entries.items() if vacuum in smap}
     return LaurentSeries(spec.variables, D, terms)
 
@@ -322,24 +342,24 @@ def _wick_series(spec: VevSpec) -> LaurentSeries:
     the word's two-point functions on the cutoff box.  A type B pair of
     phi and Tphi = phi(-z) takes K(x_i, -x_j) = 1/K.
 
-    The expansion runs on packed exponents (``poly.pack``) of width
-    D.bit_length() + 1.  A term of the Pfaffian is a product of kernel
-    terms on disjoint pairs of positions, so each of its entries is the
-    exponent of one kernel term.  A kernel is homogeneous of degree -1
-    (type A) or 0 (type B) in its two variables, and ``expand`` keeps
-    each exponent >= -D, so the other one is <= D: every entry lies in
-    [-D, D], inside the digit range [-2^(width-1), 2^(width-1)) since
-    D < 2^D.bit_length()."""
+    The expansion runs on the packed keys of the kernels' expansions, in
+    the frame's codec of width w = (nD).bit_length() + 1, and ``mac`` adds
+    them.  A term of the Pfaffian, and each partial product on the way, is
+    a product of kernel terms on disjoint pairs of positions, so each of
+    its entries is 0 or the exponent of one kernel term.  A kernel is
+    homogeneous of degree -1 (type A) or 0 (type B) in its two variables,
+    and ``expand`` keeps each exponent >= -D, so the other one is <= D:
+    every entry lies in [-D, D], inside the digit range [-2^(w-1),
+    2^(w-1)) since 2^(w-1) > nD >= D, and a sum of keys is the key of the
+    entrywise sum."""
     alpha, D = spec.variables, spec.cutoff
-    width = D.bit_length() + 1
     m = [[None] * len(alpha) for _ in alpha]  # the expansion reads i < j only
     for i, j in _wick_pairs(spec):
         kernel = _two_point(spec.model, alpha, i, j)
         if spec.model == "B" and spec.word[i][0] != spec.word[j][0]:
             kernel = kernel.substitute(j, j, -1)
-        m[i][j] = {pack(e, width): c for e, c in expand(kernel, alpha, D).items()}
-    pf = pf_expansion(m, {pack((0,) * len(alpha), width): 1}, dict, mac)
-    return LaurentSeries(alpha, D, unpack(pf, len(alpha), width))
+        m[i][j] = expand(kernel, alpha, D).terms
+    return LaurentSeries(alpha, D, pf_expansion(m, {0: 1}, dict, mac))
 
 
 def det_series(n: int, cutoff: int) -> LaurentSeries:
@@ -417,8 +437,9 @@ def _monomial_text(ordering, e) -> str:
 def _difference(label_l: str, label_r: str, lhs: LaurentSeries, rhs: LaurentSeries) -> str:
     """Where two unequal series first differ, and their two coefficients there."""
     e = lhs.first_difference(rhs)
+    key = lhs.codec.pack(e)
     return (f"{label_l} vs {label_r} at {_monomial_text(lhs.ordering, e)}: "
-            f"{lhs.terms.get(e, 0)} vs {rhs.terms.get(e, 0)}")
+            f"{lhs.terms.get(key, 0)} vs {rhs.terms.get(key, 0)}")
 
 
 def _compare_series(report: IdentityReport, pairs: List[Tuple[str, str, LaurentSeries, LaurentSeries]]):

@@ -8,29 +8,35 @@ copy of the vector space arithmetic (sum, negation, scaling, equality,
 hashing) and of the linear extension ``apply`` of a map on keys;
 ``collect`` sums like keys and drops zeros.  A polynomial (``MultiPoly``,
 keyed by exponent tuples over its variable alphabet), a truncated
-Laurent series and a Fock vector are ``Terms``.  ``exact`` is the one
-gate for a caller's coefficient, so no floating point enters the system
-anywhere.  An int stays an int, so integer combinations never pay for
+Laurent series (keyed by packed ints) and a Fock vector are ``Terms``.
+``exact`` is the one gate for a caller's coefficient, so no floating
+point enters the system anywhere.  An int stays an int, so integer combinations never pay for
 Fraction arithmetic; since ``3 == Fraction(3)`` and their hashes agree,
 equality and hashing do not depend on which of the two a term holds.
 
-A long product of sparse exponent maps runs on packed keys: ``pack``
-writes an exponent tuple as one int of fixed-width balanced digits, entry
-k the k-th digit from the bottom, so packing is linear and the key of a
-product of monomials is the sum of their keys.  ``mac``, the Wick
-Pfaffian's multiply-accumulate, adds keys, and ``unpack`` reads a packed
-map back into tuple keys through two tables of half-tuples, the first
-n//2 entries and the rest, each filled on first use.  The width is the
-caller's: it must hold every entry of every key, which only the caller
-can bound.  ``MultiPoly.__mul__`` multiplies tuples in place, because
-its products are many and small and packing each one costs more than
-it saves.
+A truncated Laurent series is keyed by packed ints, one ``Codec`` per
+frame of n variables and cutoff D: an exponent tuple is written as one
+int of n balanced digits in base 2^w, entry 0 the most significant, with
+w = (nD).bit_length() + 1.  A box monomial has every entry >= -D and its
+total <= D, so each entry lies in [-D, nD], and an engine's entries lie in
+[-D, D]; both are inside the digit range [-2^(w-1), 2^(w-1)), since
+2^(w-1) > nD.  Packing is linear, so the key of a product of monomials is
+the sum of their keys, and with entry 0 on top, integer order is
+lexicographic order: sorting keys sorts monomials as their tuples sort,
+and the text, which lists terms in that order, is byte-identical to a
+text written from tuples.  ``mac``, the Wick Pfaffian's
+multiply-accumulate, adds keys.  A key splits into its first n//2 digits
+and the rest, and each half is read through a table filled on first use:
+its tuple, its text or its box value.  ``MultiPoly`` stays on tuples,
+since its products are many and small and packing each one costs more
+than it saves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, itemgetter
+from functools import lru_cache
+from operator import add, mul
 from typing import Callable, Iterable, Tuple
 
 Rat = Fraction
@@ -70,38 +76,94 @@ class Table(dict):
         return value
 
 
-def pack(e: Expo, width: int) -> int:
-    """The exponent tuple ``e`` as one int, entry k its k-th digit in base
-    2^width from the bottom; a digit may be negative, so the map is linear
-    on all tuples, and ``unpack`` inverts it on entries in
-    [-2^(width-1), 2^(width-1))."""
-    key = 0
-    for x in reversed(e):
-        key = (key << width) + x
-    return key
+class Codec:
+    """The packed keys of one frame's monomials: n entries, cutoff D.
+
+    ``pack`` writes an exponent tuple as one int of n balanced digits in
+    base 2^w, entry 0 the most significant: sum_k e_k 2^(w(n-1-k)).  The
+    map is linear, so the key of a product of monomials is the sum of their
+    keys, and ``pack`` inverts on entries in [-2^(w-1), 2^(w-1)), the
+    codec's domain.  Width w = (nD).bit_length() + 1 gives 2^(w-1) > nD, so
+    the domain holds every box monomial (each entry >= -D and the total
+    <= D, so each entry <= D + (n-1)D = nD) and every engine entry, which
+    lies in [-D, D].  Two keys in the domain compare as their tuples
+    compare lexicographically: where the tuples first differ, the digit
+    gap is worth at least one unit of that place, and all lower digits
+    together move the key by less than one.
+
+    Adding ``bias``, 2^(w-1) on every digit, puts each digit in [0, 2^w),
+    so no carry crosses a digit and a key splits into its first n//2
+    digits (``u >> shift``) and the rest (``u & mask``).  ``tables``
+    gives two tables from those halves to a fold over their entries, each
+    filled on first use: the half-tuple (``decode``), its text, or its box
+    value, the sum of its entries with each entry below -D counted as too
+    large for any key holding it to be in the box.
+    """
+
+    __slots__ = ("n", "cutoff", "width", "cut", "weights", "bias", "shift", "mask", "halves", "_box")
+
+    def __init__(self, n: int, cutoff: int):
+        self.n, self.cutoff, self.cut = n, cutoff, n // 2
+        self.width = w = (n * max(cutoff, 0)).bit_length() + 1
+        self.weights = tuple(1 << w * (n - 1 - k) for k in range(n))
+        self.bias = sum(self.weights) << (w - 1)
+        self.shift = w * (n - self.cut)
+        self.mask = (1 << self.shift) - 1
+        self.halves = self.tables(lambda acc, k, x: acc + (x,), ())
+        # an entry below -D counts as far > nD, so the total of its key is
+        # > nD - (n-1)D = D however the other entries, each >= -D, count
+        far = n << w
+        self._box = self.tables(lambda acc, k, x: acc + (x if x >= -cutoff else far), 0)
+
+    def tables(self, step: Callable, init):
+        """Tables from the first and the second half of a biased key to the
+        fold of ``step(acc, k, entry k)`` over the half's entries from
+        ``init``.  A half's value extends the value of the half without its
+        last digit, so each is filled on first use with one step."""
+        w, digit, half = self.width, (1 << self.width) - 1, 1 << (self.width - 1)
+
+        def fold(start, stop):
+            table = Table(lambda u: init)  # no digits: the one key 0
+            for k in range(start, stop):
+                table = Table(lambda u, prev=table, k=k: step(prev[u >> w], k, (u & digit) - half))
+            return table
+
+        return fold(0, self.cut), fold(self.cut, self.n)
+
+    def pack(self, e) -> int:
+        return sum(map(mul, e, self.weights))
+
+    def pack_terms(self, pairs: Iterable[tuple]) -> dict:
+        """(exponent sequence, c) pairs as {key: c}, for the n-entry
+        sequences in the domain; the rest lie outside the box, and are
+        dropped."""
+        n, half = self.n, 1 << (self.width - 1)
+        out = {}
+        for e, c in pairs:
+            if len(e) != n:
+                raise ValueError(f"exponent {tuple(e)} does not match {n} variables")
+            if -half <= min(e, default=0) and max(e, default=0) < half:
+                out[self.pack(e)] = c
+        return out
+
+    def decode(self, key: int) -> Expo:
+        u = key + self.bias
+        return self.halves[0][u >> self.shift] + self.halves[1][u & self.mask]
+
+    def box(self, terms: dict) -> dict:
+        """The terms whose keys are in the cutoff box: every entry >= -D and
+        the total in [-D, D]; zero coefficients are dropped too."""
+        bias, shift, mask, D = self.bias, self.shift, self.mask, self.cutoff
+        first, second = self._box
+        return {k: c for k, c in terms.items()
+                if c and -D <= first[(u := k + bias) >> shift] + second[u & mask] <= D}
 
 
-def unpack(packed: dict, n: int, width: int) -> dict:
-    """{pack(e, width): c} as {e: c} for n-tuples ``e`` whose entries lie
-    in [-2^(width-1), 2^(width-1)).  Raising every digit by 2^(width-1)
-    puts each in [0, 2^width), so no carry crosses a digit and the low
-    n//2 digits and the rest are read apart, each through a table of
-    half-tuples."""
-    low_n = n // 2
-    half, digit = 1 << (width - 1), (1 << width) - 1
-    bias = pack((half,) * n, width)
-    shift = width * low_n
-    mask = (1 << shift) - 1
-
-    def digits(count):
-        return Table(lambda u: tuple(((u >> width * k) & digit) - half for k in range(count)))
-
-    low, high = digits(low_n), digits(n - low_n)
-    out = {}
-    for key, c in packed.items():
-        u = key + bias
-        out[low[u & mask] + high[u >> shift]] = c
-    return out
+@lru_cache(maxsize=None)
+def codec(n: int, cutoff: int) -> Codec:
+    """The one codec of a frame of n variables at ``cutoff``, shared by
+    every series in it."""
+    return Codec(n, cutoff)
 
 
 def mac(acc: dict, sign: int, a: dict, b: dict) -> dict:
@@ -180,9 +242,6 @@ class Terms:
 
     def items(self):
         return self.terms.items()
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=itemgetter(0), reverse=True)
 
 
 class MultiPoly(Terms):

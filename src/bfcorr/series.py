@@ -11,16 +11,24 @@ leading from z_a start, nothing raises z_a again: a term whose z_a
 exponent is x gets the tail terms t = 0 .. x - e + D of a factor
 1/(z_a +- z_b)^e, and none when x - e < -D.  Tails have degree 0, so the
 total degree is tested once, on the numerator, and the box drops the rest.
+
+A series is keyed by packed ints (``poly.Codec``): its frame of n
+variables and cutoff D fixes the width w = (nD).bit_length() + 1, which
+holds every box entry, all in [-D, nD] (each entry >= -D and the total
+<= D), and every engine entry, all in [-D, D].  Entry 0 is the most
+significant digit, so keys order as their tuples do lexicographically,
+and ``first_difference`` and the text do not change with the keys.  The
+constructor tests every packed key against the box.  ``expand`` runs its
+tails on tuples and packs its terms once, at the end.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb
 from operator import add
 from typing import Dict, Tuple
 
-from .poly import Rat, Terms, collect, exact
+from .poly import Rat, Terms, codec, collect, exact
 from .ratfun import RationalFn
 
 Expo = Tuple[int, ...]
@@ -28,30 +36,33 @@ Expo = Tuple[int, ...]
 
 class LaurentSeries(Terms):
     """Truncated multivariate Laurent series: int or Fraction coefficients
-    of exponent tuples over the ordering, whose order of variables names
-    the expansion region, inside the cutoff box.  The ordering and the
-    cutoff are the frame; terms outside the box are dropped on
-    construction.  An ordering that repeats a variable names no region and
-    raises."""
+    of monomials over the ordering, whose order of variables names the
+    expansion region, inside the cutoff box.  The ordering and the cutoff
+    are the frame, and fix the ``codec`` whose packed ints key the terms:
+    a key must pack a tuple in the codec's domain, which holds the box.
+    Every term is tested against the box on construction, and terms
+    outside it are dropped.  An ordering that repeats a variable names no
+    region and raises."""
 
-    __slots__ = ("ordering", "cutoff")
+    __slots__ = ("ordering", "cutoff", "codec")
 
-    def __init__(self, ordering, cutoff: int, terms: Dict[Expo, Rat] | None = None):
+    def __init__(self, ordering, cutoff: int, terms: Dict[int, Rat] | None = None):
         self.ordering = tuple(ordering)
         if len(set(self.ordering)) != len(self.ordering):
             raise ValueError(f"ordering repeats a variable: {', '.join(self.ordering)}")
         self.cutoff = cutoff = int(cutoff)
+        self.codec = codec(len(self.ordering), cutoff)
         terms = terms or {}
         if not set(map(type, terms.values())) <= {int, Rat}:
-            terms = {tuple(e): exact(c) for e, c in terms.items()}
-        # the cutoff box: every exponent >= -cutoff, total degree in
-        # [-cutoff, cutoff]; terms are filtered one by one only when the
-        # whole-dict test fails
-        if _in_box(terms, cutoff):
-            self.terms = dict(terms)
-        else:
-            self.terms = {tuple(e): c for e, c in terms.items()
-                          if c and min(e or (0,)) >= -cutoff and -cutoff <= sum(e) <= cutoff}
+            terms = {k: exact(c) for k, c in terms.items()}
+        self.terms = self.codec.box(terms)
+
+    @classmethod
+    def from_exponents(cls, ordering, cutoff: int, terms) -> "LaurentSeries":
+        """The series of {exponent sequence over the ordering: coefficient};
+        every coefficient passes ``exact``, also one the box drops."""
+        frame = codec(len(tuple(ordering)), int(cutoff))
+        return cls(ordering, cutoff, frame.pack_terms((e, exact(c)) for e, c in terms.items()))
 
     def frame(self):
         return self.ordering, self.cutoff
@@ -59,12 +70,17 @@ class LaurentSeries(Terms):
     def _like(self, terms):
         return LaurentSeries(self.ordering, self.cutoff, terms)
 
+    def exponents(self) -> Dict[Expo, Rat]:
+        """The terms keyed by exponent tuples."""
+        decode = self.codec.decode
+        return {decode(k): c for k, c in self.terms.items()}
+
     def first_difference(self, other: "LaurentSeries"):
         """Lexicographically first monomial where the two series differ."""
         self._check(other)
-        diffs = [e for e in set(self.terms) | set(other.terms)
-                 if self.terms.get(e, Rat(0)) != other.terms.get(e, Rat(0))]
-        return min(diffs) if diffs else None
+        a, b = self.terms, other.terms
+        diffs = [k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)]
+        return self.codec.decode(min(diffs)) if diffs else None
 
     def __str__(self):
         from .textio import format_series
@@ -72,17 +88,7 @@ class LaurentSeries(Terms):
         return format_series(self)
 
     def __repr__(self):
-        return f"LaurentSeries({self.ordering}, {self.cutoff}, {self.terms!r})"
-
-
-def _in_box(terms: dict, cutoff: int) -> bool:
-    """True iff every key is a tuple inside the cutoff box and every
-    coefficient is nonzero, tested over all terms at once in C."""
-    keys = terms.keys()
-    if not set(map(type, keys)) <= {tuple} or min(chain.from_iterable(keys), default=0) < -cutoff:
-        return False
-    degrees = set(map(sum, keys))
-    return -cutoff <= min(degrees, default=0) and max(degrees, default=0) <= cutoff and all(terms.values())
+        return f"LaurentSeries({self.ordering}, {self.cutoff}, {self.exponents()!r})"
 
 
 def raw_mul(t1: Dict[Expo, Rat], t2: Dict[Expo, Rat]) -> Dict[Expo, Rat]:
@@ -153,4 +159,4 @@ def expand(f: RationalFn, ordering, cutoff: int) -> LaurentSeries:
                 acc[k] = c * tail[t] if s is None else s + c * tail[t]
         current = {k: c for k, c in acc.items() if c}
 
-    return LaurentSeries(ordering, cutoff, current)
+    return LaurentSeries.from_exponents(ordering, cutoff, current)

@@ -18,13 +18,18 @@ It is read from one token stream, by one function per rule::
 with a nonzero coefficient denominator and a positive atom exponent.
 ``parse_rational`` reads a rational and ``parse_series`` a sum.
 
-A sum is written in one pass.  A monomial's exponent tuple is split into
-its first n//2 entries and the rest, and each half has a table from its
-entries to their factors, each after a ``*`` (``"*z1^2*z2"``, ``""`` for
-all zeros); the sum has one from coefficient to sign and magnitude prefix
-(``"+ "``, ``"- 3/2*"``).  The tables are filled on first use, so a term
-costs two half lookups and a join; the constant term and the first
-term's sign are fixed once, after it.
+A sum is written in one pass by one formatter, on packed keys
+(``poly.Codec``): a series's own, and a polynomial's packed first, in a
+frame as wide as its largest exponent.  A key splits into its first n//2
+entries and the rest, and each half has a table from its digits to its
+factors, each after a ``*`` (``"*z1^2*z2"``, ``""`` for all zeros); the
+sum has one from coefficient to sign and magnitude prefix (``"+ "``,
+``"- 3/2*"``).  The tables are filled on first use, so a term costs two
+half lookups and a join; the constant term, key 0, and the first term's
+sign are fixed once, after it.  A series's width, (nD).bit_length() + 1,
+holds every box entry, in [-D, nD], and entry 0 is the most significant
+digit, so descending keys are descending exponent tuples and the text is
+the one a formatter on tuples writes, byte for byte.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, Tuple
 
-from .poly import MultiPoly, Rat, Table, Terms
+from .poly import Codec, MultiPoly, Rat, Table, codec
 from .ratfun import PoleFactor, RationalFn, diff_factor, sum_factor, var_factor
 from .series import LaurentSeries
 
@@ -46,20 +53,21 @@ def _prefix(c) -> str:
     return ("+ " if c > 0 else "- ") + ("" if mag == 1 else f"{mag}*")
 
 
-def _half_text(names, e) -> str:
-    """The factors of a monomial over ``names``, each after a "*"."""
-    return "".join(f"*{name}" if x == 1 else f"*{name}^{x}" for name, x in zip(names, e) if x)
+def _factor(names, text: str, k: int, x: int) -> str:
+    """``text`` followed by the factor of variable k at exponent x, after a "*"."""
+    return text + (f"*{names[k]}" if x == 1 else f"*{names[k]}^{x}" if x else "")
 
 
-def _terms_text(names, t: Terms) -> str:
-    if not t:
+def _sum_text(names, codec: Codec, terms: dict) -> str:
+    """{packed key: coefficient} over ``names`` as a sum, highest key first."""
+    if not terms:
         return "0"
-    h = len(names) // 2
-    low = Table(partial(_half_text, names[:h]))
-    high = Table(partial(_half_text, names[h:]))
+    first, second = codec.tables(partial(_factor, names), "")
+    bias, shift, mask = codec.bias, codec.shift, codec.mask
     prefix = Table(_prefix)
-    chunks = [prefix[c] + (low[e[:h]] + high[e[h:]])[1:] for e, c in t.sorted_terms()]
-    const = t.terms.get((0,) * len(names))
+    chunks = [prefix[c] + (first[(u := k + bias) >> shift] + second[u & mask])[1:]
+              for k, c in sorted(terms.items(), key=itemgetter(0), reverse=True)]
+    const = terms.get(0)  # the key of the zero tuple
     if const is not None:
         # the one chunk that is a bare prefix: every other chunk ends in its monomial
         chunks[chunks.index(prefix[const])] = prefix[const][:2] + str(abs(const))
@@ -68,7 +76,8 @@ def _terms_text(names, t: Terms) -> str:
 
 
 def format_poly(p: MultiPoly) -> str:
-    return _terms_text(p.alphabet, p)
+    c = codec(len(p.alphabet), max(chain.from_iterable(p.terms), default=0))
+    return _sum_text(p.alphabet, c, c.pack_terms(p.terms.items()))
 
 
 def _atom_text(alphabet, atom: PoleFactor) -> str:
@@ -88,7 +97,7 @@ def format_rational(f: RationalFn) -> str:
 
 
 def format_series(s: LaurentSeries) -> str:
-    return _terms_text(s.ordering, s)
+    return _sum_text(s.ordering, s.codec, s.terms)
 
 
 class _Tokens:
@@ -218,4 +227,4 @@ def parse_series(text: str, ordering, cutoff: int) -> LaurentSeries:
     tk = _Tokens(text, tuple(ordering))
     terms = _sum(tk)
     tk.end("series")
-    return LaurentSeries(tk.alphabet, cutoff, terms)
+    return LaurentSeries.from_exponents(tk.alphabet, cutoff, terms)

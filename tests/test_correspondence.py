@@ -32,7 +32,7 @@ from conftest import in_lowest_terms, rf
 
 def test_two_point_A_is_geometric_series():
     s = vev_fermion(VevSpec.standard_A("fermion", 1, 6))
-    assert s.terms == {(-1 - k, k): Fraction(1) for k in range(6)}
+    assert s.exponents() == {(-1 - k, k): Fraction(1) for k in range(6)}
 
 
 def test_two_point_B_matches_mode_oracle():
@@ -41,7 +41,7 @@ def test_two_point_B_matches_mode_oracle():
     oracle = {(0, 0): Fraction(1)}
     for k in range(1, 7):
         oracle[(-k, k)] = Fraction(2 * (-1) ** k)
-    assert s.terms == oracle
+    assert s.exponents() == oracle
 
 
 def test_charge_unbalanced_word_vanishes():
@@ -99,7 +99,8 @@ def _det_series_oracle(n, cutoff):
     for i in range(n):
         for j in range(n):
             atom, s = diff_factor(i, n + j)
-            entries[i, j] = expand(RationalFn(MultiPoly.const(alpha, s), {atom: 1}), alpha, cutoff).terms
+            kernel = RationalFn(MultiPoly.const(alpha, s), {atom: 1})
+            entries[i, j] = expand(kernel, alpha, cutoff).exponents()
     total = {}
     for perm in permutations(range(n)):
         inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
@@ -107,7 +108,7 @@ def _det_series_oracle(n, cutoff):
         for i in range(n):
             prod = raw_mul(prod, entries[i, perm[i]])
         _accumulate(total, (-1) ** (inv + n * (n - 1) // 2), prod)
-    return LaurentSeries(alpha, cutoff, total)
+    return LaurentSeries.from_exponents(alpha, cutoff, total)
 
 
 def _matchings(points):
@@ -130,14 +131,14 @@ def _pf_series_oracle(points, cutoff):
     for i in range(points):
         for j in range(i + 1, points):
             f = RationalFn(MultiPoly.linear(alpha, i, j, -1), {sum_factor(i, j): 1})
-            entries[i, j] = expand(f, alpha, cutoff).terms
+            entries[i, j] = expand(f, alpha, cutoff).exponents()
     total = {}
     for sign, pairs in _matchings(points):
         prod = {(0,) * points: Fraction(1)}
         for pair in pairs:
             prod = raw_mul(prod, entries[pair])
         _accumulate(total, sign, prod)
-    return LaurentSeries(alpha, cutoff, total)
+    return LaurentSeries.from_exponents(alpha, cutoff, total)
 
 
 def test_matchings_are_counted_and_signed():
@@ -193,7 +194,7 @@ def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
     full = vev(spec(side, size, cutoff))
     assert not full.is_zero()
     for d in range(cutoff):
-        assert LaurentSeries(full.ordering, d, full.terms) == vev(spec(side, size, d)), d
+        assert LaurentSeries.from_exponents(full.ordering, d, full.exponents()) == vev(spec(side, size, d)), d
 
 
 def test_boson_vev_is_computed_once_per_spec(monkeypatch):
@@ -267,11 +268,12 @@ def test_boson_sweep_caps_each_step_by_what_the_rest_can_absorb(monkeypatch, D):
 def test_boson_vev_refuses_to_take_in_too_many_terms(monkeypatch, spec, names):
     # the terms a step takes in, times their prefix length, are counted
     # before the step runs; the bound refuses the largest step of a spec,
-    # at that step, and no smaller one
+    # at that step, and no smaller one.  A prefix is a packed key, and step
+    # s takes in the prefixes of the s - 1 operators to its right
     taken = []
 
     def recording(op, terms, cutoff, wmax, guard):
-        taken.append((len(terms), len(terms[0][0])))
+        taken.append((len(terms), len(taken)))
         return vertex_terms(op, terms, cutoff, wmax, guard)
 
     vertex_terms = correspondence.vertex_terms
@@ -282,7 +284,7 @@ def test_boson_vev_refuses_to_take_in_too_many_terms(monkeypatch, spec, names):
     peak = max(held)
     step = held.index(peak) + 1
     n, k = taken[step - 1]
-    assert [length for _, length in taken] == list(range(len(spec.word))) and 0 < held[1] < peak
+    assert len(taken) == len(spec.word) and 0 < held[1] < peak
     correspondence._boson_series.cache_clear()
     monkeypatch.setattr(correspondence, "MAX_STEP_TERMS", peak - 1)
     taken.clear()
@@ -314,8 +316,8 @@ def _composed_vev(spec):
         wmax = 0 if k == len(spec.word) - 1 else None
         vecs = {(ze,) + exps: out for exps, fv in vecs.items()
                 for ze, out in vertex(1 if sym == "+" else -1, fv, spec.cutoff, wmax).items()}
-    return LaurentSeries(tuple(v for _, v in spec.word), spec.cutoff,
-                         {exps: fv.coefficient(vacuum) for exps, fv in vecs.items()})
+    return LaurentSeries.from_exponents(tuple(v for _, v in spec.word), spec.cutoff,
+                                        {exps: fv.coefficient(vacuum) for exps, fv in vecs.items()})
 
 
 @pytest.mark.parametrize("cutoff", range(1, 6))
@@ -361,7 +363,7 @@ def _composed_fermion_vev(spec):
     sym = spec.word[0][0]
     terms = {(m,) + exps: apply(sym, m, fv).coefficient(vacuum) for exps, fv in vecs.items()
              for m in range(max(-D, -D - sum(exps)), D - sum(exps) + 1)}
-    return LaurentSeries(tuple(v for _, v in spec.word), D, terms)
+    return LaurentSeries.from_exponents(tuple(v for _, v in spec.word), D, terms)
 
 
 @pytest.mark.parametrize("cutoff", range(1, 6))
@@ -413,11 +415,11 @@ def test_fermion_sweep_matches_the_one_directional_sweep(cutoff):
     # those of the sweep from the vacuum alone
     for model, word in _SWEEP_WORDS:
         spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
-        got = vev_fermion(spec).terms
+        got = vev_fermion(spec).exponents()
         raw = _one_directional_fermion_terms(spec)
         assert got == {e: c for e, c in raw.items() if -cutoff <= sum(e) <= cutoff}, (model, word)
         assert all(type(c) is int for c in got.values()), (model, word)
-    assert vev_fermion(VevSpec("B", "fermion", (), cutoff)).terms == {(): 1}
+    assert vev_fermion(VevSpec("B", "fermion", (), cutoff)).exponents() == {(): 1}
 
 
 @pytest.mark.parametrize("model, sizes", [("A", (2, 3)), ("B", (4, 6))])
@@ -507,8 +509,9 @@ def test_locality_fails_on_the_product_form_in_sorted_symbol_order(monkeypatch):
     monkeypatch.setattr(correspondence, "_product_form", sorted_order)
     rep = check_identity("locality-A", {"n": 2, "cutoff": 4})
     assert rep.status == "fail"
-    assert rep.witnesses["first_difference"].startswith(
-        "phi(z1) psi(z2) phi(z3) psi(z4): fermion_vev vs product_form at ")
+    # the whole witness, monomial and both coefficients, as tuple keys gave it
+    assert rep.witnesses["first_difference"] == (
+        "phi(z1) psi(z2) phi(z3) psi(z4): fermion_vev vs product_form at z1^-4*z2^-4*z3^3*z4^3: 1 vs -1")
 
 
 def test_locality_fails_on_a_mixed_pair_without_the_twist(monkeypatch):
@@ -522,8 +525,9 @@ def test_locality_fails_on_a_mixed_pair_without_the_twist(monkeypatch):
     monkeypatch.setattr(correspondence, "_wick_series", untwisted)
     rep = check_identity("locality-B", {"n": 4, "cutoff": 4})
     assert rep.status == "fail"
-    assert rep.witnesses["first_difference"].startswith(
-        "phi(z1) phi(z2) phi(z3) Tphi(z4): fermion_vev vs wick_form at ")
+    # the whole witness, monomial and both coefficients, as tuple keys gave it
+    assert rep.witnesses["first_difference"] == (
+        "phi(z1) phi(z2) phi(z3) Tphi(z4): fermion_vev vs wick_form at z1^-4*z2^-3*z3^4*z4^3: -4 vs 4")
 
 
 @pytest.mark.parametrize("model", ["A", "B"])
@@ -531,7 +535,7 @@ def test_locality_fails_on_an_expansion_in_the_reversed_region(model, monkeypatc
     # known false: the region |z_n| >> .. >> |z_1|, reported in word order
     def reversed_region(f, ordering, cutoff):
         s = expand(f, tuple(reversed(ordering)), cutoff)
-        return LaurentSeries(ordering, cutoff, {e[::-1]: c for e, c in s.terms.items()})
+        return LaurentSeries.from_exponents(ordering, cutoff, {e[::-1]: c for e, c in s.exponents().items()})
 
     monkeypatch.setattr(correspondence, "expand", reversed_region)
     rep = check_identity(f"locality-{model}", {"n": 2 if model == "A" else 4, "cutoff": 4})
@@ -610,7 +614,8 @@ def test_twist_negates_the_odd_powers_of_its_variable(side, plain, twisted):
         for i, (sym, var) in enumerate(word):
             if sym == plain:
                 switched = vev(VevSpec("B", side, word[:i] + ((twisted, var),) + word[i + 1:], 5))
-                assert switched.terms == {e: c * (-1) ** e[i] for e, c in got.terms.items()}, (symbols, i)
+                want = {e: c * (-1) ** e[i] for e, c in got.exponents().items()}
+                assert switched.exponents() == want, (symbols, i)
                 cases += 1
     assert cases == 32
 

@@ -117,10 +117,15 @@ MUTANTS = [
     ("mac without its sign", "poly.py",
      "        c1 *= sign\n", "",
      ["det-formula-A", "locality-A", "locality-B"]),
-    # an exponent of +-D then wraps into a neighbouring digit
-    ("the Wick series' packed width one bit short", "correspondence.py",
-     "width = D.bit_length() + 1", "width = D.bit_length()",
-     ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "vev-match-B"]),
+    # the frame's width, whose keys the Wick series adds, cut to
+    # D.bit_length(), one bit short of the engines' entries [-D, D]: an
+    # exponent of +-D then wraps into a neighbouring digit.  The width rule's
+    # own last bit is not caught by a check: it holds box entries up to nD,
+    # and no check makes an entry above D
+    ("the Wick series' packed width one bit short", "poly.py",
+     "(n * max(cutoff, 0)).bit_length() + 1", "max(cutoff, 1).bit_length()",
+     ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "product-formula-A",
+      "product-formula-B", "supercommutativity-A", "supercommutativity-B", "vev-match-B"]),
 ]
 
 # runs ``python -m bfcorr.cli verify all --quick --format json --no-timing``

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfcorr.poly import MultiPoly, pack, unpack
+from bfcorr.poly import MultiPoly, codec
 from bfcorr.ratfun import RationalFn, diff_factor, factor_poly, sum_factor, var_factor
 from bfcorr.series import expand
 from conftest import in_lowest_terms, poly_value
@@ -61,7 +61,7 @@ def _expansion(f, ordering):
     """f's expansion in the region of ``ordering``, its exponents over AL3,
     on a box that holds every term of the polynomials below."""
     series = expand(f, ordering, 10)
-    return {tuple(e[ordering.index(name)] for name in AL3): c for e, c in series.terms.items()}
+    return {tuple(e[ordering.index(name)] for name in AL3): c for e, c in series.exponents().items()}
 
 
 @pytest.mark.parametrize("atom", ATOMS, ids=lambda atom: "-".join(map(str, atom)))
@@ -104,28 +104,58 @@ def test_exponent_length_checked():
         MultiPoly(AL, {(1,): 1})
 
 
+def _key(e, width):
+    """The packed key written out: entry k times 2^(width * (n-1-k)), entry 0
+    the most significant digit."""
+    return sum(x << width * (len(e) - 1 - k) for k, x in enumerate(e))
+
+
+def _domain(n, D):
+    """The frame's width and a strategy for one entry of its digit range,
+    weighted towards the ends of the box, -D and nD, and of the range."""
+    width = (n * D).bit_length() + 1
+    half = 1 << (width - 1)
+    return width, st.one_of(st.sampled_from([-D, n * D, -half, half - 1]), st.integers(-half, half - 1))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data(), width=st.integers(1, 6), n=st.integers(0, 9))
-def test_unpack_inverts_pack(data, width, n):
-    # every entry of the digit range, both of its ends included
-    entry = st.integers(-(1 << (width - 1)), (1 << (width - 1)) - 1)
+@given(data=st.data(), n=st.integers(0, 9), D=st.integers(0, 12))
+def test_unpack_inverts_pack(data, n, D):
+    # the frame's width, (nD).bit_length() + 1, and its digit order are the
+    # inputs; n = 1 leaves the first half empty and odd n splits unevenly
+    frame = codec(n, D)
+    width, entry = _domain(n, D)
+    assert frame.width == width
     terms = data.draw(st.dictionaries(st.tuples(*[entry] * n), st.integers(-3, 3).filter(bool), max_size=6))
-    assert unpack({pack(e, width): c for e, c in terms.items()}, n, width) == terms
+    packed = {_key(e, width): c for e, c in terms.items()}
+    assert frame.pack_terms(terms.items()) == packed
+    assert {frame.decode(k): c for k, c in packed.items()} == terms
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(10))
 def test_a_packed_sum_unpacks_to_the_entrywise_sum(n, rng):
     # the Wick series' case: two exponents on disjoint positions, entries in
-    # [-D, D], width D.bit_length() + 1; odd n splits its halves unevenly
-    # and n = 1 leaves the first half empty
+    # [-D, D]; odd n splits its halves unevenly and n = 1 leaves the first
+    # half empty
     for D in range(9):
-        width = D.bit_length() + 1
+        frame = codec(n, D)
+        width = (n * D).bit_length() + 1
         for _ in range(30):
             owner = [rng.randrange(2) for _ in range(n)]
             a, b = (tuple(rng.choice((-D, D, rng.randint(-D, D))) if o == side else 0 for o in owner)
                     for side in (0, 1))
             total = tuple(map(add, a, b))
-            assert pack(a, width) + pack(b, width) == pack(total, width)
-            assert unpack({pack(a, width) + pack(b, width): 1}, n, width) == {total: 1}
-        for edge in ((-D,) * n, (D,) * n):
-            assert unpack({pack(edge, width): 1}, n, width) == {edge: 1}
+            assert frame.pack(a) + frame.pack(b) == frame.pack(total) == _key(total, width)
+            assert frame.decode(frame.pack(a) + frame.pack(b)) == total
+        for edge in ((-D,) * n, (n * D,) * n, (-D, n * D) * (n // 2) + (-D,) * (n % 2)):
+            assert frame.decode(_key(edge, width)) == edge
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(0, 9), D=st.integers(0, 12))
+def test_descending_keys_are_descending_tuples(data, n, D):
+    # entry 0 is the most significant digit, so keys sort as their tuples do
+    frame = codec(n, D)
+    _, entry = _domain(n, D)
+    tuples = data.draw(st.lists(st.tuples(*[entry] * n), max_size=12, unique=True))
+    assert sorted(tuples, key=frame.pack, reverse=True) == sorted(tuples, reverse=True)

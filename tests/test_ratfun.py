@@ -192,8 +192,8 @@ def test_diff_is_the_termwise_derivative_of_the_expansion(rng, i):
         D = rng.randint(0, 4)
         k = ordering.index(AL3[i])
         derivative = {e[:k] + (e[k] - 1,) + e[k + 1:]: e[k] * c
-                      for e, c in expand(f, ordering, D + 1).terms.items()}
-        assert expand(f.diff(i), ordering, D) == LaurentSeries(ordering, D, derivative)
+                      for e, c in expand(f, ordering, D + 1).exponents().items()}
+        assert expand(f.diff(i), ordering, D) == LaurentSeries.from_exponents(ordering, D, derivative)
 
 
 def test_expand_ignores_a_common_factor(rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bfcorr.poly import MultiPoly
+from bfcorr.poly import MultiPoly, codec
 from bfcorr.ratfun import RationalFn, factor_poly
 from bfcorr.series import LaurentSeries, expand, raw_mul
 from bfcorr.textio import parse_series
@@ -17,7 +17,7 @@ AL = ("z", "w")
 
 def test_series_rejects_a_repeated_variable():
     with pytest.raises(ValueError, match="ordering repeats a variable"):
-        LaurentSeries(("z", "w", "z"), 3, {(0, 0, 0): Fraction(1)})
+        LaurentSeries(("z", "w", "z"), 3, {0: Fraction(1)})
     with pytest.raises(ValueError, match="ordering repeats a variable"):
         expand(rf("(1) / ((z-w)^1)", ("z", "w")), ("z", "w", "z"), 3)
     with pytest.raises(ValueError, match="ordering repeats a variable"):
@@ -26,7 +26,7 @@ def test_series_rejects_a_repeated_variable():
 
 def test_expand_geometric():
     s = expand(rf("(1) / ((z-w)^1)", AL), ["z", "w"], 3)
-    assert s.terms == {(-1, 0): 1, (-2, 1): 1, (-3, 2): 1}
+    assert s.exponents() == {(-1, 0): 1, (-2, 1): 1, (-3, 2): 1}
 
 
 def test_expand_two_point_B_against_convolution_oracle():
@@ -37,20 +37,20 @@ def test_expand_two_point_B_against_convolution_oracle():
         oracle[k] = oracle.get(k, 0) + (-1) ** k
         oracle[k + 1] = oracle.get(k + 1, 0) - (-1) ** k
     s = expand(rf("(z - w) / ((z+w)^1)", AL), ["z", "w"], 2)
-    assert s.terms == {(-k, k): Fraction(c) for k, c in oracle.items()
-                       if c and k <= 2}
-    assert s.terms == {(0, 0): 1, (-1, 1): -2, (-2, 2): 2}
+    assert s.exponents() == {(-k, k): Fraction(c) for k, c in oracle.items()
+                             if c and k <= 2}
+    assert s.exponents() == {(0, 0): 1, (-1, 1): -2, (-2, 2): 2}
 
 
 def test_expand_opposite_region():
     # exponent tuples follow the expansion ordering, here (w, z)
     s = expand(rf("(1) / ((z-w)^1)", AL), ["w", "z"], 2)
-    assert s.terms == {(-1, 0): -1, (-2, 1): -1}
+    assert s.exponents() == {(-1, 0): -1, (-2, 1): -1}
 
 
 def test_expand_polynomial_is_itself():
     s = expand(rf("z^2 - 2*z*w + w^2", AL), ["z", "w"], 4)
-    assert s.terms == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
+    assert s.exponents() == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
 
 
 def test_expand_missing_variable_errors():
@@ -60,14 +60,14 @@ def test_expand_missing_variable_errors():
 
 def test_expand_var_pole():
     s = expand(rf("(w) / ((z)^2)", AL), ["z", "w"], 3)
-    assert s.terms == {(-2, 1): 1}
+    assert s.exponents() == {(-2, 1): 1}
 
 
 def test_cutoff_box_truncation():
     # exponents below -D or total degree beyond D are dropped
     s = expand(rf("(1) / ((z-w)^1)", AL), ["z", "w"], 5)
-    assert all(e[0] >= -5 and abs(sum(e)) <= 5 for e in s.terms)
-    assert (-5, 4) in s.terms and (-6, 5) not in s.terms
+    assert all(e[0] >= -5 and abs(sum(e)) <= 5 for e in s.exponents())
+    assert (-5, 4) in s.exponents() and (-6, 5) not in s.exponents()
 
 
 MARGIN = 8  # enough headroom for 2-variable test functions, see below
@@ -80,7 +80,7 @@ def _mul_to_cutoff(f, g, ordering, cutoff):
     degree <= 4, poles among z, w, z-w, z+w)."""
     sf = expand(f, ordering, cutoff + MARGIN)
     sg = expand(g, ordering, cutoff + MARGIN)
-    return LaurentSeries(ordering, cutoff, raw_mul(sf.terms, sg.terms))
+    return LaurentSeries.from_exponents(ordering, cutoff, raw_mul(sf.exponents(), sg.exponents()))
 
 
 def test_expand_is_multiplicative_to_cutoff(rng):
@@ -119,12 +119,14 @@ def test_restrict_matches_direct_expansion(rng):
     for _ in range(20):
         f = random_ratfun(rng)
         wide = expand(f, AL, 7)
-        assert LaurentSeries(wide.ordering, 4, wide.terms) == expand(f, AL, 4)
+        # keys belong to their frame's codec, so a series moves to another
+        # cutoff through its exponents
+        assert LaurentSeries.from_exponents(wide.ordering, 4, wide.exponents()) == expand(f, AL, 4)
 
 
 def test_first_difference_is_lexicographic_minimum():
-    a = LaurentSeries(AL, 3, {(0, 0): 1, (1, 1): 2})
-    b = LaurentSeries(AL, 3, {(0, 0): 1, (1, 1): 3, (-1, 0): 5})
+    a = LaurentSeries.from_exponents(AL, 3, {(0, 0): 1, (1, 1): 2})
+    b = LaurentSeries.from_exponents(AL, 3, {(0, 0): 1, (1, 1): 3, (-1, 0): 5})
     assert a.first_difference(b) == (-1, 0)
 
 
@@ -140,7 +142,7 @@ def test_three_variable_region_chain():
             e = (-1 - a, a - 1 - b, b)
             if all(x >= -4 for x in e) and abs(sum(e)) <= 4:
                 expected[e] = Fraction(1)
-    assert s.terms == expected
+    assert s.exponents() == expected
 
 
 def _brute_expand(f, ordering, cutoff, tail):
@@ -166,7 +168,7 @@ def _brute_expand(f, ordering, cutoff, tail):
                       for t in range(tail + 1)}
         for _ in range(power):
             terms = raw_mul(terms, series)
-    return LaurentSeries(ordering, cutoff, terms)
+    return LaurentSeries.from_exponents(ordering, cutoff, terms)
 
 
 def _random_near_degree_zero(rng, alphabet):
@@ -219,24 +221,31 @@ class _ListExponents(Mapping):
 
 def test_series_constructor_gates_every_coefficient():
     # a float is refused wherever it sits, also on a monomial the box drops
+    # and on one outside the codec's domain
     for e in [(0, 0), (-9, 0), (5, 5)]:
         with pytest.raises(TypeError):
-            LaurentSeries(AL, 3, {(1, 0): 1, e: 0.5})
+            LaurentSeries.from_exponents(AL, 3, {(1, 0): 1, e: 0.5})
+    with pytest.raises(TypeError):
+        LaurentSeries(AL, 3, {0: 0.5})
     # a str converts, a zero (also one a str converts to) is dropped, ints stay ints
-    s = LaurentSeries(AL, 3, {(1, 0): "3/2", (0, 1): "0", (0, 0): 0, (-1, 0): 2, (2, 0): Fraction(0)})
-    assert s.terms == {(1, 0): Fraction(3, 2), (-1, 0): 2}
-    assert type(s.terms[(-1, 0)]) is int
-    assert all(type(c) is int for c in LaurentSeries(AL, 3, {(1, 0): 1, (0, -1): -4}).terms.values())
+    s = LaurentSeries.from_exponents(AL, 3, {(1, 0): "3/2", (0, 1): "0", (0, 0): 0, (-1, 0): 2,
+                                             (2, 0): Fraction(0)})
+    assert s.exponents() == {(1, 0): Fraction(3, 2), (-1, 0): 2}
+    assert type(s.exponents()[(-1, 0)]) is int
+    s = LaurentSeries.from_exponents(AL, 3, {(1, 0): 1, (0, -1): -4})
+    assert all(type(c) is int for c in s.terms.values())
     # the box: an exponent below -cutoff or a total degree outside [-cutoff, cutoff] is dropped
-    s = LaurentSeries(AL, 3, {(-4, 4): 1, (2, 2): 1, (-2, -2): 1, (3, 0): 1, (-3, 0): 1})
-    assert s.terms == {(3, 0): 1, (-3, 0): 1}
-    # exponents given as lists become tuples
-    s = LaurentSeries(AL, 3, _ListExponents([((1, -1), 2), ((0, 0), "1/3")]))
-    assert s.terms == {(1, -1): 2, (0, 0): Fraction(1, 3)}
-    assert all(type(e) is tuple for e in s.terms)
-    assert list(LaurentSeries(AL, 3, _ListExponents([((1, -1), 2)])).terms) == [(1, -1)]
-    # the empty ordering holds only the constant
-    assert LaurentSeries((), 0, {(): 5}).terms == {(): 5}
+    s = LaurentSeries.from_exponents(AL, 3, {(-4, 4): 1, (2, 2): 1, (-2, -2): 1, (3, 0): 1, (-3, 0): 1})
+    assert s.exponents() == {(3, 0): 1, (-3, 0): 1}
+    # exponents given as lists are read as tuples
+    s = LaurentSeries.from_exponents(AL, 3, _ListExponents([((1, -1), 2), ((0, 0), "1/3")]))
+    assert s.exponents() == {(1, -1): 2, (0, 0): Fraction(1, 3)}
+    assert list(LaurentSeries.from_exponents(AL, 3, _ListExponents([((1, -1), 2)])).exponents()) == [(1, -1)]
+    # an exponent of the wrong length is refused
+    with pytest.raises(ValueError, match="does not match 2 variables"):
+        LaurentSeries.from_exponents(AL, 3, {(1, 0, 0): 1})
+    # the empty ordering holds only the constant, whose key is 0
+    assert LaurentSeries.from_exponents((), 0, {(): 5}).terms == {0: 5}
 
 
 def _box_per_term(terms, cutoff):
@@ -248,32 +257,44 @@ def _box_per_term(terms, cutoff):
 
 
 def test_series_constructor_keeps_the_per_term_box(rng):
-    # the constructor tests the box once over all terms and filters term by
-    # term only when that fails; both ways must give the per-term rule's
-    # terms, with the same coefficient types
+    # the constructor tests every packed key against the box, and
+    # from_exponents first drops the tuples outside the codec's domain,
+    # [-2^(w-1), 2^(w-1)) per entry, which lie outside the box; both must
+    # give the per-term rule's terms, with the same coefficient types
     for trial in range(400):
         nvars, cutoff = rng.randrange(0, 4), rng.randrange(0, 5)
         ordering = ("z", "w", "v")[:nvars]
+        half = 1 << (nvars * cutoff).bit_length()
         terms = {}
         for _ in range(rng.randrange(0, 12)):
             e = tuple(rng.randrange(-cutoff, cutoff + 1) for _ in range(nvars))
             if -cutoff <= sum(e) <= cutoff:
                 terms[e] = rng.choice([1, -3, 7, Fraction(2, 3), Fraction(-5, 4)])
-        flaw, pad = trial % 7, (0,) * (nvars - 1)
+        flaw, pad = trial % 8, (0,) * (nvars - 1)
         if flaw == 1 and nvars:  # an exponent below the box, at a degree inside it if it can be
             terms[(-cutoff - 1,) + (1,) * (nvars - 1)] = 1
         elif flaw == 4 and nvars:  # a degree above the box
             terms[(cutoff + 1,) + pad] = 2
         elif flaw == 5 and nvars > 1:  # a degree below the box, every exponent inside it
             terms[(-cutoff, -1) + pad[1:]] = 3
+        elif flaw == 6:  # any tuple of the domain, mostly outside the box
+            for _ in range(6):
+                terms[tuple(rng.randrange(-half, half) for _ in range(nvars))] = 5
+        elif flaw == 7 and nvars:  # outside the domain
+            terms[(half,) + pad] = 6
+            terms[(-half - 1,) + pad] = 6
         elif flaw == 2 and terms:  # a zero coefficient
             terms[next(iter(terms))] = rng.choice([0, Fraction(0)])
         elif flaw == 3 and terms:  # list keys
             terms = _ListExponents(list(terms.items()))
-        got = LaurentSeries(ordering, cutoff, terms).terms
         want = _box_per_term(terms, cutoff)
-        assert got == want, (ordering, cutoff, dict(terms.items()))
-        assert [type(e) for e in got] == [tuple] * len(got)
-        assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
-    assert LaurentSeries((), 0, {(): 4}).terms == {(): 4}
-    assert LaurentSeries((), 0, {(): 0}).terms == {}
+        frame = codec(nvars, cutoff)
+        inside = {tuple(e): c for e, c in terms.items() if all(-half <= x < half for x in e)}
+        assert frame.pack_terms(terms.items()) == {frame.pack(e): c for e, c in inside.items()}
+        for series in (LaurentSeries(ordering, cutoff, frame.pack_terms(terms.items())),
+                       LaurentSeries.from_exponents(ordering, cutoff, terms)):
+            got = series.exponents()
+            assert got == want, (ordering, cutoff, dict(terms.items()))
+            assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+    assert LaurentSeries((), 0, {0: 4}).terms == {0: 4}
+    assert LaurentSeries((), 0, {0: 0}).terms == {}
