@@ -752,13 +752,13 @@ CHECKS = (
     Check("vev-match-B", "vev-match", "B",
           _series_check(("fermion_vev", "fermion_series"), ("boson_vev", "boson_series"),
                         ("wick_form", "pfaffian_series")),
-          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 4}),
     Check("det-formula-A", "det-formula", "A",
           _series_check(("fermion_vev", "mode_series"), ("wick_form", "determinant_series")),
           {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
     Check("pf-formula-B", "pf-formula", "B",
           _series_check(("fermion_vev", "mode_series"), ("wick_form", "pfaffian_series")),
-          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 4}),
     Check("product-formula-A", "product-formula", "A",
           _series_check(("boson_vev", "vertex_series"), ("product_form", "product_series")),
           {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),

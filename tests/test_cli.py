@@ -335,13 +335,14 @@ def test_empty_comparison_fails():
 # stdout sha256 and exit code of the verify runs the check table must keep,
 # recorded before the checks moved into one table; the three ``verify all``
 # digests were re-recorded when locality-A/-B joined and again when
-# heisenberg-fermions-A/-B joined, with the other lines of each output
-# unchanged
+# heisenberg-fermions-A/-B joined, and the two ``--quick`` ones again when
+# pf-formula-B and vev-match-B went to 4 points under --quick, with the
+# other lines of each output unchanged
 @pytest.mark.parametrize("argv,code,digest", [
     ("verify all --quick --no-timing", 0,
-     "c8b168696eae2074148521b1070536768239826a6c76c3e15abbcf38746b25cf"),
+     "d27d06162c6c52558856709b3f999c705588915319ceac0df5d1283e76e7409c"),
     ("verify all --quick --no-timing --format json", 0,
-     "671fb3d4a19101ab55f0bb2f33a06b0c0e4dd5488cbf0e985a74c8bd23a0b4ea"),
+     "7d8c6c25ce0be7d26abb6c2493d8861a6f3b0ca857555603d324cbb603586835"),
     ("verify all --quick --n 2 --cutoff 3 --format json --no-timing", 0,
      "ee8c253b8fd0d3a3399794d5f6c8a801d5a341de85b3e4f11958db274db5d5c2"),
     ("verify heisenberg --model A --quick --no-timing", 0,

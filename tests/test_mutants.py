@@ -34,7 +34,8 @@ MUTANTS = [
     # the creation sign counting the modes below m in place of those above
     ("phi_B creation sign", "fock.py",
      "(-1) ** (mask >> m + 1).bit_count())]", "(-1) ** (mask & (1 << m) - 1).bit_count())]",
-     ["heisenberg-fermions-B", "locality-B", "ope-residues", "twisted-heisenberg-from-fermions-B"]),
+     ["heisenberg-fermions-B", "locality-B", "ope-residues", "pf-formula-B",
+      "twisted-heisenberg-from-fermions-B", "vev-match-B"]),
     ("type A sign without the passed phi block", "fock.py",
      "(-1) ** (place + block * s[0].bit_count())", "(-1) ** place",
      ["heisenberg-fermions-A", "locality-A", "ope-residues"]),
@@ -116,7 +117,7 @@ MUTANTS = [
       "product-formula-B", "supercommutativity-A", "supercommutativity-B", "vev-match-B"]),
     ("mac without its sign", "poly.py",
      "        c1 *= sign\n", "",
-     ["det-formula-A", "locality-A", "locality-B"]),
+     ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "vev-match-B"]),
     # the frame's width, whose keys the Wick series adds, cut to
     # D.bit_length(), one bit short of the engines' entries [-D, D]: an
     # exponent of +-D then wraps into a neighbouring digit.  The width rule's
