@@ -64,7 +64,7 @@ from .fock import (
 )
 from .matrices import pf_expansion, pfaffian
 from .partitions import odd_partition_count, partition_count
-from .poly import MultiPoly, codec, collect, mac
+from .poly import MultiPoly, collect, frame_codec, mac
 from .ratfun import RationalFn, diff_factor, residue_at, rf_equal, sum_factor
 from .series import LaurentSeries, expand
 from .textio import format_rational, format_series
@@ -166,7 +166,7 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
         row = rows[j]
         return [(m, t, c) for m in modes for t, c in row(m, s) if sum(map(int.bit_count, t)) <= j]
 
-    h, weights = len(rows) // 2, codec(len(rows), D).weights
+    h, weights = len(rows) // 2, frame_codec(len(rows), D).weights
     right = {vacuum: {0: 1}}
     for j in range(len(rows) - 1, h - 1, -1):
         new: Dict = {}
@@ -258,7 +258,7 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
         if count > MAX_STEP_UPDATES:
             refuse(step, f"would make {count} creation updates, more than {MAX_STEP_UPDATES}")
 
-    weights = codec(len(ops), D).weights
+    weights = frame_codec(len(ops), D).weights
     entries, den = {0: {vacuum: 1}}, 1  # packed prefix -> {state: numerator over den}
     for step, op in enumerate(reversed(ops), 1):
         terms = [(prefix, s, c) for prefix, smap in entries.items() for s, c in smap.items()]

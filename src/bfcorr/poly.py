@@ -10,9 +10,10 @@ hashing) and of the linear extension ``apply`` of a map on keys;
 keyed by exponent tuples over its variable alphabet), a truncated
 Laurent series (keyed by packed ints) and a Fock vector are ``Terms``.
 ``exact`` is the one gate for a caller's coefficient, so no floating
-point enters the system anywhere.  An int stays an int, so integer combinations never pay for
-Fraction arithmetic; since ``3 == Fraction(3)`` and their hashes agree,
-equality and hashing do not depend on which of the two a term holds.
+point enters the system anywhere.  An int stays an int, so integer
+combinations never pay for Fraction arithmetic; since ``3 == Fraction(3)``
+and their hashes agree, equality and hashing do not depend on which of
+the two a term holds.
 
 A truncated Laurent series is keyed by packed ints, one ``Codec`` per
 frame of n variables and cutoff D: an exponent tuple is written as one
@@ -104,7 +105,7 @@ class Codec:
 
     def __init__(self, n: int, cutoff: int):
         self.n, self.cutoff, self.cut = n, cutoff, n // 2
-        self.width = w = (n * max(cutoff, 0)).bit_length() + 1
+        self.width = w = (n * cutoff).bit_length() + 1
         self.weights = tuple(1 << w * (n - 1 - k) for k in range(n))
         self.bias = sum(self.weights) << (w - 1)
         self.shift = w * (n - self.cut)
@@ -159,10 +160,12 @@ class Codec:
                 if c and -D <= first[(u := k + bias) >> shift] + second[u & mask] <= D}
 
 
-@lru_cache(maxsize=None)
-def codec(n: int, cutoff: int) -> Codec:
-    """The one codec of a frame of n variables at ``cutoff``, shared by
-    every series in it."""
+@lru_cache(maxsize=64)
+def frame_codec(n: int, cutoff: int) -> Codec:
+    """The codec of a frame of n variables at ``cutoff``, shared with its
+    filled tables by every series made in the frame while it is among the
+    last 64 asked for; a series keeps its own, and two codecs of one frame
+    pack alike."""
     return Codec(n, cutoff)
 
 

@@ -28,7 +28,7 @@ from math import comb
 from operator import add
 from typing import Dict, Tuple
 
-from .poly import Rat, Terms, codec, collect, exact
+from .poly import Rat, Terms, collect, exact, frame_codec
 from .ratfun import RationalFn
 
 Expo = Tuple[int, ...]
@@ -51,7 +51,7 @@ class LaurentSeries(Terms):
         if len(set(self.ordering)) != len(self.ordering):
             raise ValueError(f"ordering repeats a variable: {', '.join(self.ordering)}")
         self.cutoff = cutoff = int(cutoff)
-        self.codec = codec(len(self.ordering), cutoff)
+        self.codec = frame_codec(len(self.ordering), cutoff)
         terms = terms or {}
         if not set(map(type, terms.values())) <= {int, Rat}:
             terms = {k: exact(c) for k, c in terms.items()}
@@ -61,8 +61,9 @@ class LaurentSeries(Terms):
     def from_exponents(cls, ordering, cutoff: int, terms) -> "LaurentSeries":
         """The series of {exponent sequence over the ordering: coefficient};
         every coefficient passes ``exact``, also one the box drops."""
-        frame = codec(len(tuple(ordering)), int(cutoff))
-        return cls(ordering, cutoff, frame.pack_terms((e, exact(c)) for e, c in terms.items()))
+        ordering = tuple(ordering)
+        codec = frame_codec(len(ordering), int(cutoff))
+        return cls(ordering, cutoff, codec.pack_terms((e, exact(c)) for e, c in terms.items()))
 
     def frame(self):
         return self.ordering, self.cutoff

@@ -41,7 +41,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Dict, Tuple
 
-from .poly import Codec, MultiPoly, Rat, Table, codec
+from .poly import MultiPoly, Rat, Table, frame_codec
 from .ratfun import PoleFactor, RationalFn, diff_factor, sum_factor, var_factor
 from .series import LaurentSeries
 
@@ -58,8 +58,9 @@ def _factor(names, text: str, k: int, x: int) -> str:
     return text + (f"*{names[k]}" if x == 1 else f"*{names[k]}^{x}" if x else "")
 
 
-def _sum_text(names, codec: Codec, terms: dict) -> str:
-    """{packed key: coefficient} over ``names`` as a sum, highest key first."""
+def _sum_text(names, codec, terms: dict) -> str:
+    """{key: coefficient} over ``names``, packed by ``codec``, as a sum,
+    highest key first."""
     if not terms:
         return "0"
     first, second = codec.tables(partial(_factor, names), "")
@@ -76,8 +77,8 @@ def _sum_text(names, codec: Codec, terms: dict) -> str:
 
 
 def format_poly(p: MultiPoly) -> str:
-    c = codec(len(p.alphabet), max(chain.from_iterable(p.terms), default=0))
-    return _sum_text(p.alphabet, c, c.pack_terms(p.terms.items()))
+    codec = frame_codec(len(p.alphabet), max(chain.from_iterable(p.terms), default=0))
+    return _sum_text(p.alphabet, codec, codec.pack_terms(p.terms.items()))
 
 
 def _atom_text(alphabet, atom: PoleFactor) -> str:

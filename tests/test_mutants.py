@@ -124,7 +124,7 @@ MUTANTS = [
     # own last bit is not caught by a check: it holds box entries up to nD,
     # and no check makes an entry above D
     ("the Wick series' packed width one bit short", "poly.py",
-     "(n * max(cutoff, 0)).bit_length() + 1", "max(cutoff, 1).bit_length()",
+     "(n * cutoff).bit_length() + 1", "max(cutoff, 1).bit_length()",
      ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "product-formula-A",
       "product-formula-B", "supercommutativity-A", "supercommutativity-B", "vev-match-B"]),
 ]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfcorr.poly import MultiPoly, codec
+from bfcorr.poly import MultiPoly, frame_codec
 from bfcorr.ratfun import RationalFn, diff_factor, factor_poly, sum_factor, var_factor
 from bfcorr.series import expand
 from conftest import in_lowest_terms, poly_value
@@ -123,13 +123,13 @@ def _domain(n, D):
 def test_unpack_inverts_pack(data, n, D):
     # the frame's width, (nD).bit_length() + 1, and its digit order are the
     # inputs; n = 1 leaves the first half empty and odd n splits unevenly
-    frame = codec(n, D)
+    codec = frame_codec(n, D)
     width, entry = _domain(n, D)
-    assert frame.width == width
+    assert codec.width == width
     terms = data.draw(st.dictionaries(st.tuples(*[entry] * n), st.integers(-3, 3).filter(bool), max_size=6))
     packed = {_key(e, width): c for e, c in terms.items()}
-    assert frame.pack_terms(terms.items()) == packed
-    assert {frame.decode(k): c for k, c in packed.items()} == terms
+    assert codec.pack_terms(terms.items()) == packed
+    assert {codec.decode(k): c for k, c in packed.items()} == terms
 
 
 @pytest.mark.parametrize("n", range(10))
@@ -138,24 +138,24 @@ def test_a_packed_sum_unpacks_to_the_entrywise_sum(n, rng):
     # [-D, D]; odd n splits its halves unevenly and n = 1 leaves the first
     # half empty
     for D in range(9):
-        frame = codec(n, D)
+        codec = frame_codec(n, D)
         width = (n * D).bit_length() + 1
         for _ in range(30):
             owner = [rng.randrange(2) for _ in range(n)]
             a, b = (tuple(rng.choice((-D, D, rng.randint(-D, D))) if o == side else 0 for o in owner)
                     for side in (0, 1))
             total = tuple(map(add, a, b))
-            assert frame.pack(a) + frame.pack(b) == frame.pack(total) == _key(total, width)
-            assert frame.decode(frame.pack(a) + frame.pack(b)) == total
+            assert codec.pack(a) + codec.pack(b) == codec.pack(total) == _key(total, width)
+            assert codec.decode(codec.pack(a) + codec.pack(b)) == total
         for edge in ((-D,) * n, (n * D,) * n, (-D, n * D) * (n // 2) + (-D,) * (n % 2)):
-            assert frame.decode(_key(edge, width)) == edge
+            assert codec.decode(_key(edge, width)) == edge
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(0, 9), D=st.integers(0, 12))
 def test_descending_keys_are_descending_tuples(data, n, D):
     # entry 0 is the most significant digit, so keys sort as their tuples do
-    frame = codec(n, D)
+    codec = frame_codec(n, D)
     _, entry = _domain(n, D)
     tuples = data.draw(st.lists(st.tuples(*[entry] * n), max_size=12, unique=True))
-    assert sorted(tuples, key=frame.pack, reverse=True) == sorted(tuples, reverse=True)
+    assert sorted(tuples, key=codec.pack, reverse=True) == sorted(tuples, reverse=True)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bfcorr.poly import MultiPoly, codec
+from bfcorr.poly import MultiPoly, frame_codec
 from bfcorr.ratfun import RationalFn, factor_poly
 from bfcorr.series import LaurentSeries, expand, raw_mul
 from bfcorr.textio import parse_series
@@ -288,10 +288,10 @@ def test_series_constructor_keeps_the_per_term_box(rng):
         elif flaw == 3 and terms:  # list keys
             terms = _ListExponents(list(terms.items()))
         want = _box_per_term(terms, cutoff)
-        frame = codec(nvars, cutoff)
+        codec = frame_codec(nvars, cutoff)
         inside = {tuple(e): c for e, c in terms.items() if all(-half <= x < half for x in e)}
-        assert frame.pack_terms(terms.items()) == {frame.pack(e): c for e, c in inside.items()}
-        for series in (LaurentSeries(ordering, cutoff, frame.pack_terms(terms.items())),
+        assert codec.pack_terms(terms.items()) == {codec.pack(e): c for e, c in inside.items()}
+        for series in (LaurentSeries(ordering, cutoff, codec.pack_terms(terms.items())),
                        LaurentSeries.from_exponents(ordering, cutoff, terms)):
             got = series.exponents()
             assert got == want, (ordering, cutoff, dict(terms.items()))

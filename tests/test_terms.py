@@ -9,7 +9,7 @@ import pytest
 from bfcorr.correspondence import VevSpec, _wick_series, vev_fermion
 from bfcorr.fields import phi_B
 from bfcorr.fock import VACUUM_A, FockVector, _apply_phi_B, states_B
-from bfcorr.poly import MultiPoly, codec, collect
+from bfcorr.poly import MultiPoly, collect, frame_codec
 from bfcorr.ratfun import RationalFn, sum_factor, var_factor
 from bfcorr.series import LaurentSeries, expand
 
@@ -48,8 +48,8 @@ def _exponent_map(e):
 
 def _packed_map(k):
     """_exponent_map on the packed keys of a series over AL at cutoff D."""
-    frame = codec(len(AL), D)
-    return [(frame.pack(e), c) for e, c in _exponent_map(frame.decode(k))]
+    codec = frame_codec(len(AL), D)
+    return [(codec.pack(e), c) for e, c in _exponent_map(codec.decode(k))]
 
 
 KINDS = {
