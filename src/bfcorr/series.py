@@ -77,7 +77,8 @@ class LaurentSeries(Terms):
         return {decode(k): c for k, c in self.terms.items()}
 
     def first_difference(self, other: "LaurentSeries"):
-        """Lexicographically first monomial where the two series differ."""
+        """Lexicographically first monomial where the two series differ, as
+        an exponent tuple; None if they are equal."""
         self._check(other)
         a, b = self.terms, other.terms
         diffs = [k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)]
