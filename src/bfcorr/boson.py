@@ -170,9 +170,11 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
                  guard: Callable[[int], None] | None = None) -> Tuple[int, Dict]:
     """``op`` on a list of terms (key, state, integer numerator), per key
     and z-exponent in [-cutoff, cutoff], keeping output monomials of weight
-    <= wmax (None: no cap).  ``guard``, if given, is called once with the
-    number of creation updates the call is about to make, the rows of the
-    creation tables summed over every span; it may raise to refuse them.
+    <= wmax (None: no cap).  A key is any hashable id, opaque here: the
+    terms of one key are one vector, and ``op`` runs on each vector apart.
+    ``guard``, if given, is called once with the number of creation updates
+    the call is about to make, the rows of the creation tables summed over
+    every span; it may raise to refuse them.
 
     The charge factor and annihilation exponential run first.  Each
     lowering table is built only up to ``wmax``, since the creation

@@ -6,8 +6,9 @@ each word symbol: the Clifford fields phi_A, psi_A, phi_B and Tphi =
 phi_B(-z) = (T phi_B)(z), or the vertex operators e^{+-alpha}(z) (type A)
 and e^alpha(+-z) (type B).  Both VEV engines keep the exponents of the
 word's positions apart: the fermion sweep meets in the middle
-(``vev_fermion``), and the boson sweep runs each vertex operator on all
-(prefix, state) pairs at once (``_boson_series``).
+(``vev_fermion``), and the boson sweep runs each vertex operator once per
+distinct partial state up to scale, shared by every prefix of exponents
+that reaches a multiple of it (``_boson_series``).
 
 Every series is keyed by packed ints (``poly.Codec``), and the engines
 build their keys packed: position k's exponent m adds m * 2^(w(n-1-k)),
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product
+from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
 # vertex_A is bound here only for the benchmark's tracer test
@@ -198,7 +200,10 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
 def vev_boson(spec: VevSpec) -> LaurentSeries:
     """Composite vertex-operator VEV, truncated term by term.
 
-    A spec is computed once per process (see ``_boson_series``); each call
+    The sweep keeps each partial state as an integer scale times a shared
+    vector, and runs each vertex operator once per distinct vector up to
+    scale, which is exact since the operators are linear (see
+    ``_boson_series``).  A spec is computed once per process; each call
     returns a fresh series.
     """
     if spec.side != "boson":
@@ -209,14 +214,15 @@ def vev_boson(spec: VevSpec) -> LaurentSeries:
 
 # the most creation updates one boson sweep step may make, about 1 s and
 # 50 MiB (Python 3.11 on one Xeon core): the standard type A word of 3 pairs
-# at cutoff 8 peaks at 705,228, and 4 pairs at cutoff 10 would make 1,122,486
-# in its third step and 23,724,612 in its fourth
+# at cutoff 8 peaks at 117,538, and 4 pairs at cutoff 10 would make 561,243
+# in its third step and 3,954,102 in its fourth
 MAX_STEP_UPDATES = 10 ** 6
-# the most (prefix, state) terms one boson sweep step may take in, each
-# counted once per exponent of its prefix: the standard type A word of 3
-# pairs at cutoff 8 takes in 74,232 terms of prefix length 4 (296,928), while
-# type B at 30 points and cutoff 1 doubles its terms every step and would take
-# in 65,536 of prefix length 16 (1,048,576) at step 17
+# the most prefixes one boson sweep step may take in, each holding one
+# (scale, vector id): the sweep up to a step taking in 1,048,576 took 0.6 s
+# and peaked at 209 MiB (Python 3.11 on one Xeon core).  The standard type A
+# word of 3 pairs at cutoff 8 takes in at most 4,500, while type B at 30
+# points and cutoff 1 doubles its prefixes every step and would take in
+# 1,048,576 at step 21
 MAX_STEP_TERMS = 10 ** 6
 
 
@@ -225,18 +231,30 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
     """The VEV behind ``vev_boson``; the last few specs stay cached, since
     checks such as product-formula and vev-match ask for the same one.
 
-    Each word step runs ``vertex_terms`` on all (prefix, state) pairs at
-    once: the annihilation half, its lowering tables built only up to the
-    weight cap, is summed per prefix on small ints interned for each
-    (z-exponent, label, lowered monomial), and the creation half per
-    (prefix, z-exponent) on ints interned for each output state, inside the
-    cutoff box and the weight cap.  A prefix is the packed key of the
-    z-exponents of the operators run so far, and a step extends it by its
-    z-exponent, in [-D, D], times its position's weight.  Two bounds refuse
-    a spec with ValueError before a step runs: the step's (prefix, state)
-    terms times their prefix length may not pass ``MAX_STEP_TERMS``, and its
-    creation updates may not pass ``MAX_STEP_UPDATES``.  The cutoff is never
-    lowered in their place.
+    The sweep runs the word right to left.  A prefix is the packed key of
+    the z-exponents of the operators run so far, and it holds one (integer
+    scale, vector id): its partial state is the scale times the vector,
+    {state: numerator} over the sweep's common denominator.  The prefixes
+    are kept per vector, as {prefix: scale}.  Each word step reduces every
+    vector to its primitive form (its numerators divided by their gcd, the
+    sign fixed by the coefficient of its least state), merges equal forms,
+    and runs ``vertex_terms`` once on the distinct forms, keyed by form id:
+    the annihilation half, its lowering tables built only up to the weight
+    cap, is summed per form on small ints interned for each (z-exponent,
+    label, lowered monomial), and the creation half per (form, z-exponent)
+    on ints interned for each output state, inside the cutoff box and the
+    weight cap.  Each output bucket (form id, z-exponent) is a vector of the
+    next step, held by every prefix whose vector reduced to that form: the
+    prefix gains the z-exponent, in [-D, D], times its position's weight,
+    and its scale is multiplied by its vector's gcd and sign.  This is
+    exact, because a vertex operator is linear, V(g v) = g V(v), and the
+    bucket is the same for every prefix of the form.
+
+    Two bounds refuse a spec with ValueError, and the cutoff is never
+    lowered in their place: a step may not take in more than
+    ``MAX_STEP_TERMS`` prefixes, counted per vector before the prefixes are
+    built, and it may not make more than ``MAX_STEP_UPDATES`` creation
+    updates.
     """
     D, (vacuum, table) = spec.cutoff, OPERATORS[spec.model, spec.side]
     ops = [table[sym] for sym, _ in spec.word]
@@ -259,17 +277,34 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
             refuse(step, f"would make {count} creation updates, more than {MAX_STEP_UPDATES}")
 
     weights = frame_codec(len(ops), D).weights
-    entries, den = {0: {vacuum: 1}}, 1  # packed prefix -> {state: numerator over den}
+    # vectors[id] is {state: numerator over den}, and groups[id] {packed
+    # prefix: integer scale} for the prefixes holding it
+    vectors, groups, den = [{vacuum: 1}], [{0: 1}], 1
     for step, op in enumerate(reversed(ops), 1):
-        terms = [(prefix, s, c) for prefix, smap in entries.items() for s, c in smap.items()]
-        if len(terms) * (step - 1) > MAX_STEP_TERMS:
-            refuse(step, f"would take in {len(terms)} terms of prefix length {step - 1}, "
-                         f"{len(terms) * (step - 1)} in all, more than {MAX_STEP_TERMS}")
-        wmax = sum(absorbs[step:])
-        d, out = vertex_terms(op, terms, D, wmax, partial(guard, step=step))
+        form_ids, forms, members = {}, [], []  # members[form id]: [(g, group)]
+        for vec, group in zip(vectors, groups):
+            g = gcd(*vec.values())
+            if vec[min(vec)] < 0:
+                g = -g
+            form = {s: c // g for s, c in vec.items()}
+            i = form_ids.setdefault(frozenset(form.items()), len(forms))
+            if i == len(forms):
+                forms.append(form)
+                members.append([])
+            members[i].append((g, group))
+        d, out = vertex_terms(op, [(i, s, c) for i, form in enumerate(forms) for s, c in form.items()],
+                              D, sum(absorbs[step:]), partial(guard, step=step))
+        out = [(i, ze, bucket) for (i, ze), bucket in out.items() if bucket]
+        taken = sum(len(group) for i, _, _ in out for _, group in members[i])
+        if step < len(ops) and taken > MAX_STEP_TERMS:
+            refuse(step + 1, f"would take in {taken} prefixes, more than {MAX_STEP_TERMS}")
         weight = weights[-step]
-        entries, den = {ze * weight + prefix: b for (prefix, ze), b in out.items() if b}, den * d
-    terms = {prefix: Fraction(smap[vacuum], den) for prefix, smap in entries.items() if vacuum in smap}
+        vectors = [bucket for *_, bucket in out]
+        groups = [{prefix + ze * weight: scale * g
+                   for g, group in members[i] for prefix, scale in group.items()} for i, ze, _ in out]
+        den *= d
+    terms = {prefix: Fraction(scale * vec[vacuum], den)
+             for vec, group in zip(vectors, groups) if vacuum in vec for prefix, scale in group.items()}
     return LaurentSeries(spec.variables, D, terms)
 
 

@@ -263,19 +263,19 @@ def test_character_refuses_a_sector_too_large_to_enumerate(argv, message, capsys
 
 def test_boson_vev_refuses_a_step_past_its_bound(capsys):
     # at the default cutoff this VEV grew past 700 MiB; it is refused at its
-    # third step, whose count is taken before the step runs
+    # fourth step, whose count is taken before the step's creation half runs
     t0 = time.perf_counter()
     code, out = run_cli("vev", "--model", "A", "--side", "boson", "--points", "4")
     assert time.perf_counter() - t0 < 5
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.strip() == (
         "error: type A boson VEV of 8 vertex operators at z1, z2, z3, z4, w1, w2, w3, w4, cutoff 10: "
-        "step 3 of 8 would make 1122486 creation updates, more than 1000000")
+        "step 4 of 8 would make 3954102 creation updates, more than 1000000")
 
 
 def test_boson_vev_refuses_a_step_that_takes_in_too_many_terms(capsys):
-    # type B at cutoff 1 doubles its (prefix, state) terms every step; it is
-    # refused before its 17th step, not after growing past 600 MiB
+    # type B at cutoff 1 doubles its prefixes every step; it is refused
+    # before its 21st step builds them, not after growing past 600 MiB
     t0 = time.perf_counter()
     code, out = run_cli("vev", "--model", "B", "--side", "boson", "--points", "30", "--cutoff", "1")
     assert time.perf_counter() - t0 < 10
@@ -283,7 +283,7 @@ def test_boson_vev_refuses_a_step_that_takes_in_too_many_terms(capsys):
     assert capsys.readouterr().err.strip() == (
         "error: type B boson VEV of 30 vertex operators at "
         + ", ".join(f"z{i}" for i in range(1, 31)) + ", cutoff 1: "
-        "step 17 of 30 would take in 65536 terms of prefix length 16, 1048576 in all, more than 1000000")
+        "step 21 of 30 would take in 1048576 prefixes, more than 1000000")
 
 
 def test_character_runs_below_its_bounds():

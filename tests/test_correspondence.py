@@ -197,15 +197,26 @@ def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
         assert LaurentSeries.from_exponents(full.ordering, d, full.exponents()) == vev(spec(side, size, d)), d
 
 
-def test_boson_vev_is_computed_once_per_spec(monkeypatch):
+def _recording_sweep(monkeypatch):
+    """Run the boson sweep's vertex_terms through a recorder; the list it
+    returns gets one (wmax, {key: {state: numerator}}) per call."""
     calls = []
 
-    def counted(op, terms, cutoff, wmax, guard):
-        calls.append(op)
+    def recording(op, terms, cutoff, wmax, guard):
+        vectors = {}
+        for key, s, c in terms:
+            vectors.setdefault(key, {})[s] = c
+        calls.append((wmax, vectors))
         return vertex_terms(op, terms, cutoff, wmax, guard)
 
     vertex_terms = correspondence.vertex_terms
-    monkeypatch.setattr(correspondence, "vertex_terms", counted)
+    monkeypatch.setattr(correspondence, "vertex_terms", recording)
+    correspondence._boson_series.cache_clear()
+    return calls
+
+
+def test_boson_vev_is_computed_once_per_spec(monkeypatch):
+    calls = _recording_sweep(monkeypatch)
     spec = VevSpec("A", "boson", (("+", "a"), ("-", "b")), 3)
     first = vev_boson(spec)
     assert calls
@@ -248,17 +259,27 @@ def test_boson_sweep_caps_each_step_by_what_the_rest_can_absorb(monkeypatch, D):
     # meets charges 0, -1, -2, -1 and so shifts 0, 1, -2, -1: an operator
     # absorbs at most D + shift of weight, and a step's cap is the sum over
     # the operators still to come
-    caps = []
-
-    def recording(op, terms, cutoff, wmax, guard):
-        caps.append(wmax)
-        return vertex_terms(op, terms, cutoff, wmax, guard)
-
-    vertex_terms = correspondence.vertex_terms
-    monkeypatch.setattr(correspondence, "vertex_terms", recording)
-    correspondence._boson_series.cache_clear()
+    calls = _recording_sweep(monkeypatch)
     vev_boson(VevSpec.standard_A("boson", 2, D))
-    assert caps == [3 * D - 2, 2 * D - 3, D - 1, 0]
+    assert [wmax for wmax, _ in calls] == [3 * D - 2, 2 * D - 3, D - 1, 0]
+
+
+def _vertex(spec):
+    """vertex_A or vertex_B for the spec's model, and its vacuum."""
+    return (vertex_A, BOSON_VACUUM_A) if spec.model == "A" else (vertex_B, BOSON_VACUUM_B)
+
+
+def _prefix_counts(spec, caps):
+    """The prefixes each step of the boson sweep takes in, counted without
+    merging: one FockVector per exponent tuple of the operators run so far,
+    composed from the right with vertex_A/vertex_B under the sweep's weight
+    caps, and kept while it is nonzero."""
+    vertex, vacuum = _vertex(spec)
+    vecs, counts = [FockVector.basis(vacuum)], []
+    for (sym, _), cap in zip(reversed(spec.word), caps):
+        counts.append(len(vecs))
+        vecs = [out for fv in vecs for out in vertex(1 if sym == "+" else -1, fv, spec.cutoff, cap).values()]
+    return counts
 
 
 @pytest.mark.parametrize("spec,names", [(VevSpec.standard_A("boson", 2, 5), "type A boson VEV of 4 vertex "
@@ -266,35 +287,43 @@ def test_boson_sweep_caps_each_step_by_what_the_rest_can_absorb(monkeypatch, D):
                                         (VevSpec.standard_B("boson", 6, 2), "type B boson VEV of 6 vertex "
                                          "operators at z1, z2, z3, z4, z5, z6, cutoff 2")])
 def test_boson_vev_refuses_to_take_in_too_many_terms(monkeypatch, spec, names):
-    # the terms a step takes in, times their prefix length, are counted
-    # before the step runs; the bound refuses the largest step of a spec,
-    # at that step, and no smaller one.  A prefix is a packed key, and step
-    # s takes in the prefixes of the s - 1 operators to its right
-    taken = []
-
-    def recording(op, terms, cutoff, wmax, guard):
-        taken.append((len(terms), len(taken)))
-        return vertex_terms(op, terms, cutoff, wmax, guard)
-
-    vertex_terms = correspondence.vertex_terms
-    monkeypatch.setattr(correspondence, "vertex_terms", recording)
-    correspondence._boson_series.cache_clear()
+    # the prefixes a step takes in are counted before they are built; the
+    # bound refuses the largest step of a spec, at that step, and no smaller
+    # one.  The counts come from composing the operators without merging
+    calls = _recording_sweep(monkeypatch)
     want = vev_boson(spec)
-    held = [n * k for n, k in taken]
+    held = _prefix_counts(spec, [wmax for wmax, _ in calls])
     peak = max(held)
     step = held.index(peak) + 1
-    n, k = taken[step - 1]
-    assert len(taken) == len(spec.word) and 0 < held[1] < peak
+    assert len(calls) == len(spec.word) and held[0] == 1 and 1 < held[1] < peak
     correspondence._boson_series.cache_clear()
     monkeypatch.setattr(correspondence, "MAX_STEP_TERMS", peak - 1)
-    taken.clear()
+    calls.clear()
     with pytest.raises(ValueError) as exc:
         vev_boson(spec)
-    assert len(taken) == step - 1
-    assert str(exc.value) == (f"{names}: step {step} of {len(spec.word)} would take in {n} terms of prefix "
-                              f"length {k}, {peak} in all, more than {peak - 1}")
+    assert len(calls) == step - 1
+    assert str(exc.value) == (f"{names}: step {step} of {len(spec.word)} would take in {peak} prefixes, "
+                              f"more than {peak - 1}")
     monkeypatch.setattr(correspondence, "MAX_STEP_TERMS", peak)
     assert vev_boson(spec) == want
+
+
+def test_boson_sweep_runs_each_vector_once_up_to_scale(monkeypatch):
+    # the sweep merges the prefixes whose partial states are multiples of
+    # one vector, so no two vectors one step hands to vertex_terms are
+    # proportional, and the middle steps of three pairs hand in fewer
+    # vectors than they hold prefixes
+    calls = _recording_sweep(monkeypatch)
+    spec = VevSpec.standard_A("boson", 3, 6)
+    assert vev_boson(spec) == expand(correspondence._product_form(spec), spec.variables, 6)
+    held = _prefix_counts(spec, [wmax for wmax, _ in calls])
+    for step, (_, vectors) in enumerate(calls, 1):
+        # a vector over its coefficient at its least state, equal for multiples
+        rays = {frozenset((s, Fraction(c, vec[min(vec)])) for s, c in vec.items())
+                for vec in vectors.values()}
+        assert len(rays) == len(vectors) <= held[step - 1], step
+        if step >= 3:
+            assert len(vectors) < held[step - 1], step
 
 
 # every ordering of ++-- (type A), every +- pattern of 4 points (type B,
@@ -302,6 +331,11 @@ def test_boson_vev_refuses_to_take_in_too_many_terms(monkeypatch, spec, names):
 _ORACLE_WORDS = ([("A", w) for w in sorted(set(permutations("++--")))]
                  + [("B", w) for w in product("+-", repeat=4)]
                  + [("A", ("+", "+", "-")), ("A", ("+", "-", "-"))])
+# words of 5 and 6 operators, whose middle steps merge many prefixes in the
+# sweep; they run up to cutoff 3, the least at which three pairs have a
+# term in the box
+_MERGING_WORDS = [("A", tuple(w)) for w in ("++-+-", "+-+-+-", "++-+--")] + [
+    ("B", tuple(w)) for w in ("+-+-+-", "++-+--", "+--++-")]
 
 
 def _composed_vev(spec):
@@ -310,7 +344,7 @@ def _composed_vev(spec):
     z-range [-D, D] with no weight cap.  The leftmost operator runs with
     wmax=0: only its weight-0 part can hold the vacuum coefficient read
     off at the end."""
-    vertex, vacuum = (vertex_A, BOSON_VACUUM_A) if spec.model == "A" else (vertex_B, BOSON_VACUUM_B)
+    vertex, vacuum = _vertex(spec)
     vecs = {(): FockVector.basis(vacuum)}
     for k, (sym, _) in enumerate(reversed(spec.word)):
         wmax = 0 if k == len(spec.word) - 1 else None
@@ -322,15 +356,17 @@ def _composed_vev(spec):
 
 @pytest.mark.parametrize("cutoff", range(1, 6))
 def test_boson_sweep_matches_composed_vertex_operators(cutoff):
-    # the sweep sums each vertex operator's annihilation half over all
-    # (prefix, state) pairs and prunes by weight; the composition here
-    # does neither
-    for model, word in _ORACLE_WORDS:
+    # the sweep merges the prefixes whose partial states are multiples of
+    # one vector, sums each vertex operator's annihilation half over the
+    # merged vectors and prunes by weight; the composition here does none
+    # of these.  A neutral type A word of p pairs has no term in the box
+    # below cutoff p
+    for model, word in _ORACLE_WORDS + (_MERGING_WORDS if cutoff <= 3 else []):
         spec = VevSpec(model, "boson", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
         got = vev_boson(spec)
         assert got == _composed_vev(spec), (model, word)
         neutral = model == "B" or word.count("+") == word.count("-")
-        assert got.is_zero() == (not neutral or (model == "A" and cutoff == 1)), (model, word)
+        assert got.is_zero() == (not neutral or (model == "A" and cutoff < len(word) // 2)), (model, word)
         if neutral:
             product = expand(correspondence._product_form(spec), spec.variables, cutoff)
             assert got == product, (model, word)

@@ -94,6 +94,17 @@ MUTANTS = [
      "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = 1",
      "den[sum_factor(i, j) if sigma > 0 else diff_factor(i, j)[0]] = sigma < 0",
      ["locality-B", "product-formula-B", "schur-pfaffian"]),
+    # the boson sweep runs each vertex operator once per vector up to scale;
+    # a prefix whose vector merged into another's form must take on the
+    # factor between them, its magnitude and its sign.  Merging without
+    # fixing each form's sign only merges less, and changes no result
+    ("the merged sweep drops a vector's scale", "correspondence.py",
+     "ze * weight: scale * g", "ze * weight: scale",
+     ["locality-A", "locality-B", "product-formula-A", "product-formula-B", "vev-match-A",
+      "vev-match-B"]),
+    ("the merged sweep keeps the scale's magnitude but not its sign", "correspondence.py",
+     "members[i].append((g, group))", "members[i].append((abs(g), group))",
+     ["locality-A", "locality-B", "product-formula-A", "vev-match-A", "vev-match-B"]),
     ("the join drops the left coefficient", "correspondence.py",
      "{p + q: a * v for", "{p + q: v for",
      ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "supercommutativity-B",
