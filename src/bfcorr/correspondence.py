@@ -145,12 +145,23 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
       coefficient}};
     - the left half is L(k, s) = <0| X_0 .. X_{k-1} |s> as {packed exponents
       of positions 0 .. k-1: coefficient}, memoized per (k, s);
-    - the join adds every key of L(h, s) to every key of s's table and
-      multiplies their coefficients.
+    - the join adds keys of L(h, s) to keys of s's table and multiplies
+      their coefficients, only for the pairs whose sum is in the box.
 
     A field's mode m at position j adds m times the position's weight in
     the frame's codec, so a key is the packed exponent tuple with zeros at
     the positions not yet run.
+
+    The join tests the box per pair of groups, not per key.  The meet point
+    h is the codec's cut n // 2, so a joined key p + q holds p's entries on
+    the first half and q's on the second, and its box value is x + y, x the
+    first-half value of p and y the second-half value of q (``half_box``):
+    p + q is in the box iff -D <= x + y <= D.  So the prefixes of L(h, s)
+    are grouped by x and the suffixes of s's table by y, and a pair of
+    groups is joined whole if x + y lies in [-D, D] and skipped otherwise:
+    every key the join makes is in the box, and every key of the box the
+    pair of halves can make is made.  Its coefficient is a product of
+    nonzero ints, so it is nonzero.
 
     X_j adds or removes one mode and j fields stand to its left, so a state
     X_j reaches is kept only if its mode count is at most j, on both
@@ -168,7 +179,8 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
         row = rows[j]
         return [(m, t, c) for m in modes for t, c in row(m, s) if sum(map(int.bit_count, t)) <= j]
 
-    h, weights = len(rows) // 2, frame_codec(len(rows), D).weights
+    codec = frame_codec(len(rows), D)
+    h, weights = codec.cut, codec.weights
     right = {vacuum: {0: 1}}
     for j in range(len(rows) - 1, h - 1, -1):
         new: Dict = {}
@@ -188,13 +200,24 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
             out.update({p + m: a * c for p, a in left(k - 1, t).items()})
         return out
 
-    terms = {p + q: a * v for s, suffixes in right.items() for p, a in left(h, s).items()
-             for q, v in suffixes.items()}
-    # free both halves first, so that only the terms and their copy in the
-    # series are held at once
+    def grouped(half, keys):
+        """{box value of the keys' given half: {key: coefficient}}."""
+        groups = {}
+        for k, c in keys.items():
+            groups.setdefault(codec.half_box(k)[half], {})[k] = c
+        return groups
+
+    terms = {}
+    for s, suffixes in right.items():
+        tails = grouped(1, suffixes).items()
+        for x, heads in grouped(0, left(h, s)).items():
+            for y, group in tails:
+                if -D <= x + y <= D:
+                    terms.update({p + q: a * v for p, a in heads.items() for q, v in group.items()})
+    # free both halves first, so that only the terms are held
     del right
     left.cache_clear()
-    return LaurentSeries(spec.variables, D, terms)
+    return LaurentSeries._in_box(spec.variables, D, terms)
 
 
 def vev_boson(spec: VevSpec) -> LaurentSeries:
@@ -209,7 +232,7 @@ def vev_boson(spec: VevSpec) -> LaurentSeries:
     if spec.side != "boson":
         raise ValueError("spec.side must be 'boson'")
     series = _boson_series(spec)
-    return LaurentSeries(series.ordering, series.cutoff, series.terms)
+    return LaurentSeries._in_box(series.ordering, series.cutoff, dict(series.terms))
 
 
 # the most creation updates one boson sweep step may make, about 1 s and
@@ -386,15 +409,33 @@ def _wick_series(spec: VevSpec) -> LaurentSeries:
     and ``expand`` keeps each exponent >= -D, so the other one is <= D:
     every entry lies in [-D, D], inside the digit range [-2^(w-1),
     2^(w-1)) since 2^(w-1) > nD >= D, and a sum of keys is the key of the
-    entrywise sum."""
+    entrywise sum.
+
+    The box is tested once, on the total degree.  Every entry of a term
+    lies in [-D, D], so the term is in the box iff its total does.  A
+    term of the Pfaffian of n positions is a product of n/2 kernel terms,
+    one per pair of a perfect matching, and a kernel term's total is read
+    from the codec's box tables (``half_box``).  When every kernel term
+    has one total d, every term of the Pfaffian has total (n // 2) d, so
+    the series is all of ``pf_expansion``'s terms, which ``mac`` keeps
+    nonzero, if -D <= (n // 2) d <= D, and none of them otherwise; then the
+    Pfaffian is not expanded at all.  (An odd n has no perfect matching,
+    and its Pfaffian no term.)  Kernels of more than one total go through
+    the constructor's per-key test."""
     alpha, D = spec.variables, spec.cutoff
+    codec = frame_codec(len(alpha), D)
     m = [[None] * len(alpha) for _ in alpha]  # the expansion reads i < j only
+    totals = set()
     for i, j in _wick_pairs(spec):
         kernel = _two_point(spec.model, alpha, i, j)
         if spec.model == "B" and spec.word[i][0] != spec.word[j][0]:
             kernel = kernel.substitute(j, j, -1)
         m[i][j] = expand(kernel, alpha, D).terms
-    return LaurentSeries(alpha, D, pf_expansion(m, {0: 1}, dict, mac))
+        totals.update(sum(codec.half_box(k)) for k in m[i][j])
+    if len(totals) > 1:
+        return LaurentSeries(alpha, D, pf_expansion(m, {0: 1}, dict, mac))
+    kept = -D <= len(alpha) // 2 * next(iter(totals), 0) <= D
+    return LaurentSeries._in_box(alpha, D, pf_expansion(m, {0: 1}, dict, mac) if kept else {})
 
 
 def det_series(n: int, cutoff: int) -> LaurentSeries:

@@ -98,7 +98,11 @@ class Codec:
     gives two tables from those halves to a fold over their entries, each
     filled on first use: the half-tuple (``decode``), its text, or its box
     value, the sum of its entries with each entry below -D counted as too
-    large for any key holding it to be in the box.
+    large for any key holding it to be in the box.  The cut n//2 is also
+    where the fermion sweep meets (``correspondence.vev_fermion``): a key
+    it joins is a left prefix, zero on the second half, plus a right
+    suffix, zero on the first, so the key's box value is the prefix's
+    first-half value plus the suffix's second-half value (``half_box``).
     """
 
     __slots__ = ("n", "cutoff", "width", "cut", "weights", "bias", "shift", "mask", "halves", "_box")
@@ -150,6 +154,12 @@ class Codec:
     def decode(self, key: int) -> Expo:
         u = key + self.bias
         return self.halves[0][u >> self.shift] + self.halves[1][u & self.mask]
+
+    def half_box(self, key: int) -> Tuple[int, int]:
+        """The box values of the key's first and second half: the key is in
+        the box iff their sum lies in [-D, D]."""
+        u = key + self.bias
+        return self._box[0][u >> self.shift], self._box[1][u & self.mask]
 
     def box(self, terms: dict) -> dict:
         """The terms whose keys are in the cutoff box: every entry >= -D and

@@ -17,9 +17,16 @@ variables and cutoff D fixes the width w = (nD).bit_length() + 1, which
 holds every box entry, all in [-D, nD] (each entry >= -D and the total
 <= D), and every engine entry, all in [-D, D].  Entry 0 is the most
 significant digit, so keys order as their tuples do lexicographically,
-and ``first_difference`` and the text do not change with the keys.  The
-constructor tests every packed key against the box.  ``expand`` runs its
-tails on tuples and packs its terms once, at the end.
+and ``first_difference`` and the text do not change with the keys.
+
+The box is tested once per key, by the code that makes the key.  The
+public constructor tests every key it is given, and ``expand`` (which
+runs its tails on tuples and packs its terms once, at the end), the boson
+sweep and the series arithmetic rely on it.  Two producers test the box
+before they make their keys and hand their terms to ``_in_box``, which
+tests nothing: the fermion sweep (``correspondence.vev_fermion``), once
+per pair of half-key groups at its join, and the Wick series
+(``correspondence._wick_series``), once, on the total its kernels fix.
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ class LaurentSeries(Terms):
     expansion region, inside the cutoff box.  The ordering and the cutoff
     are the frame, and fix the ``codec`` whose packed ints key the terms:
     a key must pack a tuple in the codec's domain, which holds the box.
-    Every term is tested against the box on construction, and terms
-    outside it are dropped.  An ordering that repeats a variable names no
-    region and raises."""
+    The constructor tests every term against the box, and drops the terms
+    outside it; ``_in_box`` takes terms already tested.  An ordering that
+    repeats a variable names no region and raises."""
 
     __slots__ = ("ordering", "cutoff", "codec")
 
@@ -56,6 +63,16 @@ class LaurentSeries(Terms):
         if not set(map(type, terms.values())) <= {int, Rat}:
             terms = {k: exact(c) for k, c in terms.items()}
         self.terms = self.codec.box(terms)
+
+    @classmethod
+    def _in_box(cls, ordering, cutoff: int, terms: Dict[int, Rat]) -> "LaurentSeries":
+        """The series of ``terms``, which the caller made inside the box:
+        nonzero int or Fraction coefficients of keys in the frame's codec,
+        each key in the cutoff box.  No term is tested, and the dict is
+        held, not copied."""
+        series = cls(ordering, cutoff)
+        series.terms = terms
+        return series
 
     @classmethod
     def from_exponents(cls, ordering, cutoff: int, terms) -> "LaurentSeries":

@@ -92,6 +92,11 @@ def test_expand_command():
                         "--cutoff", "3")
     assert code == 0
     assert out.strip() == "z^-1 + z^-2*w + z^-3*w^2"
+    # the entry 4 > D of z^4*w^-3 lies in the box (each entry >= -D, total
+    # in [-D, D]): the codec's width must hold box entries up to nD
+    code, out = run_cli("expand", "--expr", "(z^4 + w) / ((w)^3)", "--order", "z,w", "--cutoff", "3")
+    assert code == 0
+    assert out.strip() == "z^4*w^-3 + w^-2"
 
 
 def test_expand_rejects_bad_expression():

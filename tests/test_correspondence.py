@@ -408,14 +408,23 @@ def test_fermion_sweep_matches_composed_modes(cutoff):
     # [-D, D] only, for both models, and drop a state reached by the field
     # at position j if it holds more than j modes, more than the fields to
     # its left can remove; the composition here does neither
-    for model, word in _FERMION_WORDS:
+    # both engines test the box where they make their keys and hand their
+    # terms over untested, so every term must lie in the box.  A type A word
+    # of D pairs has total exactly -D, and one of D + 1 pairs -D - 1: every
+    # term kept or every one dropped, the two edges of the join's half-sum
+    # test and of the Wick total.  The composition runs only up to 4 fields
+    edges = [("A", ("phi", "psi") * pairs) for pairs in (cutoff, cutoff + 1)]
+    for model, word in _FERMION_WORDS + edges:
         spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), cutoff)
-        got = vev_fermion(spec)
-        assert got == _composed_fermion_vev(spec), (model, word)
-        assert got == correspondence._wick_series(spec), (model, word)
-        # a type A pair has total degree -1, so two pairs leave the box at D=1
+        got, wick = vev_fermion(spec), correspondence._wick_series(spec)
+        if len(word) <= 4:
+            assert got == _composed_fermion_vev(spec), (model, word)
+        assert got == wick, (model, word)
+        for series in (got, wick):
+            assert series.codec.box(series.terms) == series.terms, (model, word)
+        # a type A pair has total degree -1, so D + 1 pairs leave the box
         neutral = model == "B" or word.count("phi") == word.count("psi")
-        assert got.is_zero() == (not neutral or (model == "A" and cutoff == 1)), (model, word)
+        assert got.is_zero() == (not neutral or (model == "A" and len(word) // 2 > cutoff)), (model, word)
 
 
 def _one_directional_fermion_terms(spec):
@@ -507,6 +516,20 @@ def test_fermion_sweep_matches_wick_form_on_six_fields(model, word, cutoffs):
         assert got == correspondence._wick_series(spec), cutoff
         if model == "B" and cutoff == 1:
             assert got == _composed_fermion_vev(spec)
+
+
+def test_wick_series_boxes_per_key_when_its_kernels_mix_totals(monkeypatch):
+    # K(x_i, x_j) + x_i + x_j has terms of total -1 and 1, so the Pfaffian's
+    # terms have totals -2, 0 and 2, and at D = 1 only those of total 0 are
+    # in the box; closed_form reads the same patched kernel
+    two_point = correspondence._two_point
+    monkeypatch.setattr(correspondence, "_two_point", lambda model, alpha, i, j: two_point(model, alpha, i, j)
+                        + RationalFn(MultiPoly.linear(alpha, i, j, 1), {}))
+    for cutoff in (1, 2, 3):
+        spec = VevSpec.standard_A("fermion", 2, cutoff)
+        got = correspondence._wick_series(spec)
+        assert got == expand(correspondence.closed_form("A", "determinant", 2), spec.variables, cutoff)
+        assert {sum(e) for e in got.exponents()} == ({0} if cutoff == 1 else {-2, 0, 2}), cutoff
 
 
 def test_standard_order_product_misses_the_sign_of_a_reordered_word():
