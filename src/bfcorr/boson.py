@@ -5,6 +5,11 @@ the two glued twisted-Heisenberg modules C[e^a]/(e^2a = 1) (x)
 C[x_1, x_3, x_5, ...].  Realization conventions (validated by the
 commutator suite): type A h_{-n} acts as multiplication by n*x_n and h_n
 as d/dx_n; type B h_{-n} as (n/2)*x_n and h_n as d/dx_n, n odd.
+
+A state holds its monomial as ((n, e_n), ...); the vertex operators pack
+it into one int, sum_n e_n 2^(n w), so e_n >= 0 is the w-bit digit n.
+Multiplying two monomials adds their ints, and lowering x_n by l
+subtracts l 2^(n w); ``vertex_terms`` picks w so that no digit carries.
 """
 
 from __future__ import annotations
@@ -87,66 +92,63 @@ def heis_apply_B(n: int, v: FockVector) -> FockVector:
 # -- vertex operators ---------------------------------------------------------
 
 
+def _pack(mon: Monomial, w: int) -> int:
+    return sum(e << n * w for n, e in mon)
+
+
+def _unpack(key: int, w: int) -> Monomial:
+    """The monomial packed in ``key``, each of its digits below 2^w."""
+    digits = ((n, key >> n * w & (1 << w) - 1) for n in range(1, key.bit_length() // w + 1)) if key else ()
+    return tuple((n, e) for n, e in digits if e)
+
+
 @lru_cache(maxsize=None)
-def _creation_table(weight: int, odd: bool) -> Tuple[Tuple[Monomial, int, int], ...]:
+def _partitions(rest: int, p: int, step: int, w: int) -> tuple:
+    """(monomial packed with width w, number of parts, prod mult!) per
+    partition of ``rest`` into parts p, p + step, ..., the multiplicity of
+    each part from high to low."""
+    if rest == 0 or p > rest:
+        return ((0, 0, 1),) if rest == 0 else ()
+    return tuple((mon + (mult << p * w), parts + mult, den * factorial(mult))
+                 for mult in range(rest // p, -1, -1)
+                 for mon, parts, den in _partitions(rest - p * mult, p + step, step, w))
+
+
+@lru_cache(maxsize=None)
+def _creation_table(weight: int, odd: bool, w: int) -> Tuple[Tuple[int, int, int], ...]:
     """The z^weight part of exp(sum_n x_n z^n), n odd when ``odd``.
 
-    One row (monomial, parity of its number of parts, weight!/prod mult!)
-    per partition of ``weight``: the row stands for monomial / prod mult!
-    over the common denominator weight!.  The table does not depend on
-    the state the exponential acts on.
+    One row (monomial packed with width w, parity of its number of parts,
+    weight!/prod mult!) per partition of ``weight``: the row stands for
+    monomial / prod mult! over the common denominator weight!.  The table
+    does not depend on the state the exponential acts on.
     """
-    step = 2 if odd else 1
-    fact = [factorial(m) for m in range(weight + 1)]
-
-    def rows(rest: int, p: int):
-        """(monomial, number of parts, prod mult!) per partition of ``rest``
-        into parts >= p, the multiplicity of each part from high to low."""
-        if rest == 0:
-            return [((), 0, 1)]
-        if p > rest:
-            return []
-        out = []
-        for mult in range(rest // p, -1, -1):
-            for mon, parts, den in rows(rest - p * mult, p + step):
-                out.append((((p, mult),) + mon, parts + mult, den * fact[mult]) if mult
-                           else (mon, parts, den))
-        return out
-
-    top = fact[weight]
-    return tuple((mon, parts & 1, top // den) for mon, parts, den in rows(weight, 1))
+    top = factorial(weight)
+    return tuple((mon, parts & 1, top // den)
+                 for mon, parts, den in _partitions(weight, 1, 2 if odd else 1, w))
 
 
-def _lowering_table(mon: Monomial, factor: int, cap: int | None = None):
+def _lowering_table(mon: Monomial, factor: int, w: int, cap: int | None = None):
     """exp(factor * sum_n (1/n) d/dx_n z^-n) on ``mon``, keeping the rows
     whose lowered monomial has weight <= ``cap`` (None: every row).
 
-    Returns (prod_n n^e_n, rows): one row (z-exponent, lowered monomial,
-    weight) per choice of l_n <= e_n; the coefficient of the row is
-    weight / prod_n n^e_n, weight = prod_n C(e_n, l_n) factor^l_n
-    n^(e_n - l_n).  The lowered weight, sum_n n (e_n - l_n) = the weight
-    of the variables taken so far plus the z-exponent, only grows as the
-    variables are taken in turn, so a partial row above the cap is cut
-    before it branches.
+    Returns (prod_n n^e_n, rows): one row (z-exponent, lowered monomial
+    packed with width w, weight) per choice of l_n <= e_n; the coefficient
+    of the row is weight / prod_n n^e_n, weight = prod_n C(e_n, l_n)
+    factor^l_n n^(e_n - l_n).  The lowered weight, sum_n n (e_n - l_n) =
+    the weight of the variables taken so far plus the z-exponent, only
+    grows as the variables are taken in turn, so a partial row above the
+    cap is cut before it branches.  A row is lowered by subtraction, so it
+    is exact even where a digit of the packed ``mon`` is 2^w or more.
     """
-    rows = [(0, (), 1)] if cap is None or cap >= 0 else []
+    rows = [(0, _pack(mon, w), 1)] if cap is None or cap >= 0 else []
     taken = 0
     for n, e in reversed(mon):
         taken += n * e
-        rows = [(zl - n * l, ((n, e - l),) + low if l < e else low,
-                 w * comb(e, l) * factor ** l * n ** (e - l))
-                for zl, low, w in rows for l in range(e + 1)
-                if cap is None or taken + zl - n * l <= cap]
+        steps = [(n * l, l << n * w, comb(e, l) * factor ** l * n ** (e - l)) for l in range(e + 1)]
+        rows = [(zl - nl, low - drop, x * c) for zl, low, x in rows for nl, drop, c in steps
+                if cap is None or taken + zl - nl <= cap]
     return prod(n ** e for n, e in mon), tuple(rows)
-
-
-def _mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a or not b:
-        return a or b
-    d = dict(a)
-    for v, e in b:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
 
 
 class Vertex(NamedTuple):
@@ -174,87 +176,84 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
     terms of one key are one vector, and ``op`` runs on each vector apart.
     ``guard``, if given, is called once with the number of creation updates
     the call is about to make, the rows of the creation tables summed over
-    every span; it may raise to refuse them.
+    every span; it may raise to refuse them.  Returns (d, out): ``out`` maps
+    (key, z-exponent) to {state: integer numerator} over d times the common
+    denominator of ``terms``.  A bucket may be empty.
 
-    The charge factor and annihilation exponential run first.  Each
-    lowering table is built only up to ``wmax``, since the creation
-    exponential only adds weight, and a row whose z-exponent no created
-    part can bring into the box is dropped.  Each distinct lowered part
-    (z-exponent, new label, lowered monomial) gets a small int the first
-    time a state's rows reach it, and the rows are summed per key on those
-    ints.  The creation exponential then runs once per sum, summed per key
-    and z-exponent on small ints given to each distinct output (label,
-    monomial); each output state is built once, when the buckets are
-    handed back.  Returns (d, out): ``out`` maps (key, z-exponent) to
-    {state: integer numerator} over d times the common denominator of
-    ``terms``.  A bucket may be empty.
+    Monomials are packed with one width w (see the module docstring).  A
+    term of weight w0 and shift s (``op.split``) that lowers by l and
+    creates j makes an output of weight w0 - l + j at z^(s - l + j), and
+    s - l + j <= cutoff: every output weighs at most W = wmax or, with no
+    cap, the largest w0 + cutoff - s over the states (not the monomials).
+    Each part lowered or created, and each exponent, is at most its output
+    weight, so w = W.bit_length() bits hold every digit without carry.
+
+    The annihilation half runs first, its tables cut at ``wmax`` (creation
+    only adds weight) and its rows out of the box dropped, summed per key
+    on small ints given to each distinct (z-exponent, new label, lowered
+    monomial).  The creation half then runs once per sum, summed per key
+    and z-exponent on small ints given to each distinct output, unpacked
+    once at the end.
     """
-    factor = -op.sign * op.scale
-    tables = {}
-    for _, s, _ in terms:
-        if s.mon not in tables:
-            tables[s.mon] = _lowering_table(s.mon, factor, wmax)
+    factor, states = -op.sign * op.scale, dict.fromkeys(s for _, s, _ in terms)
+    W = wmax if wmax is not None else max(
+        (mon_weight(s.mon) + cutoff - op.split(s)[0] for s in states), default=0)
+    w = max(W, 0).bit_length()
+    tables = {mon: _lowering_table(mon, factor, w, wmax) for mon in dict.fromkeys(s.mon for s in states)}
     d = lcm(*(den for den, _ in tables.values()))
 
     low_ids: Dict[tuple, int] = {}  # (z-exponent, label, lowered monomial) -> id
-    lows = []  # id -> (z-exponent, id of (label, lowered monomial), lowest j, highest j)
-    part_ids: Dict[tuple, int] = {}  # (label, lowered monomial) -> id
+    lows = []  # id -> (z-exponent, label, lowered monomial, lowest j, highest j)
     rows_of = {}  # state -> [(lowered id, numerator over d)]
+    for s in states:
+        shift, label = op.split(s)
+        den, table = tables[s.mon]
+        # a created part of weight j moves z1 = shift + zl to z1 + j, which must stay in
+        # the box and under the cap: j in [max(0, lo - zl), hi - zl], empty unless zl, lo <= hi
+        g, lo = d // den, -cutoff - shift
+        hi = cutoff - shift if wmax is None else min(cutoff - shift, wmax - mon_weight(s.mon))
+        rows = rows_of[s] = []
+        for zl, mon1, x in table:
+            if zl <= hi and lo <= hi:
+                i = low_ids.setdefault((shift + zl, label, mon1), len(lows))
+                if i == len(lows):
+                    lows.append((shift + zl, label, mon1, max(0, lo - zl), hi - zl))
+                rows.append((i, g * x))
     lowered: Dict[tuple, Dict[int, int]] = {}  # key -> {lowered id: sum}
     for key, s, c in terms:
-        rows = rows_of.get(s)
-        if rows is None:
-            shift, label = op.split(s)
-            den, table = tables[s.mon]
-            g = d // den
-            w0 = mon_weight(s.mon)
-            rows = rows_of[s] = []
-            for zl, mon1, w in table:
-                # a created part of weight j moves z1 to z1 + j, which must stay in the box
-                z1 = shift + zl
-                top = cutoff - z1 if wmax is None else min(cutoff - z1, wmax - w0 - zl)
-                bottom = max(0, -cutoff - z1)
-                if bottom <= top:
-                    i = low_ids.setdefault((z1, label, mon1), len(lows))
-                    if i == len(lows):
-                        lows.append((z1, part_ids.setdefault((label, mon1), len(part_ids)), bottom, top))
-                    rows.append((i, g * w))
         acc = lowered.get(key)
         if acc is None:
             acc = lowered[key] = {}
-        for i, w in rows:
-            v = acc.get(i, 0) + c * w
+        for i, x in rows_of[s]:
+            v = acc.get(i, 0) + c * x
             if v:
                 acc[i] = v
             else:
                 del acc[i]
 
-    jmax = max((lows[i][3] for acc in lowered.values() for i in acc), default=0)
+    jmax = max((lows[i][4] for acc in lowered.values() for i in acc), default=0)
     over = [factorial(jmax) // factorial(j) for j in range(jmax + 1)]
     make, odd, sign = op.make, op.odd, op.sign
-    if guard is not None:  # _creation_table(j, odd) has a row per partition of j
+    if guard is not None:  # _creation_table(j, odd, w) has a row per partition of j
         upto = [0, *accumulate(_partition_table(jmax, odd))]
-        guard(sum(upto[lows[i][3] + 1] - upto[lows[i][2]] for acc in lowered.values() for i in acc))
-    parts = list(part_ids)
-    raised = {}  # (part id, j) -> rows (output id, signed r)
+        guard(sum(upto[lows[i][4] + 1] - upto[lows[i][3]] for acc in lowered.values() for i in acc))
+    raised = {}  # (label, lowered monomial, j) -> rows (output id, signed r)
     out_ids: Dict[tuple, int] = {}  # (label, monomial) -> id
     out: Dict[tuple, dict] = {}
     for key, acc in lowered.items():
         buckets: Dict[int, Dict[int, int]] = {}  # z-exponent -> {output id: numerator}
         for i, g in acc.items():
-            z1, p, bottom, top = lows[i]
+            z1, label, mon1, bottom, top = lows[i]
             for j in range(bottom, top + 1):
                 f = g * over[j]
                 bucket = buckets.get(z1 + j)
                 if bucket is None:
                     bucket = buckets[z1 + j] = {}
-                rows = raised.get((p, j))
+                rows = raised.get((label, mon1, j))
                 if rows is None:
-                    label, mon1 = parts[p]
-                    rows = raised[p, j] = [
-                        (out_ids.setdefault((label, _mon_mul(mon1, mon2)), len(out_ids)),
-                         sign * r if parts_odd else r)
-                        for mon2, parts_odd, r in _creation_table(j, odd)]
+                    rows = raised[label, mon1, j] = [
+                        (out_ids.setdefault((label, mon1 + mon2), len(out_ids)), sign * r if parts_odd else r)
+                        for mon2, parts_odd, r in _creation_table(j, odd, w)]
                 for o, r in rows:
                     v = bucket.get(o, 0) + f * r
                     if v:
@@ -263,8 +262,8 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
                         del bucket[o]
         for ze, bucket in buckets.items():
             out[key, ze] = bucket
-    states = [make(label, mon) for label, mon in out_ids]
-    return d * over[0], {k: {states[o]: v for o, v in bucket.items()} for k, bucket in out.items()}
+    made = [make(label, _unpack(mon, w)) for label, mon in out_ids]
+    return d * over[0], {k: {made[o]: v for o, v in bucket.items()} for k, bucket in out.items()}
 
 
 def vertex_op_A(sign: int) -> Vertex:

@@ -264,14 +264,16 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
     and runs ``vertex_terms`` once on the distinct forms, keyed by form id:
     the annihilation half, its lowering tables built only up to the weight
     cap, is summed per form on small ints interned for each (z-exponent,
-    label, lowered monomial), and the creation half per (form, z-exponent)
-    on ints interned for each output state, inside the cutoff box and the
-    weight cap.  Each output bucket (form id, z-exponent) is a vector of the
-    next step, held by every prefix whose vector reduced to that form: the
-    prefix gains the z-exponent, in [-D, D], times its position's weight,
-    and its scale is multiplied by its vector's gcd and sign.  This is
-    exact, because a vertex operator is linear, V(g v) = g V(v), and the
-    bucket is the same for every prefix of the form.
+    label, lowered monomial packed into one int), and the creation half,
+    which adds packed monomials, per (form, z-exponent) on ints interned
+    for each output (label, packed monomial), inside the cutoff box and
+    the weight cap; each distinct output is unpacked to a state once.
+    Each output bucket (form id, z-exponent) is a vector of the next step,
+    held by every prefix whose vector reduced to that form: the prefix
+    gains the z-exponent, in [-D, D], times its position's weight, and its
+    scale is multiplied by its vector's gcd and sign.  This is exact,
+    because a vertex operator is linear, V(g v) = g V(v), and the bucket
+    is the same for every prefix of the form.
 
     Two bounds refuse a spec with ValueError, and the cutoff is never
     lowered in their place: a step may not take in more than

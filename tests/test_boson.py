@@ -1,7 +1,9 @@
 """Heisenberg module actions and truncated vertex operators."""
 
+from collections import Counter
 from fractions import Fraction
-from math import prod
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -12,6 +14,8 @@ from bfcorr.boson import (
     BosonStateB,
     _creation_table,
     _lowering_table,
+    _pack,
+    _unpack,
     heis_apply_A,
     heis_apply_B,
     mon_weight,
@@ -256,28 +260,71 @@ def test_vertex_B_matches_heisenberg_exponentials(arg_sign):
                     assert vertex_B(arg_sign, v, cutoff, wmax) == want, (parity, mon, cutoff, wmax)
 
 
+@pytest.mark.parametrize("odd", [False, True])
+def test_pack_round_trips_every_monomial_up_to_weight_12(odd):
+    # at the least width the weight allows, and wider; at width 4 every key
+    # is distinct, and adding keys multiplies the monomials
+    mons = _monomials(12, odd)
+    for mon in mons:
+        for w in range(mon_weight(mon).bit_length(), 7):
+            assert _unpack(_pack(mon, w), w) == mon, (mon, w)
+    assert len({_pack(mon, 4) for mon in mons}) == len(mons)
+    for a in mons[::7]:
+        for b in mons[::5]:
+            if mon_weight(a) + mon_weight(b) <= 15:
+                want = tuple(sorted((Counter(dict(a)) + Counter(dict(b))).items()))
+                assert _unpack(_pack(a, 4) + _pack(b, 4), 4) == want
+
+
 def test_creation_tables_have_one_row_per_partition():
+    # each row unpacks to a distinct partition of j, with its parity of
+    # parts and j!/prod mult!; a wider width gives the same rows in order
     for j in range(21):
-        assert len(_creation_table(j, False)) == partition_count(j)
-        assert len(_creation_table(j, True)) == odd_partition_count(j)
+        assert len(_creation_table(j, False, j.bit_length())) == partition_count(j)
+        assert len(_creation_table(j, True, j.bit_length())) == odd_partition_count(j)
         for odd in (False, True):
-            mons = [row[0] for row in _creation_table(j, odd)]
+            rows = [(_unpack(mon, w), parts_odd, r) for w in (j.bit_length(), j.bit_length() + 2)
+                    for mon, parts_odd, r in _creation_table(j, odd, w)]
+            half = len(rows) // 2
+            assert rows[:half] == rows[half:]
+            mons = [mon for mon, _, _ in rows[:half]]
             assert len(set(mons)) == len(mons)
             assert all(mon_weight(m) == j for m in mons)
             if odd:
                 assert all(n % 2 for m in mons for n, _ in m)
+            for mon, parts_odd, r in rows[:half]:
+                assert parts_odd == sum(e for _, e in mon) % 2
+                assert r == factorial(j) // prod(factorial(e) for _, e in mon)
+
+
+def _lowering_oracle(mon, factor):
+    """exp(factor * sum_n (1/n) d/dx_n z^-n) on ``mon`` as (prod_n n^e_n,
+    rows), one row (z-exponent, lowered monomial, weight) per choice of
+    l_n <= e_n, the l of the last variable varying slowest."""
+    rows = []
+    for ls in product(*(range(e + 1) for _, e in reversed(mon))):
+        ls = ls[::-1]
+        rows.append((-sum(n * l for (n, _), l in zip(mon, ls)),
+                     tuple((n, e - l) for (n, e), l in zip(mon, ls) if l < e),
+                     prod(comb(e, l) * factor ** l * n ** (e - l) for (n, e), l in zip(mon, ls))))
+    return prod(n ** e for n, e in mon), rows
 
 
 @pytest.mark.parametrize("odd,factor", [(False, -1), (False, 1), (True, -2), (True, 2)])
 def test_lowering_tables_are_cut_exactly_at_the_cap(odd, factor):
     # the cap only drops the rows whose lowered monomial is too heavy; the
-    # denominator and the order of the rows kept do not change
+    # denominator and the order of the rows kept do not change.  The width
+    # is the one vertex_terms takes for the cap, so the packed monomial may
+    # have a digit of 2^w or more that only its lowered rows fit
     for mon in _monomials(8, odd):
-        den, rows = _lowering_table(mon, factor)
+        den, rows = _lowering_oracle(mon, factor)
         assert len(rows) == prod(e + 1 for _, e in mon)
         for cap in (None, -1, *range(9)):
             want = tuple(row for row in rows if cap is None or mon_weight(row[1]) <= cap)
-            assert _lowering_table(mon, factor, cap) == (den, want), (mon, cap)
+            w = max(mon_weight(mon) if cap is None else cap, 0).bit_length()
+            got_den, got = _lowering_table(mon, factor, w, cap)
+            assert got_den == den, (mon, cap)
+            assert tuple((zl, _unpack(low, w), x) for zl, low, x in got) == want, (mon, cap)
 
 
 def _per_term_sum(op, terms, cutoff, wmax):
@@ -315,6 +362,47 @@ def test_vertex_terms_is_linear_across_keys(model, wmax):
         assert all(n for b in out.values() for n in b.values())
 
 
+@pytest.mark.parametrize("wmax", [None, 8])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_vertex_outputs_reach_the_top_of_the_packed_width(model, sign, wmax):
+    # on x_1^2 the weight bound W of vertex_terms is 8, the cap itself or,
+    # with no cap, 2 + cutoff - shift: the output x_1^8 fills a 4-bit digit,
+    # which one bit less would carry into x_2
+    x1, top = ((1, 2),), ((1, 8),)
+    if model == "A":
+        op, labels, make = vertex_op_A(sign), (-1, 0, 1), BosonStateA
+    else:
+        op, labels, make = vertex_op_B(sign), (0, 1), BosonStateB
+    shifts = {label: op.split(make(label, x1))[0] for label in labels}
+    for label, shift in shifts.items():
+        cutoff = 6 + shift + (wmax is not None)
+        v = FockVector.basis(make(label, x1))
+        if model == "A":
+            start = {shift: FockVector.basis(BosonStateA(label + sign, x1))}
+            full = _oracle(heis_apply_A, range(1, 13), lambda n: Fraction(-sign, n),
+                           lambda n: Fraction(sign, n), start, cutoff)
+            got = vertex_A(sign, v, cutoff, wmax)
+            assert got == _truncated(full, cutoff, wmax), label
+        else:
+            start = {0: FockVector.basis(BosonStateB(1 - label, x1))}
+            full = _oracle(heis_apply_B, range(1, 13, 2), lambda n: Fraction(-2, n),
+                           lambda n: Fraction(2, n), start, cutoff)
+            got = vertex_B(sign, v, cutoff, wmax)
+            assert got == _truncated(full, cutoff, wmax, sign), label
+        assert any(s.mon == top for fv in got.values() for s in fv.terms), label
+    # every label in one call: the terms share their monomial but not their
+    # shift, so W must come from the term of the least shift, whichever of
+    # them comes first
+    cutoff = 6 + min(shifts.values())
+    terms = [(label, make(label, x1), 1) for label in labels]
+    for order in (terms, terms[::-1]):
+        d, out = vertex_terms(op, order, cutoff, wmax)
+        got = {k: {s: Fraction(n, d) for s, n in b.items()} for k, b in out.items() if b}
+        assert got == _per_term_sum(op, order, cutoff, wmax)
+        assert any(s.mon == top for b in got.values() for s in b)
+
+
 @pytest.mark.parametrize("op", [vertex_op_A(1), vertex_op_A(-1), vertex_op_B(1), vertex_op_B(-1)])
 @pytest.mark.parametrize("wmax", [None, 4])
 def test_vertex_terms_counts_its_creation_updates(op, wmax):
@@ -324,3 +412,14 @@ def test_vertex_terms_counts_its_creation_updates(op, wmax):
     vacuum = BOSON_VACUUM_A if op.make is BosonStateA else BOSON_VACUUM_B
     _, out = vertex_terms(op, [((), vacuum, 1)], 8, wmax, counts.append)
     assert counts == [sum(map(len, out.values()))] and counts[0] > 5
+
+
+@pytest.mark.parametrize("op", [vertex_op_A(1), vertex_op_A(-1), vertex_op_B(1), vertex_op_B(-1)])
+def test_vertex_terms_counts_nothing_for_a_state_too_heavy_for_the_cap(op):
+    # x_1^16 under the cap 4 at cutoff 8: a row under the cap lowers by at
+    # least 12, and then no created part can reach the box and stay under
+    # the cap, so nothing is made and the guard is told of no update
+    counts = []
+    vacuum = BOSON_VACUUM_A if op.make is BosonStateA else BOSON_VACUUM_B
+    _, out = vertex_terms(op, [((), vacuum._replace(mon=((1, 16),)), 1)], 8, 4, counts.append)
+    assert counts == [0] and not any(out.values())

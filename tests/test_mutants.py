@@ -138,6 +138,12 @@ MUTANTS = [
      "(n * cutoff).bit_length() + 1", "max(cutoff, 1).bit_length()",
      ["det-formula-A", "locality-A", "locality-B", "pf-formula-B", "product-formula-A",
       "product-formula-B", "supercommutativity-A", "supercommutativity-B", "vev-match-A", "vev-match-B"]),
+    # the boson vertex operators' packed width one bit short (but at least
+    # one bit: width 0 unpacks no key but 0): an exponent at the top of the
+    # width carries into the next variable's digit
+    ("the vertex operators' packed width one bit short", "boson.py",
+     "w = max(W, 0).bit_length()", "w = max(max(W, 0).bit_length() - 1, 1)",
+     ["locality-A", "locality-B", "product-formula-A", "product-formula-B", "vev-match-A", "vev-match-B"]),
 ]
 
 # runs ``python -m bfcorr.cli verify all --quick --format json --no-timing``
