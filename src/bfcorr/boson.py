@@ -9,7 +9,8 @@ as d/dx_n; type B h_{-n} as (n/2)*x_n and h_n as d/dx_n, n odd.
 A state holds its monomial as ((n, e_n), ...); the vertex operators pack
 it into one int, sum_n e_n 2^(n w), so e_n >= 0 is the w-bit digit n.
 Multiplying two monomials adds their ints, and lowering x_n by l
-subtracts l 2^(n w); ``vertex_terms`` picks w so that no digit carries.
+subtracts l 2^(n w); ``vertex_terms`` takes w from its weight cap, which
+bounds every digit of an output, so no digit carries.
 """
 
 from __future__ import annotations
@@ -44,21 +45,6 @@ def mon_weight(mon: Monomial) -> int:
     return sum(v * e for v, e in mon)
 
 
-def mon_get(mon: Monomial, v: int) -> int:
-    for var, e in mon:
-        if var == v:
-            return e
-    return 0
-
-
-def mon_set(mon: Monomial, v: int, e: int) -> Monomial:
-    items = [(var, x) for var, x in mon if var != v]
-    if e:
-        items.append((v, e))
-    items.sort()
-    return tuple(items)
-
-
 # -- Heisenberg actions -------------------------------------------------------
 
 
@@ -67,10 +53,13 @@ def _heis_apply(n: int, v: FockVector, create) -> FockVector:
     m = abs(n)
 
     def act(s):
-        e = mon_get(s.mon, m)
-        if n < 0:
-            return ((s._replace(mon=mon_set(s.mon, m, e + 1)), create),)
-        return ((s._replace(mon=mon_set(s.mon, m, e - 1)), e),) if e else ()
+        mon = dict(s.mon)
+        e = mon.get(m, 0)
+        if n > 0 and not e:
+            return ()
+        mon[m] = e - 1 if n > 0 else e + 1
+        state = s._replace(mon=tuple(sorted((k, x) for k, x in mon.items() if x)))
+        return ((state, e if n > 0 else create),)
 
     return v.apply(act)
 
@@ -128,9 +117,9 @@ def _creation_table(weight: int, odd: bool, w: int) -> Tuple[Tuple[int, int, int
                  for mon, parts, den in _partitions(weight, 1, 2 if odd else 1, w))
 
 
-def _lowering_table(mon: Monomial, factor: int, w: int, cap: int | None = None):
+def _lowering_table(mon: Monomial, factor: int, w: int, cap: int):
     """exp(factor * sum_n (1/n) d/dx_n z^-n) on ``mon``, keeping the rows
-    whose lowered monomial has weight <= ``cap`` (None: every row).
+    whose lowered monomial has weight <= ``cap``.
 
     Returns (prod_n n^e_n, rows): one row (z-exponent, lowered monomial
     packed with width w, weight) per choice of l_n <= e_n; the coefficient
@@ -141,13 +130,13 @@ def _lowering_table(mon: Monomial, factor: int, w: int, cap: int | None = None):
     cap is cut before it branches.  A row is lowered by subtraction, so it
     is exact even where a digit of the packed ``mon`` is 2^w or more.
     """
-    rows = [(0, _pack(mon, w), 1)] if cap is None or cap >= 0 else []
+    rows = [(0, _pack(mon, w), 1)] if cap >= 0 else []
     taken = 0
     for n, e in reversed(mon):
         taken += n * e
         steps = [(n * l, l << n * w, comb(e, l) * factor ** l * n ** (e - l)) for l in range(e + 1)]
         rows = [(zl - nl, low - drop, x * c) for zl, low, x in rows for nl, drop, c in steps
-                if cap is None or taken + zl - nl <= cap]
+                if taken + zl - nl <= cap]
     return prod(n ** e for n, e in mon), tuple(rows)
 
 
@@ -168,37 +157,32 @@ class Vertex(NamedTuple):
     sign: int
 
 
-def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
-                 guard: Callable[[int], None] | None = None) -> Tuple[int, Dict]:
-    """``op`` on a list of terms (key, state, integer numerator), per key
-    and z-exponent in [-cutoff, cutoff], keeping output monomials of weight
-    <= wmax (None: no cap).  A key is any hashable id, opaque here: the
-    terms of one key are one vector, and ``op`` runs on each vector apart.
-    ``guard``, if given, is called once with the number of creation updates
-    the call is about to make, the rows of the creation tables summed over
-    every span; it may raise to refuse them.  Returns (d, out): ``out`` maps
-    (key, z-exponent) to {state: integer numerator} over d times the common
-    denominator of ``terms``.  A bucket may be empty.
+def vertex_terms(op: Vertex, vectors, cutoff: int, wmax: int,
+                 guard: Callable[[int], None] | None = None) -> Tuple[int, list]:
+    """``op`` on each of ``vectors``, {state: integer numerator} over one
+    common denominator, per z-exponent in [-cutoff, cutoff], keeping output
+    monomials of weight <= wmax.  ``guard``, if given, is called once with
+    the number of creation updates the call is about to make, the rows of
+    the creation tables summed over every span; it may raise to refuse
+    them.  Returns (d, outs): outs[k] maps each z-exponent to the nonzero
+    {state: integer numerator} that ``op`` makes of vectors[k], over d times
+    the common denominator, and has no empty bucket.
 
-    Monomials are packed with one width w (see the module docstring).  A
-    term of weight w0 and shift s (``op.split``) that lowers by l and
-    creates j makes an output of weight w0 - l + j at z^(s - l + j), and
-    s - l + j <= cutoff: every output weighs at most W = wmax or, with no
-    cap, the largest w0 + cutoff - s over the states (not the monomials).
-    Each part lowered or created, and each exponent, is at most its output
-    weight, so w = W.bit_length() bits hold every digit without carry.
+    Monomials are packed with width w, the bit length of the cap (see the
+    module docstring).  A state of weight w0 and shift s (``op.split``) that
+    lowers by l and creates j makes an output of weight w0 - l + j <= wmax,
+    and each part lowered or created, and each exponent, is at most that
+    weight, so w bits hold every digit without carry.
 
     The annihilation half runs first, its tables cut at ``wmax`` (creation
-    only adds weight) and its rows out of the box dropped, summed per key
-    on small ints given to each distinct (z-exponent, new label, lowered
-    monomial).  The creation half then runs once per sum, summed per key
-    and z-exponent on small ints given to each distinct output, unpacked
-    once at the end.
+    only adds weight) and its rows out of the box dropped, summed per
+    vector on small ints given to each distinct (z-exponent, new label,
+    lowered monomial).  The creation half then runs once per sum, summed
+    per vector and z-exponent on small ints given to each distinct output,
+    unpacked once at the end.
     """
-    factor, states = -op.sign * op.scale, dict.fromkeys(s for _, s, _ in terms)
-    W = wmax if wmax is not None else max(
-        (mon_weight(s.mon) + cutoff - op.split(s)[0] for s in states), default=0)
-    w = max(W, 0).bit_length()
+    factor, w = -op.sign * op.scale, max(wmax, 0).bit_length()
+    states = dict.fromkeys(s for vec in vectors for s in vec)
     tables = {mon: _lowering_table(mon, factor, w, wmax) for mon in dict.fromkeys(s.mon for s in states)}
     d = lcm(*(den for den, _ in tables.values()))
 
@@ -210,8 +194,7 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
         den, table = tables[s.mon]
         # a created part of weight j moves z1 = shift + zl to z1 + j, which must stay in
         # the box and under the cap: j in [max(0, lo - zl), hi - zl], empty unless zl, lo <= hi
-        g, lo = d // den, -cutoff - shift
-        hi = cutoff - shift if wmax is None else min(cutoff - shift, wmax - mon_weight(s.mon))
+        g, lo, hi = d // den, -cutoff - shift, min(cutoff - shift, wmax - mon_weight(s.mon))
         rows = rows_of[s] = []
         for zl, mon1, x in table:
             if zl <= hi and lo <= hi:
@@ -219,29 +202,29 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
                 if i == len(lows):
                     lows.append((shift + zl, label, mon1, max(0, lo - zl), hi - zl))
                 rows.append((i, g * x))
-    lowered: Dict[tuple, Dict[int, int]] = {}  # key -> {lowered id: sum}
-    for key, s, c in terms:
-        acc = lowered.get(key)
-        if acc is None:
-            acc = lowered[key] = {}
-        for i, x in rows_of[s]:
-            v = acc.get(i, 0) + c * x
-            if v:
-                acc[i] = v
-            else:
-                del acc[i]
+    lowered = []  # per vector, {lowered id: sum}
+    for vec in vectors:
+        acc = {}
+        for s, c in vec.items():
+            for i, x in rows_of[s]:
+                v = acc.get(i, 0) + c * x
+                if v:
+                    acc[i] = v
+                else:
+                    del acc[i]
+        lowered.append(acc)
 
-    jmax = max((lows[i][4] for acc in lowered.values() for i in acc), default=0)
+    jmax = max((lows[i][4] for acc in lowered for i in acc), default=0)
     over = [factorial(jmax) // factorial(j) for j in range(jmax + 1)]
     make, odd, sign = op.make, op.odd, op.sign
     if guard is not None:  # _creation_table(j, odd, w) has a row per partition of j
         upto = [0, *accumulate(_partition_table(jmax, odd))]
-        guard(sum(upto[lows[i][4] + 1] - upto[lows[i][3]] for acc in lowered.values() for i in acc))
+        guard(sum(upto[lows[i][4] + 1] - upto[lows[i][3]] for acc in lowered for i in acc))
     raised = {}  # (label, lowered monomial, j) -> rows (output id, signed r)
     out_ids: Dict[tuple, int] = {}  # (label, monomial) -> id
-    out: Dict[tuple, dict] = {}
-    for key, acc in lowered.items():
-        buckets: Dict[int, Dict[int, int]] = {}  # z-exponent -> {output id: numerator}
+    outs = []  # per vector, {z-exponent: {output id: numerator}}
+    for acc in lowered:
+        buckets: Dict[int, Dict[int, int]] = {}
         for i, g in acc.items():
             z1, label, mon1, bottom, top = lows[i]
             for j in range(bottom, top + 1):
@@ -260,10 +243,10 @@ def vertex_terms(op: Vertex, terms, cutoff: int, wmax: int | None,
                         bucket[o] = v
                     else:
                         del bucket[o]
-        for ze, bucket in buckets.items():
-            out[key, ze] = bucket
+        outs.append(buckets)
     made = [make(label, _unpack(mon, w)) for label, mon in out_ids]
-    return d * over[0], {k: {made[o]: v for o, v in bucket.items()} for k, bucket in out.items()}
+    return d * over[0], [{ze: {made[o]: v for o, v in bucket.items()} for ze, bucket in buckets.items() if bucket}
+                         for buckets in outs]
 
 
 def vertex_op_A(sign: int) -> Vertex:
@@ -282,13 +265,15 @@ def vertex_op_B(sign: int) -> Vertex:
 
 def _apply(op: Vertex, v: FockVector, cutoff: int, wmax: int | None) -> Dict[int, FockVector]:
     """``op`` on v per z-exponent in [-cutoff, cutoff], over one common
-    denominator."""
+    denominator.  With no cap, every output weighs at most W, the largest
+    w0 + cutoff - shift over v's states (w0 the state's weight, shift its
+    ``op.split``): the cap W drops nothing."""
+    if wmax is None:
+        wmax = max((mon_weight(s.mon) + cutoff - op.split(s)[0] for s in v.terms), default=0)
     den = lcm(*(c.denominator for c in v.terms.values()))
-    d, out = vertex_terms(op, [((), s, c.numerator * (den // c.denominator)) for s, c in v.items()],
-                          cutoff, wmax)
+    d, (out,) = vertex_terms(op, [{s: c.numerator * (den // c.denominator) for s, c in v.items()}], cutoff, wmax)
     den *= d
-    return {ze: FockVector({s: Fraction(n, den) for s, n in bucket.items()})
-            for (_, ze), bucket in out.items() if bucket}
+    return {ze: FockVector({s: Fraction(n, den) for s, n in bucket.items()}) for ze, bucket in out.items()}
 
 
 def vertex_A(sign: int, v: FockVector, cutoff: int, wmax: int | None = None) -> Dict[int, FockVector]:
@@ -297,9 +282,8 @@ def vertex_A(sign: int, v: FockVector, cutoff: int, wmax: int | None = None) -> 
     Right-to-left factors: z^{sign*d_alpha} contributes z^(sign*original
     charge), e^{sign*alpha} shifts the charge, then the annihilation
     exponential exp(-sign*sum h_n/n z^-n) and the creation exponential
-    exp(sign*sum h_{-n}/n z^n) = exp(sign*sum x_n z^n).  ``wmax`` caps the
-    output monomial weight (used to drop states no later operator can
-    bring back to the vacuum).
+    exp(sign*sum h_{-n}/n z^n) = exp(sign*sum x_n z^n).  ``wmax``, if
+    given, caps the output monomial weight.
     """
     return _apply(vertex_op_A(sign), v, cutoff, wmax)
 

@@ -8,14 +8,12 @@ table.  ``--model`` keeps the checks of that model and those covering
 both, for a single target or ``all``.  ``--n`` sets the size of the checks
 that have one (pairs for type A, half the points for type B); ``--quick``
 runs the table's smaller sizes and caps the cutoff at ``QUICK_CUTOFF``,
-with a note on stderr when a cutoff asked for by ``--cutoff`` or
-BFCORR_CUTOFF is lowered.
+with a note on stderr when a cutoff asked for by ``--cutoff`` is lowered.
 
 Each command takes only the options it reads: ``--format`` everywhere,
 ``--cutoff`` for ``verify``, ``vev`` and ``expand``, ``--seed`` for
 ``verify``, ``vev`` and ``character``, ``--no-timing`` for ``verify`` and
-``vev``.  The default cutoff can be overridden with the BFCORR_CUTOFF
-environment variable (an integer >= 1).
+``vev``.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
 error, including a cutoff or size no check can use.  ``main`` is the one
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -48,25 +45,11 @@ from .textio import format_series, parse_rational
 VERIFY_TARGETS = tuple(dict.fromkeys(check.target for check in CHECKS)) + ("all",)
 
 
-def _env_cutoff() -> int | None:
-    """BFCORR_CUTOFF as an integer >= 1, or None when it is unset."""
-    env = os.environ.get("BFCORR_CUTOFF")
-    if not env:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"BFCORR_CUTOFF must be an integer >= 1, got {env!r}")
-    return value
-
-
 def _validate(args) -> None:
     """Resolve and check the sizes of a command: the one place they are
     validated, so that no check runs (and passes) at a size it cannot use."""
     if "cutoff" in vars(args):
-        asked = args.cutoff if args.cutoff is not None else _env_cutoff()
+        asked = args.cutoff
         args.cutoff = DEFAULT_CUTOFF if asked is None else asked
         if args.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {args.cutoff}")
@@ -194,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, cutoff=True, seed=True, timing=True):
         if cutoff:
             p.add_argument("--cutoff", type=int, default=None,
-                           help=f"series cutoff D (default {DEFAULT_CUTOFF} or $BFCORR_CUTOFF)")
+                           help=f"series cutoff D (default {DEFAULT_CUTOFF})")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="recorded in reports for reproducibility")

@@ -7,8 +7,9 @@ phi_B(-z) = (T phi_B)(z), or the vertex operators e^{+-alpha}(z) (type A)
 and e^alpha(+-z) (type B).  Both VEV engines keep the exponents of the
 word's positions apart: the fermion sweep meets in the middle
 (``vev_fermion``), and the boson sweep runs each vertex operator once per
-distinct partial state up to scale, shared by every prefix of exponents
-that reaches a multiple of it (``_boson_series``).
+distinct partial state up to scale, one ``boson.vertex_terms`` call on
+the list of them per step, shared by every prefix of exponents that
+reaches a multiple of it (``_boson_series``).
 
 Every series is keyed by packed ints (``poly.Codec``), and the engines
 build their keys packed: position k's exponent m adds m * 2^(w(n-1-k)),
@@ -256,30 +257,25 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
 
     The sweep runs the word right to left.  A prefix is the packed key of
     the z-exponents of the operators run so far, and it holds one (integer
-    scale, vector id): its partial state is the scale times the vector,
-    {state: numerator} over the sweep's common denominator.  The prefixes
-    are kept per vector, as {prefix: scale}.  Each word step reduces every
-    vector to its primitive form (its numerators divided by their gcd, the
-    sign fixed by the coefficient of its least state), merges equal forms,
-    and runs ``vertex_terms`` once on the distinct forms, keyed by form id:
-    the annihilation half, its lowering tables built only up to the weight
-    cap, is summed per form on small ints interned for each (z-exponent,
-    label, lowered monomial packed into one int), and the creation half,
-    which adds packed monomials, per (form, z-exponent) on ints interned
-    for each output (label, packed monomial), inside the cutoff box and
-    the weight cap; each distinct output is unpacked to a state once.
-    Each output bucket (form id, z-exponent) is a vector of the next step,
-    held by every prefix whose vector reduced to that form: the prefix
-    gains the z-exponent, in [-D, D], times its position's weight, and its
-    scale is multiplied by its vector's gcd and sign.  This is exact,
-    because a vertex operator is linear, V(g v) = g V(v), and the bucket
-    is the same for every prefix of the form.
+    scale, form id): its partial state is the scale times the form, a
+    primitive vector {state: numerator} over the sweep's common denominator
+    (its numerators have gcd 1, and the one at its least state is
+    positive).  No two forms are equal, and the prefixes are kept per form,
+    as {prefix: scale}.  Each word step runs ``vertex_terms`` once on the
+    forms, capped at the weight the rest of the word can absorb, then
+    makes one pass over (prefixes, output buckets) per form: each bucket,
+    the form's output at one z-exponent in [-D, D], is reduced to its
+    primitive form as it is read, and every prefix of the form, gaining
+    the z-exponent times its position's weight, is held by the bucket's
+    form in the next step, its scale multiplied by the bucket's gcd and
+    sign.  This is exact, because a vertex operator is linear,
+    V(g v) = g V(v).
 
     Two bounds refuse a spec with ValueError, and the cutoff is never
     lowered in their place: a step may not take in more than
-    ``MAX_STEP_TERMS`` prefixes, counted per vector before the prefixes are
-    built, and it may not make more than ``MAX_STEP_UPDATES`` creation
-    updates.
+    ``MAX_STEP_TERMS`` prefixes, counted from the forms' prefixes and
+    buckets before the next step's prefixes are built, and it may not make
+    more than ``MAX_STEP_UPDATES`` creation updates.
     """
     D, (vacuum, table) = spec.cutoff, OPERATORS[spec.model, spec.side]
     ops = [table[sym] for sym, _ in spec.word]
@@ -302,34 +298,30 @@ def _boson_series(spec: VevSpec) -> LaurentSeries:
             refuse(step, f"would make {count} creation updates, more than {MAX_STEP_UPDATES}")
 
     weights = frame_codec(len(ops), D).weights
-    # vectors[id] is {state: numerator over den}, and groups[id] {packed
-    # prefix: integer scale} for the prefixes holding it
-    vectors, groups, den = [{vacuum: 1}], [{0: 1}], 1
+    # forms[id] is a primitive vector {state: numerator over den}, and
+    # groups[id] {packed prefix: integer scale} for the prefixes holding it
+    forms, groups, den = [{vacuum: 1}], [{0: 1}], 1
     for step, op in enumerate(reversed(ops), 1):
-        form_ids, forms, members = {}, [], []  # members[form id]: [(g, group)]
-        for vec, group in zip(vectors, groups):
-            g = gcd(*vec.values())
-            if vec[min(vec)] < 0:
-                g = -g
-            form = {s: c // g for s, c in vec.items()}
-            i = form_ids.setdefault(frozenset(form.items()), len(forms))
-            if i == len(forms):
-                forms.append(form)
-                members.append([])
-            members[i].append((g, group))
-        d, out = vertex_terms(op, [(i, s, c) for i, form in enumerate(forms) for s, c in form.items()],
-                              D, sum(absorbs[step:]), partial(guard, step=step))
-        out = [(i, ze, bucket) for (i, ze), bucket in out.items() if bucket]
-        taken = sum(len(group) for i, _, _ in out for _, group in members[i])
+        d, outs = vertex_terms(op, forms, D, sum(absorbs[step:]), partial(guard, step=step))
+        taken = sum(len(group) * len(buckets) for group, buckets in zip(groups, outs))
         if step < len(ops) and taken > MAX_STEP_TERMS:
             refuse(step + 1, f"would take in {taken} prefixes, more than {MAX_STEP_TERMS}")
-        weight = weights[-step]
-        vectors = [bucket for *_, bucket in out]
-        groups = [{prefix + ze * weight: scale * g
-                   for g, group in members[i] for prefix, scale in group.items()} for i, ze, _ in out]
+        weight, form_ids, forms, next_groups = weights[-step], {}, [], []
+        for group, buckets in zip(groups, outs):
+            for ze, bucket in buckets.items():
+                g = gcd(*bucket.values())
+                if bucket[min(bucket)] < 0:
+                    g = -g
+                form = {s: c // g for s, c in bucket.items()}
+                i = form_ids.setdefault(frozenset(form.items()), len(forms))
+                if i == len(forms):
+                    forms.append(form)
+                    next_groups.append({})
+                next_groups[i].update({prefix + ze * weight: scale * g for prefix, scale in group.items()})
+        groups = next_groups
         den *= d
-    terms = {prefix: Fraction(scale * vec[vacuum], den)
-             for vec, group in zip(vectors, groups) if vacuum in vec for prefix, scale in group.items()}
+    terms = {prefix: Fraction(scale * form[vacuum], den)
+             for form, group in zip(forms, groups) if vacuum in form for prefix, scale in group.items()}
     return LaurentSeries(spec.variables, D, terms)
 
 

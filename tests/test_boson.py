@@ -313,53 +313,83 @@ def _lowering_oracle(mon, factor):
 @pytest.mark.parametrize("odd,factor", [(False, -1), (False, 1), (True, -2), (True, 2)])
 def test_lowering_tables_are_cut_exactly_at_the_cap(odd, factor):
     # the cap only drops the rows whose lowered monomial is too heavy; the
-    # denominator and the order of the rows kept do not change.  The width
-    # is the one vertex_terms takes for the cap, so the packed monomial may
-    # have a digit of 2^w or more that only its lowered rows fit
+    # denominator and the order of the rows kept do not change, and the cap
+    # of the monomial's own weight keeps every row.  The width is the one
+    # vertex_terms takes for the cap, so the packed monomial may have a
+    # digit of 2^w or more that only its lowered rows fit
     for mon in _monomials(8, odd):
         den, rows = _lowering_oracle(mon, factor)
         assert len(rows) == prod(e + 1 for _, e in mon)
-        for cap in (None, -1, *range(9)):
-            want = tuple(row for row in rows if cap is None or mon_weight(row[1]) <= cap)
-            w = max(mon_weight(mon) if cap is None else cap, 0).bit_length()
+        for cap in (mon_weight(mon), -1, *range(9)):
+            want = tuple(row for row in rows if mon_weight(row[1]) <= cap)
+            w = max(cap, 0).bit_length()
             got_den, got = _lowering_table(mon, factor, w, cap)
             assert got_den == den, (mon, cap)
             assert tuple((zl, _unpack(low, w), x) for zl, low, x in got) == want, (mon, cap)
 
 
-def _per_term_sum(op, terms, cutoff, wmax):
-    """vertex_terms run on one state at a time, summed per key as
+def _fractions(d, outs):
+    """The output of vertex_terms as fractions."""
+    return [{ze: {s: Fraction(n, d) for s, n in b.items()} for ze, b in out.items()} for out in outs]
+
+
+def _per_term_sum(op, vectors, cutoff, wmax):
+    """vertex_terms run on one state at a time, summed per vector as
     fractions; zero sums and empty buckets are dropped."""
+    sums = []
+    for vec in vectors:
+        total = {}
+        for state, c in vec.items():
+            (out,) = _fractions(*vertex_terms(op, [{state: c}], cutoff, wmax))
+            for ze, bucket in out.items():
+                for s, x in bucket.items():
+                    total.setdefault(ze, {}).setdefault(s, 0)
+                    total[ze][s] += x
+        sums.append({ze: {s: c for s, c in b.items() if c} for ze, b in total.items() if any(b.values())})
+    return sums
+
+
+def _graded_sum(parts):
+    """The sum of {z-exponent: FockVector} dicts, zero vectors dropped."""
     total = {}
-    for key, state, c in terms:
-        d, out = vertex_terms(op, [((), state, c)], cutoff, wmax)
-        for (_, ze), bucket in out.items():
-            for s, n in bucket.items():
-                total.setdefault((key, ze), {}).setdefault(s, 0)
-                total[key, ze][s] += Fraction(n, d)
-    return {k: {s: c for s, c in b.items() if c} for k, b in total.items() if any(b.values())}
+    for part in parts:
+        for ze, fv in part.items():
+            total[ze] = total.get(ze, FockVector()) + fv
+    return {ze: fv for ze, fv in total.items() if not fv.is_zero()}
 
 
 @pytest.mark.parametrize("model", ["A", "B"])
 @pytest.mark.parametrize("wmax", [None, 3])
 def test_vertex_terms_is_linear_across_keys(model, wmax):
-    # one call on a list that mixes labels, keys and two terms that cancel
-    # equals the sum of one call per term
+    # one call on vectors that mix labels equals the sum of one call per
+    # state, and so does one on two states whose terms lowered to the
+    # vacuum cancel: its z-exponent there gets no bucket.  The cap None
+    # stands for the least one that drops nothing, the largest
+    # weight + cutoff - shift over the states
     if model == "A":
         ops, labels, mons = [vertex_op_A(1), vertex_op_A(-1)], (-1, 0, 1), _monomials(3)
         make = BosonStateA
     else:
         ops, labels, mons = [vertex_op_B(1), vertex_op_B(-1)], (0, 1), _monomials(5, odd=True)
         make = BosonStateB
-    terms = [(key, make(label, mon), (-1) ** k * (k + 1))
-             for k, (key, label, mon) in enumerate(
-                 (key, label, mon) for key in ((), (2,), (-1, 3)) for label in labels for mon in mons[::2])]
-    terms += [((2,), make(labels[-1], mons[1]), 7), ((2,), make(labels[-1], mons[1]), -7)]
+    basis = [make(label, mon) for label in labels for mon in mons[::2]]
+    vectors = [{s: (-1) ** k * (k + q + 1) for k, s in enumerate(basis)} for q in range(3)]
     for op in ops:
-        d, out = vertex_terms(op, terms, 4, wmax)
-        got = {k: {s: Fraction(n, d) for s, n in b.items()} for k, b in out.items() if b}
-        assert got and got == _per_term_sum(op, terms, 4, wmax)
-        assert all(n for b in out.values() for n in b.values())
+        # x_n and x_1^n (n = 2 for type A, 3 for type B) both lower to 1 at
+        # z^(shift - n), with factor/n and factor^n, factor = -sign * scale,
+        # which these numerators cancel
+        if model == "A":
+            n, cancel = 2, {make(1, ((2, 1),)): 2, make(1, ((1, 2),)): op.sign}
+        else:
+            n, cancel = 3, {make(1, ((3, 1),)): 12, make(1, ((1, 3),)): -1}
+        states = [s for vec in vectors + [cancel] for s in vec]
+        cap = wmax if wmax is not None else max(mon_weight(s.mon) + 4 - op.split(s)[0] for s in states)
+        d, outs = vertex_terms(op, vectors + [cancel], 4, cap)
+        assert all(x for out in outs for b in out.values() for x in b.values())
+        assert all(outs) and _fractions(d, outs) == _per_term_sum(op, vectors + [cancel], 4, cap)
+        low = op.split(make(1, ()))[0] - n
+        assert low not in outs[-1]
+        assert all(low in vertex_terms(op, [{s: c}], 4, cap)[1][0] for s, c in cancel.items())
 
 
 @pytest.mark.parametrize("wmax", [None, 8])
@@ -371,9 +401,9 @@ def test_vertex_outputs_reach_the_top_of_the_packed_width(model, sign, wmax):
     # which one bit less would carry into x_2
     x1, top = ((1, 2),), ((1, 8),)
     if model == "A":
-        op, labels, make = vertex_op_A(sign), (-1, 0, 1), BosonStateA
+        op, labels, make, apply = vertex_op_A(sign), (-1, 0, 1), BosonStateA, vertex_A
     else:
-        op, labels, make = vertex_op_B(sign), (0, 1), BosonStateB
+        op, labels, make, apply = vertex_op_B(sign), (0, 1), BosonStateB, vertex_B
     shifts = {label: op.split(make(label, x1))[0] for label in labels}
     for label, shift in shifts.items():
         cutoff = 6 + shift + (wmax is not None)
@@ -391,26 +421,35 @@ def test_vertex_outputs_reach_the_top_of_the_packed_width(model, sign, wmax):
             got = vertex_B(sign, v, cutoff, wmax)
             assert got == _truncated(full, cutoff, wmax, sign), label
         assert any(s.mon == top for fv in got.values() for s in fv.terms), label
-    # every label in one call: the terms share their monomial but not their
-    # shift, so W must come from the term of the least shift, whichever of
-    # them comes first
+    # every label in one vector: the states share their monomial but not
+    # their shift, so with no cap W must come from the state of the least
+    # shift, whichever of them comes first
     cutoff = 6 + min(shifts.values())
-    terms = [(label, make(label, x1), 1) for label in labels]
-    for order in (terms, terms[::-1]):
-        d, out = vertex_terms(op, order, cutoff, wmax)
-        got = {k: {s: Fraction(n, d) for s, n in b.items()} for k, b in out.items() if b}
-        assert got == _per_term_sum(op, order, cutoff, wmax)
-        assert any(s.mon == top for b in got.values() for s in b)
+    mixed = [FockVector({make(label, x1): 1 for label in order}) for order in (labels, labels[::-1])]
+    for v in mixed:
+        got = apply(sign, v, cutoff, wmax)
+        assert got == _graded_sum(apply(sign, FockVector.basis(make(label, x1)), cutoff, wmax)
+                                  for label in labels)
+        assert any(s.mon == top for fv in got.values() for s in fv.terms)
+    if wmax is None:
+        # W = 8 here, and on the vacuum at cutoff 8: every cap from W up
+        # gives what no cap gives, and the cap W - 1 loses the outputs of
+        # weight W
+        for v, cutoff in [(v, cutoff) for v in mixed] + [(FockVector.basis(make(0, ())), 8)]:
+            got = apply(sign, v, cutoff)
+            assert all(apply(sign, v, cutoff, cap) == got for cap in range(8, 17))
+            assert apply(sign, v, cutoff, 7) == _truncated(got, cutoff, 7) != got
 
 
 @pytest.mark.parametrize("op", [vertex_op_A(1), vertex_op_A(-1), vertex_op_B(1), vertex_op_B(-1)])
 @pytest.mark.parametrize("wmax", [None, 4])
 def test_vertex_terms_counts_its_creation_updates(op, wmax):
     # on one state every creation update lands on its own output term, so
-    # the count given to the guard is exactly the number of terms made
+    # the count given to the guard is exactly the number of terms made.  The
+    # cap None stands for the least one that drops nothing, the cutoff 8
     counts = []
     vacuum = BOSON_VACUUM_A if op.make is BosonStateA else BOSON_VACUUM_B
-    _, out = vertex_terms(op, [((), vacuum, 1)], 8, wmax, counts.append)
+    _, (out,) = vertex_terms(op, [{vacuum: 1}], 8, 8 if wmax is None else wmax, counts.append)
     assert counts == [sum(map(len, out.values()))] and counts[0] > 5
 
 
@@ -421,5 +460,5 @@ def test_vertex_terms_counts_nothing_for_a_state_too_heavy_for_the_cap(op):
     # the cap, so nothing is made and the guard is told of no update
     counts = []
     vacuum = BOSON_VACUUM_A if op.make is BosonStateA else BOSON_VACUUM_B
-    _, out = vertex_terms(op, [((), vacuum._replace(mon=((1, 16),)), 1)], 8, 4, counts.append)
-    assert counts == [0] and not any(out.values())
+    _, (out,) = vertex_terms(op, [{vacuum._replace(mon=((1, 16),)): 1}], 8, 4, counts.append)
+    assert counts == [0] and out == {}

@@ -137,35 +137,12 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_environment_cutoff_override(monkeypatch):
-    monkeypatch.setenv("BFCORR_CUTOFF", "4")
-    code, out = run_cli("vev", "--model", "A", "--side", "fermion",
-                        "--points", "1", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["params"]["cutoff"] == 4
-
-
 @pytest.mark.parametrize("cutoff", ["0", "-3"])
 def test_nonpositive_cutoff_is_rejected(cutoff, capsys):
     code, out = run_cli("verify", "det-formula", "--model", "A", "--cutoff", cutoff)
     assert code == 2
     assert out == ""
     assert "cutoff must be >= 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "2.5"])
-def test_invalid_environment_cutoff_is_rejected(value, monkeypatch, capsys):
-    monkeypatch.setenv("BFCORR_CUTOFF", value)
-    code, out = run_cli("vev", "--model", "A", "--side", "fermion", "--points", "1")
-    assert code == 2
-    assert out == ""
-    assert "BFCORR_CUTOFF" in capsys.readouterr().err
-
-
-def test_explicit_cutoff_wins_over_environment(monkeypatch):
-    monkeypatch.setenv("BFCORR_CUTOFF", "abc")
-    code, out = run_cli("verify", "cauchy", "--n", "1", "--cutoff", "3")
-    assert code == 0
 
 
 @pytest.mark.parametrize("target", ["heisenberg", "heisenberg-fermions", "character", "hopf",
@@ -421,23 +398,16 @@ def test_verify_all_honours_model(model):
     assert len(names) == 11
 
 
-@pytest.mark.parametrize("env,argv,asked", [
-    (None, ("--cutoff", "9"), 9),
-    ("8", (), 8),
-])
-def test_quick_says_when_it_lowers_the_cutoff(env, argv, asked, monkeypatch, capsys):
-    if env is not None:
-        monkeypatch.setenv("BFCORR_CUTOFF", env)
-    code, out = run_cli("verify", "det-formula", "--model", "A", "--quick", *argv)
+def test_quick_says_when_it_lowers_the_cutoff(capsys):
+    code, out = run_cli("verify", "det-formula", "--model", "A", "--quick", "--cutoff", "9")
     assert code == 0
     assert "cutoff=6" in out
-    assert capsys.readouterr().err == f"note: --quick runs at cutoff 6, not the requested {asked}\n"
+    assert capsys.readouterr().err == "note: --quick runs at cutoff 6, not the requested 9\n"
 
 
 @pytest.mark.parametrize("argv", [(), ("--cutoff", "6"), ("--cutoff", "3")])
-def test_quick_is_silent_when_it_keeps_the_cutoff(argv, monkeypatch, capsys):
+def test_quick_is_silent_when_it_keeps_the_cutoff(argv, capsys):
     # the default cutoff is lowered without a note: it was not asked for
-    monkeypatch.delenv("BFCORR_CUTOFF", raising=False)
     code, _ = run_cli("verify", "det-formula", "--model", "A", "--quick", *argv)
     assert code == 0
     assert capsys.readouterr().err == ""

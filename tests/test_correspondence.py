@@ -199,15 +199,12 @@ def test_vev_is_monotone_in_the_cutoff(side, model, size, cutoff):
 
 def _recording_sweep(monkeypatch):
     """Run the boson sweep's vertex_terms through a recorder; the list it
-    returns gets one (wmax, {key: {state: numerator}}) per call."""
+    returns gets one (wmax, [{state: numerator} per vector]) per call."""
     calls = []
 
-    def recording(op, terms, cutoff, wmax, guard):
-        vectors = {}
-        for key, s, c in terms:
-            vectors.setdefault(key, {})[s] = c
+    def recording(op, vectors, cutoff, wmax, guard):
         calls.append((wmax, vectors))
-        return vertex_terms(op, terms, cutoff, wmax, guard)
+        return vertex_terms(op, vectors, cutoff, wmax, guard)
 
     vertex_terms = correspondence.vertex_terms
     monkeypatch.setattr(correspondence, "vertex_terms", recording)
@@ -232,8 +229,8 @@ def test_boson_vev_refuses_a_step_past_its_bound(monkeypatch):
     # bound refuses the largest step of a spec and no smaller one
     counts = []
 
-    def recording(op, terms, cutoff, wmax, guard):
-        return vertex_terms(op, terms, cutoff, wmax, lambda count: counts.append(count) or guard(count))
+    def recording(op, vectors, cutoff, wmax, guard):
+        return vertex_terms(op, vectors, cutoff, wmax, lambda count: counts.append(count) or guard(count))
 
     vertex_terms = correspondence.vertex_terms
     monkeypatch.setattr(correspondence, "vertex_terms", recording)
@@ -320,7 +317,7 @@ def test_boson_sweep_runs_each_vector_once_up_to_scale(monkeypatch):
     for step, (_, vectors) in enumerate(calls, 1):
         # a vector over its coefficient at its least state, equal for multiples
         rays = {frozenset((s, Fraction(c, vec[min(vec)])) for s, c in vec.items())
-                for vec in vectors.values()}
+                for vec in vectors}
         assert len(rays) == len(vectors) <= held[step - 1], step
         if step >= 3:
             assert len(vectors) < held[step - 1], step
@@ -641,9 +638,9 @@ def test_vev_match_reuses_the_boson_vev_of_product_formula(model, n, monkeypatch
     # both rows ask for the boson VEV of one standard spec, computed once
     calls = []
 
-    def counted(op, terms, cutoff, wmax, guard):
+    def counted(op, vectors, cutoff, wmax, guard):
         calls.append(op)
-        return vertex_terms(op, terms, cutoff, wmax, guard)
+        return vertex_terms(op, vectors, cutoff, wmax, guard)
 
     vertex_terms = correspondence.vertex_terms
     monkeypatch.setattr(correspondence, "vertex_terms", counted)
