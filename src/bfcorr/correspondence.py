@@ -834,7 +834,7 @@ CHECKS = (
           {"n": 2, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
     Check("product-formula-B", "product-formula", "B",
           _series_check(("boson_vev", "vertex_series"), ("product_form", "product_series")),
-          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 2}),
+          {"n": 4, "cutoff": DEFAULT_CUTOFF}, {"n": 4}),
     Check("supercommutativity-A", "supercommutativity", "A", _run_supercommutativity,
           {"cutoff": DEFAULT_CUTOFF}, {}),
     Check("supercommutativity-B", "supercommutativity", "B", _run_supercommutativity,

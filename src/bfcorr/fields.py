@@ -10,11 +10,15 @@ fermions are fock's basis-state Clifford actions.  D, T and scalar
 multiples are the only rules that transform rows.  ``act_hopf`` applies a
 word in D and T letter by letter; words have no normal form here, so
 T^2 = 1 and DT = -TD are what the ``hopf-relations`` check tests on the
-rows, not rules the code assumes.  A quadratic normal
-ordered product composes the rows of its two factors and subtracts the
-vacuum pairing read off the same rows, so no ``Fraction`` is made while
-rows are built or composed.  ``coeff(k)`` is the linear extension of the
-rows of z^k to FockVectors, ``v.apply(row at k)`` over ``den``.
+rows, not rules the code assumes.  A quadratic normal ordered product
+:a b: composes the rows of its two factors and subtracts the vacuum
+pairing read off the same rows, so no ``Fraction`` is made while rows are
+built or composed.  It keeps each row it builds and, per state s, an entry
+with s's mode lists and the rows b_k(s) of its b-factor built so far: a
+Clifford row is a pure function of (k, s), so one b_k(s) serves the rows
+of every z-power that needs it.  Rows and entries live as long as the
+field.  ``coeff(k)`` is the linear extension of the rows of z^k to
+FockVectors, ``v.apply(row at k)`` over ``den``.
 
 Every operator identity is one rule, ``residuals``: a sum c * word of row
 compositions, run on each basis state up to a grade.  ``mode_commutator`` is
@@ -155,29 +159,41 @@ def act_hopf(word: str, a: Field) -> Field:
 # -- quadratic normal ordering ------------------------------------------------
 
 
-def _candidates(families: Tuple[str, str], ksum: int, s) -> List[int]:
-    """Underlying b-indices beta for which :a_(ksum-beta) b_beta: can act."""
+def _candidates(families: Tuple[str, str], ksum: int, modes: Tuple[Tuple[int, ...], ...]) -> List[int]:
+    """Underlying b-indices beta for which :a_(ksum-beta) b_beta: can act on
+    the state whose decreasing mode lists, one per mask, are ``modes``."""
     fa, fb = families
     cand = set(range(0, max(ksum, -1) + 1 if fa != "phiB" else max(ksum, 0) + 1))
     if fa == "phiB":
-        for n in _bits(s[0]):
+        for n in modes[0]:
             if ksum + n >= 0:
                 cand.add(ksum + n)
             cand.add(-n)
     else:
-        phis, psis = s  # the masks
+        phis, psis = modes
         if fb == "phiA":
             phis, psis = psis, phis  # mirror roles for :psi phi:
-        for q in _bits(psis):
+        for q in psis:
             if ksum + 1 + q >= 0:
                 cand.add(ksum + 1 + q)
-        for p in _bits(phis):
+        for p in phis:
             cand.add(-1 - p)
     return sorted(cand)
 
 
 def normal_ordered_quadratic(a: Field, b: Field) -> Field:
-    """The field with z-power coefficients sum_{j+k=K} :a_j b_k:."""
+    """The field with z-power coefficients sum_{j+k=K} :a_j b_k:.
+
+    The row at (K, s) sums a's rows on the images b_k(s) over the
+    candidate b-indices of ``_candidates`` and subtracts the vacuum
+    pairings.  The field keeps, next to each row it built, one entry per
+    state s: s's decreasing mode lists, which ``_candidates`` reads, and
+    each row b_k(s) built so far, keyed by its z-power k.  A Clifford row
+    is a pure function of (k, s), so reusing b_k(s) for every K is exact;
+    the vacuum pairings read b's rows on the vacuum from its entry too.
+    a's rows, one Clifford action each, are not kept: a dict of them
+    measured slower than the actions.  Rows and entries live as long as
+    the field."""
     if a.space != b.space:
         raise ValueError("fields act on different spaces")
     if a.clifford is None or b.clifford is None:
@@ -188,20 +204,37 @@ def normal_ordered_quadratic(a: Field, b: Field) -> Field:
     arow, brow = a.row, b.row
     vacuum = VACUUM_A if a.space == "A" else VACUUM_B
     cache: Dict = {}
+    entries: Dict = {}  # state -> (its mode lists, {z-power: b's row there})
+
+    def entry(s):
+        got = entries.get(s)
+        if got is None:
+            got = entries[s] = (tuple(map(_bits, s)), {})
+        return got
+
+    def b_row(brows: Dict, kb: int, s) -> Row:
+        """b's row at (kb, s) from s's entry ``brows``, built on first use."""
+        got = brows.get(kb)
+        if got is None:
+            got = brows[kb] = brow(kb, s)
+        return got
+
+    vacuum_brows = entry(vacuum)[1]
 
     @lru_cache(maxsize=None)
     def vev_pair(ka: int, kb: int) -> int:
         """<0| a_ka b_kb |0> at z-powers ka, kb, read off the rows."""
-        return sum(x * y for t, x in brow(kb, vacuum) for u, y in arow(ka, t) if u == vacuum)
+        return sum(x * y for t, x in b_row(vacuum_brows, kb, vacuum) for u, y in arow(ka, t) if u == vacuum)
 
     def row(K: int, s) -> Row:
         got = cache.get((K, s))
         if got is None:
+            modes, brows = entry(s)
             acc: Dict = {}
-            for beta in _candidates((fa, fb), K + shift_a + shift_b, s):
+            for beta in _candidates((fa, fb), K + shift_a + shift_b, modes):
                 kb = beta - shift_b
                 ka = K - kb
-                for t, x in brow(kb, s):
+                for t, x in b_row(brows, kb, s):
                     for u, y in arow(ka, t):
                         acc[u] = acc.get(u, 0) + x * y
                 pair = vev_pair(ka, kb)

@@ -287,11 +287,6 @@ def test_commands_take_only_the_options_they_read(argv):
     assert exc.value.code == 2
 
 
-def test_character_ignores_the_environment_cutoff(monkeypatch):
-    monkeypatch.setenv("BFCORR_CUTOFF", "0")
-    assert run_cli("character", "--model", "B", "--max", "4")[0] == 0
-
-
 # sha256 of the JSON stdout, recorded before det_series/pf_series moved onto
 # the shared expansions of bfcorr.matrices; sizes beyond the benchmark's
 @pytest.mark.parametrize("argv,digest", [
@@ -318,13 +313,13 @@ def test_empty_comparison_fails():
 # recorded before the checks moved into one table; the three ``verify all``
 # digests were re-recorded when locality-A/-B joined and again when
 # heisenberg-fermions-A/-B joined, and the two ``--quick`` ones again when
-# pf-formula-B and vev-match-B went to 4 points under --quick, with the
-# other lines of each output unchanged
+# pf-formula-B and vev-match-B went to 4 points under --quick and when
+# product-formula-B did, with the other lines of each output unchanged
 @pytest.mark.parametrize("argv,code,digest", [
     ("verify all --quick --no-timing", 0,
-     "d27d06162c6c52558856709b3f999c705588915319ceac0df5d1283e76e7409c"),
+     "bdf6bae437326f96d561d02869b5080425d64f3d03657591fa3b1ee618fea1b3"),
     ("verify all --quick --no-timing --format json", 0,
-     "7d8c6c25ce0be7d26abb6c2493d8861a6f3b0ca857555603d324cbb603586835"),
+     "553315f72eb6fe33dbcd50a5eb6d04813b15d866de98f034e2250de81f6740a4"),
     ("verify all --quick --n 2 --cutoff 3 --format json --no-timing", 0,
      "ee8c253b8fd0d3a3399794d5f6c8a801d5a341de85b3e4f11958db274db5d5c2"),
     ("verify heisenberg --model A --quick --no-timing", 0,

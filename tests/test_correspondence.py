@@ -958,6 +958,15 @@ def test_every_check_takes_cutoff_and_seed():
         assert rep.passed and rep.params["seed"] == 5, check.name
 
 
+def test_type_b_series_checks_run_at_least_four_points():
+    # at 2 points a Pfaffian or the type B product form has a single kernel,
+    # so a series with its signs dropped could still pass
+    series = [c for c in CHECKS if c.model == "B" and c.run.__qualname__.startswith("_series_check.")]
+    assert sorted(c.name for c in series) == ["pf-formula-B", "product-formula-B", "vev-match-B"]
+    for check in series:
+        assert check.sizes["n"] >= 4 and check.quick["n"] >= 4, check.name
+
+
 def test_type_b_checks_need_an_even_number_of_points():
     with pytest.raises(ValueError, match="even number of points"):
         check_identity("pf-formula-B", {"n": 3, "cutoff": 2})

@@ -1,5 +1,7 @@
 """Hopf generator actions, quadratic normal ordering, mode brackets."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from bfcorr import correspondence
 from bfcorr.fields import (
+    Field,
     act_hopf,
     heisenberg_field_A,
     mode_commutator,
@@ -198,6 +201,11 @@ def _quadratic_oracle(x, y, scalar, K, v, vacuum):
     return total
 
 
+def _dpsi_a(i, v):
+    """(D psi)'s coefficient of z^i, (i + 1) psi_{i+1}, on v."""
+    return _psi_a(i + 1, v).scale(i + 1)
+
+
 QUADRATICS = [
     ("h_A", heisenberg_field_A, _phi_a, _psi_a, lambda beta: 1, VACUUM_A),
     (":psi phi:", lambda: normal_ordered_quadratic(psi_A(), phi_A()), _psi_a, _phi_a,
@@ -205,18 +213,58 @@ QUADRATICS = [
     # h_B = (1/4) :phi(z) phi(-z):, so phi_beta carries (-1)^beta
     ("h_B", twisted_heisenberg_field_B, apply_mode_B, apply_mode_B,
      lambda beta: Fraction(-1 if beta % 2 else 1, 4), VACUUM_B),
+    (":phi_B phi_B:", lambda: normal_ordered_quadratic(phi_B(), phi_B()), apply_mode_B,
+     apply_mode_B, lambda beta: 1, VACUUM_B),
+    # the b-factor's clifford tag carries the shift 1: its z^beta row is psi_{beta+1}
+    (":phi D psi:", lambda: normal_ordered_quadratic(phi_A(), act_hopf("D", psi_A())), _phi_a,
+     _dpsi_a, lambda beta: 1, VACUUM_A),
 ]
 
 
 @pytest.mark.parametrize("name,build,x,y,scalar,vacuum", QUADRATICS, ids=[q[0] for q in QUADRATICS])
 def test_quadratic_rows_match_the_definition(name, build, x, y, scalar, vacuum):
+    # rows asked for in any order, and again, come out the same: each state's
+    # entry is built by whichever row reaches it first
     field = build()
+    basis = states_A(GRADE) if field.space == "A" else states_B(GRADE)
+    pairs = [(K, s) for K in range(-WINDOW, WINDOW + 1) for s in basis] * 2
+    random.Random(20241021).shuffle(pairs)
+    want = {}
+    for K, s in pairs:
+        v = FockVector.basis(s)
+        if (K, s) not in want:
+            want[K, s] = _quadratic_oracle(x, y, scalar, K, v, vacuum)
+        assert all(type(c) is int for _, c in field.row(K, s))
+        assert field.coeff(K)(v) == want[K, s], (K, s)
+
+
+def _counting(field, calls):
+    """``field`` with a row that records each (z-power, state) it is asked for."""
+    row = field.row
+    return Field(field.name, field.space, field.parity, field.mode_zpow,
+                 lambda k, s: calls.append((k, s)) or row(k, s), field.den, field.clifford)
+
+
+@pytest.mark.parametrize("a,b,x,y,scalar,vacuum", [
+    (phi_A, psi_A, _phi_a, _psi_a, lambda beta: 1, VACUUM_A),
+    (phi_B, lambda: act_hopf("T", phi_B()), apply_mode_B, apply_mode_B,
+     lambda beta: -1 if beta % 2 else 1, VACUUM_B),
+    (phi_A, lambda: act_hopf("D", psi_A()), _phi_a, _dpsi_a, lambda beta: 1, VACUUM_A),
+], ids=[":phi psi:", ":phi_B T phi_B:", ":phi D psi:"])
+def test_quadratic_builds_each_b_row_once(a, b, x, y, scalar, vacuum):
+    # the b-factor's row b_k(s) is the same for every z-power K of :a b: that
+    # needs it, so rows at every K of the window take it from s's entry; the
+    # vacuum pairings read b's rows on the vacuum through the same entries
+    calls = []
+    field = normal_ordered_quadratic(a(), _counting(b(), calls))
     basis = states_A(GRADE) if field.space == "A" else states_B(GRADE)
     for K in range(-WINDOW, WINDOW + 1):
         for s in basis:
             v = FockVector.basis(s)
-            assert all(type(c) is int for _, c in field.row(K, s))
             assert field.coeff(K)(v) == _quadratic_oracle(x, y, scalar, K, v, vacuum), (K, s)
+    counts = Counter(calls)
+    assert len(counts) > len(basis)
+    assert max(counts.values()) == 1, counts.most_common(3)
 
 
 def _hopf_oracle(word, apply, k, v):
