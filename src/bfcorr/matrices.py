@@ -11,7 +11,9 @@ Laurent series in ``correspondence``.
 Matrices stay tiny at desk scale (<= 8x8), so exactness wins over
 asymptotics.  ``determinant`` and ``pfaffian`` run the expansion over
 ``RationalFn``, whose sums lift to the common factored denominator and
-are never reduced.
+are never reduced: a lift multiplies a numerator by each missing atom's
+linear form, once per power, and every such product adds packed keys
+(``poly.MultiPoly``).
 """
 
 from __future__ import annotations

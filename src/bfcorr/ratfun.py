@@ -60,11 +60,14 @@ def common_denominator(a: Dict[PoleFactor, int], b: Dict[PoleFactor, int]) -> Di
 
 
 def lift(num: MultiPoly, den: Dict[PoleFactor, int], target: Dict[PoleFactor, int]) -> MultiPoly:
-    """The numerator of num/den over the multiple ``target`` of ``den``."""
+    """The numerator of num/den over the multiple ``target`` of ``den``:
+    num times each atom's linear form once per unit of the atom's excess."""
     for atom, e in target.items():
         k = e - den.get(atom, 0)
         if k:
-            num = num * factor_poly(num.alphabet, atom) ** k
+            form = factor_poly(num.alphabet, atom)
+            for _ in range(k):
+                num = num * form
     return num
 
 
@@ -150,14 +153,18 @@ class RationalFn:
 
         Each atom's linear form becomes zero or c times one atom, which
         takes the atom's place while the numerator is divided by c^e (a
-        c^e of +-1 divides as an int, keeping integer numerators ints)."""
+        c^e of +-1 divides as an int, keeping integer numerators ints).
+        The form's keys are the weights of its variables, read back as
+        their indices; the numerator moves entry i of each key onto entry
+        j, on keys (``MultiPoly.substitute``)."""
         den: Dict[PoleFactor, int] = {}
         scale = 1
+        variable = {weight: k for k, weight in enumerate(self.num.codec.weights)}
         for atom, e in self.den.items():
             form = factor_poly(self.alphabet, atom).substitute(i, j, sign)
             if not form:
                 raise ZeroDivisionError(f"pole atom {atom!r} vanishes at z_{i} = {sign}*z_{j}")
-            (a, c), *rest = sorted((x.index(1), c) for x, c in form.items())
+            (a, c), *rest = sorted((variable[k], c) for k, c in form.items())
             atom = ("var", a) if not rest else ("sum" if rest[0][1] == c else "diff", a, rest[0][0])
             den[atom] = den.get(atom, 0) + e
             scale *= c ** e

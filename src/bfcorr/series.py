@@ -12,6 +12,12 @@ exponent is x gets the tail terms t = 0 .. x - e + D of a factor
 1/(z_a +- z_b)^e, and none when x - e < -D.  Tails have degree 0, so the
 total degree is tested once, on the numerator, and the box drops the rest.
 
+The numerator comes keyed in its alphabet's ``poly_codec``.  ``expand``
+reads the variables it uses off the OR of its keys (an entry of the OR is
+nonzero iff some term's is), then decodes each key once, through the
+codec's half tables, and places the entries over the ordering, shifted
+by the var atoms; the tails run on those tuples.
+
 A series is keyed by packed ints (``poly.Codec``): its frame of n
 variables and cutoff D fixes the width w = (nD).bit_length() + 1, which
 holds every box entry, all in [-D, nD] (each entry >= -D and the total
@@ -31,8 +37,9 @@ per pair of half-key groups at its join, and the Wick series
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb
-from operator import add
+from operator import add, or_
 from typing import Dict, Tuple
 
 from .poly import Rat, Terms, collect, exact, frame_codec
@@ -121,11 +128,9 @@ def expand(f: RationalFn, ordering, cutoff: int) -> LaurentSeries:
     pos = {name: k for k, name in enumerate(ordering)}
     nvars = len(ordering)
 
-    used = set()
-    for e in f.num.terms:
-        for k, x in enumerate(e):
-            if x:
-                used.add(f.alphabet[k])
+    # a variable is used by the numerator iff its entry of the OR of the keys is nonzero
+    num, alphabet = f.num, f.alphabet
+    used = {name for name, x in zip(alphabet, num.codec.decode(reduce(or_, num.terms, 0))) if x}
     for atom in f.den:
         for k in atom[1:]:
             used.add(f.alphabet[k])
@@ -150,16 +155,17 @@ def expand(f: RationalFn, ordering, cutoff: int) -> LaurentSeries:
             factors.append((pj, pi, sigma, e, sign))
     factors.sort(key=lambda fac: (fac[0], fac[1]))
 
-    # numerator terms over the ordering, shifted by the var atoms
+    # numerator terms over the ordering, shifted by the var atoms: entry p
+    # of a placed term is entry source[p] of its key, 0 past the alphabet
     degree = -sum(fac[3] for fac in factors)
+    source = [alphabet.index(name) if name in alphabet else len(alphabet) for name in ordering]
+    decode = num.codec.decode
     placed = []
-    for expo, c in f.num.terms.items():
-        e = list(var_shift)
-        for k, x in enumerate(expo):
-            if x:
-                e[pos[f.alphabet[k]]] += x
+    for key, c in num.terms.items():
+        expo = decode(key) + (0,)
+        e = tuple([s + expo[k] for s, k in zip(var_shift, source)])
         if -cutoff <= sum(e) + degree <= cutoff:
-            placed.append((tuple(e), c))
+            placed.append((e, c))
     current = collect(placed)
 
     # 1/(x + sigma*y)^e = x^-e sum_t C(e-1+t, t) (-sigma*y/x)^t; no later

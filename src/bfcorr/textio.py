@@ -18,18 +18,18 @@ It is read from one token stream, by one function per rule::
 with a nonzero coefficient denominator and a positive atom exponent.
 ``parse_rational`` reads a rational and ``parse_series`` a sum.
 
-A sum is written in one pass by one formatter, on packed keys
-(``poly.Codec``): a series's own, and a polynomial's packed first, in a
-frame as wide as its largest exponent.  A key splits into its first n//2
-entries and the rest, and each half has a table from its digits to its
-factors, each after a ``*`` (``"*z1^2*z2"``, ``""`` for all zeros); the
-sum has one from coefficient to sign and magnitude prefix (``"+ "``,
-``"- 3/2*"``).  The tables are filled on first use, so a term costs two
-half lookups and a join; the constant term, key 0, and the first term's
-sign are fixed once, after it.  A series's width, (nD).bit_length() + 1,
-holds every box entry, in [-D, nD], and entry 0 is the most significant
-digit, so descending keys are descending exponent tuples and the text is
-the one a formatter on tuples writes, byte for byte.
+A sum is written in one pass by one formatter, on the packed keys of its
+own ``poly.Codec``, a series's or a polynomial's.  A key splits into its
+first n//2 entries and the rest, and each half has a table from its
+digits to its factors, each after a ``*`` (``"*z1^2*z2"``, ``""`` for
+all zeros); the sum has one from coefficient to sign and magnitude
+prefix (``"+ "``, ``"- 3/2*"``).  The tables are filled on first use, so
+a term costs two half lookups and a join; the constant term, key 0, and
+the first term's sign are fixed once, after it.  A series's width,
+(nD).bit_length() + 1, holds every box entry, in [-D, nD], a
+polynomial's holds every exponent it stores, and entry 0 is the most
+significant digit, so descending keys are descending exponent tuples and
+the text is the one a formatter on tuples writes, byte for byte.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from operator import itemgetter
 from typing import Dict, Tuple
 
-from .poly import MultiPoly, Rat, Table, frame_codec
+from .poly import MultiPoly, Rat, Table
 from .ratfun import PoleFactor, RationalFn, diff_factor, sum_factor, var_factor
 from .series import LaurentSeries
 
@@ -77,8 +76,7 @@ def _sum_text(names, codec, terms: dict) -> str:
 
 
 def format_poly(p: MultiPoly) -> str:
-    codec = frame_codec(len(p.alphabet), max(chain.from_iterable(p.terms), default=0))
-    return _sum_text(p.alphabet, codec, codec.pack_terms(p.terms.items()))
+    return _sum_text(p.alphabet, p.codec, p.terms)
 
 
 def _atom_text(alphabet, atom: PoleFactor) -> str:
@@ -198,12 +196,6 @@ def _atom(tk: _Tokens) -> Tuple[PoleFactor, int, int]:
     return (sum_factor(i, j) if op else var_factor(i)), 1, e
 
 
-def _poly(alphabet, terms) -> MultiPoly:
-    if any(x < 0 for e in terms for x in e):
-        raise ValueError("negative exponent in a polynomial")
-    return MultiPoly(alphabet, terms)
-
-
 def parse_rational(text: str, alphabet=None) -> RationalFn:
     """Parse ``(num) / ((a-b)^e ...)`` or a bare polynomial."""
     tk = _Tokens(text, alphabet or None)
@@ -221,7 +213,7 @@ def parse_rational(text: str, alphabet=None) -> RationalFn:
     else:
         terms = _sum(tk)
     tk.end("rational function")
-    return RationalFn(_poly(tk.alphabet, terms).scale(sign), den)
+    return RationalFn(MultiPoly(tk.alphabet, terms).scale(sign), den)
 
 
 def parse_series(text: str, ordering, cutoff: int) -> LaurentSeries:

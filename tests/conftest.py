@@ -16,7 +16,7 @@ def rf(text, alphabet):
 
 def poly_value(p, point):
     """The polynomial p at a rational point, summed term by term."""
-    return sum((c * prod(x ** k for x, k in zip(point, e)) for e, c in p.terms.items()), Fraction(0))
+    return sum((c * prod(x ** k for x, k in zip(point, e)) for e, c in p.exponents().items()), Fraction(0))
 
 
 def in_lowest_terms(f):

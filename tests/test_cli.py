@@ -104,6 +104,18 @@ def test_expand_rejects_bad_expression():
     assert code == 2
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("(z^-1 + w) / ((z-w)^1)", "negative exponent in a polynomial"),
+    ("(z^256) / ((z)^256)", "the most a polynomial in 2 variables holds"),
+])
+def test_expand_rejects_a_numerator_exponent_a_polynomial_cannot_hold(capsys, expr, message):
+    # the polynomial constructor refuses it, and main turns that into exit 2
+    code, out = run_cli("expand", "--expr", expr, "--order", "z,w", "--cutoff", "3")
+    assert code == 2
+    assert out == ""
+    assert message in capsys.readouterr().err
+
+
 def test_expand_rejects_a_repeated_variable(capsys):
     # z,w,z names no expansion region; it used to print the |w| >> |z| series
     code, out = run_cli("expand", "--expr", "(1) / ((z-w)^1)", "--order", "z,w,z", "--cutoff", "3")

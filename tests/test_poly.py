@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfcorr.poly import MultiPoly, frame_codec
+from bfcorr.poly import MultiPoly, collect, frame_codec, poly_codec
 from bfcorr.ratfun import RationalFn, diff_factor, factor_poly, sum_factor, var_factor
 from bfcorr.series import expand
 from conftest import in_lowest_terms, poly_value
@@ -31,12 +31,33 @@ def test_no_zero_coefficients_stored():
 
 
 def test_pow_matches_repeated_mul():
-    p = MultiPoly.linear(AL, 0, 1, 1)  # z + w
-    q = MultiPoly.const(AL, 1)
-    for _ in range(4):
-        q = q * p
-    assert p ** 4 == q
-    assert p ** 0 == MultiPoly.const(AL, 1)
+    z, w = MultiPoly.var(AL, "z"), MultiPoly.var(AL, "w")
+    for p in (z + w, z * z - w.scale(2) + MultiPoly.const(AL, Fraction(1, 3))):
+        q = MultiPoly.const(AL, 1)
+        for n in range(7):
+            assert p ** n == q, (p, n)
+            q = q * p
+
+
+def test_pow_squares_only_while_a_higher_bit_is_left(monkeypatch):
+    # n = 1 makes no product; n takes bit_length - 1 squarings and one
+    # product per further set bit
+    products = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    p = MultiPoly.linear(AL, 0, 1, -1)
+    for n in range(1, 9):
+        products.clear()
+        p ** n
+        assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+
+
+def test_a_negative_exponent_is_refused():
+    # it used to be kept, and its text read "0"
+    for make in (lambda: MultiPoly.var(AL, 0, -4), lambda: MultiPoly(AL, {(-1, 0): 1}),
+                 lambda: MultiPoly(AL, {(2, 0): 1, (0, -1): 0})):
+        with pytest.raises(ValueError, match="negative exponent in a polynomial"):
+            make()
 
 
 AL3 = ("z", "w", "x")
@@ -53,7 +74,7 @@ def _random_poly(rng):
 def _at_root(p, atom):
     """p where the atom vanishes: z_i = 0, z_i = z_j (diff) or z_i = -z_j (sum)."""
     if atom[0] == "var":
-        return MultiPoly(p.alphabet, {e: c for e, c in p.terms.items() if not e[atom[1]]})
+        return MultiPoly(p.alphabet, {e: c for e, c in p.exponents().items() if not e[atom[1]]})
     return p.substitute(atom[1], atom[2], 1 if atom[0] == "diff" else -1)
 
 
@@ -73,7 +94,7 @@ def test_exact_quotient_undoes_the_product(atom, rng):
         quotient = RationalFn(factor * q, {atom: 1})
         assert quotient == RationalFn.from_poly(q)
         for ordering in (AL3, AL3[::-1]):
-            assert _expansion(quotient, ordering) == q.terms
+            assert _expansion(quotient, ordering) == q.exponents()
 
 
 @pytest.mark.parametrize("atom", ATOMS, ids=lambda atom: "-".join(map(str, atom)))
@@ -159,3 +180,91 @@ def test_descending_keys_are_descending_tuples(data, n, D):
     _, entry = _domain(n, D)
     tuples = data.draw(st.lists(st.tuples(*[entry] * n), max_size=12, unique=True))
     assert sorted(tuples, key=codec.pack, reverse=True) == sorted(tuples, reverse=True)
+
+
+# Packed polynomial arithmetic against a tuple-keyed reference.
+
+def _ref_mul(a, b):
+    return collect((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+def _ref_diff(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def _ref_substitute(a, i, j, sign):
+    def move(e):
+        e2 = list(e)
+        e2[i] = 0
+        e2[j] += e[i]
+        return tuple(e2)
+
+    return collect((move(e), c * sign ** e[i]) for e, c in a.items())
+
+
+def _ref_pow(a, n, nvars):
+    out = {(0,) * nvars: 1}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+_COEFF = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4)).filter(bool)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 8))
+def test_packed_arithmetic_matches_a_tuple_reference(data, n):
+    alphabet = tuple(f"x{k}" for k in range(n))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 5)] * n), _COEFF, max_size=6)
+    a, b = data.draw(terms), data.draw(terms)
+    p, q = MultiPoly(alphabet, a), MultiPoly(alphabet, b)
+    assert p.exponents() == collect(a.items())
+    assert (p * q).exponents() == _ref_mul(a, b)
+    assert (p + q).exponents() == collect([*a.items(), *b.items()])
+    assert (p - q).exponents() == collect([*a.items(), *((e, -c) for e, c in b.items())])
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    sign = data.draw(st.sampled_from([1, -1, 2, 0]))
+    assert p.diff(i).exponents() == _ref_diff(a, i)
+    assert p.substitute(i, j, sign).exponents() == _ref_substitute(a, i, j, sign)
+    k = data.draw(st.integers(0, 3))
+    assert (p ** k).exponents() == _ref_pow(a, k, n)
+    # text and equality read the keys: a tuple-built copy of the product is equal
+    product = MultiPoly(alphabet, _ref_mul(a, b))
+    assert product == p * q and hash(product) == hash(p * q) and str(product) == str(p * q)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_product_past_the_top_of_a_digit_is_refused_not_carried(n):
+    # the width is the alphabet's alone; an entry up to 2^(w-1) - 1 is held,
+    # and a product or a substitution that could pass it is refused, never
+    # carried into the neighbouring variable's digit
+    alphabet = tuple(f"x{k}" for k in range(n))
+    codec = poly_codec(n)
+    assert codec.width == (64 * n).bit_length() + 1
+    top = (1 << (codec.width - 1)) - 1
+    for i in range(n):
+        def at(x, i=i):
+            return tuple(x if k == i else 0 for k in range(n))
+
+        def mono(x, i=i):
+            return MultiPoly(alphabet, {at(x, i): 1})
+
+        low, high = mono(top // 2), mono(top - top // 2)
+        assert (low * high).exponents() == {at(top): 1}
+        with pytest.raises(OverflowError):
+            high * high
+        with pytest.raises(OverflowError):
+            mono(top) * MultiPoly.var(alphabet, i)
+        with pytest.raises(ValueError):
+            mono(top + 1)
+        assert mono(top).diff(i).exponents() == {at(top - 1): top}
+        assert str(mono(top)) == f"x{i}^{top}"
+        if n > 1:
+            j = (i + 1) % n
+            with pytest.raises(OverflowError):
+                (mono(top) * mono(1, j)).substitute(j, i, 1)
+            assert (low * mono(1, j)).substitute(j, i, -1).exponents() == {at(top // 2 + 1): -1}
+    # every entry just below the edge at once: the digits stay apart
+    half = MultiPoly(alphabet, {(top // 2,) * n: 1, (0,) * n: 1})
+    assert (half * half).exponents() == {(2 * (top // 2),) * n: 1, (top // 2,) * n: 2, (0,) * n: 1}

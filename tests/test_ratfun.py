@@ -78,7 +78,7 @@ def test_residue_is_the_taylor_coefficient():
         for m in (1, 2, 3):
             for s, atom in ((1, diff_factor(0, 1)[0]), (-1, sum_factor(0, 1))):
                 taylor = collect(((0, a - m + 1 + b), c * comb(a, m - 1) * s ** (a - m + 1))
-                                 for (a, b), c in p.terms.items() if a >= m - 1)
+                                 for (a, b), c in p.exponents().items() if a >= m - 1)
                 got = residue_at(RationalFn(p, {atom: m}), 0, s, 1)
                 assert got == RationalFn.from_poly(MultiPoly(AL, taylor)), (p, m, s)
 

@@ -156,7 +156,7 @@ def _brute_expand(f, ordering, cutoff, tail):
         e[pos[k]] = x
         return tuple(e)
 
-    terms = {tuple(e[f.alphabet.index(name)] for name in ordering): c for e, c in f.num.terms.items()}
+    terms = {tuple(e[f.alphabet.index(name)] for name in ordering): c for e, c in f.num.exponents().items()}
     for atom, power in f.den.items():
         if atom[0] == "var":
             series = {unit(atom[1], -1): 1}
