@@ -153,16 +153,23 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
     the frame's codec, so a key is the packed exponent tuple with zeros at
     the positions not yet run.
 
-    The join tests the box per pair of groups, not per key.  The meet point
-    h is the codec's cut n // 2, so a joined key p + q holds p's entries on
-    the first half and q's on the second, and its box value is x + y, x the
-    first-half value of p and y the second-half value of q (``half_box``):
-    p + q is in the box iff -D <= x + y <= D.  So the prefixes of L(h, s)
-    are grouped by x and the suffixes of s's table by y, and a pair of
-    groups is joined whole if x + y lies in [-D, D] and skipped otherwise:
-    every key the join makes is in the box, and every key of the box the
-    pair of halves can make is made.  Its coefficient is a product of
-    nonzero ints, so it is nonzero.
+    The join tests the box once per middle state s, not per key.  The meet
+    point h is the codec's cut n // 2, so a joined key p + q holds p's
+    entries on the first half and q's on the second, and its box value is
+    x + y, x the first-half value of p and y the second-half value of q
+    (``half_box``): p + q is in the box iff -D <= x + y <= D.  An engine
+    entry lies in [-D, D], so a half's value is the sum of its entries.
+    Each mode changes the grade by a fixed amount per mode index: energy2
+    by 2m + 1 for phi_m and psi_m on F_A, the degree by m for phi_m on F_B
+    (Tphi's row at z^m is +-phi_m).  So every suffix of s's table, whose
+    fields take the vacuum to s, has entries summing to (energy2(s) -
+    (n - h)) / 2 (type A) or degree(s) (type B), and every prefix of
+    L(h, s), whose fields take s back to the vacuum, to -(energy2(s) +
+    h) / 2 or -degree(s).  The keys of each half thus share one value, read
+    off one key, and s's pairs are joined whole if x + y lies in [-D, D]
+    and skipped otherwise: every key the join makes is in the box, and
+    every key of the box the pair of halves can make is made.  Its
+    coefficient is a product of nonzero ints, so it is nonzero.
 
     X_j adds or removes one mode and j fields stand to its left, so a state
     X_j reaches is kept only if its mode count is at most j, on both
@@ -201,20 +208,12 @@ def vev_fermion(spec: VevSpec) -> LaurentSeries:
             out.update({p + m: a * c for p, a in left(k - 1, t).items()})
         return out
 
-    def grouped(half, keys):
-        """{box value of the keys' given half: {key: coefficient}}."""
-        groups = {}
-        for k, c in keys.items():
-            groups.setdefault(codec.half_box(k)[half], {})[k] = c
-        return groups
-
     terms = {}
     for s, suffixes in right.items():
-        tails = grouped(1, suffixes).items()
-        for x, heads in grouped(0, left(h, s)).items():
-            for y, group in tails:
-                if -D <= x + y <= D:
-                    terms.update({p + q: a * v for p, a in heads.items() for q, v in group.items()})
+        if heads := left(h, s):
+            x, y = codec.half_box(next(iter(heads)))[0], codec.half_box(next(iter(suffixes)))[1]
+            if -D <= x + y <= D:
+                terms.update({p + q: a * v for p, a in heads.items() for q, v in suffixes.items()})
     # free both halves first, so that only the terms are held
     del right
     left.cache_clear()

@@ -13,12 +13,15 @@ T^2 = 1 and DT = -TD are what the ``hopf-relations`` check tests on the
 rows, not rules the code assumes.  A quadratic normal ordered product
 :a b: composes the rows of its two factors and subtracts the vacuum
 pairing read off the same rows, so no ``Fraction`` is made while rows are
-built or composed.  It keeps each row it builds and, per state s, an entry
-with s's mode lists and the rows b_k(s) of its b-factor built so far: a
-Clifford row is a pure function of (k, s), so one b_k(s) serves the rows
-of every z-power that needs it.  Rows and entries live as long as the
-field.  ``coeff(k)`` is the linear extension of the rows of z^k to
-FockVectors, ``v.apply(row at k)`` over ``den``.
+built or composed.  Its candidate b-modes on a state are ascending runs
+read off the state's mode lists, and the pairing is looked up only at the
+one mode sum where it can be nonzero (-1 for :phi psi:, 0 for :phi_B
+phi_B:).  It keeps, per state s, an entry with s's mode lists, the rows
+b_k(s) of its b-factor and its own rows at s built so far: a Clifford row
+is a pure function of (k, s), so one b_k(s) serves the rows of every
+z-power that needs it.  Entries live as long as the field.  ``coeff(k)``
+is the linear extension of the rows of z^k to FockVectors,
+``v.apply(row at k)`` over ``den``.
 
 Every operator identity is one rule, ``residuals``: a sum c * word of row
 compositions, run on each basis state up to a grade.  ``mode_commutator`` is
@@ -159,26 +162,34 @@ def act_hopf(word: str, a: Field) -> Field:
 # -- quadratic normal ordering ------------------------------------------------
 
 
+# the one mode sum i + j at which <0|a_i b_j|0> of a supported pair of unary
+# Clifford fields can be nonzero: [phi_m, psi_n]_+ = delta_{m+n,-1} (type A)
+# and [phi_m, phi_n]_+ = 2(-1)^m delta_{m,-n} (type B)
+_PAIRING_SUM = {("phiA", "psiA"): -1, ("psiA", "phiA"): -1, ("phiB", "phiB"): 0}
+
+
 def _candidates(families: Tuple[str, str], ksum: int, modes: Tuple[Tuple[int, ...], ...]) -> List[int]:
-    """Underlying b-indices beta for which :a_(ksum-beta) b_beta: can act on
-    the state whose decreasing mode lists, one per mask, are ``modes``."""
-    fa, fb = families
-    cand = set(range(0, max(ksum, -1) + 1 if fa != "phiB" else max(ksum, 0) + 1))
+    """Underlying b-indices beta, ascending, for which :a_(ksum-beta) b_beta:
+    can act on the state whose decreasing mode lists, one per mask, are
+    ``modes``.
+
+    For :phi psi: the list is three ascending runs, joined with no set and
+    no sort: -1-p over the phi modes p, each <= -1, where b_beta removes
+    p; the range 0..ksum, where both modes create; and ksum+1+q
+    over the psi modes q, reversed and kept where >= 0, each > ksum, where
+    a_(ksum-beta) removes q.  :psi phi: swaps the roles of the two lists.
+    For :phi_B phi_B: the runs are -n over the modes n, the range
+    0..max(ksum, 0) and ksum+n over the modes reversed, kept where >= 0.
+    They meet only at 0 (the mode n = 0, or n = -ksum) and at ksum (n = 0),
+    so the first run leaves out n = 0 and the third keeps only the values
+    above the range."""
+    fa = families[0]
     if fa == "phiB":
-        for n in modes[0]:
-            if ksum + n >= 0:
-                cand.add(ksum + n)
-            cand.add(-n)
-    else:
-        phis, psis = modes
-        if fb == "phiA":
-            phis, psis = psis, phis  # mirror roles for :psi phi:
-        for q in psis:
-            if ksum + 1 + q >= 0:
-                cand.add(ksum + 1 + q)
-        for p in phis:
-            cand.add(-1 - p)
-    return sorted(cand)
+        (ns,), top = modes, max(ksum, 0)
+        return [-n for n in ns if n] + list(range(top + 1)) + [ksum + n for n in reversed(ns) if ksum + n > top]
+    phis, psis = modes if fa == "phiA" else modes[::-1]
+    start = ksum + 1
+    return [-1 - p for p in phis] + list(range(start)) + [start + q for q in reversed(psis) if start + q >= 0]
 
 
 def normal_ordered_quadratic(a: Field, b: Field) -> Field:
@@ -186,61 +197,63 @@ def normal_ordered_quadratic(a: Field, b: Field) -> Field:
 
     The row at (K, s) sums a's rows on the images b_k(s) over the
     candidate b-indices of ``_candidates`` and subtracts the vacuum
-    pairings.  The field keeps, next to each row it built, one entry per
-    state s: s's decreasing mode lists, which ``_candidates`` reads, and
-    each row b_k(s) built so far, keyed by its z-power k.  A Clifford row
-    is a pure function of (k, s), so reusing b_k(s) for every K is exact;
-    the vacuum pairings read b's rows on the vacuum from its entry too.
-    a's rows, one Clifford action each, are not kept: a dict of them
-    measured slower than the actions.  Rows and entries live as long as
-    the field."""
+    pairings.  A pairing <0|a_i b_j|0> can be nonzero only at the pair's
+    one mode sum i + j (``_PAIRING_SUM``), so only the rows whose mode sum,
+    K plus the tags' shifts, is that one look their pairings up.
+
+    The field keeps one entry per state s: s's decreasing mode lists,
+    which ``_candidates`` reads; each row b_k(s) built so far, keyed by its
+    z-power k; and each of its own rows at s built so far, keyed by its
+    z-power K.  A Clifford row is a pure function of (k, s), so reusing
+    b_k(s) for every K is exact; the vacuum pairings read b's rows on the
+    vacuum from its entry too.  a's rows, one Clifford action each, are not
+    kept: a dict of them measured slower than the actions.  Entries live as
+    long as the field."""
     if a.space != b.space:
         raise ValueError("fields act on different spaces")
     if a.clifford is None or b.clifford is None:
         raise ValueError("quadratic normal ordering needs unary Clifford fields")
     (fa, shift_a), (fb, shift_b) = a.clifford, b.clifford
-    if (fa, fb) not in (("phiA", "psiA"), ("psiA", "phiA"), ("phiB", "phiB")):
-        raise ValueError(f"unsupported quadratic pair {(fa, fb)}")
+    families = (fa, fb)
+    pairing_sum = _PAIRING_SUM.get(families)
+    if pairing_sum is None:
+        raise ValueError(f"unsupported quadratic pair {families}")
     arow, brow = a.row, b.row
     vacuum = VACUUM_A if a.space == "A" else VACUUM_B
-    cache: Dict = {}
-    entries: Dict = {}  # state -> (its mode lists, {z-power: b's row there})
-
-    def entry(s):
-        got = entries.get(s)
-        if got is None:
-            got = entries[s] = (tuple(map(_bits, s)), {})
-        return got
-
-    def b_row(brows: Dict, kb: int, s) -> Row:
-        """b's row at (kb, s) from s's entry ``brows``, built on first use."""
-        got = brows.get(kb)
-        if got is None:
-            got = brows[kb] = brow(kb, s)
-        return got
-
-    vacuum_brows = entry(vacuum)[1]
+    # state -> (its mode lists, {z-power k: b's row}, {z-power K: the row})
+    entries: Dict = {vacuum: (tuple(map(_bits, vacuum)), {}, {})}
+    vacuum_brows = entries[vacuum][1]
 
     @lru_cache(maxsize=None)
     def vev_pair(ka: int, kb: int) -> int:
         """<0| a_ka b_kb |0> at z-powers ka, kb, read off the rows."""
-        return sum(x * y for t, x in b_row(vacuum_brows, kb, vacuum) for u, y in arow(ka, t) if u == vacuum)
+        images = vacuum_brows.get(kb)
+        if images is None:
+            images = vacuum_brows[kb] = brow(kb, vacuum)
+        return sum(x * y for t, x in images for u, y in arow(ka, t) if u == vacuum)
 
     def row(K: int, s) -> Row:
-        got = cache.get((K, s))
+        got = entries.get(s)
         if got is None:
-            modes, brows = entry(s)
+            got = entries[s] = (tuple(map(_bits, s)), {}, {})
+        modes, brows, rows = got
+        got = rows.get(K)
+        if got is None:
+            ksum = K + shift_a + shift_b
+            paired = ksum == pairing_sum
             acc: Dict = {}
-            for beta in _candidates((fa, fb), K + shift_a + shift_b, modes):
+            for beta in _candidates(families, ksum, modes):
                 kb = beta - shift_b
                 ka = K - kb
-                for t, x in b_row(brows, kb, s):
+                images = brows.get(kb)
+                if images is None:
+                    images = brows[kb] = brow(kb, s)
+                for t, x in images:
                     for u, y in arow(ka, t):
                         acc[u] = acc.get(u, 0) + x * y
-                pair = vev_pair(ka, kb)
-                if pair:
+                if paired and (pair := vev_pair(ka, kb)):
                     acc[s] = acc.get(s, 0) - pair
-            got = cache[(K, s)] = [(u, x) for u, x in acc.items() if x]
+            got = rows[K] = [(u, x) for u, x in acc.items() if x]
         return got
 
     return Field(f":{a.name}{b.name}:", a.space, (a.parity + b.parity) % 2,

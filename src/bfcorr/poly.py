@@ -170,7 +170,10 @@ class Codec:
 
     def half_box(self, key: int) -> Tuple[int, int]:
         """The box values of the key's first and second half: the key is in
-        the box iff their sum lies in [-D, D]."""
+        the box iff their sum lies in [-D, D].  The fermion sweep reads the
+        first off one prefix and the second off one suffix per middle state,
+        as every key of a half that meets at one state has the same value
+        there (``correspondence.vev_fermion``)."""
         u = key + self.bias
         return self._box[0][u >> self.shift], self._box[1][u & self.mask]
 

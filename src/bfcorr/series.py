@@ -31,7 +31,7 @@ runs its tails on tuples and packs its terms once, at the end), the boson
 sweep and the series arithmetic rely on it.  Two producers test the box
 before they make their keys and hand their terms to ``_in_box``, which
 tests nothing: the fermion sweep (``correspondence.vev_fermion``), once
-per pair of half-key groups at its join, and the Wick series
+per middle state at its join, and the Wick series
 (``correspondence._wick_series``), once, on the total its kernels fix.
 """
 

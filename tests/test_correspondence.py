@@ -22,8 +22,8 @@ from bfcorr.correspondence import (
     vev_fermion,
 )
 from bfcorr.fields import Field, phi_A, phi_B, twisted_heisenberg_field_B
-from bfcorr.fock import VACUUM_A, VACUUM_B, FockVector, apply_mode_A, apply_mode_B
-from bfcorr.poly import MultiPoly
+from bfcorr.fock import VACUUM_A, VACUUM_B, FockVector, apply_mode_A, apply_mode_B, degree_B, energy2_A
+from bfcorr.poly import MultiPoly, frame_codec
 from bfcorr.ratfun import RationalFn, diff_factor, rf_equal, sum_factor
 from bfcorr.series import LaurentSeries, expand, raw_mul
 from bfcorr.textio import format_series
@@ -424,15 +424,15 @@ def test_fermion_sweep_matches_composed_modes(cutoff):
         assert got.is_zero() == (not neutral or (model == "A" and len(word) // 2 > cutoff)), (model, word)
 
 
-def _one_directional_fermion_terms(spec):
-    """<0| word |0> by one sweep right to left from the vacuum, over tables
-    {state: {exponent prefix: coefficient}}, each field run over the box
-    exponents and a state reached by the field at position j kept only if
-    it holds at most j modes; the raw terms, before the cutoff box."""
+def _fermion_tables(spec, start, stop, state):
+    """The fields at positions start-1 down to stop run right to left from
+    ``state``, over tables {state: {exponent prefix: coefficient}}, each
+    field run over the box exponents and a state reached by the field at
+    position j kept only if it holds at most j modes."""
     D, (vacuum, table) = spec.cutoff, correspondence.OPERATORS[spec.model, spec.side]
     fields = [table[sym] for sym, _ in spec.word]
-    tables = {vacuum: {(): 1}}
-    for pos in range(len(fields) - 1, -1, -1):
+    tables = {state: {(): 1}}
+    for pos in range(start - 1, stop - 1, -1):
         row, new = fields[pos].row, {}
         for s, prefixes in tables.items():
             for m in range(D, -D - 1, -1):
@@ -440,7 +440,14 @@ def _one_directional_fermion_terms(spec):
                     if sum(map(int.bit_count, t)) <= pos:
                         new.setdefault(t, {}).update({(m,) + p: c * v for p, v in prefixes.items()})
         tables = new
-    return tables.get(vacuum, {})
+    return tables
+
+
+def _one_directional_fermion_terms(spec):
+    """<0| word |0> by one sweep right to left from the vacuum; the raw
+    terms, before the cutoff box."""
+    vacuum = correspondence.OPERATORS[spec.model, spec.side][0]
+    return _fermion_tables(spec, len(spec.word), 0, vacuum).get(vacuum, {})
 
 
 # every locality word, the empty word, one field and odd lengths
@@ -462,6 +469,31 @@ def test_fermion_sweep_matches_the_one_directional_sweep(cutoff):
         assert got == {e: c for e, c in raw.items() if -cutoff <= sum(e) <= cutoff}, (model, word)
         assert all(type(c) is int for c in got.values()), (model, word)
     assert vev_fermion(VevSpec("B", "fermion", (), cutoff)).exponents() == {(): 1}
+
+
+@pytest.mark.parametrize("model, n", [("A", 2), ("B", 4)])
+def test_each_half_of_the_fermion_sweep_has_one_box_value_per_middle_state(model, n):
+    # the join tests the box once per middle state s, on one key of each
+    # half: each mode changes energy2 by 2m + 1 (type A) or the degree by m
+    # (type B), so the exponents of every suffix reaching s from the vacuum
+    # and of every prefix taking s back to it sum to a value fixed by s
+    D = 3
+    for word in correspondence._locality_words(model, n):
+        spec = VevSpec(model, "fermion", tuple((s, f"z{i + 1}") for i, s in enumerate(word)), D)
+        vacuum, size = correspondence.OPERATORS[model, "fermion"][0], len(word)
+        codec = frame_codec(size, D)
+        h, heads_seen = codec.cut, 0
+        for s, suffixes in _fermion_tables(spec, size, h, vacuum).items():
+            if model == "A":
+                prefix_sum, suffix_sum = -(energy2_A(s) + h) // 2, (energy2_A(s) - size + h) // 2
+            else:
+                prefix_sum, suffix_sum = -degree_B(s), degree_B(s)
+            for e in suffixes:
+                assert codec.half_box(codec.pack((0,) * h + e))[1] == suffix_sum, (word, s, e)
+            for e in _fermion_tables(spec, h, 0, s).get(vacuum, {}):
+                assert codec.half_box(codec.pack(e + (0,) * (size - h)))[0] == prefix_sum, (word, s, e)
+                heads_seen += 1
+        assert heads_seen, word
 
 
 @pytest.mark.parametrize("model, sizes", [("A", (2, 3)), ("B", (4, 6))])

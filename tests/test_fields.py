@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bfcorr import correspondence
 from bfcorr.fields import (
     Field,
+    _candidates,
     act_hopf,
     heisenberg_field_A,
     mode_commutator,
@@ -206,6 +207,16 @@ def _dpsi_a(i, v):
     return _psi_a(i + 1, v).scale(i + 1)
 
 
+def _dphi_a(i, v):
+    """(D phi)'s coefficient of z^i, (i + 1) phi_{i+1}, on v."""
+    return _phi_a(i + 1, v).scale(i + 1)
+
+
+def _dt_phi_b(i, v):
+    """(DT phi_B)'s coefficient of z^i, -(-1)^i (i + 1) phi_{i+1}, as DT = -TD."""
+    return apply_mode_B(i + 1, v).scale((1 if i % 2 else -1) * (i + 1))
+
+
 QUADRATICS = [
     ("h_A", heisenberg_field_A, _phi_a, _psi_a, lambda beta: 1, VACUUM_A),
     (":psi phi:", lambda: normal_ordered_quadratic(psi_A(), phi_A()), _psi_a, _phi_a,
@@ -218,6 +229,12 @@ QUADRATICS = [
     # the b-factor's clifford tag carries the shift 1: its z^beta row is psi_{beta+1}
     (":phi D psi:", lambda: normal_ordered_quadratic(phi_A(), act_hopf("D", psi_A())), _phi_a,
      _dpsi_a, lambda beta: 1, VACUUM_A),
+    # the shift on the a-factor, and on a type B b-factor: the rows at K
+    # carry their pairings at the mode sum K + 1
+    (":D(phi) psi:", lambda: normal_ordered_quadratic(act_hopf("D", phi_A()), psi_A()), _dphi_a,
+     _psi_a, lambda beta: 1, VACUUM_A),
+    (":phi_B DT(phi_B):", lambda: normal_ordered_quadratic(phi_B(), act_hopf("DT", phi_B())),
+     apply_mode_B, _dt_phi_b, lambda beta: 1, VACUUM_B),
 ]
 
 
@@ -236,6 +253,69 @@ def test_quadratic_rows_match_the_definition(name, build, x, y, scalar, vacuum):
             want[K, s] = _quadratic_oracle(x, y, scalar, K, v, vacuum)
         assert all(type(c) is int for _, c in field.row(K, s))
         assert field.coeff(K)(v) == want[K, s], (K, s)
+
+
+def _candidates_by_set(families, ksum, modes):
+    """The candidate rule as one set, sorted: the reference for the joined
+    runs of ``_candidates``."""
+    fa, fb = families
+    cand = set(range(0, max(ksum, -1) + 1 if fa != "phiB" else max(ksum, 0) + 1))
+    if fa == "phiB":
+        for n in modes[0]:
+            if ksum + n >= 0:
+                cand.add(ksum + n)
+            cand.add(-n)
+    else:
+        phis, psis = modes
+        if fb == "phiA":
+            phis, psis = psis, phis  # mirror roles for :psi phi:
+        for q in psis:
+            if ksum + 1 + q >= 0:
+                cand.add(ksum + 1 + q)
+        for p in phis:
+            cand.add(-1 - p)
+    return sorted(cand)
+
+
+@pytest.mark.parametrize("families", [("phiA", "psiA"), ("psiA", "phiA"), ("phiB", "phiB")])
+def test_candidate_runs_are_the_sorted_set_of_the_rule(families):
+    # every state of energy2 <= 12 or degree <= 10 at every mode sum in
+    # -12..12: below -1 the type A range is empty, and the type B runs meet
+    # at 0 (mode 0, or mode -ksum) and at ksum (mode 0)
+    basis = states_B(10) if families[0] == "phiB" else states_A(12)
+    edges = Counter()
+    for s in basis:
+        modes = (s.indices,) if families[0] == "phiB" else (s.phis, s.psis)
+        for ksum in range(-12, 13):
+            want = _candidates_by_set(families, ksum, modes)
+            assert _candidates(families, ksum, modes) == want, (s, ksum)
+            if families[0] == "phiB":
+                edges["0 by mode 0"] += 0 in modes[0]
+                edges["0 by mode -ksum"] += ksum < 0 and -ksum in modes[0]
+                edges["ksum by mode 0"] += ksum > 0 and 0 in modes[0]
+            else:
+                edges["ksum < -1"] += ksum < -1 and bool(want)
+    assert len(edges) == (3 if families[0] == "phiB" else 1) and all(edges.values()), edges
+
+
+@pytest.mark.parametrize("a, b, pairing_sum", [(phi_A, psi_A, -1), (psi_A, phi_A, -1), (phi_B, phi_B, 0)],
+                         ids=[":phi psi:", ":psi phi:", ":phi_B phi_B:"])
+def test_vacuum_pairings_sit_at_one_mode_sum(a, b, pairing_sum):
+    # <0| a_ka b_kb |0>, read off the public rows on the vacuum, is nonzero
+    # only where the mode sum ka + kb plus the D shifts of the two factors
+    # is -1 (type A) or 0 (type B): the premise on which a row looks its
+    # pairings up only at that one mode sum
+    vacuum = VACUUM_A if a().space == "A" else VACUUM_B
+    for wa in ("", "D", "T", "DT"):
+        for wb in ("", "D", "T", "DT"):
+            fa, fb = act_hopf(wa, a()), act_hopf(wb, b())
+            shift = fa.clifford[1] + fb.clifford[1]
+            sums = Counter()
+            for ka in range(-8, 9):
+                for kb in range(-8, 9):
+                    pair = sum(x * y for t, x in fb.row(kb, vacuum) for u, y in fa.row(ka, t) if u == vacuum)
+                    sums[ka + kb + shift] += bool(pair)
+            assert set(+sums) == {pairing_sum} and sums[pairing_sum] > 2, (wa, wb, sums)
 
 
 def _counting(field, calls):

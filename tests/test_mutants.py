@@ -73,6 +73,15 @@ MUTANTS = [
     ("h_A as :psi phi:", "fields.py",
      "normal_ordered_quadratic(phi_A(), psi_A())", "normal_ordered_quadratic(psi_A(), phi_A())",
      ["heisenberg-fermions-A"]),
+    # every type A pairing is 0 at mode sum 0, so no type A row subtracts
+    # one, and h_0 no longer reads the charge
+    ("type A pairing sum 0 in place of -1", "fields.py",
+     '("phiA", "psiA"): -1, ("psiA", "phiA"): -1', '("phiA", "psiA"): 0, ("psiA", "phiA"): 0',
+     ["heisenberg-from-fermions-A"]),
+    # the b-indices past ksum, where the a-mode removes a psi of the state
+    ("type A candidates without their third run", "fields.py",
+     " + [start + q for q in reversed(psis) if start + q >= 0]", "",
+     ["heisenberg-fermions-A", "heisenberg-from-fermions-A"]),
     ("h_B scaled by -1/4", "fields.py",
      ".scaled(Fraction(1, 4))", ".scaled(Fraction(-1, 4))",
      ["heisenberg-fermions-B"]),
